@@ -52,10 +52,9 @@
 // Prometheus-text /metrics, JSON /debug/wtfd/stats, the slow-request flight
 // recorder at /debug/wtfd/slow, and net/http/pprof under /debug/pprof/. The
 // listener is opened synchronously — a busy port is a startup error, not a
-// background log line. -pprof is the deprecated alias for -http. -slow-ms
-// sets the flight recorder's slow-request threshold in milliseconds (0 =
-// default 20, negative = disable recording); SIGQUIT also dumps the
-// recorder to stderr.
+// background log line. -slow-ms sets the flight recorder's slow-request
+// threshold in milliseconds (0 = default 20, negative = disable recording);
+// SIGQUIT also dumps the recorder to stderr.
 //
 // wtfd shuts down gracefully on SIGINT/SIGTERM: it refuses new connections,
 // completes in-flight transactions, flushes their responses, then exits.
@@ -82,7 +81,7 @@ import (
 type runOpts struct {
 	listen    string
 	stats     time.Duration
-	httpAddr  string // observability endpoints + pprof (-http, alias -pprof)
+	httpAddr  string // observability endpoints + pprof (-http)
 	ordering  string // echoed in the banner
 	atomicity string
 	fsyncName string
@@ -113,7 +112,6 @@ func parseArgs(args []string) (server.Config, runOpts, error) {
 		snapEvery   = fs.Int64("snapshot-every", 0, "checkpoint a shard after this many WAL records (0 = default 65536, negative = never)")
 		segBytes    = fs.Int64("segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = default)")
 		httpAddr    = fs.String("http", "", "serve /metrics, /debug/wtfd/* and /debug/pprof/ on this address (empty = off)")
-		pprofAddr   = fs.String("pprof", "", "deprecated alias for -http")
 		slowMS      = fs.Int("slow-ms", 0, "flight-record requests slower than this many milliseconds (0 = default 20, negative = off)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -149,13 +147,6 @@ func parseArgs(args []string) (server.Config, runOpts, error) {
 		if len(conflict) > 0 {
 			return server.Config{}, runOpts{}, fmt.Errorf("%s require -data-dir (memory-only daemons have no WAL)", conflict[0])
 		}
-	}
-
-	// -pprof is the historical name for what is now the full observability
-	// endpoint; both set the same address, with -http winning on conflict.
-	addr := *httpAddr
-	if addr == "" {
-		addr = *pprofAddr
 	}
 
 	cfg := server.Config{
@@ -199,7 +190,7 @@ func parseArgs(args []string) (server.Config, runOpts, error) {
 	opts := runOpts{
 		listen:    *listen,
 		stats:     *stats,
-		httpAddr:  addr,
+		httpAddr:  *httpAddr,
 		ordering:  *ordering,
 		atomicity: *atomicity,
 		fsyncName: pol.String(),

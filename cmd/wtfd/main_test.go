@@ -97,22 +97,9 @@ func TestParseArgs(t *testing.T) {
 			},
 		},
 		{
-			name: "pprof is a working alias for http",
-			args: []string{"-pprof", "127.0.0.1:9091"},
-			check: func(t *testing.T, got parsed) {
-				if got.opts.httpAddr != "127.0.0.1:9091" {
-					t.Errorf("httpAddr via -pprof = %q", got.opts.httpAddr)
-				}
-			},
-		},
-		{
-			name: "http wins over the pprof alias",
-			args: []string{"-pprof", "127.0.0.1:1", "-http", "127.0.0.1:2"},
-			check: func(t *testing.T, got parsed) {
-				if got.opts.httpAddr != "127.0.0.1:2" {
-					t.Errorf("httpAddr = %q, want the -http value", got.opts.httpAddr)
-				}
-			},
+			name:    "the retired pprof alias is rejected",
+			args:    []string{"-pprof", "127.0.0.1:9091"},
+			wantErr: "flag provided but not defined",
 		},
 		{
 			name: "negative slow-ms disables the flight recorder",

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -28,6 +29,13 @@ func TestRecordingContract(t *testing.T) {
 		})
 		<-started // serialize the interleaving for a stable log
 		<-f.Done()
+		// Done closes when the body returns, before the future settles;
+		// wait until the merge itself is on record, ahead of the evaluate.
+		for merged := false; !merged; runtime.Gosched() {
+			for _, op := range rec.Ops() {
+				merged = merged || op.Kind == history.FutureMerge
+			}
+		}
 		_, err := tx.Evaluate(f)
 		return err
 	})

@@ -9,8 +9,9 @@ import (
 	"wtftm/internal/wire"
 )
 
-// BenchmarkServerEcho measures the server request path — pooled decode,
-// execute, append-encode, recycle — without the network in the way. This is
+// BenchmarkServerEcho measures the server request path — pooled decode, one
+// pipeline unit of one (stage accounting, execution, response hand-off),
+// append-encode, recycle — without the network in the way. This is
 // the allocs/op gate scripts/ci.sh enforces (≤ 2 allocs/op): the lifecycle
 // itself must not allocate in steady state, so serving cost scales with
 // syscalls and transactions, not with GC pressure.
@@ -25,6 +26,7 @@ func BenchmarkServerEcho(b *testing.B) {
 		b.Fatal(err)
 	}
 	var scratch []byte
+	l := newLane(s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -32,9 +34,7 @@ func BenchmarkServerEcho(b *testing.B) {
 		if err := wire.DecodeRequestInto(req, payload); err != nil {
 			b.Fatal(err)
 		}
-		resp := wire.AcquireResponse()
-		s.execute(req, resp)
-		wire.ReleaseRequest(req)
+		resp := l.execute(req)
 		out, err := wire.AppendResponse(scratch[:0], resp)
 		if err != nil {
 			b.Fatal(err)
@@ -53,25 +53,15 @@ func BenchmarkServerGetPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.Drain()
-	// Seed one key through the public path.
-	seedReq := wire.AcquireRequest()
-	seedResp := wire.AcquireResponse()
-	put, err := wire.AppendRequest(nil, &wire.Request{ID: 1, Op: wire.OpPut, Cmd: wire.Put("bench-key", []byte("v"))})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := wire.DecodeRequestInto(seedReq, put); err != nil {
-		b.Fatal(err)
-	}
-	s.execute(seedReq, seedResp)
-	wire.ReleaseRequest(seedReq)
-	wire.ReleaseResponse(seedResp)
+	// Seed one key through the write pipeline.
+	wire.ReleaseResponse(newLane(s).execute(pooled(b, &wire.Request{ID: 1, Op: wire.OpPut, Cmd: wire.Put("bench-key", []byte("v"))})))
 
 	payload, err := wire.AppendRequest(nil, &wire.Request{ID: 2, Op: wire.OpGet, Cmd: wire.Get("bench-key")})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var scratch []byte
+	l := newLane(s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -79,9 +69,7 @@ func BenchmarkServerGetPath(b *testing.B) {
 		if err := wire.DecodeRequestInto(req, payload); err != nil {
 			b.Fatal(err)
 		}
-		resp := wire.AcquireResponse()
-		s.execute(req, resp)
-		wire.ReleaseRequest(req)
+		resp := l.execute(req)
 		out, err := wire.AppendResponse(scratch[:0], resp)
 		if err != nil {
 			b.Fatal(err)
@@ -104,18 +92,7 @@ func BenchmarkServerFastGet(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.Drain()
-	seedReq := wire.AcquireRequest()
-	seedResp := wire.AcquireResponse()
-	put, err := wire.AppendRequest(nil, &wire.Request{ID: 1, Op: wire.OpPut, Cmd: wire.Put("bench-key", []byte("fast-value"))})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := wire.DecodeRequestInto(seedReq, put); err != nil {
-		b.Fatal(err)
-	}
-	s.execute(seedReq, seedResp)
-	wire.ReleaseRequest(seedReq)
-	wire.ReleaseResponse(seedResp)
+	wire.ReleaseResponse(newLane(s).execute(pooled(b, &wire.Request{ID: 1, Op: wire.OpPut, Cmd: wire.Put("bench-key", []byte("fast-value"))})))
 
 	get, err := wire.AppendRequest(nil, &wire.Request{ID: 2, Op: wire.OpGet, Cmd: wire.Get("bench-key")})
 	if err != nil {

@@ -134,8 +134,8 @@ func TestDurableRoundTrip(t *testing.T) {
 
 // TestDurableConcurrentGroupCommit drives a durable server with enough
 // pipelined concurrency that executors coalesce group commits, then verifies
-// a graceful restart reproduces the exact final state. Runs the
-// lockGroup/appendGroup path under the race detector.
+// a graceful restart reproduces the exact final state. Runs coalesced
+// units' lock and log steps, and the ack daemon, under the race detector.
 func TestDurableConcurrentGroupCommit(t *testing.T) {
 	leakCheck(t)
 	fs := wal.NewMemFS()

@@ -14,8 +14,6 @@ package server
 import (
 	"time"
 
-	"wtftm"
-	"wtftm/internal/obs"
 	"wtftm/internal/wire"
 )
 
@@ -24,12 +22,13 @@ type executor struct {
 	srv   *Server
 	id    int
 	q     chan task
-	group []task      // collection scratch, reused across groups
+	group []task      // the unit being collected, reused across units
+	unit  *unit       // write-pipeline working set (pipeline.go)
 	timer *time.Timer // flush-window timer, reused across waits
 }
 
 func newExecutor(s *Server, id int) *executor {
-	ex := &executor{srv: s, id: id, q: make(chan task, s.cfg.Queue)}
+	ex := &executor{srv: s, id: id, q: make(chan task, s.cfg.Queue), unit: newUnit(s)}
 	if s.cfg.FlushWindow > 0 {
 		ex.timer = time.NewTimer(time.Hour)
 		ex.timer.Stop()
@@ -37,42 +36,47 @@ func newExecutor(s *Server, id int) *executor {
 	return ex
 }
 
-// coalescible reports whether a request may join a group commit: exactly
-// the single-key store commands. (A CAS inside a group keeps its single-op
-// semantics — a mismatch skips only its own write — so coalescing changes
-// no observable outcome, only the number of commits.) Dedup-enveloped
-// resends always run solo so the exactly-once lookup/store stays a single
-// integration point in Server.execute.
-func coalescible(req *wire.Request) bool {
-	if req.Dedup {
-		return false
-	}
-	switch req.Op {
+// singleKey reports whether op is one of the single-key store commands.
+func singleKey(op wire.Op) bool {
+	switch op {
 	case wire.OpGet, wire.OpPut, wire.OpDel, wire.OpCAS:
 		return true
 	}
 	return false
 }
 
+// coalescible reports whether a request may share a unit with its queue
+// neighbours: exactly the single-key store commands. Dedup-enveloped
+// requests always run as a unit of one, so the exactly-once lookup/store in
+// run brackets precisely the request it describes.
+func coalescible(req *wire.Request) bool {
+	return !req.Dedup && singleKey(req.Op)
+}
+
 // loop runs tasks from the queue until it is closed (Drain after all read
 // loops exited; queued work is still completed). Single-key commands are
-// collected into bounded groups and committed together; anything else runs
-// solo, after the group collected so far is flushed (queue order is
+// collected into bounded units and committed together; anything else is a
+// unit of one, run after the unit collected so far (queue order is
 // completion order per key).
 func (e *executor) loop() {
-	s := e.srv
-	defer s.execWG.Done()
+	defer e.srv.execWG.Done()
 	for t := range e.q {
-		if s.cfg.GroupLimit <= 1 || !coalescible(t.req) {
-			s.executeTask(t)
-			continue
+		e.group = append(e.group, t)
+		if coalescible(t.req) {
+			e.collect()
 		}
-		e.group = append(e.group[:0], t)
-		e.collect()
-		s.executeGroup(e.group)
-		clear(e.group) // drop request/response refs so the pool can recycle
-		e.group = e.group[:0]
+		e.flush()
 	}
+}
+
+// flush runs the collected unit, if any, through the write pipeline.
+func (e *executor) flush() {
+	if len(e.group) == 0 {
+		return
+	}
+	e.run(e.group)
+	clear(e.group) // drop request/response refs so the pools can recycle
+	e.group = e.group[:0]
 }
 
 // collect tops e.group off with coalescible work that is already queued. It
@@ -109,184 +113,20 @@ func (e *executor) collect() {
 }
 
 // admit handles one task received while collecting: coalescible work joins
-// the group; anything else flushes the group (preserving queue order) and
-// runs solo. It reports whether collection may continue (false on queue
-// close).
+// the unit; anything else flushes the unit (preserving queue order) and
+// runs as a unit of its own. It reports whether collection may continue
+// (false on queue close).
 func (e *executor) admit(t task, ok bool) bool {
 	if !ok {
 		return false
 	}
-	if coalescible(t.req) {
-		e.group = append(e.group, t)
-		return true
+	solo := !coalescible(t.req)
+	if solo {
+		e.flush()
 	}
-	e.srv.executeGroup(e.group)
-	clear(e.group)
-	e.group = e.group[:0]
-	e.srv.executeTask(t)
+	e.group = append(e.group, t)
+	if solo {
+		e.flush()
+	}
 	return true
-}
-
-// executeTask runs one request solo: acquire a response, execute, hand the
-// response to the write loop and recycle the request. Stage accounting
-// (metrics.go): queue = admission→here, exec = the execution span minus
-// its internal durability barrier, sync = that barrier, flush = the
-// write-loop hand-off. Tasks with no admission timestamp (tests invoking
-// the executor path directly) skip the queue stage and the recorder.
-func (s *Server) executeTask(t task) {
-	m := s.m
-	opc := opClass(t.req.Op)
-	start := obs.Now()
-	if t.enq > 0 {
-		m.stage[stQueue][opc].Observe(start - t.enq)
-	}
-	resp := wire.AcquireResponse()
-	var sr stageRec
-	s.executeSR(t.req, resp, &sr)
-	execEnd := obs.Now()
-	m.stage[stExec][opc].Observe(execEnd - start - sr.syncNS)
-	if sr.syncNS > 0 {
-		m.stage[stSync][opc].Observe(sr.syncNS)
-	}
-	// Capture the flight-recorder identity before the request is recycled;
-	// whether the request was slow is only known after the hand-off.
-	var kh uint32
-	shard := -1
-	slowable := m.slowNS > 0 && t.enq > 0
-	if slowable {
-		kh, shard = s.flightKey(t.req)
-	}
-	op, st := t.req.Op, resp.Result.Status
-	wire.ReleaseRequest(t.req)
-	t.c.send(resp)
-	end := obs.Now()
-	m.stage[stFlush][opc].Observe(end - execEnd)
-	if total := t.dec + (end - t.enq); slowable && total >= m.slowNS {
-		m.recordFlight(op, kh, shard, st,
-			t.dec, start-t.enq, execEnd-start-sr.syncNS, sr.syncNS, end-execEnd, total)
-	}
-	t.c.retire(t.wshard)
-}
-
-// executeGroup commits a group of single-key commands as one transaction.
-// All commands apply in queue order inside the shared transaction, so
-// per-key last-writer-wins is exactly the order clients observed; a CAS
-// mismatch skips its own write without disturbing the rest (single-op
-// semantics). A terminal engine error fails every op in the group the same
-// way it would have failed each solo transaction.
-func (s *Server) executeGroup(group []task) {
-	switch len(group) {
-	case 0:
-		return
-	case 1:
-		// A durable single write rides the group path so its fsync ack can
-		// join the ack daemon's batch (consecutive solo writes then share
-		// fsyncs exactly like a coalesced group would).
-		if s.dur == nil || !s.dur.asyncAck() || !canWrite(group[0].req.Op) {
-			s.executeTask(group[0])
-			return
-		}
-	}
-	// Group stage accounting: queue wait is per member (each op waited its
-	// own time), but exec/sync/flush are attributed once under the synthetic
-	// "group" op class — the coalesced transaction does the work for all
-	// members at once, and splitting its cost per member would be fiction.
-	m := s.m
-	start := obs.Now()
-	for i := range group {
-		if group[i].enq > 0 {
-			m.stage[stQueue][opClass(group[i].req.Op)].Observe(start - group[i].enq)
-		}
-	}
-	m.groupSize.Observe(int64(len(group)))
-	if s.cfg.execHook != nil {
-		for i := range group {
-			s.cfg.execHook(group[i].req)
-		}
-	}
-	s.requests.Add(int64(len(group)))
-	s.keysServed.Add(int64(len(group)))
-	if len(group) > 1 {
-		s.groupCommits.Add(1)
-		s.groupedOps.Add(int64(len(group)))
-	}
-	for i := range group {
-		group[i].resp = wire.AcquireResponse()
-		group[i].resp.ID = group[i].req.ID
-		group[i].resp.Op = group[i].req.Op
-	}
-	// Durable path: lock the group's candidate write shards (ascending)
-	// across the transaction and the per-shard WAL appends, sync after
-	// unlock, and never ack a write the log refused. dsc is nil when the
-	// group is read-only.
-	var dsc *durScratch
-	if s.dur != nil {
-		dsc = s.dur.lockGroup(s, group)
-	}
-	err := s.sys.Atomic(func(tx *wtftm.Tx) error {
-		for i := range group {
-			group[i].resp.Result = s.store.apply(tx, &group[i].req.Cmd)
-		}
-		return nil
-	})
-	var durErr error
-	if dsc != nil {
-		if err == nil {
-			durErr = s.dur.appendGroup(dsc, group)
-		}
-		s.dur.unlockShards(dsc)
-	}
-	execEnd := obs.Now()
-	m.stage[stExec][opcGroup].Observe(execEnd - start)
-	if dsc != nil {
-		if err == nil && durErr == nil && s.dur.deferAck(dsc, group) {
-			// The ack daemon owns the write acks now: reads went out
-			// already, and the writes are released after the daemon's next
-			// fsync (batched with whatever else has accumulated). The daemon
-			// records the sync and flush stages for this batch.
-			s.dur.release(dsc)
-			return
-		}
-		if durErr == nil && err == nil {
-			durErr = s.dur.syncAppended(dsc)
-			m.stage[stSync][opcGroup].Observe(obs.Now() - execEnd)
-		}
-		s.dur.release(dsc)
-	}
-	if err != nil {
-		for i := range group {
-			group[i].resp.Result = wire.ErrResult(err.Error())
-		}
-	} else if durErr != nil {
-		res := s.dur.failResult(durErr)
-		for i := range group {
-			group[i].resp.Result = res
-		}
-	}
-	// Flight-record slow members before their requests are recycled. Flush
-	// has not happened yet, so the recorded total slightly undercounts (it
-	// omits the write-loop hand-off below); the per-stage fields make the
-	// undercount visible rather than misattributed.
-	flushStart := obs.Now()
-	if m.slowNS > 0 {
-		for i := range group {
-			t := &group[i]
-			if t.enq <= 0 {
-				continue
-			}
-			total := t.dec + (flushStart - t.enq)
-			if total < m.slowNS {
-				continue
-			}
-			kh, shard := s.flightKey(t.req)
-			m.recordFlight(t.req.Op, kh, shard, t.resp.Result.Status,
-				t.dec, start-t.enq, execEnd-start, flushStart-execEnd, 0, total)
-		}
-	}
-	for i := range group {
-		wire.ReleaseRequest(group[i].req)
-		group[i].c.send(group[i].resp)
-		group[i].c.retire(group[i].wshard)
-	}
-	m.stage[stFlush][opcGroup].Observe(obs.Now() - flushStart)
 }

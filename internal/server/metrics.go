@@ -13,10 +13,9 @@
 //	        commit-delay window + fsync for deferred group acks)
 //	flush   handing the response to the write loop (writer-queue wait)
 //
-// Group commits attribute exec/sync once to the synthetic "group" op class
-// — per-member attribution inside a coalesced transaction would be
-// fiction — while decode/queue/flush stay per member. The lock-free GET
-// fast path records a sampled (1 in 64) end-to-end serve time instead:
+// decode and queue are recorded per request; exec, sync and flush once per
+// commit unit, under the class unitClass picks. The lock-free GET fast path
+// records a sampled (1 in 64) end-to-end serve time instead:
 // full per-stage clocking would double the cost of a 33ns path whose
 // stages it skips by design.
 //
@@ -53,7 +52,7 @@ const (
 var stageNames = [numStages]string{"decode", "queue", "exec", "sync", "flush"}
 
 // Op classes for per-op stage histograms. "group" is the synthetic class
-// for coalesced group commits; "other" covers PING/STATS.
+// for units that coalesced several requests; "other" covers PING/STATS.
 const (
 	opcGet = iota
 	opcPut
@@ -81,6 +80,20 @@ func opClass(op wire.Op) int {
 		return opcMulti
 	}
 	return opcOther
+}
+
+// unitClass is the one rule for where a commit unit's exec, sync and flush
+// stages land (whoever records them: the executor, or the ack daemon for
+// deferred write acks). A unit of one lands in its request's own class, on a
+// durable server exactly as on a memory-only one; a unit that coalesced
+// several requests lands in "group", because the shared transaction does
+// the work for all members at once and splitting its cost per member would
+// be fiction.
+func unitClass(tasks []task) int {
+	if len(tasks) == 1 {
+		return opClass(tasks[0].req.Op)
+	}
+	return opcGroup
 }
 
 // defaultSlowMS is the flight-recorder threshold when Config.SlowMS is 0.
@@ -271,8 +284,7 @@ func fnv32(key string) uint32 {
 // shard) before the request object is recycled. MULTI and keyless ops
 // report no key.
 func (s *Server) flightKey(req *wire.Request) (uint32, int) {
-	switch req.Op {
-	case wire.OpGet, wire.OpPut, wire.OpDel, wire.OpCAS:
+	if singleKey(req.Op) {
 		h := fnv32(req.Cmd.Key)
 		return h, int(h % uint32(s.cfg.Shards))
 	}

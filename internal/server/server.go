@@ -14,12 +14,18 @@
 // subset of the store's shards and a bounded run queue; the read loop decodes
 // frames and enqueues each request on the queue of the executor that owns its
 // key's shard, so same-shard requests never contend on a shared channel or on
-// each other's STM validation, and consecutive single-key commands can be
-// coalesced into one group-commit transaction. When a run queue is full the
-// read loop blocks, which stalls that connection's TCP window and pushes
-// backpressure to the client (admission control without load shedding).
-// Responses carry the request's ID, so pipelined requests of one connection
-// may be answered out of order as their transactions commit.
+// each other's STM validation. When a run queue is full the read loop blocks,
+// which stalls that connection's TCP window and pushes backpressure to the
+// client (admission control without load shedding). Responses carry the
+// request's ID, so pipelined requests of one connection may be answered out
+// of order as their transactions commit.
+//
+// Everything an executor dequeues commits through one write pipeline
+// (pipeline.go): consecutive single-key commands coalesce into one unit, a
+// solo request is a unit of one, a MULTI is a unit whose transaction body
+// fans out futures, and a memory-only server is the same sequence with no
+// log. The only request that does not take it is a single-key GET the read
+// loop can serve itself (fastread.go).
 //
 // The request lifecycle is allocation-free in steady state: frame buffers,
 // wire.Request and wire.Response objects are pooled (size-capped), decoding
@@ -33,7 +39,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -66,9 +71,6 @@ type Config struct {
 	// is owned by executor sh mod Executors, so all single-key traffic for
 	// one shard runs on one goroutine. Default GOMAXPROCS, capped at Shards.
 	Executors int
-	// Workers is a legacy alias for Executors (the old shared-pool size);
-	// used only when Executors is 0.
-	Workers int
 	// Queue bounds each executor's admitted-but-not-executing request run
 	// queue; when it is full connection read loops block (TCP backpressure).
 	// Default 128.
@@ -171,11 +173,7 @@ func (c *Config) withDefaults() Config {
 		out.Buckets = 64
 	}
 	if out.Executors <= 0 {
-		if out.Workers > 0 {
-			out.Executors = out.Workers
-		} else {
-			out.Executors = runtime.GOMAXPROCS(0)
-		}
+		out.Executors = runtime.GOMAXPROCS(0)
 	}
 	if out.Executors > out.Shards {
 		out.Executors = out.Shards
@@ -215,11 +213,6 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// errCASMismatch aborts a MULTI transaction whose batch contained a failed
-// CAS: System.Atomic discards every write of the attempt, which is exactly
-// the all-or-nothing batch rule the protocol documents.
-var errCASMismatch = errors.New("server: MULTI contained a failed CAS")
-
 // ErrClosed is returned by Listen on a server that was already shut down.
 var ErrClosed = errors.New("server: closed")
 
@@ -236,8 +229,6 @@ type Server struct {
 	m     *metrics      // observability registry wiring; always non-nil
 	rr    atomic.Uint32 // round-robin cursor for keyless requests
 	quit  chan struct{} // closed by Drain: stop admitting requests
-
-	multiPool sync.Pool // *multiScratch
 
 	mu       sync.Mutex
 	conns    map[*conn]struct{}
@@ -361,7 +352,6 @@ func New(cfg Config) (*Server, error) {
 		quit:  make(chan struct{}),
 		conns: make(map[*conn]struct{}),
 	}
-	s.multiPool.New = func() any { return new(multiScratch) }
 	s.fastOK = !cfg.DisableFastReads && cfg.Recorder == nil && cfg.execHook == nil
 	s.execs = make([]*executor, cfg.Executors)
 	for i := range s.execs {
@@ -753,226 +743,6 @@ func (c *conn) writeLoop() {
 	}
 }
 
-// stageRec collects the stage timings an execution path measures
-// internally: the caller (executeTask) knows the execution's total span
-// but not how much of it was spent waiting on the durability barrier.
-// A nil *stageRec disables the bookkeeping (bench harnesses).
-type stageRec struct {
-	syncNS int64 // durability barrier wait inside the execution span
-}
-
-func (sr *stageRec) addSync(ns int64) {
-	if sr != nil {
-		sr.syncNS += ns
-	}
-}
-
-// execute runs one request as one top-level transaction and fills in its
-// response. The response values are either immutable committed strings read
-// at the transaction's snapshot or freshly built server-side buffers, so
-// handing them to the write loop after commit requires no further
-// synchronization (privatization safety; DESIGN.md §7). It never retains
-// req or its buffers past return, so the caller may release req afterwards.
-func (s *Server) execute(req *wire.Request, resp *wire.Response) {
-	s.executeSR(req, resp, nil)
-}
-
-// executeSR is execute with stage bookkeeping (metrics.go).
-func (s *Server) executeSR(req *wire.Request, resp *wire.Response, sr *stageRec) {
-	if s.cfg.execHook != nil {
-		s.cfg.execHook(req)
-	}
-	s.requests.Add(1)
-	resp.ID, resp.Op = req.ID, req.Op
-	if req.Dedup {
-		// Exactly-once resend: answer a retried write from the table instead
-		// of applying it twice; first executions record their outcome after
-		// running. Dedup'd requests never coalesce (see coalescible), so this
-		// is the only integration point.
-		if s.dedup.lookup(req.ClientID, req.Seq, resp) {
-			s.dedupHits.Add(1)
-			return
-		}
-		s.executeOp(req, resp, sr)
-		s.dedup.store(req.ClientID, req.Seq, resp)
-		return
-	}
-	s.executeOp(req, resp, sr)
-}
-
-// executeOp dispatches one request to its handler (execute without the
-// dedup envelope handling).
-func (s *Server) executeOp(req *wire.Request, resp *wire.Response, sr *stageRec) {
-	switch req.Op {
-	case wire.OpPing:
-		resp.Result = wire.OKResult()
-	case wire.OpStats:
-		b, err := json.Marshal(s.statsReply())
-		if err != nil {
-			resp.Result = wire.ErrResult(err.Error())
-		} else {
-			resp.Result = wire.ValResult(b)
-		}
-	case wire.OpGet, wire.OpPut, wire.OpDel, wire.OpCAS:
-		s.keysServed.Add(1)
-		if s.dur != nil && canWrite(req.Op) {
-			resp.Result = s.executeDurableSolo(req, sr)
-			return
-		}
-		var res wire.Result
-		err := s.sys.Atomic(func(tx *wtftm.Tx) error {
-			res = s.store.apply(tx, &req.Cmd)
-			return nil
-		})
-		if err != nil {
-			res = wire.ErrResult(err.Error())
-		}
-		resp.Result = res
-	case wire.OpMulti:
-		s.executeMulti(req, resp, sr)
-	default:
-		resp.Result = wire.ErrResult(fmt.Sprintf("server: unsupported op %v", req.Op))
-	}
-}
-
-// multiScratch is the pooled per-request working set of executeMulti: the
-// per-shard index groups, their first-touch order, the per-attempt result
-// buffer and the future handles. wg tracks submitted future bodies so the
-// scratch is never reused (by a retry attempt or by the pool) while a
-// straggler from an aborted attempt may still touch it.
-type multiScratch struct {
-	groups  [][]int
-	order   []int
-	attempt []wire.Result
-	futs    []*wtftm.Future
-	wg      sync.WaitGroup
-}
-
-// executeMulti runs a batch atomically, fanning per-shard command groups
-// out as transactional futures. The continuation (which submits the futures
-// and evaluates them in submission order) touches no boxes itself, so under
-// WO the futures overwhelmingly serialize at their submission points; under
-// SO each future additionally waits for its predecessor to settle — the
-// straggler behaviour the server experiment measures.
-func (s *Server) executeMulti(req *wire.Request, resp *wire.Response, sr *stageRec) {
-	n := len(req.Batch)
-	s.multiBatches.Add(1)
-	s.keysServed.Add(int64(n))
-	if n == 0 {
-		resp.Result = wire.OKResult()
-		return
-	}
-
-	sc := s.multiPool.Get().(*multiScratch)
-	if len(sc.groups) < s.cfg.Shards {
-		sc.groups = make([][]int, s.cfg.Shards)
-	}
-	// Group command indices by target shard, preserving batch order within
-	// each group (same key ⇒ same shard, so per-key order is preserved).
-	for i := range req.Batch {
-		sh := s.store.shardOf(req.Batch[i].Key)
-		if len(sc.groups[sh]) == 0 {
-			sc.order = append(sc.order, sh)
-		}
-		sc.groups[sh] = append(sc.groups[sh], i)
-	}
-
-	// Durable path: hold every candidate write shard's commit lock across
-	// the transaction and the appends (log order = commit order), then run
-	// the sync barrier before acknowledging. dsc is nil for read-only
-	// batches — they take no locks and pay nothing.
-	var dsc *durScratch
-	if s.dur != nil {
-		dsc = s.dur.lockBatch(s, req.Batch)
-	}
-
-	err := s.sys.Atomic(func(tx *wtftm.Tx) error {
-		// An aborted attempt's future goroutines may still be finishing
-		// their last store.apply when the retry starts; join them before
-		// reusing the attempt buffer they write into.
-		sc.wg.Wait()
-		if cap(sc.attempt) < n {
-			sc.attempt = make([]wire.Result, n)
-		} else {
-			sc.attempt = sc.attempt[:n]
-			clear(sc.attempt)
-		}
-		attempt := sc.attempt
-		if len(sc.order) == 1 {
-			for _, i := range sc.groups[sc.order[0]] {
-				attempt[i] = s.store.apply(tx, &req.Batch[i])
-			}
-		} else {
-			s.futureFanouts.Add(int64(len(sc.order)))
-			sc.futs = sc.futs[:0]
-			for _, sh := range sc.order {
-				idxs := sc.groups[sh]
-				sc.wg.Add(1)
-				sc.futs = append(sc.futs, tx.Submit(func(ftx *wtftm.Tx) (any, error) {
-					defer sc.wg.Done()
-					for _, i := range idxs {
-						attempt[i] = s.store.apply(ftx, &req.Batch[i])
-					}
-					return nil, nil
-				}))
-			}
-			for _, f := range sc.futs {
-				if _, err := tx.Evaluate(f); err != nil {
-					return err
-				}
-			}
-		}
-		for i := range attempt {
-			if attempt[i].Status == wire.StatusCASMismatch {
-				// Abort the whole batch: no write of this attempt commits.
-				// The reads in attempt are still a consistent snapshot, so
-				// the per-command results remain meaningful to the client.
-				return errCASMismatch
-			}
-		}
-		return nil
-	})
-	var durErr error
-	if dsc != nil {
-		if err == nil {
-			// Only a committed transaction logs anything; an aborted one
-			// (CAS mismatch, terminal engine error) wrote nothing.
-			durErr = s.dur.appendBatch(dsc, req.Batch, sc.attempt)
-		}
-		s.dur.unlockShards(dsc)
-		if durErr == nil && err == nil {
-			syncStart := obs.Now()
-			durErr = s.dur.syncAppended(dsc)
-			sr.addSync(obs.Now() - syncStart)
-		}
-		s.dur.release(dsc)
-	}
-
-	switch {
-	case durErr != nil:
-		// Committed in memory but not durable: the batch is never acked.
-		resp.Result = s.dur.failResult(durErr)
-	case err == nil:
-		resp.Result = wire.OKResult()
-		resp.Batch = append(resp.Batch[:0], sc.attempt...)
-	case errors.Is(err, errCASMismatch):
-		resp.Result = wire.Result{Status: wire.StatusCASMismatch}
-		resp.Batch = append(resp.Batch[:0], sc.attempt...)
-	default:
-		resp.Result = wire.ErrResult(err.Error())
-	}
-
-	// Join stragglers of a finally-aborted attempt before the scratch (and
-	// the request whose Batch the future bodies read) can be recycled.
-	sc.wg.Wait()
-	for _, sh := range sc.order {
-		sc.groups[sh] = sc.groups[sh][:0]
-	}
-	sc.order = sc.order[:0]
-	sc.futs = sc.futs[:0]
-	s.multiPool.Put(sc)
-}
-
 // statsReply assembles the STATS document from the server counters plus the
 // engine and substrate snapshots. Both snapshots come through the wtftm
 // facade — external callers can consume the same numbers without importing
@@ -994,7 +764,6 @@ func (s *Server) statsReply() wire.StatsReply {
 			Ordering:          s.sys.Options().Ordering.String(),
 			Atomicity:         s.sys.Options().Atomicity.String(),
 			Shards:            s.cfg.Shards,
-			Workers:           s.cfg.Executors,
 			Executors:         s.cfg.Executors,
 			GroupLimit:        s.cfg.GroupLimit,
 			FlushWindowUS:     s.cfg.FlushWindow.Microseconds(),

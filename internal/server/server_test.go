@@ -417,7 +417,7 @@ func TestMalformedFrames(t *testing.T) {
 // and checks every response is matched to its request.
 func TestPipelining(t *testing.T) {
 	leakCheck(t)
-	s := startServer(t, Config{Shards: 4, Workers: 8})
+	s := startServer(t, Config{Shards: 4, Executors: 8})
 	cl := newClient(t, s, 1) // one connection: everything pipelines on it
 
 	var wg sync.WaitGroup

@@ -1015,9 +1015,6 @@ type ServerStats struct {
 	Ordering  string `json:"ordering"`
 	Atomicity string `json:"atomicity"`
 	Shards    int    `json:"shards"`
-	// Workers is a legacy alias of Executors (the shard-affine executor
-	// count), kept so existing consumers keep parsing.
-	Workers int `json:"workers"`
 	// Executors is the shard-affine executor goroutine count; single-key
 	// requests for one shard always run on the same executor.
 	Executors int `json:"executors"`

@@ -12,6 +12,9 @@ echo "== tier-1: build + tests =="
 go build ./...
 go test ./...
 
+echo "== tier-1: benchmark module unit tests (its own module, not reached by ./...) =="
+(cd benchmark && go test -short ./...)
+
 echo "== tier-1.5: vet =="
 go vet ./...
 
@@ -68,53 +71,42 @@ go run ./cmd/wtfconform -mode dfs -seed 1 -seeds 4 -budget 300 -futures 2 -depth
 echo "== tier-1.5: guard benchmarks (smoke run: hot paths must still complete) =="
 go test -run '^$' -bench 'ReadDepth|BeginFinish' -benchtime 200ms ./internal/bench/ ./internal/mvstm/
 
+# check_allocs <pkg> <bench> <floor>: run one benchmark at a fixed iteration
+# count and fail when it reports more than <floor> allocs/op (or none at all).
+check_allocs() {
+	pkg=$1
+	bench=$2
+	floor=$3
+	allocs=$(go test -run '^$' -bench "${bench}\$" -benchtime 20000x -benchmem "$pkg" |
+		awk -v b="$bench" '$1 ~ "^" b { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") print $(i-1) }')
+	if [ -z "$allocs" ]; then
+		echo "ci: $bench reported no allocs/op" >&2
+		exit 1
+	fi
+	if [ "$allocs" -gt "$floor" ]; then
+		echo "ci: $bench allocates ${allocs} allocs/op, floor is ${floor}" >&2
+		exit 1
+	fi
+	echo "   $bench: ${allocs} allocs/op (floor ${floor})"
+}
+
 echo "== tier-1.5: server request-path allocation guard (<= 2 allocs/op) =="
-# The serving hot loop (pooled decode -> execute -> append-encode -> recycle)
-# must stay allocation-free in steady state; anything above the floor means a
-# pooled object or buffer started leaking to the heap again.
-ALLOCS=$(go test -run '^$' -bench 'BenchmarkServerEcho$' -benchtime 20000x -benchmem ./internal/server/ |
-	awk '/^BenchmarkServerEcho/ { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") print $(i-1) }')
-if [ -z "$ALLOCS" ]; then
-	echo "ci: BenchmarkServerEcho reported no allocs/op" >&2
-	exit 1
-fi
-if [ "$ALLOCS" -gt 2 ]; then
-	echo "ci: server request path allocates ${ALLOCS} allocs/op, floor is 2" >&2
-	exit 1
-fi
-echo "   BenchmarkServerEcho: ${ALLOCS} allocs/op (floor 2)"
+# The serving hot loop (pooled decode -> pipeline unit of one -> append-encode
+# -> recycle) must stay allocation-free in steady state; anything above the
+# floor means a pooled object or buffer started leaking to the heap again.
+check_allocs ./internal/server/ BenchmarkServerEcho 2
 
 echo "== tier-1.5: GET fast-path allocation guard (0 allocs/op, metrics enabled) =="
 # The lock-free read path's entire point is an allocation-free read-heavy
 # workload: a single alloc/op in the fast-serve loop is a regression. The
 # benchmark server runs with the telemetry registry installed (it always is),
 # so this also proves the latency sampler stays off the heap.
-FALLOCS=$(go test -run '^$' -bench 'BenchmarkServerFastGet$' -benchtime 20000x -benchmem ./internal/server/ |
-	awk '/^BenchmarkServerFastGet/ { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") print $(i-1) }')
-if [ -z "$FALLOCS" ]; then
-	echo "ci: BenchmarkServerFastGet reported no allocs/op" >&2
-	exit 1
-fi
-if [ "$FALLOCS" -gt 0 ]; then
-	echo "ci: GET fast path allocates ${FALLOCS} allocs/op, floor is 0" >&2
-	exit 1
-fi
-echo "   BenchmarkServerFastGet: ${FALLOCS} allocs/op (floor 0)"
+check_allocs ./internal/server/ BenchmarkServerFastGet 0
 
 echo "== tier-1.5: histogram record-path allocation guard (0 allocs/op) =="
 # obs.Histogram.Observe sits inside every serving stage (including the 33ns
 # fast-read sampler); it must never touch the heap.
-HALLOCS=$(go test -run '^$' -bench 'BenchmarkHistogramRecord$' -benchtime 20000x -benchmem ./internal/obs/ |
-	awk '/^BenchmarkHistogramRecord/ { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") print $(i-1) }')
-if [ -z "$HALLOCS" ]; then
-	echo "ci: BenchmarkHistogramRecord reported no allocs/op" >&2
-	exit 1
-fi
-if [ "$HALLOCS" -gt 0 ]; then
-	echo "ci: histogram record path allocates ${HALLOCS} allocs/op, floor is 0" >&2
-	exit 1
-fi
-echo "   BenchmarkHistogramRecord: ${HALLOCS} allocs/op (floor 0)"
+check_allocs ./internal/obs/ BenchmarkHistogramRecord 0
 
 echo "== tier-1.5: observability endpoint smoke under race (/metrics + /debug/wtfd/slow on live traffic) =="
 go test -race -count=1 -run 'TestMetricsEndpoint|TestStatsWireSections|TestFlightRecorder' ./internal/server/
@@ -122,17 +114,7 @@ go test -race -count=1 -run 'TestMetricsEndpoint|TestStatsWireSections|TestFligh
 echo "== tier-1.5: client GET round-trip allocation guard (<= 1 alloc/op) =="
 # Full loopback round trip via GetBytes: the only permitted allocation is
 # the server materializing the key string during request decode.
-CALLOCS=$(go test -run '^$' -bench 'BenchmarkClientGetRoundTrip$' -benchtime 20000x -benchmem ./internal/client/ |
-	awk '/^BenchmarkClientGetRoundTrip/ { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") print $(i-1) }')
-if [ -z "$CALLOCS" ]; then
-	echo "ci: BenchmarkClientGetRoundTrip reported no allocs/op" >&2
-	exit 1
-fi
-if [ "$CALLOCS" -gt 1 ]; then
-	echo "ci: client GET round trip allocates ${CALLOCS} allocs/op, floor is 1" >&2
-	exit 1
-fi
-echo "   BenchmarkClientGetRoundTrip: ${CALLOCS} allocs/op (floor 1)"
+check_allocs ./internal/client/ BenchmarkClientGetRoundTrip 1
 
 echo "== tier-1.5: read fast-path smoke (clean fallback rate <= 1%, session order under race) =="
 # The fallback-rate gate catches a broken watermark or retry budget (every
