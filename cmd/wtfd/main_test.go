@@ -1,6 +1,9 @@
 package main
 
 import (
+	"flag"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -48,7 +51,7 @@ func TestParseArgs(t *testing.T) {
 		},
 		{
 			name: "full durable config",
-			args: []string{"-data-dir", "d", "-fsync", "always", "-commit-delay", "2ms",
+			args: []string{"-data-dir", "d", "-fsync", "always",
 				"-snapshot-every", "100", "-segment-bytes", "4096",
 				"-idle-timeout", "30s", "-max-inflight", "128",
 				"-ordering", "so", "-atomicity", "gac"},
@@ -74,17 +77,6 @@ func TestParseArgs(t *testing.T) {
 			},
 		},
 		{
-			// A negative commit delay is documented-legal: "no wait", the
-			// group commits as soon as the syncer wakes.
-			name: "negative commit-delay with data-dir is accepted",
-			args: []string{"-data-dir", "d", "-commit-delay", "-1ms"},
-			check: func(t *testing.T, got parsed) {
-				if got.cfg.CommitDelay >= 0 {
-					t.Errorf("CommitDelay = %v, want negative passed through", got.cfg.CommitDelay)
-				}
-			},
-		},
-		{
 			name: "http flag sets the observability address",
 			args: []string{"-http", "127.0.0.1:9090", "-slow-ms", "5"},
 			check: func(t *testing.T, got parsed) {
@@ -96,11 +88,13 @@ func TestParseArgs(t *testing.T) {
 				}
 			},
 		},
-		{
-			name:    "the retired pprof alias is rejected",
-			args:    []string{"-pprof", "127.0.0.1:9091"},
-			wantErr: "flag provided but not defined",
-		},
+		// A command line written for an older wtfd must fail loudly, not run
+		// with a setting silently dropped.
+		{name: "retired -pprof", args: []string{"-pprof", "127.0.0.1:9091"}, wantErr: "flag provided but not defined"},
+		{name: "retired -group-limit", args: []string{"-group-limit", "64"}, wantErr: "flag provided but not defined"},
+		{name: "retired -flush-window", args: []string{"-flush-window", "50us"}, wantErr: "flag provided but not defined"},
+		{name: "retired -writer-queue", args: []string{"-writer-queue", "128"}, wantErr: "flag provided but not defined"},
+		{name: "retired -commit-delay", args: []string{"-data-dir", "d", "-commit-delay", "2ms"}, wantErr: "flag provided but not defined"},
 		{
 			name: "negative slow-ms disables the flight recorder",
 			args: []string{"-slow-ms", "-1"},
@@ -121,13 +115,14 @@ func TestParseArgs(t *testing.T) {
 		{name: "unknown flag", args: []string{"-bogus"}, wantErr: "bogus"},
 		{name: "positional argument", args: []string{"extra"}, wantErr: "unexpected argument"},
 		{name: "fsync without data-dir", args: []string{"-fsync", "always"}, wantErr: "require -data-dir"},
-		{name: "commit-delay without data-dir", args: []string{"-commit-delay", "5ms"}, wantErr: "require -data-dir"},
 		{name: "snapshot-every without data-dir", args: []string{"-snapshot-every", "10"}, wantErr: "require -data-dir"},
 		{name: "segment-bytes without data-dir", args: []string{"-segment-bytes", "1024"}, wantErr: "require -data-dir"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			cfg, opts, err := parseArgs(tt.args)
+			fs := flag.NewFlagSet("wtfd", flag.ContinueOnError)
+			fs.SetOutput(io.Discard) // rejections print usage
+			cfg, opts, err := parseArgs(fs, tt.args)
 			if tt.wantErr != "" {
 				if err == nil {
 					t.Fatalf("parseArgs(%q) succeeded, want error containing %q", tt.args, tt.wantErr)
@@ -151,4 +146,24 @@ func TestParseArgs(t *testing.T) {
 type parsed struct {
 	cfg  server.Config
 	opts runOpts
+}
+
+// TestFlagSurface pins wtfd's flag names. A new flag is an edit to this list,
+// which is where it has to be argued: an option earns its place when two
+// deployments or benchmark workloads need different values.
+func TestFlagSurface(t *testing.T) {
+	want := []string{ // 16
+		"atomicity", "buckets", "data-dir", "executors", "fast-reads", "fsync",
+		"http", "idle-timeout", "listen", "max-inflight", "ordering",
+		"segment-bytes", "shards", "slow-ms", "snapshot-every", "stats",
+	}
+	fs := flag.NewFlagSet("wtfd", flag.ContinueOnError)
+	if _, _, err := parseArgs(fs, nil); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // sorted by name
+	if !slices.Equal(got, want) {
+		t.Fatalf("wtfd flags changed:\n got %d %v\nwant %d %v", len(got), got, len(want), want)
+	}
 }

@@ -1,15 +1,11 @@
 package bench
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"os"
-	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -26,9 +22,8 @@ import (
 // ServerParams configures the wtfd end-to-end experiment: a closed-loop
 // load generator against an in-process server on the loopback interface,
 // sweeping client counts, per-connection pipeline depth and MULTI batch
-// sizes under WO and SO futures, plus the serving stack's tuning surface
-// (shard-affine executor count × group-commit flush window) at the highest
-// client count. It is not a paper figure — it measures the paper's
+// sizes under WO and SO futures, plus the shard-affine executor count at the
+// highest client count. It is not a paper figure — it measures the paper's
 // semantics axis as an operator-visible serving knob: how much does weakly
 // ordered fan-out buy a networked request once protocol framing, scheduling
 // and the commit pipeline are all in the path?
@@ -52,11 +47,10 @@ type ServerParams struct {
 	Shards int
 	// WriteRatio is the fraction of PUTs in the command mix (rest are GETs).
 	WriteRatio float64
-	// Executors and FlushWindowsUS define the tuning sub-sweep, run at the
-	// highest client count and pipeline depth with batch 1 under WO:
-	// shard-affine executor goroutines × group-commit flush window (µs).
-	Executors      []int
-	FlushWindowsUS []int64
+	// Executors defines the tuning sub-sweep, run at the highest client
+	// count and pipeline depth with batch 1 under WO: shard-affine executor
+	// goroutines.
+	Executors []int
 	// FsyncModes defines the durability sub-sweep: "mem" serves memory-only
 	// (the baseline every durable mode is normalized against), the rest run
 	// with a WAL in a throwaway data directory under that -fsync policy
@@ -76,32 +70,24 @@ type ServerParams struct {
 	// clients: completed req/s and p99 under injected faults, the
 	// operator-facing cost of a degraded network.
 	Degraded []string
-	// ReadRatios defines the read-mix sub-sweep: GET fractions (e.g. 0.95 =
-	// 95% reads) each run twice at the heaviest single-key shape — once with
-	// the lock-free GET fast path enabled and once with every GET routed
-	// through its shard's executor — so the fast path's payoff reads
-	// directly as the on/off ratio per mix.
-	ReadRatios []float64
 }
 
 // DefaultServer returns a host-scaled parameter set: ≥3 client counts and
-// ≥2 batch sizes per ordering, ≥2 pipeline depths, and an executor ×
-// flush-window tuning grid.
+// ≥2 batch sizes per ordering, ≥2 pipeline depths, and an executor-count
+// tuning row set.
 func DefaultServer(quick bool) ServerParams {
 	p := ServerParams{
-		Clients:        []int{1, 2, 4, 8, 16},
-		Batches:        []int{1, 8, 32},
-		Pipeline:       []int{1, 8},
-		Keys:           1 << 14,
-		Shards:         16,
-		WriteRatio:     0.2,
-		Executors:      []int{1, 2, 4},
-		FlushWindowsUS: []int64{0, 50, 200},
-		FsyncModes:     []string{"mem", "off", "group", "always"},
-		DurShards:      4,
-		DurPipeline:    32,
-		Degraded:       []string{"clean", "reset", "slow-client", "partition"},
-		ReadRatios:     []float64{0.5, 0.8, 0.95},
+		Clients:     []int{1, 2, 4, 8, 16},
+		Batches:     []int{1, 8, 32},
+		Pipeline:    []int{1, 8},
+		Keys:        1 << 14,
+		Shards:      16,
+		WriteRatio:  0.2,
+		Executors:   []int{1, 2, 4},
+		FsyncModes:  []string{"mem", "off", "group", "always"},
+		DurShards:   4,
+		DurPipeline: 32,
+		Degraded:    []string{"clean", "reset", "slow-client", "partition"},
 	}
 	if quick {
 		p.Clients = []int{1, 2, 4}
@@ -111,7 +97,6 @@ func DefaultServer(quick bool) ServerParams {
 		p.Shards = 8
 		p.Executors = []int{1, 2}
 		p.Degraded = []string{"clean", "reset"}
-		p.ReadRatios = []float64{0.5, 0.95}
 	}
 	return p
 }
@@ -123,10 +108,9 @@ type ServerPoint struct {
 	Batch    int
 	// Pipeline is the per-connection pipeline depth this point ran at.
 	Pipeline int
-	// Executors and FlushWindowUS echo the server tuning the point ran with
-	// (0 = server default).
-	Executors     int
-	FlushWindowUS int64
+	// Executors echoes the executor count the point ran with (0 = server
+	// default).
+	Executors int
 	// Fsync is the durability mode the point ran under ("" for the plain
 	// memory-only sweep, "mem"/"off"/"group"/"always" in the durability
 	// sub-sweep); Fsyncs and WALRecords echo the server's WAL counters.
@@ -146,8 +130,8 @@ type ServerPoint struct {
 	P999 time.Duration
 	// GroupCommits / GroupedOps echo the server's group-commit counters for
 	// the point (coalesced transactions and the single-key ops they
-	// carried) — the direct measure of how often the flush window and
-	// pipeline backlog actually produced a group.
+	// carried) — the direct measure of how often pipeline backlog actually
+	// produced a group.
 	GroupCommits int64
 	GroupedOps   int64
 	// Scenario names the chaos transport scenario of a degraded-network
@@ -157,12 +141,9 @@ type ServerPoint struct {
 	Scenario string
 	Errors   int64
 	Retries  int64
-	// ReadRatio marks a read-mix sub-sweep row (the GET fraction the point
-	// ran; 0 for points running the global WriteRatio mix). FastReads echoes
-	// whether the server's lock-free GET path was enabled, and FastServed is
-	// how many GETs it actually answered from the connection read loop —
-	// without an executor hop or a transaction.
-	ReadRatio  float64
+	// FastReads echoes whether the server's lock-free GET path was enabled,
+	// and FastServed is how many GETs it actually answered from the
+	// connection read loop — without an executor hop or a transaction.
 	FastReads  bool
 	FastServed int64
 }
@@ -175,8 +156,8 @@ type ServerResult struct {
 
 // RunServer sweeps orderings × batch sizes × client counts (× pipeline
 // depth for the single-key points), one fresh server per point (so a
-// point's commit history cannot warm another's), then the executor ×
-// flush-window tuning grid at the heaviest single-key point.
+// point's commit history cannot warm another's), then the executor-count
+// rows at the heaviest single-key point.
 func RunServer(cfg Config, p ServerParams) (*ServerResult, error) {
 	res := &ServerResult{Params: p}
 	for _, ord := range []core.Ordering{core.WO, core.SO} {
@@ -187,7 +168,7 @@ func RunServer(cfg Config, p ServerParams) (*ServerResult, error) {
 			}
 			for _, pipe := range pipes {
 				for _, clients := range p.Clients {
-					pt, err := runServerPoint(cfg, p, ord, clients, batch, pipe, 0, 0)
+					pt, err := runServerPoint(cfg, p, ord, clients, batch, pipe, 0)
 					if err != nil {
 						return nil, err
 					}
@@ -197,36 +178,15 @@ func RunServer(cfg Config, p ServerParams) (*ServerResult, error) {
 			}
 		}
 	}
-	// Tuning grid: heaviest single-key shape (max clients, max pipeline)
-	// under WO, sweeping executor count × flush window.
-	if len(p.Executors) > 0 && len(p.FlushWindowsUS) > 0 {
-		clients := maxInt(p.Clients)
-		pipe := maxInt(p.Pipeline)
-		for _, execs := range p.Executors {
-			for _, winUS := range p.FlushWindowsUS {
-				pt, err := runServerPoint(cfg, p, core.WO, clients, 1, pipe, execs, winUS)
-				if err != nil {
-					return nil, err
-				}
-				res.Points = append(res.Points, pt)
-				cfg.progress("server tune execs=%d window=%dus done", execs, winUS)
-			}
+	// Tuning rows: heaviest single-key shape (max clients, max pipeline)
+	// under WO, sweeping executor count.
+	for _, execs := range p.Executors {
+		pt, err := runServerPoint(cfg, p, core.WO, maxInt(p.Clients), 1, maxInt(p.Pipeline), execs)
+		if err != nil {
+			return nil, err
 		}
-	}
-	// Read-ratio sweep: the GET fast path's headline measurement. Each read
-	// mix runs twice — executor-routed GETs vs the lock-free read-loop path
-	// — on identical servers driven by the identical raw-wire generator, so
-	// the speedup is the ratio of two adjacent rows, not a cross-shape
-	// comparison (see runReadMixPair for the shape and methodology).
-	if len(p.ReadRatios) > 0 {
-		for _, ratio := range p.ReadRatios {
-			off, on, err := runReadMixPair(cfg, p, ratio)
-			if err != nil {
-				return nil, err
-			}
-			res.Points = append(res.Points, off, on)
-			cfg.progress("server reads=%d%% off=%.0f on=%.0f req/s", int(ratio*100), off.ReqPerSec, on.ReqPerSec)
-		}
+		res.Points = append(res.Points, pt)
+		cfg.progress("server tune execs=%d done", execs)
 	}
 	// Durability sweep: one deep-pipelined single-key shape across fsync
 	// modes, so the cost of each ack policy reads directly against the
@@ -385,233 +345,6 @@ func runDurablePoint(cfg Config, p ServerParams, clients, pipe int, mode string)
 	return pt, nil
 }
 
-// The read-mix sub-sweep pins its own generator geometry instead of
-// inheriting the closed-loop client shape: measuring the fast path is a
-// capacity comparison, and on the small hosts this sweep targets the client
-// library's per-op goroutine handoffs throttle the generator below what the
-// read path can serve — the two modes then measure the generator, not the
-// server. So the rows are driven by one raw-wire connection in lock-step
-// burst mode (write one pre-encoded burst of frames, flush, drain the
-// burst's responses), a pipeline deep enough to amortize syscalls, and a
-// hot keyspace the bucket array oversubscribes, with bucket chains short.
-// Both rows of every pair run the identical generator and server geometry;
-// only DisableFastReads differs.
-const (
-	readMixBurst   = 64      // frames per lock-step burst (the pipeline depth)
-	readMixKeys    = 1 << 10 // hot keyspace
-	readMixBuckets = 1 << 12 // store buckets (keys/4: ~¼-entry chains)
-	readMixChunks  = 256     // distinct pre-encoded bursts per schedule
-)
-
-// readMixSchedule pre-encodes readMixChunks bursts of readMixBurst frames
-// each — GETs with probability ratio, PUTs otherwise, uniform over the hot
-// keyspace — every burst concatenated into one buffer so the send side of
-// the measurement loop is a single buffered write per burst.
-func readMixSchedule(ratio float64, seed uint64) ([][]byte, error) {
-	rng := workload.NewRNG(seed)
-	chunks := make([][]byte, 0, readMixChunks)
-	var id uint32
-	for i := 0; i < readMixChunks; i++ {
-		var chunk []byte
-		for j := 0; j < readMixBurst; j++ {
-			id++
-			key := benchKey(rng.Intn(readMixKeys))
-			req := wire.Request{ID: id, Op: wire.OpGet, Cmd: wire.Get(key)}
-			if rng.Float64() >= ratio {
-				req.Op = wire.OpPut
-				req.Cmd = wire.Put(key, []byte("1"))
-			}
-			enc, err := wire.AppendRequest(nil, &req)
-			if err != nil {
-				return nil, err
-			}
-			chunk = binary.BigEndian.AppendUint32(chunk, uint32(len(enc)))
-			chunk = append(chunk, enc...)
-		}
-		chunks = append(chunks, chunk)
-	}
-	return chunks, nil
-}
-
-// readMixRep runs one lock-step measurement window over an established
-// connection: write a burst, flush, drain the burst's responses (header
-// peek + discard — the generator never copies a payload), repeat. It
-// returns the completed-request rate over the measured window and records
-// each burst's round trip into lath (with pipeline = burst, a request's
-// latency in this loop is the burst RTT, so that is what the percentiles
-// report).
-func readMixRep(bw *bufio.Writer, br *bufio.Reader, chunks [][]byte, lath *obs.Histogram, warmup, win time.Duration) (float64, error) {
-	warmupEnd := time.Now().Add(warmup)
-	deadline := warmupEnd.Add(win)
-	var (
-		reqs  int64
-		start time.Time
-	)
-	measuring := false
-	for i := 0; ; i++ {
-		now := time.Now()
-		if now.After(deadline) {
-			break
-		}
-		if !measuring && now.After(warmupEnd) {
-			measuring = true
-		}
-		if measuring {
-			start = now
-		}
-		if _, err := bw.Write(chunks[i%len(chunks)]); err != nil {
-			return 0, err
-		}
-		if err := bw.Flush(); err != nil {
-			return 0, err
-		}
-		for j := 0; j < readMixBurst; j++ {
-			hdr, err := br.Peek(4)
-			if err != nil {
-				return 0, err
-			}
-			n := int(binary.BigEndian.Uint32(hdr))
-			if _, err := br.Discard(4 + n); err != nil {
-				return 0, err
-			}
-		}
-		if measuring {
-			lath.Observe(int64(time.Since(start)))
-			reqs += readMixBurst
-		}
-	}
-	return float64(reqs) / win.Seconds(), nil
-}
-
-// runReadMixPair measures one read ratio twice — fast path off and on — as
-// interleaved off/on rounds against two live servers, reporting both rates
-// from the round whose on/off ratio is the median over rounds. The
-// interleaving and the paired recording are the methodology, not a
-// convenience: a small virtualized host's throughput wanders by ±10% on a
-// timescale of seconds, so consecutive whole-mode runs (or independently
-// chosen per-mode medians) fold that drift straight into the off/on ratio
-// this sub-sweep exists to report, while the two rates of one round ran
-// back-to-back under the same drift.
-func runReadMixPair(cfg Config, p ServerParams, ratio float64) (ServerPoint, ServerPoint, error) {
-	const reps = 7
-	win := cfg.Duration
-	if win < 500*time.Millisecond {
-		win = 500 * time.Millisecond
-	}
-	if win > time.Second {
-		win = time.Second
-	}
-
-	type mode struct {
-		fast   bool
-		bw     *bufio.Writer
-		br     *bufio.Reader
-		addr   string
-		rates  []float64
-		lath   *obs.Histogram
-		chunks [][]byte
-	}
-	modes := [2]*mode{{fast: false}, {fast: true}}
-	for _, m := range modes {
-		m.lath = obs.NewHistogram(1)
-		srv, err := server.New(server.Config{
-			Ordering:         core.WO,
-			Shards:           p.Shards,
-			Buckets:          readMixBuckets,
-			DisableFastReads: !m.fast,
-		})
-		if err != nil {
-			return ServerPoint{}, ServerPoint{}, err
-		}
-		defer srv.Drain()
-		if err := srv.Listen("127.0.0.1:0"); err != nil {
-			return ServerPoint{}, ServerPoint{}, err
-		}
-		m.addr = srv.Addr().String()
-
-		// Prefill the hot keyspace so GETs hit.
-		seed := client.New(client.Options{Addr: m.addr, Conns: 1})
-		var fill []wire.Cmd
-		for i := 0; i < readMixKeys; i++ {
-			fill = append(fill, wire.Put(benchKey(i), []byte("0")))
-			if len(fill) == 512 || i == readMixKeys-1 {
-				if _, _, err := seed.Multi(fill); err != nil {
-					seed.Close()
-					return ServerPoint{}, ServerPoint{}, err
-				}
-				fill = fill[:0]
-			}
-		}
-		seed.Close()
-
-		if m.chunks, err = readMixSchedule(ratio, 2654435761+uint64(ratio*1000)); err != nil {
-			return ServerPoint{}, ServerPoint{}, err
-		}
-		nc, err := net.Dial("tcp", m.addr)
-		if err != nil {
-			return ServerPoint{}, ServerPoint{}, err
-		}
-		defer nc.Close()
-		m.bw = bufio.NewWriterSize(nc, 32<<10)
-		m.br = bufio.NewReaderSize(nc, 32<<10)
-	}
-
-	for rep := 0; rep < reps; rep++ {
-		// Alternate which mode runs first so neither systematically
-		// benefits from running earlier in its round.
-		roundOrder := [2]*mode{modes[rep%2], modes[1-rep%2]}
-		for _, m := range roundOrder {
-			// Start every rep from a collected heap so one rep's GC debt
-			// (the PUT traffic allocates) cannot bill the next rep's window.
-			runtime.GC()
-			warmup := 100 * time.Millisecond
-			if rep == 0 {
-				warmup = 200 * time.Millisecond
-			}
-			rate, err := readMixRep(m.bw, m.br, m.chunks, m.lath, warmup, win)
-			if err != nil {
-				return ServerPoint{}, ServerPoint{}, err
-			}
-			cfg.progress("server readmix reads=%d%% fast=%v rep=%d rate=%.0f", int(ratio*100), m.fast, rep, rate)
-			m.rates = append(m.rates, rate)
-		}
-	}
-
-	// Record both rows from the round whose on/off ratio is the median of
-	// the rounds, not from independent per-mode medians: the two rates of
-	// one round ran back-to-back and share the host's drift, so the pair is
-	// internally consistent, while the median over rounds discards the
-	// outliers in the one number this sub-sweep exists to report.
-	order := make([]int, reps)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return modes[1].rates[order[a]]/modes[0].rates[order[a]] <
-			modes[1].rates[order[b]]/modes[0].rates[order[b]]
-	})
-	mid := order[reps/2]
-
-	var pts [2]ServerPoint
-	for i, m := range modes {
-		pts[i] = ServerPoint{
-			Ordering:  core.WO.String(),
-			Clients:   1,
-			Batch:     1,
-			Pipeline:  readMixBurst,
-			ReadRatio: ratio,
-			FastReads: m.fast,
-			ReqPerSec: m.rates[mid],
-		}
-		fillQuantiles(&pts[i], m.lath)
-		pts[i].KeysPerSec = pts[i].ReqPerSec
-		if st := statsOf(m.addr); st != nil {
-			pts[i].FastServed = st.Server.FastReads
-		}
-	}
-	return pts[0], pts[1], nil
-}
-
 func maxInt(xs []int) int {
 	m := 1
 	for _, x := range xs {
@@ -622,13 +355,8 @@ func maxInt(xs []int) int {
 	return m
 }
 
-func runServerPoint(cfg Config, p ServerParams, ord core.Ordering, clients, batch, pipe int, execs int, winUS int64) (ServerPoint, error) {
-	return runServerConfigPoint(cfg, p, server.Config{
-		Ordering:    ord,
-		Shards:      p.Shards,
-		Executors:   execs,
-		FlushWindow: time.Duration(winUS) * time.Microsecond,
-	}, clients, batch, pipe)
+func runServerPoint(cfg Config, p ServerParams, ord core.Ordering, clients, batch, pipe, execs int) (ServerPoint, error) {
+	return runServerConfigPoint(cfg, p, server.Config{Ordering: ord, Shards: p.Shards, Executors: execs}, clients, batch, pipe)
 }
 
 // runServerConfigPoint runs one closed-loop measurement against a fresh
@@ -739,14 +467,13 @@ func runServerConfigPoint(cfg Config, p ServerParams, scfg server.Config, client
 		return ServerPoint{}, firstErr
 	}
 	pt := ServerPoint{
-		Ordering:      scfg.Ordering.String(),
-		Clients:       clients,
-		Batch:         batch,
-		Pipeline:      pipe,
-		Executors:     scfg.Executors,
-		FlushWindowUS: scfg.FlushWindow.Microseconds(),
-		ReqPerSec:     float64(totalReq) / cfg.Duration.Seconds(),
-		KeysPerSec:    float64(totalReq*int64(batch)) / cfg.Duration.Seconds(),
+		Ordering:   scfg.Ordering.String(),
+		Clients:    clients,
+		Batch:      batch,
+		Pipeline:   pipe,
+		Executors:  scfg.Executors,
+		ReqPerSec:  float64(totalReq) / cfg.Duration.Seconds(),
+		KeysPerSec: float64(totalReq*int64(batch)) / cfg.Duration.Seconds(),
 	}
 	if st := statsOf(addr); st != nil {
 		pt.GroupCommits = st.Server.GroupCommits - groupsBefore
@@ -786,18 +513,14 @@ func fillQuantiles(pt *ServerPoint, h *obs.Histogram) {
 }
 
 // Print renders the sweep: WO vs SO serving throughput and tail latency,
-// with the executor × flush-window tuning grid at the bottom.
+// with the executor-count tuning rows at the bottom.
 func (r *ServerResult) Print(w io.Writer) {
 	fmt.Fprintln(w, "wtfd end-to-end: MULTI fan-out under WO vs SO futures (closed loop, loopback TCP)")
-	t := newTable("ordering", "clients", "batch", "pipe", "execs", "window", "fsync", "req/s", "keys/s", "p50", "p99", "p999", "grouped")
-	var degraded, readmix []ServerPoint
+	t := newTable("ordering", "clients", "batch", "pipe", "execs", "fsync", "req/s", "keys/s", "p50", "p99", "p999", "grouped")
+	var degraded []ServerPoint
 	for _, pt := range r.Points {
 		if pt.Scenario != "" {
 			degraded = append(degraded, pt)
-			continue
-		}
-		if pt.ReadRatio > 0 {
-			readmix = append(readmix, pt)
 			continue
 		}
 		execs := "auto"
@@ -813,29 +536,12 @@ func (r *ServerResult) Print(w io.Writer) {
 			fsync = pt.Fsync
 		}
 		t.add(pt.Ordering, fmt.Sprint(pt.Clients), fmt.Sprint(pt.Batch), fmt.Sprint(pt.Pipeline),
-			execs, (time.Duration(pt.FlushWindowUS) * time.Microsecond).String(), fsync,
+			execs, fsync,
 			fmt.Sprintf("%.0f", pt.ReqPerSec), fmt.Sprintf("%.0f", pt.KeysPerSec),
 			pt.P50.Round(time.Microsecond).String(), pt.P99.Round(time.Microsecond).String(),
 			pt.P999.Round(time.Microsecond).String(), grouped)
 	}
 	t.print(w)
-	if len(readmix) > 0 {
-		fmt.Fprintln(w, "\nread-ratio mix: lock-free GET fast path off vs on (batch 1, heaviest single-key shape)")
-		rt := newTable("reads", "fast", "clients", "pipe", "req/s", "p50", "p99", "p999", "fast-served")
-		for _, pt := range readmix {
-			fast := "off"
-			if pt.FastReads {
-				fast = "on"
-			}
-			rt.add(fmt.Sprintf("%.0f%%", pt.ReadRatio*100), fast,
-				fmt.Sprint(pt.Clients), fmt.Sprint(pt.Pipeline),
-				fmt.Sprintf("%.0f", pt.ReqPerSec),
-				pt.P50.Round(time.Microsecond).String(), pt.P99.Round(time.Microsecond).String(),
-				pt.P999.Round(time.Microsecond).String(),
-				fmt.Sprint(pt.FastServed))
-		}
-		rt.print(w)
-	}
 	if len(degraded) > 0 {
 		fmt.Fprintln(w, "\ndegraded network: retrying clients through chaos transports (completed req/s; errors = ops that failed all retries)")
 		dt := newTable("scenario", "clients", "req/s", "p50", "p99", "p999", "errors", "retries")

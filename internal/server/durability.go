@@ -49,9 +49,8 @@ type durability struct {
 	policy wal.SyncPolicy
 	srv    *Server // backref for metrics (srv.m) and the flight recorder
 
-	ackCh    chan *ackBatch // non-nil only under SyncGroup
-	ackDelay time.Duration  // commit-delay window (Config.CommitDelay)
-	ackWG    sync.WaitGroup
+	ackCh chan *ackBatch // non-nil only under SyncGroup
+	ackWG sync.WaitGroup
 
 	batchOpsHWM    atomic.Int64
 	appendFailures atomic.Int64
@@ -89,6 +88,14 @@ func (d *durability) deferAcks(tasks []task, shards []int, opc int, start, execE
 	d.ackCh <- b
 }
 
+// commitDelay is how long the ack daemon waits after the first deferred
+// write ack for more commits to share its fsync cycle. The window is pure
+// added write latency traded for fsync amortization: on the ack path an
+// fsync costs real CPU, so at high write rates the window is what keeps the
+// disk barrier from eating the machine. Reads and the executors never wait
+// on it.
+const commitDelay = time.Millisecond
+
 // maxAckOps caps how many deferred write acks one fsync cycle may cover:
 // under overload the daemon flushes at the cap instead of letting the
 // commit-delay window grow the batch (and every ack's latency) unboundedly.
@@ -107,28 +114,26 @@ func (d *durability) ackLoop() {
 	for first := range d.ackCh {
 		batch = append(batch[:0], first)
 		n := len(first.tasks)
-		if d.ackDelay > 0 {
-			// Hold the barrier open: commits landing inside the window share
-			// this cycle's fsyncs instead of paying for their own.
-			timer.Reset(d.ackDelay)
-		wait:
-			for n < maxAckOps {
-				select {
-				case b, ok := <-d.ackCh:
-					if !ok {
-						break wait
-					}
-					batch = append(batch, b)
-					n += len(b.tasks)
-				case <-timer.C:
+		// Hold the barrier open: commits landing inside the window share this
+		// cycle's fsyncs instead of paying for their own.
+		timer.Reset(commitDelay)
+	wait:
+		for n < maxAckOps {
+			select {
+			case b, ok := <-d.ackCh:
+				if !ok {
 					break wait
 				}
+				batch = append(batch, b)
+				n += len(b.tasks)
+			case <-timer.C:
+				break wait
 			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
+		}
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
 			}
 		}
 		// Sweep whatever else is already queued — it costs nothing.
@@ -248,7 +253,6 @@ func newDurability(s *Server, cfg Config) (*durability, error) {
 	d.mgr = mgr
 	if cfg.Fsync == wal.SyncGroup {
 		d.ackCh = make(chan *ackBatch, 4*cfg.Shards)
-		d.ackDelay = cfg.CommitDelay
 		d.ackWG.Add(1)
 		go d.ackLoop()
 	}

@@ -11,29 +11,19 @@
 // conflicts only through the STM, which resolves it as before.
 package server
 
-import (
-	"time"
-
-	"wtftm/internal/wire"
-)
+import "wtftm/internal/wire"
 
 // executor is one shard-affine serving goroutine.
 type executor struct {
 	srv   *Server
 	id    int
 	q     chan task
-	group []task      // the unit being collected, reused across units
-	unit  *unit       // write-pipeline working set (pipeline.go)
-	timer *time.Timer // flush-window timer, reused across waits
+	group []task // the unit being collected, reused across units
+	unit  *unit  // write-pipeline working set (pipeline.go)
 }
 
 func newExecutor(s *Server, id int) *executor {
-	ex := &executor{srv: s, id: id, q: make(chan task, s.cfg.Queue), unit: newUnit(s)}
-	if s.cfg.FlushWindow > 0 {
-		ex.timer = time.NewTimer(time.Hour)
-		ex.timer.Stop()
-	}
-	return ex
+	return &executor{srv: s, id: id, q: make(chan task, execQueue), unit: newUnit(s)}
 }
 
 // singleKey reports whether op is one of the single-key store commands.
@@ -79,35 +69,18 @@ func (e *executor) flush() {
 	e.group = e.group[:0]
 }
 
-// collect tops e.group off with coalescible work that is already queued. It
-// never blocks beyond the configured flush window (and not at all when the
-// window is 0): group commit trades no latency for throughput by default —
-// it only exploits backlog that pipelining already created.
+// collect tops e.group off with coalescible work that is already queued, up
+// to the server's unit limit. It never blocks: group commit trades no latency
+// for throughput — it only exploits backlog that pipelining already created.
 func (e *executor) collect() {
-	s := e.srv
-	limit := s.cfg.GroupLimit
-	windowOpen := e.timer != nil
-	for len(e.group) < limit {
+	for len(e.group) < e.srv.unitLimit {
 		select {
 		case t, ok := <-e.q:
 			if !e.admit(t, ok) {
 				return
 			}
 		default:
-			if !windowOpen {
-				return
-			}
-			windowOpen = false
-			e.timer.Reset(s.cfg.FlushWindow)
-			select {
-			case t, ok := <-e.q:
-				e.timer.Stop()
-				if !e.admit(t, ok) {
-					return
-				}
-			case <-e.timer.C:
-				return
-			}
+			return
 		}
 	}
 }

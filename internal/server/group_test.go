@@ -1,216 +1,203 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
+	"net"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"wtftm"
 	"wtftm/internal/wire"
 )
 
-// sameShardKeys returns n distinct keys that all hash to the same shard of
-// s, so the traffic they carry contends on one executor and is eligible for
-// group commit.
-func sameShardKeys(s *Server, n int) []string {
-	want := -1
+// held is a two-shard, two-executor server whose executor for one shard can
+// be parked inside a request while a pipelined burst queues up behind it.
+// Backlog is the only thing an executor coalesces, and this forms it from
+// events alone — no timer, no sleep — so a test that asserts on group commits
+// fails when coalescing breaks, never when the scheduler was merely quick.
+type held struct {
+	s                *Server
+	shard            int // the parked executor's shard
+	entered, release chan struct{}
+}
+
+const holdKey = "hold"
+
+func startHeld(t *testing.T, cfg Config) *held {
+	t.Helper()
+	h := &held{entered: make(chan struct{}), release: make(chan struct{})}
+	cfg.Shards, cfg.Executors = 2, 2
+	cfg.execHook = func(req *wire.Request) {
+		if req.Op == wire.OpPut && req.Cmd.Key == holdKey {
+			h.entered <- struct{}{}
+			<-h.release
+		}
+	}
+	h.s = startServer(t, cfg)
+	h.shard = h.s.store.shardOf(holdKey)
+	return h
+}
+
+// keysOn returns n distinct keys of shard sh.
+func (h *held) keysOn(sh, n int) []string {
 	var keys []string
 	for i := 0; len(keys) < n; i++ {
-		k := fmt.Sprintf("gk-%d", i)
-		sh := s.store.shardOf(k)
-		if want == -1 {
-			want = sh
-		}
-		if sh == want {
+		if k := fmt.Sprintf("gk-%d", i); h.s.store.shardOf(k) == sh {
 			keys = append(keys, k)
 		}
 	}
 	return keys
 }
 
-// TestGroupCommitLastWriterWins drives interleaved single-key PUTs from
-// concurrent pipelined writers at keys of one shard — with a flush window
-// open so the executor actually coalesces — and checks that every key ends
-// at its own last write: group commit may re-batch transactions, but per-key
-// queue order must survive. A MULTI writer runs in the same stream so the
-// flush-before-solo path (non-coalescible work arriving mid-group) is
-// exercised too.
+// burst parks the executor, pipelines reqs (which must route to it) on one
+// connection, releases the executor once all of them sit in its run queue,
+// and returns their responses in request order plus the connection, on which
+// the caller may go on talking to the server.
+func (h *held) burst(t *testing.T, reqs []*wire.Request) ([]wire.Response, net.Conn, *bufio.Reader) {
+	t.Helper()
+	if len(reqs) > execQueue {
+		t.Fatalf("a burst of %d does not fit the run queue (%d)", len(reqs), execQueue)
+	}
+	nc, br := rawDial(t, h.s)
+	rawSend(t, nc, &wire.Request{ID: 0, Op: wire.OpPut, Cmd: wire.Put(holdKey, []byte("x"))})
+	<-h.entered
+	for i, req := range reqs {
+		req.ID = uint32(i + 1)
+		rawSend(t, nc, req)
+	}
+	// The read loop admits a connection's frames in order, and the fence is
+	// a GET for the other shard, served by the executor that is not parked:
+	// its answer means every frame before it is queued.
+	fence := &wire.Request{ID: uint32(len(reqs) + 1), Op: wire.OpGet, Cmd: wire.Get(h.keysOn(1-h.shard, 1)[0])}
+	if resp := rawRoundTrip(t, nc, br, fence); resp.ID != fence.ID {
+		t.Fatalf("response %d overtook the parked executor", resp.ID)
+	}
+	h.release <- struct{}{}
+	out := make([]wire.Response, len(reqs))
+	for range len(reqs) + 1 {
+		if resp := rawRecv(t, br); resp.ID > 0 {
+			out[resp.ID-1] = resp
+		}
+	}
+	return out, nc, br
+}
+
+// TestGroupCommitLastWriterWins pipelines interleaved PUTs at the keys of one
+// shard behind a parked executor, so they commit as coalesced units, and
+// checks that every key ends at its own last write: group commit may re-batch
+// transactions, but per-key queue order must survive. MULTIs ride in the same
+// stream so the flush-before-solo path (non-coalescible work arriving
+// mid-unit) is exercised too.
 func TestGroupCommitLastWriterWins(t *testing.T) {
 	leakCheck(t)
-	s := startServer(t, Config{Shards: 4, FlushWindow: time.Millisecond})
-	cl := newClient(t, s, 1) // one connection: all writers pipeline on it
+	h := startHeld(t, Config{})
+	keys := h.keysOn(h.shard, 4)
 
-	const writers = 4
-	const writes = 150
-	keys := sameShardKeys(s, writers)
-
-	var wg sync.WaitGroup
-	errs := make(chan error, writers+1)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 1; i <= writes; i++ {
-				if err := cl.Put(keys[w], strconv.Itoa(i)); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(w)
-	}
-	// MULTI traffic interleaved with the single-key stream: arrives at the
-	// same executor (first key's shard) and must flush the open group.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 40; i++ {
-			if _, _, err := cl.Multi([]wire.Cmd{
+	const rounds = 24
+	var reqs []*wire.Request
+	for i := 1; i <= rounds; i++ {
+		for _, k := range keys {
+			reqs = append(reqs, &wire.Request{Op: wire.OpPut, Cmd: wire.Put(k, []byte(strconv.Itoa(i)))})
+		}
+		if i%4 == 0 {
+			// Queued on the parked executor (first key's shard): it must
+			// flush the open unit and run between two coalesced ones.
+			reqs = append(reqs, &wire.Request{Op: wire.OpMulti, Batch: []wire.Cmd{
 				wire.Get(keys[0]),
 				wire.Put("multi-side", []byte(strconv.Itoa(i))),
-			}); err != nil {
-				errs <- err
-				return
+			}})
+		}
+	}
+	resps, nc, br := h.burst(t, reqs)
+	for i, resp := range resps {
+		if resp.Result.Status != wire.StatusOK {
+			t.Fatalf("request %d (%v): %+v", i, reqs[i].Op, resp.Result)
+		}
+		if reqs[i].Op == wire.OpMulti {
+			// The MULTI's GET sits behind the round's PUT of that key.
+			if got, want := string(resp.Batch[0].Val), string(reqs[i].Batch[1].Val); got != want {
+				t.Fatalf("MULTI after round %s read %q", want, got)
 			}
 		}
-	}()
-	wg.Wait()
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
 	}
 
-	for w := 0; w < writers; w++ {
-		got, ok, err := cl.Get(keys[w])
-		if err != nil || !ok {
-			t.Fatalf("Get(%s): ok=%v err=%v", keys[w], ok, err)
-		}
-		if got != strconv.Itoa(writes) {
-			t.Fatalf("key %s = %q, want %q (last writer must win)", keys[w], got, strconv.Itoa(writes))
+	last := strconv.Itoa(rounds)
+	for i, k := range append(keys, "multi-side") {
+		resp := rawRoundTrip(t, nc, br, &wire.Request{ID: uint32(1000 + i), Op: wire.OpGet, Cmd: wire.Get(k)})
+		if got := string(resp.Result.Val); resp.Result.Status != wire.StatusOK || got != last {
+			t.Fatalf("key %s = %q (%v), want %q (last writer must win)", k, got, resp.Result.Status, last)
 		}
 	}
-	if got, ok, _ := cl.Get("multi-side"); !ok || got != "39" {
-		t.Fatalf("multi-side = %q ok=%v, want \"39\"", got, ok)
-	}
-	if s.groupCommits.Load() == 0 || s.groupedOps.Load() == 0 {
-		t.Fatalf("no group commits happened (commits=%d ops=%d); the flush window never coalesced",
-			s.groupCommits.Load(), s.groupedOps.Load())
+	if h.s.groupCommits.Load() == 0 || h.s.groupedOps.Load() == 0 {
+		t.Fatalf("no group commits happened (commits=%d ops=%d); a queued backlog was not coalesced",
+			h.s.groupCommits.Load(), h.s.groupedOps.Load())
 	}
 }
 
-// TestGroupCommitCASAllOrNothing runs concurrent CAS incrementers against a
-// single key while coalescing is active. Each CAS keeps its single-op
-// semantics inside a group: a mismatch must skip exactly its own write and
-// report the current value, a match must install its write atomically. The
-// counter's final value therefore equals the number of successful CAS ops —
-// any lost or doubled update breaks the equality.
+// TestGroupCommitCASAllOrNothing pipelines a chain of CAS increments at one
+// key, each sent twice, so that matching and stale CASes alternate inside
+// coalesced units. Each CAS keeps its single-op semantics there: a match
+// installs its write where the next member of the unit sees it, a mismatch
+// skips exactly its own write and reports the current value. The counter's
+// final value therefore equals the number of successful CAS ops — any lost
+// or doubled update breaks the equality.
 func TestGroupCommitCASAllOrNothing(t *testing.T) {
 	leakCheck(t)
-	s := startServer(t, Config{Shards: 2, FlushWindow: time.Millisecond})
-	cl := newClient(t, s, 1)
+	h := startHeld(t, Config{})
+	key := h.keysOn(h.shard, 1)[0]
 
-	const key = "cas-ctr"
-	const workers = 4
-	const target = 200
-	if err := cl.Put(key, "0"); err != nil {
-		t.Fatal(err)
+	const target = 50
+	reqs := []*wire.Request{{Op: wire.OpPut, Cmd: wire.Put(key, []byte("0"))}}
+	for i := 0; i < target; i++ {
+		for range 2 { // the second copy finds its expectation already consumed
+			reqs = append(reqs, &wire.Request{Op: wire.OpCAS,
+				Cmd: wire.CAS(key, []byte(strconv.Itoa(i)), []byte(strconv.Itoa(i+1)))})
+		}
 	}
-
-	var succ atomic.Int64
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for succ.Load() < target {
-				cur, ok, err := cl.Get(key)
-				if err != nil || !ok {
-					errs <- fmt.Errorf("Get: ok=%v err=%v", ok, err)
-					return
-				}
-				n, err := strconv.Atoi(cur)
-				if err != nil {
-					errs <- fmt.Errorf("counter corrupted: %q", cur)
-					return
-				}
-				ok, got, err := cl.CAS(key, []byte(cur), strconv.Itoa(n+1))
-				if err != nil {
-					errs <- err
-					return
-				}
-				if ok {
-					succ.Add(1)
-				} else if len(got) == 0 {
-					errs <- fmt.Errorf("CAS mismatch returned no current value")
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
+	resps, nc, br := h.burst(t, reqs)
+	succ := 0
+	for i, resp := range resps[1:] {
+		cur := strconv.Itoa(i/2 + 1)
+		switch {
+		case i%2 == 0 && resp.Result.Status == wire.StatusOK:
+			succ++
+		case i%2 == 1 && resp.Result.Status == wire.StatusCASMismatch && string(resp.Result.Val) == cur:
+		default:
+			t.Fatalf("CAS %d (copy %d of →%s): %+v", i, i%2, cur, resp.Result)
+		}
 	}
 
-	final, ok, err := cl.Get(key)
-	if err != nil || !ok {
-		t.Fatalf("final Get: ok=%v err=%v", ok, err)
+	final := rawRoundTrip(t, nc, br, &wire.Request{ID: 1000, Op: wire.OpGet, Cmd: wire.Get(key)})
+	if got := string(final.Result.Val); succ != target || got != strconv.Itoa(succ) {
+		t.Fatalf("counter = %q after %d successful CAS ops of %d; increments were lost or doubled", got, succ, target)
 	}
-	if final != strconv.FormatInt(succ.Load(), 10) {
-		t.Fatalf("counter = %s after %d successful CAS ops; increments were lost or doubled", final, succ.Load())
-	}
-	if s.groupCommits.Load() == 0 {
+	if h.s.groupCommits.Load() == 0 {
 		t.Fatalf("no group commits happened; CAS semantics were never tested under coalescing")
 	}
 }
 
 // TestRecorderDisablesGroupCommit proves the FSG-conformance contract: a
-// server constructed with a Recorder must serve one request per transaction
-// — the configured GroupLimit is forced to 1 and no coalesced commit ever
-// happens, even under pipelined same-shard load with a flush window begging
-// for it.
+// server constructed with a Recorder serves one request per transaction — no
+// coalesced commit ever happens, even with a same-shard backlog queued that
+// any other server would commit in a few units.
 func TestRecorderDisablesGroupCommit(t *testing.T) {
 	leakCheck(t)
-	rec := wtftm.NewRecorder()
-	s := startServer(t, Config{
-		Shards:      2,
-		Recorder:    rec,
-		GroupLimit:  64,
-		FlushWindow: time.Millisecond,
-	})
-	if s.cfg.GroupLimit != 1 {
-		t.Fatalf("GroupLimit = %d with Recorder set, want forced to 1", s.cfg.GroupLimit)
+	h := startHeld(t, Config{Recorder: wtftm.NewRecorder()})
+	keys := h.keysOn(h.shard, 4)
+	var reqs []*wire.Request
+	for i := 0; i < 20; i++ {
+		for _, k := range keys {
+			reqs = append(reqs, &wire.Request{Op: wire.OpPut, Cmd: wire.Put(k, []byte(strconv.Itoa(i)))})
+		}
 	}
-
-	cl := newClient(t, s, 1)
-	keys := sameShardKeys(s, 4)
-	var wg sync.WaitGroup
-	errs := make(chan error, len(keys))
-	for _, k := range keys {
-		wg.Add(1)
-		go func(k string) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if err := cl.Put(k, strconv.Itoa(i)); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(k)
+	resps, _, _ := h.burst(t, reqs)
+	for i, resp := range resps {
+		if resp.Result.Status != wire.StatusOK {
+			t.Fatalf("PUT %d: %+v", i, resp.Result)
+		}
 	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
-	}
-	if n := s.groupCommits.Load(); n != 0 {
+	if n := h.s.groupCommits.Load(); n != 0 {
 		t.Fatalf("recorded server performed %d group commits; the FSG oracle expects the uncoalesced schedule", n)
 	}
 }

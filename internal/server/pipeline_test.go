@@ -22,7 +22,7 @@ type lane struct {
 func newLane(s *Server) *lane {
 	// The writer queue must hold a whole unit: inline acks are sent by the
 	// goroutine that then reads them.
-	return &lane{ex: newExecutor(s, 0), c: &conn{srv: s, out: make(chan *wire.Response, s.cfg.GroupLimit)}}
+	return &lane{ex: newExecutor(s, 0), c: &conn{srv: s, out: make(chan *wire.Response, groupLimit)}}
 }
 
 // submit runs reqs (which the pipeline recycles) as one unit. The caller

@@ -7,18 +7,22 @@
 // paper's motivating shape, where a request's independent key lookups run in
 // parallel yet commit atomically. The server's -ordering knob selects WO or
 // SO future semantics per instance, turning the paper's semantics axis into
-// an operator-visible performance knob (wtfbench -exp server measures it).
+// an operator-visible performance knob (benchmark/'s multi-hot workload
+// measures MULTI serving under WO; wtfbench -exp server is the older
+// in-process WO-against-SO sweep).
 //
 // Concurrency model: one read loop and one write loop per connection, plus a
 // fixed set of shard-affine executors (DESIGN.md §10). Each executor owns a
 // subset of the store's shards and a bounded run queue; the read loop decodes
 // frames and enqueues each request on the queue of the executor that owns its
 // key's shard, so same-shard requests never contend on a shared channel or on
-// each other's STM validation. When a run queue is full the read loop blocks,
-// which stalls that connection's TCP window and pushes backpressure to the
-// client (admission control without load shedding). Responses carry the
-// request's ID, so pipelined requests of one connection may be answered out
-// of order as their transactions commit.
+// each other's STM validation. Admission control has two stages: when a run
+// queue is full the read loop blocks, which stalls that connection's TCP
+// window and pushes backpressure to the client, and past MaxInFlight admitted
+// requests across all connections the server sheds store requests with
+// StatusBusy instead of queueing them. Responses carry the request's ID, so
+// pipelined requests of one connection may be answered out of order as their
+// transactions commit.
 //
 // Everything an executor dequeues commits through one write pipeline
 // (pipeline.go): consecutive single-key commands coalesce into one unit, a
@@ -71,29 +75,6 @@ type Config struct {
 	// is owned by executor sh mod Executors, so all single-key traffic for
 	// one shard runs on one goroutine. Default GOMAXPROCS, capped at Shards.
 	Executors int
-	// Queue bounds each executor's admitted-but-not-executing request run
-	// queue; when it is full connection read loops block (TCP backpressure).
-	// Default 128.
-	Queue int
-	// GroupLimit bounds how many consecutive single-key commands one
-	// executor may coalesce into a single group-commit transaction; 1
-	// disables coalescing. Default 32. Forced to 1 when Recorder is set, so
-	// recorded histories reflect the uncoalesced schedule the FSG oracle
-	// expects (one request = one transaction).
-	GroupLimit int
-	// FlushWindow is how long an executor with a non-empty, non-full group
-	// waits for more queued work before committing it. 0 (the default)
-	// coalesces only work that is already queued — no added latency.
-	FlushWindow time.Duration
-	// WriterQueue bounds each connection's queued-but-unwritten responses;
-	// executors block when it fills (the write loop is draining or the
-	// client stopped reading). Default 64. Surfaced, with its high-water
-	// mark, in wire.ServerStats.
-	WriterQueue int
-	// WriteTimeout bounds one response frame write; a connection whose
-	// client stops reading is closed rather than allowed to wedge a worker.
-	// Default 30s.
-	WriteTimeout time.Duration
 	// IdleTimeout bounds how long a connection may sit between frames (or
 	// take to deliver one frame) before the server reaps it: a partitioned
 	// or wedged client must not hold its connection — and the server-side
@@ -117,16 +98,6 @@ type Config struct {
 	// ack path (graceful shutdown still syncs; a power cut may lose the
 	// tail). Ignored without DataDir.
 	Fsync wal.SyncPolicy
-	// CommitDelay is how long the group-commit ack daemon waits after the
-	// first deferred write ack for more commits to share its fsync cycle.
-	// The window is pure added write latency traded for fsync amortization:
-	// on the ack path an fsync costs real CPU, so at high write rates the
-	// window is what keeps the disk barrier from eating the machine. Reads
-	// and the executors never wait on it. 0 means the 1ms default; negative
-	// disables the window (fsync as soon as the daemon is free — lowest
-	// write latency, one fsync cycle per commit under light load). Ignored
-	// unless DataDir is set and Fsync is wal.SyncGroup.
-	CommitDelay time.Duration
 	// SnapshotEvery checkpoints a shard (snapshot + log compaction) after
 	// this many WAL records. 0 means the 65536 default; negative disables
 	// automatic checkpoints. Ignored without DataDir.
@@ -139,15 +110,17 @@ type Config struct {
 	// Recorder, when non-nil, captures the engine's totally ordered
 	// operation log so a served workload can be FSG-checked after the fact
 	// (see the end-to-end conformance test). Recording costs one mutex
-	// acquisition per transactional event and disables group commit; leave
-	// nil in production.
+	// acquisition per transactional event, and a recorded server commits
+	// every request as its own transaction and routes every GET through an
+	// executor (see New); leave nil in production.
 	Recorder *wtftm.Recorder
 	// DisableFastReads turns the lock-free GET fast path off, routing every
-	// GET through its shard's executor like any other command (the pre-fast-
-	// path serving behaviour; see DESIGN.md §13). The fast path is also
-	// forced off when Recorder is set — fast reads bypass the engine, so
-	// recorded histories would be missing them — and under execHook (test
-	// instrumentation expects every request to reach an executor).
+	// GET through its shard's executor like any other command (DESIGN.md
+	// §13). It is a setting because the two routes split the benchmark: the
+	// fast path serves get-heavy 30% faster, the executor route serves
+	// mixed-durable, where 99% of GETs fall back anyway, 4% faster; ROADMAP
+	// item 6 asks for the selection to be made from the observed write share
+	// instead.
 	DisableFastReads bool
 
 	// SlowMS is the flight-recorder threshold: a request slower than this
@@ -160,9 +133,27 @@ type Config struct {
 	SlowMS int
 
 	// execHook, when non-nil, runs at the start of every request execution.
-	// Tests use it to hold requests in flight while exercising Drain.
+	// Tests use it to hold requests in flight; a hooked server routes every
+	// GET through an executor (see New).
 	execHook func(*wire.Request)
 }
+
+// Sizes and a timeout that no deployment, workload or test sets differently.
+const (
+	// execQueue bounds each executor's admitted-but-not-executing run queue;
+	// when it is full connection read loops block (TCP backpressure).
+	execQueue = 128
+	// groupLimit bounds how many consecutive single-key commands an executor
+	// coalesces into one unit (pipeline.go).
+	groupLimit = 32
+	// writerQueue bounds each connection's queued-but-unwritten responses;
+	// executors block when it fills (the write loop is draining or the client
+	// stopped reading). STATS reports its high-water mark.
+	writerQueue = 64
+	// writeTimeout bounds one response frame write; a connection whose client
+	// stops reading is closed rather than allowed to wedge an executor.
+	writeTimeout = 30 * time.Second
+)
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -177,28 +168,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.Executors > out.Shards {
 		out.Executors = out.Shards
-	}
-	if out.Queue <= 0 {
-		out.Queue = 128
-	}
-	if out.GroupLimit <= 0 {
-		out.GroupLimit = 32
-	}
-	if out.Recorder != nil {
-		// One request = one transaction: the FSG conformance oracle checks
-		// the uncoalesced schedule.
-		out.GroupLimit = 1
-	}
-	if out.WriterQueue <= 0 {
-		out.WriterQueue = 64
-	}
-	if out.CommitDelay == 0 {
-		out.CommitDelay = time.Millisecond
-	} else if out.CommitDelay < 0 {
-		out.CommitDelay = 0
-	}
-	if out.WriteTimeout <= 0 {
-		out.WriteTimeout = 30 * time.Second
 	}
 	if out.IdleTimeout == 0 {
 		out.IdleTimeout = 2 * time.Minute
@@ -257,10 +226,12 @@ type Server struct {
 	dedupHits     atomic.Int64
 	idleReaped    atomic.Int64
 
-	// fastOK gates the GET fast path (fastread.go); fixed at New from
-	// DisableFastReads, Recorder and execHook so the per-request check is
-	// one branch on a plain bool.
-	fastOK            bool
+	// fastOK gates the GET fast path (fastread.go) and unitLimit bounds how
+	// many single-key commands an executor coalesces into one unit
+	// (executor.go); both are fixed in New.
+	fastOK    bool
+	unitLimit int
+
 	fastReads         atomic.Int64
 	fastReadRetries   atomic.Int64
 	fastReadFallbacks atomic.Int64
@@ -303,7 +274,7 @@ type conn struct {
 	// wmu serializes frame writes to bw between the write loop (executor
 	// responses) and the read loop (fast-read responses written in place;
 	// see fastread.go). lastWDL caps write-deadline re-arming to once per
-	// WriteTimeout/4 — a per-frame SetWriteDeadline is a timer syscall on
+	// writeTimeout/4 — a per-frame SetWriteDeadline is a timer syscall on
 	// the hottest path for at worst a quarter-window of deadline slack.
 	wmu     sync.Mutex
 	bw      *bufio.Writer
@@ -352,7 +323,18 @@ func New(cfg Config) (*Server, error) {
 		quit:  make(chan struct{}),
 		conns: make(map[*conn]struct{}),
 	}
+	// What tracing costs, derived here and nowhere else. A Recorder or an
+	// execHook must see every request reach an executor, and a fast read
+	// bypasses both the engine and the executors, so a traced server serves
+	// no GET from the read loop. A recorded server also runs units of one:
+	// the FSG oracle checks the uncoalesced schedule, one request = one
+	// transaction. Both couplings stand until the served paths have an
+	// oracle of their own (ROADMAP item 3).
 	s.fastOK = !cfg.DisableFastReads && cfg.Recorder == nil && cfg.execHook == nil
+	s.unitLimit = groupLimit
+	if cfg.Recorder != nil {
+		s.unitLimit = 1
+	}
 	s.execs = make([]*executor, cfg.Executors)
 	for i := range s.execs {
 		s.execs[i] = newExecutor(s, i)
@@ -424,7 +406,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed (Drain) or fatal
 		}
-		c := &conn{srv: s, nc: nc, out: make(chan *wire.Response, s.cfg.WriterQueue),
+		c := &conn{srv: s, nc: nc, out: make(chan *wire.Response, writerQueue),
 			pendW: make([]atomic.Int32, s.cfg.Shards)}
 		c.stripe = uint32(s.connsOpened.Load()) // histogram stripe hint
 		c.bw = bufio.NewWriterSize(nc, connBufSize)
@@ -684,16 +666,15 @@ func (c *conn) send(resp *wire.Response) {
 	atomicMax(&c.srv.writerQHWM, depth)
 }
 
-// armWriteDeadline pushes the connection's write deadline out to WriteTimeout
+// armWriteDeadline pushes the connection's write deadline out to writeTimeout
 // from now, re-arming at most once per quarter window: a slow client is still
-// reaped within [3/4, 1]×WriteTimeout of its last progress, but the steady
+// reaped within [3/4, 1]×writeTimeout of its last progress, but the steady
 // state pays the deadline timer syscall once per window, not once per frame.
 // Callers hold wmu.
 func (c *conn) armWriteDeadline() {
-	wt := c.srv.cfg.WriteTimeout
-	if now := time.Now(); now.Sub(c.lastWDL) >= wt/4 {
+	if now := time.Now(); now.Sub(c.lastWDL) >= writeTimeout/4 {
 		c.lastWDL = now
-		c.nc.SetWriteDeadline(now.Add(wt))
+		c.nc.SetWriteDeadline(now.Add(writeTimeout))
 	}
 }
 
@@ -737,7 +718,7 @@ func (c *conn) writeLoop() {
 		// The read loop has exited (out is closed after pending drained), so
 		// this final flush also covers any fast responses it left buffered.
 		c.wmu.Lock()
-		c.nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		c.bw.Flush()
 		c.wmu.Unlock()
 	}
@@ -765,9 +746,6 @@ func (s *Server) statsReply() wire.StatsReply {
 			Atomicity:         s.sys.Options().Atomicity.String(),
 			Shards:            s.cfg.Shards,
 			Executors:         s.cfg.Executors,
-			GroupLimit:        s.cfg.GroupLimit,
-			FlushWindowUS:     s.cfg.FlushWindow.Microseconds(),
-			WriterQueue:       s.cfg.WriterQueue,
 			WriterQueueHWM:    s.writerQHWM.Load(),
 			ExecQueueHWM:      s.execQHWM.Load(),
 			GroupCommits:      s.groupCommits.Load(),

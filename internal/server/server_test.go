@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -60,6 +62,28 @@ func newClient(t *testing.T, s *Server, conns int) *client.Client {
 	cl := client.New(client.Options{Addr: s.Addr().String(), Conns: conns})
 	t.Cleanup(cl.Close)
 	return cl
+}
+
+// TestConfigSurface pins Config's exported fields. A new knob is an edit to
+// this list, which is where it has to be argued: an option earns its place
+// when two deployments or benchmark workloads need different values;
+// otherwise it is a constant, or something New can derive.
+func TestConfigSurface(t *testing.T) {
+	want := []string{ // 15
+		"Atomicity", "Buckets", "DataDir", "DisableFastReads", "Executors",
+		"FS", "Fsync", "IdleTimeout", "MaxInFlight", "Ordering", "Recorder",
+		"SegmentBytes", "Shards", "SlowMS", "SnapshotEvery",
+	}
+	var got []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
+		if f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("Config's exported fields changed:\n got %d %v\nwant %d %v", len(got), got, len(want), want)
+	}
 }
 
 func TestBasicOps(t *testing.T) {

@@ -1018,14 +1018,7 @@ type ServerStats struct {
 	// Executors is the shard-affine executor goroutine count; single-key
 	// requests for one shard always run on the same executor.
 	Executors int `json:"executors"`
-	// GroupLimit and FlushWindowUS echo the group-commit bounds (ops per
-	// coalesced transaction; microseconds an executor waits to top a group
-	// off). GroupLimit 1 means coalescing is disabled.
-	GroupLimit    int   `json:"group_limit"`
-	FlushWindowUS int64 `json:"flush_window_us"`
-	// WriterQueue is the configured per-connection response queue depth;
-	// WriterQueueHWM is the deepest any connection's queue has been.
-	WriterQueue    int   `json:"writer_queue"`
+	// WriterQueueHWM is the deepest any connection's response queue has been.
 	WriterQueueHWM int64 `json:"writer_queue_hwm"`
 	// ExecQueueHWM is the deepest any executor's run queue has been.
 	ExecQueueHWM int64 `json:"exec_queue_hwm"`
@@ -1046,7 +1039,7 @@ type ServerStats struct {
 	MaxInFlight int   `json:"max_in_flight"`
 	InFlight    int64 `json:"in_flight"`
 	Shed        int64 `json:"shed"`
-	// FastReadsEnabled echoes whether the lock-free GET fast path is on.
+	// FastReadsEnabled reports whether the lock-free GET fast path is on.
 	// FastReads counts GETs served directly in the connection read loop
 	// (no executor hop, no transaction); FastReadRetries the clock-reload
 	// retries those reads needed against concurrent version trims;

@@ -13,7 +13,6 @@ cd "$(dirname "$0")/.."
 
 LABEL="${1:?usage: scripts/bench.sh <label> [benchtime]}"
 BENCHTIME="${2:-0.5s}"
-OUT=BENCH_mvstm.json
 
 # Host context recorded into every entry: throughput numbers are meaningless
 # across machines without the parallelism and the silicon they ran on.
@@ -21,45 +20,50 @@ GOMAXPROCS_VAL="${GOMAXPROCS:-$(nproc)}"
 CPU_MODEL=$(grep -m1 'model name' /proc/cpuinfo 2>/dev/null | cut -d: -f2- | sed 's/^[[:space:]]*//')
 [ -n "$CPU_MODEL" ] || CPU_MODEL=unknown
 
+# record <out.json> <go-test-bench-output> [extra-key extra-json]: append one
+# entry — label, host context, the output's Benchmark lines as JSON, and
+# optionally one more key holding a sweep's result — to the trajectory file.
+record() {
+	out=$1
+	benches=$(printf '%s\n' "$2" | awk '
+		/^Benchmark/ {
+			name = $1; iters = $2; ns = $3; bop = ""; allocs = ""
+			for (i = 4; i <= NF; i++) {
+				if ($(i) == "B/op")      bop = $(i-1)
+				if ($(i) == "allocs/op") allocs = $(i-1)
+			}
+			printf "{\"name\":\"%s\",\"iters\":%s,\"ns_per_op\":%s", name, iters, ns
+			if (bop != "")    printf ",\"b_per_op\":%s", bop
+			if (allocs != "") printf ",\"allocs_per_op\":%s", allocs
+			print "}"
+		}' | jq -s .)
+	entry=$(jq -n \
+		--arg lbl "$LABEL" \
+		--arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
+		--arg rev "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
+		--arg go "$(go version | awk '{print $3}')" \
+		--argjson cpus "$(nproc)" \
+		--argjson gomaxprocs "$GOMAXPROCS_VAL" \
+		--arg cpu_model "$CPU_MODEL" \
+		--argjson benches "$benches" \
+		--arg key "${3:-}" \
+		--argjson extra "${4:-null}" \
+		'{"label":$lbl,"date":$date,"rev":$rev,"go":$go,"cpus":$cpus,"gomaxprocs":$gomaxprocs,"cpu_model":$cpu_model,"benches":$benches}
+		 + (if $key == "" then {} else {($key): $extra} end)')
+	if [ -f "$out" ]; then
+		jq --argjson entry "$entry" '. + [$entry]' "$out" >"$out.tmp" && mv "$out.tmp" "$out"
+	else
+		jq -n --argjson entry "$entry" '[$entry]' >"$out"
+	fi
+	echo "recorded '$LABEL' into $out:"
+}
+
 RAW=$(go test -run '^$' -bench 'BenchmarkCommitContention|BenchmarkBeginFinish|BenchmarkReadOnly' \
 	-benchtime "$BENCHTIME" -benchmem ./internal/mvstm/)
-
-# Convert `go test -bench` lines into JSON entries.
-ENTRIES=$(printf '%s\n' "$RAW" | awk '
-	/^Benchmark/ {
-		name = $1; iters = $2; ns = $3; bop = ""; allocs = ""
-		for (i = 4; i <= NF; i++) {
-			if ($(i) == "B/op")      bop = $(i-1)
-			if ($(i) == "allocs/op") allocs = $(i-1)
-		}
-		printf "{\"name\":\"%s\",\"iters\":%s,\"ns_per_op\":%s", name, iters, ns
-		if (bop != "")    printf ",\"b_per_op\":%s", bop
-		if (allocs != "") printf ",\"allocs_per_op\":%s", allocs
-		print "}"
-	}' | jq -s .)
-
-META=$(jq -n \
-	--arg lbl "$LABEL" \
-	--arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-	--arg rev "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
-	--arg go "$(go version | awk '{print $3}')" \
-	--argjson cpus "$(nproc)" \
-	--argjson gomaxprocs "$GOMAXPROCS_VAL" \
-	--arg cpu_model "$CPU_MODEL" \
-	--argjson benches "$ENTRIES" \
-	'{"label":$lbl,"date":$date,"rev":$rev,"go":$go,"cpus":$cpus,"gomaxprocs":$gomaxprocs,"cpu_model":$cpu_model,"benches":$benches}')
-
-if [ -f "$OUT" ]; then
-	jq --argjson entry "$META" '. + [$entry]' "$OUT" >"$OUT.tmp" && mv "$OUT.tmp" "$OUT"
-else
-	jq -n --argjson entry "$META" '[$entry]' >"$OUT"
-fi
-
-echo "recorded '$LABEL' into $OUT:"
+record BENCH_mvstm.json "$RAW"
 printf '%s\n' "$RAW" | grep '^Benchmark' || true
 
 # --- wtfd end-to-end sweep -------------------------------------------------
-SRVOUT=BENCH_server.json
 SRVRES=$(go run ./cmd/wtfbench -exp server -quick -duration 150ms -json | jq '.result')
 
 # Request-path allocation benchmarks: ns/op + allocs/op of the pooled
@@ -70,78 +74,12 @@ SRVRAW=$(go test -run '^$' -bench 'BenchmarkServerEcho$|BenchmarkServerGetPath$|
 	-benchtime "$BENCHTIME" -benchmem ./internal/server/)
 SRVRAW="$SRVRAW
 $(go test -run '^$' -bench 'BenchmarkClientGetRoundTrip$' -benchtime "$BENCHTIME" -benchmem ./internal/client/)"
-
-SRVBENCHES=$(printf '%s\n' "$SRVRAW" | awk '
-	/^Benchmark/ {
-		name = $1; iters = $2; ns = $3; bop = ""; allocs = ""
-		for (i = 4; i <= NF; i++) {
-			if ($(i) == "B/op")      bop = $(i-1)
-			if ($(i) == "allocs/op") allocs = $(i-1)
-		}
-		printf "{\"name\":\"%s\",\"iters\":%s,\"ns_per_op\":%s", name, iters, ns
-		if (bop != "")    printf ",\"b_per_op\":%s", bop
-		if (allocs != "") printf ",\"allocs_per_op\":%s", allocs
-		print "}"
-	}' | jq -s .)
-
-SRVMETA=$(jq -n \
-	--arg lbl "$LABEL" \
-	--arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-	--arg rev "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
-	--arg go "$(go version | awk '{print $3}')" \
-	--argjson cpus "$(nproc)" \
-	--argjson gomaxprocs "$GOMAXPROCS_VAL" \
-	--arg cpu_model "$CPU_MODEL" \
-	--argjson benches "$SRVBENCHES" \
-	--argjson result "$SRVRES" \
-	'{"label":$lbl,"date":$date,"rev":$rev,"go":$go,"cpus":$cpus,"gomaxprocs":$gomaxprocs,"cpu_model":$cpu_model,"benches":$benches,"result":$result}')
-
-if [ -f "$SRVOUT" ]; then
-	jq --argjson entry "$SRVMETA" '. + [$entry]' "$SRVOUT" >"$SRVOUT.tmp" && mv "$SRVOUT.tmp" "$SRVOUT"
-else
-	jq -n --argjson entry "$SRVMETA" '[$entry]' >"$SRVOUT"
-fi
-
-echo "recorded '$LABEL' into $SRVOUT:"
+record BENCH_server.json "$SRVRAW" result "$SRVRES"
 printf '%s\n' "$SRVRES" | jq -c '.Points[0], .Points[-1]'
 
 # --- futures-engine hot paths ----------------------------------------------
-COREOUT=BENCH_core.json
 CORERAW=$(go test -run '^$' -bench 'BenchmarkReadDepth|BenchmarkSubmitEvaluate|BenchmarkValidateWide' \
 	-benchtime "$BENCHTIME" -benchmem ./internal/bench/)
-
-COREENTRIES=$(printf '%s\n' "$CORERAW" | awk '
-	/^Benchmark/ {
-		name = $1; iters = $2; ns = $3; bop = ""; allocs = ""
-		for (i = 4; i <= NF; i++) {
-			if ($(i) == "B/op")      bop = $(i-1)
-			if ($(i) == "allocs/op") allocs = $(i-1)
-		}
-		printf "{\"name\":\"%s\",\"iters\":%s,\"ns_per_op\":%s", name, iters, ns
-		if (bop != "")    printf ",\"b_per_op\":%s", bop
-		if (allocs != "") printf ",\"allocs_per_op\":%s", allocs
-		print "}"
-	}' | jq -s .)
-
 CORERES=$(go run ./cmd/wtfbench -exp core -quick -duration 150ms -json | jq '.result')
-
-COREMETA=$(jq -n \
-	--arg lbl "$LABEL" \
-	--arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-	--arg rev "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
-	--arg go "$(go version | awk '{print $3}')" \
-	--argjson cpus "$(nproc)" \
-	--argjson gomaxprocs "$GOMAXPROCS_VAL" \
-	--arg cpu_model "$CPU_MODEL" \
-	--argjson benches "$COREENTRIES" \
-	--argjson sweep "$CORERES" \
-	'{"label":$lbl,"date":$date,"rev":$rev,"go":$go,"cpus":$cpus,"gomaxprocs":$gomaxprocs,"cpu_model":$cpu_model,"benches":$benches,"sweep":$sweep}')
-
-if [ -f "$COREOUT" ]; then
-	jq --argjson entry "$COREMETA" '. + [$entry]' "$COREOUT" >"$COREOUT.tmp" && mv "$COREOUT.tmp" "$COREOUT"
-else
-	jq -n --argjson entry "$COREMETA" '[$entry]' >"$COREOUT"
-fi
-
-echo "recorded '$LABEL' into $COREOUT:"
+record BENCH_core.json "$CORERAW" sweep "$CORERES"
 printf '%s\n' "$CORERAW" | grep '^Benchmark' || true
