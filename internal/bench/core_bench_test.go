@@ -78,6 +78,26 @@ func BenchmarkReadDepth(b *testing.B) {
 	}
 }
 
+// BenchmarkAtomicSingleWrite measures a top-level transaction that submits
+// no future: one read-modify-write of one box, the shape of a served
+// single-key PUT. It prices what the engine adds around the substrate commit
+// when the graph is a single root vertex.
+func BenchmarkAtomicSingleWrite(b *testing.B) {
+	sys, boxes := newCoreBench(1)
+	box := boxes[0]
+	body := func(tx *core.Tx) error {
+		tx.Write(box, tx.Read(box).(int)+1)
+		return nil
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if err := sys.Atomic(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSubmitEvaluate measures one submit+merge+evaluate round trip at
 // varying chain depths (the chain grows across the transaction, so deeper
 // configurations stress merge bookkeeping and ancestor updates).
@@ -115,7 +135,7 @@ func BenchmarkSubmitEvaluate(b *testing.B) {
 // point stresses the conflict-summary skip path (disjoint sets should
 // never need a full read-set scan).
 func BenchmarkValidateWide(b *testing.B) {
-	for _, width := range []int{4, 16, 64} {
+	for _, width := range []int{4, 8, 16, 64} {
 		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
 			sys, boxes := newCoreBench(width)
 			b.ReportAllocs()

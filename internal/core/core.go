@@ -162,11 +162,18 @@ type System struct {
 	stats  Stats
 	topSeq atomic.Int64
 	widSeq atomic.Int64 // unique ids for uncommitted writes (GAC resolution)
+
+	// observed is true when a recorder or a scheduler hook is installed:
+	// only they read the display names of futures.
+	observed bool
+
+	arenas  arenaList // retired graph arenas awaiting reuse (pool.go)
+	workers workerSet // parked future workers (worker.go)
 }
 
 // New creates a futures engine over stm with the given options.
 func New(stm *mvstm.STM, opts Options) *System {
-	return &System{stm: stm, opts: opts}
+	return &System{stm: stm, opts: opts, observed: opts.Recorder != nil || opts.Hook != nil}
 }
 
 // STM returns the underlying multi-versioned STM.

@@ -316,4 +316,4 @@ func TestManyTopsStressGAC(t *testing.T) {
 }
 
 // settledCh exposes the settle channel to white-box tests.
-func (f *Future) settledCh() <-chan struct{} { return f.settled }
+func (f *Future) settledCh() <-chan struct{} { return f.settled.wait() }

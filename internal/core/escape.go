@@ -46,7 +46,7 @@ func buildDetach(f *Future) *detachRec {
 	defer t.mu.RUnlock()
 	seenR := make(map[*mvstm.VBox]bool)
 	seenW := make(map[*mvstm.VBox]int)
-	for _, c := range chain(f.vertex) {
+	for c := f.vertex; c != nil; c = c.next {
 		c.vmu.Lock()
 		for b, obs := range c.reads.all() {
 			if seenR[b] {
@@ -90,15 +90,20 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 	hook := top.sys.opts.Hook
 
 	// The reference must have reached us through committed state (or an
-	// out-of-band channel): wait for the spawning transaction's outcome.
-	switch waitAny3(hook, f.top.commitCh, f.top.abortCh, top.abortCh) {
-	case 1:
-		return nil, ErrStaleFuture
-	case 2:
-		panic(&retrySignal{cause: top.abortCause()})
+	// out-of-band channel): wait for the spawning transaction's outcome. A
+	// retained handle is usually long past both waits.
+	if hook != nil || !f.att.committed.isSet() {
+		switch waitAny3(hook, f.att.committed.wait(), f.att.aborted.wait(), top.abortChan()) {
+		case 1:
+			return nil, ErrStaleFuture
+		case 2:
+			panic(&retrySignal{cause: top.abortCause()})
+		}
 	}
-	if waitAny2(hook, f.settled, top.abortCh) == 1 {
-		panic(&retrySignal{cause: top.abortCause()})
+	if hook != nil || !f.settled.isSet() {
+		if waitAny2(hook, f.settled.wait(), top.abortChan()) == 1 {
+			panic(&retrySignal{cause: top.abortCause()})
+		}
 	}
 
 	switch f.getState() {
@@ -128,7 +133,7 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 		}
 		ch := f.claimCh
 		f.mu.Unlock()
-		if waitAny2(hook, ch, top.abortCh) == 1 {
+		if waitAny2(hook, ch, top.abortChan()) == 1 {
 			panic(&retrySignal{cause: top.abortCause()})
 		}
 		f.mu.Lock()
@@ -152,13 +157,11 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 		cur.vmu.Lock()
 		for _, r := range det.reads {
 			if _, ok := cur.reads.get(r.box); !ok {
-				cur.reads.put(r.box, readObs{val: r.ver.Value, ver: r.ver})
-				cur.readSum |= r.box.Summary()
+				cur.addRead(r.box, readObs{val: r.ver.Value, ver: r.ver})
 			}
 		}
 		for _, w := range det.writes {
-			cur.writes.put(w.box, writeEntry{val: w.val, wid: w.wid, flow: cur.flow})
-			cur.writeSum |= w.box.Summary()
+			cur.addWrite(w.box, writeEntry{val: w.val, wid: w.wid, flow: cur.flow})
 		}
 		cur.vmu.Unlock()
 		tx.boundaryLocked()

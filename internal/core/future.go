@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -41,26 +42,84 @@ const (
 
 var errSOConflict = errors.New("core: continuation read data written by a strongly ordered future")
 
+// event is a one-shot broadcast. Most events are observed only after they
+// fired, or never, so the channel a blocked waiter needs is made by the first
+// waiter instead of with the event.
+type event struct {
+	set atomic.Bool
+	mu  sync.Mutex
+	ch  chan struct{}
+}
+
+// closedCh is what wait returns once an event fired.
+var closedCh = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+func (e *event) isSet() bool { return e.set.Load() }
+
+// fire sets the event and wakes every waiter; later calls do nothing.
+func (e *event) fire() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.set.Swap(true) && e.ch != nil {
+		close(e.ch)
+	}
+}
+
+// wait returns a channel that is closed once the event fired.
+func (e *event) wait() <-chan struct{} {
+	if e.set.Load() {
+		return closedCh
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.set.Load() {
+		return closedCh
+	}
+	if e.ch == nil {
+		e.ch = make(chan struct{})
+	}
+	return e.ch
+}
+
+// attempt is the part of a top-level attempt that outlives its arena: the
+// identity and the outcome that retained Future handles consult from other
+// transactions. It is created with the attempt's first Submit — a
+// transaction that submits nothing has no handle that could ask.
+type attempt struct {
+	id        int64
+	committed event
+	aborted   event
+}
+
 // Future is a handle to a transactional future. It is created by Tx.Submit
 // and redeemed by Tx.Evaluate. A Future may be evaluated any number of
 // times; every evaluation returns the result of the single committed
-// execution of the body (§3.2).
+// execution of the body (§3.2). Handles are ordinary heap values and stay
+// valid forever; see pool.go for what they may point at, and until when.
 type Future struct {
 	sys  *System
-	top  *topTx
+	att  *attempt // the spawning attempt's identity and outcome
 	id   int
-	nm   string
 	flow int
-	body func(*Tx) (any, error)
 
-	// vertex is the first vertex of the body's chain; cont is the
-	// continuation vertex created alongside it. Guarded by top.mu.
+	nmOnce sync.Once
+	nm     string
+
+	// The handle's view into its attempt's arena, dropped by dropGraph once
+	// no evaluation can need it. top is the spawning attempt; vertex is the
+	// first vertex of the body's chain and cont the continuation vertex
+	// created alongside it; ftx is the body's Tx handle, created at Submit
+	// (under top.mu) so the flow's visible-write index is registered before
+	// the body runs. vertex and cont are guarded by top.mu.
+	top    *topTx
+	body   func(*Tx) (any, error)
 	vertex *vertex
 	cont   *vertex
-
-	// ftx is the body's Tx handle, created at Submit (under top.mu) so the
-	// flow's visible-write index is registered before the body runs.
-	ftx *Tx
+	ftx    *Tx
 
 	// prevInFlow is the previously submitted future of the same spawning
 	// flow; under SO semantics this future's merge waits for it (the
@@ -71,11 +130,11 @@ type Future struct {
 	// in (0 outside segmented transactions).
 	submitSegment int
 
-	// execDone closes when the body's first execution finishes; settled
-	// closes when the engine classified that execution (merged, parked,
+	// execDone fires when the body's first execution finishes; settled
+	// fires when the engine classified that execution (merged, parked,
 	// failed, aborted or stale).
-	execDone chan struct{}
-	settled  chan struct{}
+	execDone event
+	settled  event
 
 	// invalid marks a pending future whose observed ancestor state was
 	// discarded (its spawning chain was itself discarded); it must
@@ -89,14 +148,6 @@ type Future struct {
 	// writes. extraSum is the set's Bloom summary. Guarded by top.mu.
 	extraPathWrites map[*mvstm.VBox]struct{}
 	extraSum        uint64
-
-	// sets caches the read/write box sets of the body's chain. The chain is
-	// frozen once the body finishes (the flow appends no more vertices and
-	// merges never target a completed future's vertices), so the cache
-	// computed when the future settles is reused verbatim by a later
-	// evaluation-point validation; the tail vertex id is kept as a staleness
-	// guard. Guarded by top.mu.
-	sets *chainSets
 
 	state  atomic.Int32
 	result any   // body result; final once state is fMerged
@@ -114,61 +165,68 @@ type Future struct {
 	final    bool
 }
 
-// nm is the cached display name ("T<top>.F<id>"), fixed at construction;
-// name() is called on every history record and scheduler yield involving the
-// future, so formatting it each time was measurable.
-func (f *Future) name() string { return f.nm }
+// name is the display name ("T<top>.F<id>") history records and scheduler
+// yields carry. Only a recorder or a scheduler hook ever reads it, so
+// without either it is never built.
+func (f *Future) name() string {
+	if !f.sys.observed {
+		return ""
+	}
+	f.nmOnce.Do(func() {
+		f.nm = "T" + strconv.FormatInt(f.att.id, 10) + ".F" + strconv.Itoa(f.id)
+	})
+	return f.nm
+}
 
 // Done returns a channel that closes when the future's body has finished
 // executing. Benchmark harnesses use it to evaluate futures out of order as
 // soon as they complete (the WTF-TM-OutOfOrder variant of §5.3).
-func (f *Future) Done() <-chan struct{} { return f.execDone }
+func (f *Future) Done() <-chan struct{} { return f.execDone.wait() }
 
-// addExtraPathWrites accumulates relocation writes. Caller holds top.mu.
-func (f *Future) addExtraPathWrites(boxes map[*mvstm.VBox]struct{}) {
-	if len(boxes) == 0 {
-		return
-	}
-	if f.extraPathWrites == nil {
-		f.extraPathWrites = make(map[*mvstm.VBox]struct{}, len(boxes))
-	}
-	for b := range boxes {
+// dropGraph lets go of the attempt's arena once the future is in a state no
+// evaluation validates, merges or re-executes from: what Evaluate still
+// needs (state, result, error, the attempt's outcome) lives in the handle.
+// Caller holds top.mu exclusively, or holds the attempt's last reference.
+func (f *Future) dropGraph() {
+	f.top, f.body, f.vertex, f.cont, f.ftx = nil, nil, nil, nil, nil
+	f.extraPathWrites = nil
+}
+
+// addExtraPathWrites accumulates v's writes as relocation writes. Caller
+// holds top.mu exclusively.
+func (f *Future) addExtraPathWrites(v *vertex) {
+	v.vmu.Lock()
+	for b := range v.writes.all() {
+		if f.extraPathWrites == nil {
+			f.extraPathWrites = make(map[*mvstm.VBox]struct{})
+		}
 		f.extraPathWrites[b] = struct{}{}
 		f.extraSum |= b.Summary()
 	}
+	v.vmu.Unlock()
 }
 
-// chainSets holds the read/write box sets of a completed future's chain and
-// their Bloom summaries, cached on the Future (see Future.sets).
-type chainSets struct {
-	tail     int // id of the chain tail at computation time
-	writes   map[*mvstm.VBox]struct{}
-	reads    map[*mvstm.VBox]struct{}
-	writeSum uint64
-	readSum  uint64
-}
-
-// chainSetsLocked returns the (cached) box sets of the future's chain,
-// recomputing only if the chain's tail changed since they were captured.
-// Caller holds top.mu.
-func (f *Future) chainSetsLocked() *chainSets {
-	tail := f.vertex
-	for tail.next != nil {
-		tail = tail.next
+// extraConflict reports whether the future's chain (read summary rsum) read
+// a box in extraPathWrites, not counting reads of its own writes. Caller
+// holds top.mu exclusively.
+func (f *Future) extraConflict(rsum uint64) bool {
+	if rsum&f.extraSum == 0 {
+		return false
 	}
-	if f.sets == nil || f.sets.tail != tail.id {
-		cs := &chainSets{tail: tail.id}
-		cs.writes, cs.writeSum = chainWriteBoxes(f.vertex)
-		cs.reads, cs.readSum = chainReadBoxes(f.vertex, f.flow)
-		f.sets = cs
+	for c := f.vertex; c != nil; c = c.next {
+		if c.readSum.Load()&f.extraSum == 0 {
+			continue
+		}
+		for b, obs := range c.reads.all() {
+			if obs.ver == nil && obs.flow == f.flow {
+				continue
+			}
+			if _, ok := f.extraPathWrites[b]; ok {
+				return true
+			}
+		}
 	}
-	return f.sets
-}
-
-// extraConflict reports whether the chain read a box in extraPathWrites,
-// summary-gated. Caller holds top.mu.
-func (f *Future) extraConflict(cs *chainSets) bool {
-	return cs.readSum&f.extraSum != 0 && intersects(cs.reads, f.extraPathWrites)
+	return false
 }
 
 func (f *Future) getState() futState  { return futState(f.state.Load()) }
@@ -176,56 +234,58 @@ func (f *Future) setState(s futState) { f.state.Store(int32(s)) }
 func (f *Future) invalidate()         { f.invalid.Store(true) }
 func (f *Future) isInvalidated() bool { return f.invalid.Load() }
 
-// run executes the body on its own goroutine and then classifies the
-// execution (the paper's future commit protocol).
+// run executes the body on a worker goroutine and then classifies the
+// execution (the paper's future commit protocol). Settling drops the
+// future's reference on its attempt; nothing here touches the arena after.
 func (f *Future) run() {
-	if h := f.sys.opts.Hook; h != nil {
+	sys, top := f.sys, f.top
+	if h := sys.opts.Hook; h != nil {
 		h.TaskBegin()
 		defer h.TaskEnd()
 	}
 	tx := f.ftx
-	f.sys.record(history.Op{Top: f.top.id, Flow: f.flow, Kind: history.FutureBegin, Arg: f.name()})
+	sys.record(history.Op{Top: top.id, Flow: f.flow, Kind: history.FutureBegin, Arg: f.name()})
 	res, err, retry := runBody(f.body, tx)
-	close(f.execDone)
+	f.execDone.fire()
 	defer func() {
-		close(f.settled)
-		f.top.settleOne()
+		f.settled.fire()
+		top.unref()
 	}()
-	f.sys.yield(sched.PointFutureSettle, f.name())
+	sys.yield(sched.PointFutureSettle, f.name())
 
-	if retry != nil || f.top.aborted.Load() {
+	if retry != nil || top.aborted.Load() {
 		f.setState(fStale)
 		return
 	}
 	if err != nil {
-		f.top.lockG()
-		delete(f.top.flowTx, f.flow)
-		f.top.discardChain(f.vertex)
+		top.lockG()
+		top.unregister(tx)
+		top.discardChain(f.vertex)
 		f.err = err
 		f.setState(fUserAborted)
-		f.top.unlockG()
-		f.sys.record(history.Op{Top: f.top.id, Flow: f.flow, Kind: history.FutureAbort, Arg: f.name()})
+		f.dropGraph()
+		top.unlockG()
+		sys.record(history.Op{Top: top.id, Flow: f.flow, Kind: history.FutureAbort, Arg: f.name()})
 		return
 	}
 
 	// Under SO semantics futures serialize at submission in submission
 	// order within their flow: wait for the previous sibling to settle so a
 	// straggler stalls its successors, exactly as in JTF.
-	if f.sys.opts.Ordering == SO {
-		for p := f.prevInFlow; p != nil; p = nil {
-			if waitAny2(f.sys.opts.Hook, p.settled, f.top.abortCh) == 1 {
+	if sys.opts.Ordering == SO {
+		if p := f.prevInFlow; p != nil {
+			if waitAny2(sys.opts.Hook, p.settled.wait(), top.abortChan()) == 1 {
 				f.setState(fStale)
 				return
 			}
 		}
 	}
 
-	top := f.top
 	top.lockG()
 	defer top.unlockG()
 	// The body finished: its Tx resolves no further reads, so its index no
 	// longer needs invalidations.
-	delete(top.flowTx, f.flow)
+	top.unregister(tx)
 	if top.aborted.Load() {
 		f.setState(fStale)
 		return
@@ -244,17 +304,18 @@ func (f *Future) run() {
 		return
 	}
 	f.result = res
-	cs := f.chainSetsLocked()
-	canMergeAtSubmission := !forwardConflicts(f.cont, cs.writes, cs.writeSum, f.vertex) &&
-		!f.extraConflict(cs)
+	rsum, wsum := chainSums(f.vertex)
+	canMergeAtSubmission := !top.forwardConflicts(f.cont, f.vertex, wsum, f.vertex) &&
+		!f.extraConflict(rsum)
 	if canMergeAtSubmission {
 		top.mergeChain(f.vertex, f.vertex.pred, nil)
 		f.setState(fMerged)
-		f.sys.stats.MergedAtSubmission.Add(1)
-		f.sys.record(history.Op{Top: top.id, Flow: f.flow, Kind: history.FutureMerge, Arg: "submission"})
+		f.dropGraph()
+		sys.stats.MergedAtSubmission.Add(1)
+		sys.record(history.Op{Top: top.id, Flow: f.flow, Kind: history.FutureMerge, Arg: "submission"})
 		return
 	}
-	if f.sys.opts.Ordering == SO {
+	if sys.opts.Ordering == SO {
 		// A continuation sub-transaction observed state this future is about
 		// to overwrite: under SO the continuation must abort. With
 		// AtomicSegments only the segments from this future's submission
@@ -262,7 +323,7 @@ func (f *Future) run() {
 		// the whole transaction since Go lacks first-class continuations
 		// (see DESIGN.md, substitutions).
 		f.setState(fFailed)
-		f.sys.stats.TopInternal.Add(1)
+		sys.stats.TopInternal.Add(1)
 		if top.segMode {
 			top.requestRollback(f.submitSegment)
 		} else {
@@ -298,7 +359,7 @@ func runBody(body func(*Tx) (any, error), tx *Tx) (res any, err error, retry *re
 func (tx *Tx) evaluateLocal(f *Future) (any, error) {
 	top := tx.top
 	for {
-		tx.await(f.settled)
+		tx.awaitSettled(f)
 		top.lockG()
 		if top.aborted.Load() {
 			top.unlockG()
@@ -337,14 +398,14 @@ func (tx *Tx) evaluateLocal(f *Future) (any, error) {
 				return nil, ErrStaleFuture
 			}
 			{
-				cs := f.chainSetsLocked()
-				conflict, ok := backwardConflicts(tx.cur, f.vertex.pred, cs.reads, cs.readSum)
+				rsum, _ := chainSums(f.vertex)
+				conflict, ok := backwardConflicts(tx.cur, f.vertex.pred, f.vertex, rsum, f.flow)
 				if faultSkipBackwardValidation {
 					// conform_fault: pretend backward validation passed. The
 					// conformance harness must flag the resulting histories.
 					conflict = false
 				}
-				if ok && !conflict && !f.extraConflict(cs) {
+				if ok && !conflict && !f.extraConflict(rsum) {
 					// Serialize at the evaluation point: merge the chain into
 					// the evaluator's (iCommitting) sub-transaction.
 					cur := tx.cur
@@ -356,6 +417,7 @@ func (tx *Tx) evaluateLocal(f *Future) (any, error) {
 					next := top.newVertex(cur.flow, cur)
 					tx.cur = next
 					f.setState(fMerged)
+					f.dropGraph()
 					f.sys.stats.MergedAtEvaluation.Add(1)
 					f.sys.record(history.Op{Top: top.id, Flow: f.flow, Kind: history.FutureMerge, Arg: "evaluation"})
 					top.unlockG()
@@ -376,6 +438,7 @@ func (tx *Tx) evaluateLocal(f *Future) (any, error) {
 			res, err := tx.runInline(f.body, f.name())
 
 			top.lockG()
+			f.dropGraph()
 			if err != nil {
 				f.err = err
 				f.setState(fUserAborted)
@@ -393,7 +456,7 @@ func (tx *Tx) evaluateLocal(f *Future) (any, error) {
 
 		default:
 			top.unlockG()
-			panic(fmt.Sprintf("core: future %s settled in state %d", f.name(), f.getState()))
+			panic(fmt.Sprintf("core: future T%d.F%d settled in state %d", f.att.id, f.id, f.getState()))
 		}
 	}
 }
@@ -422,8 +485,7 @@ func (tx *Tx) runInline(body func(*Tx) (any, error), label string) (any, error) 
 	// that, if the evaluator is itself a future, its eventual merge folds
 	// the re-execution's effects too (chain() follows next pointers).
 	cur.next = rv
-	sub := &Tx{top: top, cur: rv}
-	top.flowTx[rv.flow] = sub
+	sub := top.newTx(rv)
 	top.unlockG()
 
 	f := top.sys
@@ -434,7 +496,7 @@ func (tx *Tx) runInline(body func(*Tx) (any, error), label string) (any, error) 
 	}
 
 	top.lockG()
-	delete(top.flowTx, rv.flow)
+	top.unregister(sub)
 	if err != nil {
 		top.discardChain(rv)
 		tx.cur = top.newVertex(cur.flow, cur) // also re-points cur.next
@@ -448,7 +510,13 @@ func (tx *Tx) runInline(body func(*Tx) (any, error), label string) (any, error) 
 		// sub-handle's index (visible-at-tail) plus tail's own writes, or
 		// rebuild lazily if the sub-handle's index isn't current.
 		if sub.visOK.Load() {
-			tx.vis = sub.vis
+			// Swapped, not shared: both handles are arena memory and keep
+			// their map for the next attempt.
+			tx.vis, sub.vis = sub.vis, tx.vis
+			sub.visBuilt = false
+			sub.visOK.Store(false)
+			tx.visBuilt = true
+			clear(tx.pending)
 			tx.pending = tx.pending[:0]
 			tx.visDirty = false
 			tx.visOK.Store(true)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"wtftm/internal/history"
 	"wtftm/internal/mvstm"
@@ -44,7 +45,9 @@ type writeEntry struct {
 }
 
 // vertex is a node of the per-top-level-transaction graph G: one
-// sub-transaction, delimited by submit/evaluate boundaries.
+// sub-transaction, delimited by submit/evaluate boundaries. Vertices are
+// arena memory (pool.go): reset and reused by a later attempt once this one
+// is quiescent.
 type vertex struct {
 	id   int
 	flow int // logical thread of control (0 = main flow, one per future)
@@ -58,17 +61,25 @@ type vertex struct {
 	succs  []*vertex
 	status vstatus
 
+	// mark is the traversal epoch that last visited the vertex (see
+	// topTx.nextEpoch): "seen" in the forward scan, "in this chain" in merge
+	// and discard. Guarded by top.mu held exclusively.
+	mark uint64
+
 	// Data sets, guarded by vmu (they are read by validators while the
 	// owning flow appends). readSum/writeSum are Bloom summaries of the box
 	// fingerprints in the corresponding set: bits are only ever added (the
 	// read fast path's retraction leaves its bit set — a false positive at
 	// worst), so a zero AND against a query summary proves the set disjoint
-	// and lets validators skip the set scan.
+	// and lets validators skip the vertex without taking vmu. They are
+	// written under vmu and loaded atomically: a lock-free reader publishes
+	// its bit before it re-checks the graph epoch and a validator bumps the
+	// epoch before it loads, so one of the two always notices the other.
 	vmu      sync.Mutex
 	reads    iset[readObs]
 	writes   iset[writeEntry]
-	readSum  uint64
-	writeSum uint64
+	readSum  atomic.Uint64
+	writeSum atomic.Uint64
 
 	// segment is the AtomicSegments segment this vertex belongs to
 	// (inherited from pred; re-stamped at segment boundaries).
@@ -80,17 +91,66 @@ type vertex struct {
 
 func (v *vertex) removed() bool { return v.status == vRemoved }
 
-// newVertex allocates a vertex in flow, linked after pred. Vertices come
-// from the transaction's slab (see pool.go); their data sets start inline
-// and allocate nothing until they spill. Caller holds top.mu.
-func (t *topTx) newVertex(flow int, pred *vertex) *vertex {
-	t.nextVID++
-	v := t.allocVertex()
-	v.id = t.nextVID
-	v.flow = flow
-	v.top = t
-	v.pred = pred
+// addRead records a first read of b. Caller holds v.vmu.
+func (v *vertex) addRead(b *mvstm.VBox, obs readObs) {
+	v.reads.put(b, obs)
+	if s := v.readSum.Load(); s|b.Summary() != s {
+		v.readSum.Store(s | b.Summary())
+	}
+}
+
+// addWrite buffers a write of b. Caller holds v.vmu.
+func (v *vertex) addWrite(b *mvstm.VBox, we writeEntry) {
+	v.writes.put(b, we)
+	if s := v.writeSum.Load(); s|b.Summary() != s {
+		v.writeSum.Store(s | b.Summary())
+	}
+}
+
+// reset readies a vertex for its arena's next attempt.
+func (v *vertex) reset() {
+	v.id, v.flow, v.segment = 0, 0, 0
+	v.pred, v.next, v.fut = nil, nil, nil
+	v.dropSuccs()
 	v.status = vActive
+	v.mark = 0
+	v.reads.reset()
+	v.writes.reset()
+	v.readSum.Store(0)
+	v.writeSum.Store(0)
+}
+
+// dropSuccs empties the successor list, keeping its storage.
+func (v *vertex) dropSuccs() {
+	clear(v.succs)
+	v.succs = v.succs[:0]
+}
+
+// unlink removes v from its predecessor's successor list.
+func (v *vertex) unlink() {
+	p := v.pred
+	if p == nil {
+		return
+	}
+	for i, s := range p.succs {
+		if s == v {
+			last := len(p.succs) - 1
+			copy(p.succs[i:], p.succs[i+1:])
+			p.succs[last] = nil
+			p.succs = p.succs[:last]
+			return
+		}
+	}
+}
+
+// newVertex allocates a vertex in flow, linked after pred. Vertices come
+// from the attempt's arena (see pool.go); their data sets start inline and
+// allocate nothing until they spill. Caller holds top.mu.
+func (t *topTx) newVertex(flow int, pred *vertex) *vertex {
+	v := t.allocVertex()
+	v.id = t.nverts
+	v.flow = flow
+	v.pred = pred
 	if pred != nil {
 		v.segment = pred.segment
 		pred.succs = append(pred.succs, v)
@@ -98,136 +158,135 @@ func (t *topTx) newVertex(flow int, pred *vertex) *vertex {
 			pred.next = v
 		}
 	}
-	t.allVertices = append(t.allVertices, v)
 	return v
 }
 
-// chain returns the same-flow vertex chain rooted at v, in execution order.
-// Caller holds top.mu.
-func chain(v *vertex) []*vertex {
-	var out []*vertex
-	for c := v; c != nil; c = c.next {
-		out = append(out, c)
-	}
-	return out
+// nextEpoch opens a fresh traversal epoch: a vertex whose mark equals the
+// returned value was visited by (or belongs to the chain of) the traversal
+// that opened it. Epochs never repeat within an arena, so a nested traversal
+// (discard recursing into a child chain) cannot disturb its caller's marks.
+// Caller holds top.mu exclusively.
+func (t *topTx) nextEpoch() uint64 {
+	t.epoch++
+	return t.epoch
 }
 
-// chainWriteBoxes returns the union of boxes written along the chain rooted
-// at v, with the set's Bloom summary. Caller holds top.mu.
-func chainWriteBoxes(v *vertex) (map[*mvstm.VBox]struct{}, uint64) {
-	out := make(map[*mvstm.VBox]struct{})
-	var sum uint64
-	for _, c := range chain(v) {
-		c.vmu.Lock()
-		for b := range c.writes.all() {
-			out[b] = struct{}{}
-			sum |= b.Summary()
-		}
-		c.vmu.Unlock()
+// chainSums ORs the vertex summaries along the chain rooted at head: a
+// superset of the fingerprints of every box the chain read (including reads
+// of its own writes, which validation ignores) and wrote. Caller holds
+// top.mu.
+func chainSums(head *vertex) (rsum, wsum uint64) {
+	for c := head; c != nil; c = c.next {
+		rsum |= c.readSum.Load()
+		wsum |= c.writeSum.Load()
 	}
-	return out, sum
+	return rsum, wsum
 }
 
-// chainReadBoxes returns the boxes read along the chain rooted at v,
-// excluding reads that observed a write originating in flow self (a future
-// re-reading its own chain's writes never conflicts with reordering the
-// whole chain), with the set's Bloom summary. Caller holds top.mu.
-func chainReadBoxes(v *vertex, self int) (map[*mvstm.VBox]struct{}, uint64) {
-	out := make(map[*mvstm.VBox]struct{})
-	var sum uint64
-	for _, c := range chain(v) {
-		c.vmu.Lock()
-		for b, obs := range c.reads.all() {
-			if obs.ver == nil && obs.flow == self {
-				continue
+// chainWrote reports whether the chain rooted at head wrote b. The chain is
+// complete (its flow finished, and merges into it happen under top.mu), so
+// its sets are read without vmu. Caller holds top.mu exclusively.
+func chainWrote(head *vertex, b *mvstm.VBox) bool {
+	bs := b.Summary()
+	for c := head; c != nil; c = c.next {
+		if c.writeSum.Load()&bs == bs {
+			if _, ok := c.writes.get(b); ok {
+				return true
 			}
-			out[b] = struct{}{}
-			sum |= b.Summary()
 		}
-		c.vmu.Unlock()
 	}
-	return out, sum
+	return false
 }
 
-// intersects reports whether the two box sets share an element.
-func intersects(a map[*mvstm.VBox]struct{}, b map[*mvstm.VBox]struct{}) bool {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	for x := range a {
-		if _, ok := b[x]; ok {
-			return true
+// chainRead reports whether the chain rooted at head read b, not counting
+// reads that observed a write originating in flow self (a future re-reading
+// its own chain's writes never conflicts with reordering the whole chain).
+// Caller holds top.mu exclusively.
+func chainRead(head *vertex, b *mvstm.VBox, self int) bool {
+	bs := b.Summary()
+	for c := head; c != nil; c = c.next {
+		if c.readSum.Load()&bs == bs {
+			if obs, ok := c.reads.get(b); ok && (obs.ver != nil || obs.flow != self) {
+				return true
+			}
 		}
 	}
 	return false
 }
 
 // forwardConflicts reports whether any vertex forward-reachable from start
-// (inclusive) read one of the boxes in writes. skip, when non-nil, prunes
-// the subtree rooted at it (the validated future's own chain, whose
-// self-reads never conflict with relocating the whole chain). This is the
-// paper's forward validation: serializing a future at its submission point
-// is safe only if no sub-transaction ordered after its continuation observed
-// state the future is about to overwrite. Caller holds top.mu.
-func forwardConflicts(start *vertex, writes map[*mvstm.VBox]struct{}, wsum uint64, skip *vertex) bool {
-	if len(writes) == 0 {
+// (inclusive) read a box written by the chain rooted at head, whose write
+// summary is wsum. skip, when non-nil, prunes the subtree rooted at it (the
+// validated future's own chain, whose self-reads never conflict with
+// relocating the whole chain). This is the paper's forward validation:
+// serializing a future at its submission point is safe only if no
+// sub-transaction ordered after its continuation observed state the future
+// is about to overwrite.
+//
+// Summaries come first: a visited vertex whose read summary shares no bit
+// with wsum is passed without taking its lock or touching a set, so a scan
+// in which nothing overlaps (every MULTI of disjoint per-shard futures)
+// materialises nothing. Caller holds top.mu exclusively.
+func (t *topTx) forwardConflicts(start, head *vertex, wsum uint64, skip *vertex) bool {
+	if wsum == 0 {
 		return false
 	}
-	seen := map[*vertex]bool{start: true}
-	stack := []*vertex{start}
-	for len(stack) > 0 {
+	ep := t.nextEpoch()
+	start.mark = ep
+	stack := append(t.stack[:0], start)
+	hit := false
+	for len(stack) > 0 && !hit {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if v.removed() || v == skip {
 			continue
 		}
-		v.vmu.Lock()
-		hit := false
 		// Disjoint summaries prove the vertex read none of the boxes; only
 		// scan on a (possibly false-positive) overlap.
-		if v.readSum&wsum != 0 {
+		if v.readSum.Load()&wsum != 0 {
+			v.vmu.Lock()
 			for b := range v.reads.all() {
-				if _, ok := writes[b]; ok {
+				if chainWrote(head, b) {
 					hit = true
 					break
 				}
 			}
-		}
-		v.vmu.Unlock()
-		if hit {
-			return true
+			v.vmu.Unlock()
 		}
 		for _, s := range v.succs {
-			if !seen[s] {
-				seen[s] = true
+			if s.mark != ep {
+				s.mark = ep
 				stack = append(stack, s)
 			}
 		}
 	}
-	return false
+	t.stack = stack[:0]
+	return hit
 }
 
 // backwardConflicts walks the unique predecessor path from `from` back to
 // (but excluding) the spawner vertex `until`, and reports whether any vertex
-// on it wrote a box in reads. This is the paper's backward validation: those
+// on it wrote a box the chain rooted at head read (rsum is the chain's read
+// summary, self its flow). This is the paper's backward validation: those
 // sub-transactions executed concurrently with the future and their writes
 // were invisible to it, so the future may only be reordered after them if it
 // read none of what they wrote. The second result is false if `until` is not
 // an ancestor of `from` (a structurally invalid evaluation; the caller must
-// re-execute). Caller holds top.mu.
-func backwardConflicts(from, until *vertex, reads map[*mvstm.VBox]struct{}, rsum uint64) (conflict, ok bool) {
+// re-execute). Caller holds top.mu exclusively.
+func backwardConflicts(from, until, head *vertex, rsum uint64, self int) (conflict, ok bool) {
 	for v := from; v != nil; v = v.pred {
 		if v == until {
 			return false, true
 		}
+		if v.writeSum.Load()&rsum == 0 {
+			continue
+		}
 		v.vmu.Lock()
 		hit := false
-		if v.writeSum&rsum != 0 {
-			for b := range v.writes.all() {
-				if _, in := reads[b]; in {
-					hit = true
-					break
-				}
+		for b := range v.writes.all() {
+			if chainRead(head, b, self) {
+				hit = true
+				break
 			}
 		}
 		v.vmu.Unlock()
@@ -236,21 +295,6 @@ func backwardConflicts(from, until *vertex, reads map[*mvstm.VBox]struct{}, rsum
 		}
 	}
 	return false, false
-}
-
-// pathWriteBoxes returns the union of boxes written by the vertices on the
-// predecessor path from `from` (inclusive) back to `until` (exclusive).
-// Caller holds top.mu.
-func pathWriteBoxes(from, until *vertex) map[*mvstm.VBox]struct{} {
-	out := make(map[*mvstm.VBox]struct{})
-	for v := from; v != nil && v != until; v = v.pred {
-		v.vmu.Lock()
-		for b := range v.writes.all() {
-			out[b] = struct{}{}
-		}
-		v.vmu.Unlock()
-	}
-	return out
 }
 
 // mergeChain serializes the (completed) chain rooted at head into target:
@@ -267,89 +311,80 @@ func pathWriteBoxes(from, until *vertex) map[*mvstm.VBox]struct{} {
 // the evaluation point — are accumulated into the child's extraPathWrites,
 // which both of the child's validations consult. evalFrom is nil when
 // serializing at the submission point, or the evaluating vertex when
-// serializing at an evaluation point. Caller holds top.mu.
+// serializing at an evaluation point. Caller holds top.mu exclusively.
 func (t *topTx) mergeChain(head, target *vertex, evalFrom *vertex) {
-	cs := chain(head)
-	inChain := make(map[*vertex]bool, len(cs))
-	for _, c := range cs {
-		inChain[c] = true
+	ep := t.nextEpoch()
+	cs := t.chainBuf[:0]
+	for c := head; c != nil; c = c.next {
+		c.mark = ep
+		cs = append(cs, c)
 	}
+	t.chainBuf = cs
 
-	// Writes between the chain's old position and its new one (only when
-	// relocating forward to an evaluation point).
-	var relocW map[*mvstm.VBox]struct{}
-	if evalFrom != nil {
-		relocW = pathWriteBoxes(evalFrom, head.pred)
-	}
-
-	// Single reverse pass: when visiting cs[i], acc holds exactly the boxes
-	// written by cs[i+1:] — the chain suffix after the vertex that spawned a
-	// given child. Children are re-rooted and handed their extras here,
-	// before cs[i]'s own writes fold into the accumulator (addExtraPathWrites
-	// copies, so sharing the one mutable accumulator is safe).
-	acc := make(map[*mvstm.VBox]struct{})
-	for i := len(cs) - 1; i >= 0; i-- {
-		c := cs[i]
-		for _, child := range c.succs {
-			if inChain[child] || child.removed() {
-				continue
-			}
-			child.pred = target
-			target.succs = append(target.succs, child)
-			if f := child.fut; f != nil {
-				f.addExtraPathWrites(acc)
-				f.addExtraPathWrites(relocW)
-				if inChain[f.cont] {
-					f.cont = target
+	// Pending children (futures the chain spawned that have not serialized)
+	// are re-rooted onto target, last chain vertex first. A child spawned by
+	// cs[i] first inherits the writes of cs[i+1:] — the chain suffix after
+	// its spawn — and, when relocating forward to an evaluation point, the
+	// writes between the chain's old position and its new one. Every path is
+	// walked before any child moves.
+	pending := func(yield func(i int, child *vertex) bool) {
+		for i := len(cs) - 1; i >= 0; i-- {
+			for _, child := range cs[i].succs {
+				if child.mark != ep && !child.removed() && !yield(i, child) {
+					return
 				}
 			}
 		}
-		c.vmu.Lock()
-		for b := range c.writes.all() {
-			acc[b] = struct{}{}
+	}
+	for i, child := range pending {
+		if f := child.fut; f != nil {
+			for _, s := range cs[i+1:] {
+				f.addExtraPathWrites(s)
+			}
+			for v := evalFrom; v != nil && v != head.pred; v = v.pred {
+				f.addExtraPathWrites(v)
+			}
 		}
-		c.vmu.Unlock()
+	}
+	for _, child := range pending {
+		child.pred = target
+		target.succs = append(target.succs, child)
+		if f := child.fut; f != nil && f.cont != nil && f.cont.mark == ep {
+			f.cont = target
+		}
 	}
 
-	// Fold the chain into target, collecting the write patch (chain order,
-	// later writes win — the same precedence the fold applies).
-	patch := make(map[*mvstm.VBox]writeEntry, len(acc))
+	// Fold the chain into target in chain order (later writes win). The
+	// chain's snapshot reads go straight into the substrate transaction's
+	// read set — the top-level validation set — unless the main chain was
+	// already folded (or the attempt aborted), after which nothing consumes
+	// them and the substrate transaction is no longer ours to touch.
+	note := !t.phaseAtLeast(phaseFolding)
 	for _, c := range cs {
 		c.vmu.Lock()
 		target.vmu.Lock()
 		for b, we := range c.writes.all() {
 			target.writes.put(b, we)
-			patch[b] = we
 		}
 		for b, obs := range c.reads.all() {
 			if _, ok := target.reads.get(b); !ok {
 				target.reads.put(b, obs)
 			}
-			if obs.ver != nil {
-				if t.aggReads == nil {
-					t.aggReads = make(map[*mvstm.VBox]struct{})
-				}
-				t.aggReads[b] = struct{}{}
+			if obs.ver != nil && note {
+				t.txn.NoteRead(b)
 			}
 		}
 		// The folded sets are supersets of nothing beyond the union, so the
 		// vertex summaries OR in directly.
-		target.readSum |= c.readSum
-		target.writeSum |= c.writeSum
+		target.readSum.Store(target.readSum.Load() | c.readSum.Load())
+		target.writeSum.Store(target.writeSum.Load() | c.writeSum.Load())
 		target.vmu.Unlock()
 		c.vmu.Unlock()
 		c.status = vRemoved
-		c.succs = nil
+		c.dropSuccs()
 	}
-	if p := head.pred; p != nil {
-		for i, s := range p.succs {
-			if s == head {
-				p.succs = append(p.succs[:i], p.succs[i+1:]...)
-				break
-			}
-		}
-	}
-	t.pushMergePatch(patch, target, evalFrom)
+	head.unlink()
+	t.pushMergePatch(head, target, evalFrom)
 }
 
 // pushMergePatch propagates a merge to the visible-write indexes of the
@@ -362,12 +397,18 @@ func (t *topTx) mergeChain(head, target *vertex, evalFrom *vertex) {
 // An evaluation-point merge relocates re-rooted children onto a genuinely
 // different ancestor path, so every affected flow is invalidated. The
 // evaluating flow's own vertex IS target (never a proper ancestor of
-// itself): it updates its index at its boundary via absorbWrites. Caller
-// holds top.mu exclusively.
-func (t *topTx) pushMergePatch(patch map[*mvstm.VBox]writeEntry, target, evalFrom *vertex) {
-	for _, ftx := range t.flowTx {
+// itself): it updates its index at its boundary via absorbWrites.
+//
+// The patch (the merged chain's writes, later chain vertices winning) is
+// only materialised for a flow that will fold it: one with a built, clean
+// index and no nearer write. head's chain still holds its sets after the
+// fold. Caller holds top.mu exclusively.
+func (t *topTx) pushMergePatch(head, target, evalFrom *vertex) {
+	_, wsum := chainSums(head)
+	var patch map[*mvstm.VBox]writeEntry
+	for _, ftx := range t.flows {
 		c := ftx.cur
-		if c == nil || c == target {
+		if c == target {
 			continue
 		}
 		anc, blocked := false, false
@@ -376,10 +417,10 @@ func (t *topTx) pushMergePatch(patch map[*mvstm.VBox]writeEntry, target, evalFro
 				anc = true
 				break
 			}
-			if !blocked {
+			if !blocked && v.writeSum.Load()&wsum != 0 {
 				v.vmu.Lock()
 				for b := range v.writes.all() {
-					if _, in := patch[b]; in {
+					if chainWrote(head, b) {
 						blocked = true
 						break
 					}
@@ -394,10 +435,18 @@ func (t *topTx) pushMergePatch(patch map[*mvstm.VBox]writeEntry, target, evalFro
 			ftx.markDirtyLocked()
 			continue
 		}
-		if len(patch) == 0 || ftx.vis == nil || ftx.visDirty {
+		if wsum == 0 || !ftx.visBuilt || ftx.visDirty {
 			// Nothing to fold, or the index is unbuilt / already awaiting a
 			// full rebuild: the next refreshVis covers it.
 			continue
+		}
+		if patch == nil {
+			patch = make(map[*mvstm.VBox]writeEntry)
+			for c := head; c != nil; c = c.next {
+				for b, we := range c.writes.all() {
+					patch[b] = we
+				}
+			}
 		}
 		ftx.pending = append(ftx.pending, patch)
 		ftx.visOK.Store(false)
@@ -408,44 +457,38 @@ func (t *topTx) pushMergePatch(patch map[*mvstm.VBox]writeEntry, target, evalFro
 // (used for user-aborted futures and for stale executions about to be
 // re-run). Pending child futures spawned by the chain are invalidated: they
 // can never serialize, so their eventual evaluation re-executes them.
-// Caller holds top.mu.
+// Caller holds top.mu exclusively.
 func (t *topTx) discardChain(head *vertex) {
-	cs := chain(head)
-	inChain := make(map[*vertex]bool, len(cs))
-	for _, c := range cs {
-		inChain[c] = true
-	}
-	for _, c := range cs {
-		for _, child := range c.succs {
-			if !inChain[child] && !child.removed() {
-				if child.fut != nil {
-					child.fut.invalidate()
-					t.sys.record(history.Op{Top: t.id, Flow: child.flow, Kind: history.FutureAbort, Arg: child.fut.name()})
-				}
-				t.discardChain(child)
-			}
-		}
-		c.status = vRemoved
-		c.succs = nil
-	}
-	if p := head.pred; p != nil {
-		for i, s := range p.succs {
-			if s == head {
-				p.succs = append(p.succs[:i], p.succs[i+1:]...)
-				break
-			}
-		}
-	}
+	head.unlink()
+	t.discardSubtree(head)
 	// Removed vertices may still be index sources for flows that descended
 	// them, and the discarded writes vanish without a fold: invalidate every
 	// flow's visible-write index.
-	t.invalidateAllVis()
+	for _, ftx := range t.flows {
+		ftx.markDirtyLocked()
+	}
 }
 
-// invalidateAllVis dirties every registered flow's visible-write index.
-// Caller holds top.mu exclusively.
-func (t *topTx) invalidateAllVis() {
-	for _, ftx := range t.flowTx {
-		ftx.markDirtyLocked()
+// discardSubtree removes the chain rooted at head and, recursively, every
+// pending chain hanging off it. head is already unlinked from its
+// predecessor (or the predecessor is itself being discarded).
+func (t *topTx) discardSubtree(head *vertex) {
+	ep := t.nextEpoch()
+	for c := head; c != nil; c = c.next {
+		c.mark = ep
+	}
+	for c := head; c != nil; c = c.next {
+		for _, child := range c.succs {
+			if child.mark == ep || child.removed() {
+				continue
+			}
+			if child.fut != nil {
+				child.fut.invalidate()
+				t.sys.record(history.Op{Top: t.id, Flow: child.flow, Kind: history.FutureAbort, Arg: child.fut.name()})
+			}
+			t.discardSubtree(child)
+		}
+		c.status = vRemoved
+		c.dropSuccs()
 	}
 }

@@ -122,9 +122,7 @@ func (s *System) AtomicSegments(segs ...func(tx *Tx) error) error {
 // runSegments drives one attempt: run segments (replaying rolled-back
 // suffixes) and commit.
 func (t *topTx) runSegments(s *System, segs []func(tx *Tx) error) error {
-	tx := &Tx{top: t, cur: t.root}
-	t.mainTx = tx
-	t.flowTx[0] = tx // pre-concurrency: no lock needed yet
+	tx := t.mainTx
 	lastTarget, repeats := -1, 0
 
 	i := 0
@@ -286,15 +284,11 @@ func (t *topTx) rollbackToSegment(k int, tx *Tx) error {
 
 	// Unwind the SO submission chain of the main flow past the cancelled
 	// futures, so replayed futures do not wait on them.
-	last := t.lastInFlow[0]
+	last := tx.lastFut
 	for last != nil && last.submitSegment >= k {
 		last = last.prevInFlow
 	}
-	if last == nil {
-		delete(t.lastInFlow, 0)
-	} else {
-		t.lastInFlow[0] = last
-	}
+	tx.lastFut = last
 
 	newCur.status = vICommitted
 	fresh := t.newVertex(0, newCur)

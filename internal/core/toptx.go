@@ -21,44 +21,61 @@ const (
 	phaseDone                 // committed or aborted
 )
 
-// topTx is one attempt of a top-level transaction. Every retry builds a
-// fresh topTx, so futures of an aborted attempt are permanently stale.
+// topTx is one attempt of a top-level transaction, and the arena its graph
+// lives in (pool.go): every retry takes a wiped topTx, so futures of an
+// aborted attempt are permanently stale. The fields above topState are
+// storage that survives from attempt to attempt; topState is the attempt
+// itself and is zeroed when the arena retires.
 type topTx struct {
-	sys  *System
+	sys *System
+
+	// mu guards the graph G (topology, statuses, flow/future registries).
+	mu sync.RWMutex
+
+	// verts[:nverts] and txs[:ntxs] are the vertices and Tx handles handed
+	// out to this attempt; the slices' tails are spares from earlier ones.
+	verts  []*vertex
+	nverts int
+	txs    []*Tx
+	ntxs   int
+
+	// flows registers the live Tx handle of each flow (under mu), so graph
+	// mutations can push visible-write-index patches and invalidations to
+	// the flows they affect (see tx.go). A flow leaves when its body ends.
+	flows   []*Tx
+	futures []*Future
+
+	// Scratch of the validators and merges, which run under mu held
+	// exclusively and so one at a time: the forward scan's DFS stack, the
+	// chain being merged, and the traversal epoch (graph.go).
+	stack    []*vertex
+	chainBuf []*vertex
+	epoch    uint64
+
+	topState
+}
+
+type topState struct {
 	id   int64
 	txn  *mvstm.Txn
 	snap int64
 
-	// mu guards the graph G (topology, statuses, flow/future registries)
-	// and aggReads. gver is the graph's seqlock epoch: lockG bumps it to odd
-	// on entry to every exclusive section and unlockG bumps it back to even,
-	// so a lock-free reader that observes the same even value before and
-	// after its lookups has seen a quiescent graph (the counter is monotonic,
-	// so there is no ABA). It doubles as the version key for the per-future
-	// validation caches.
-	mu          sync.RWMutex
-	gver        atomic.Int64
-	root        *vertex
-	nextVID     int
-	flowSeq     int
-	lastInFlow  map[int]*Future // lazy: allocated on first Submit
-	futures     []*Future
-	allVertices []*vertex
-	aggReads    map[*mvstm.VBox]struct{} // lazy: allocated on first aggregated read
-	// vslab is the remainder of the current vertex slab; vslabGrow is the
-	// next slab's size (geometric, see pool.go).
-	vslab     []vertex
-	vslabGrow int
-
-	// flowTx registers the live Tx handle of each flow (under mu), so graph
-	// mutations can push visible-write-index patches and invalidations to
-	// the flows they affect (see tx.go). Entries of settled flows linger
-	// harmlessly until removed.
-	flowTx map[int]*Tx
+	// gver is the graph's seqlock epoch: lockG bumps it to odd on entry to
+	// every exclusive section and unlockG bumps it back to even, so a
+	// lock-free reader that observes the same even value before and after
+	// its lookups has seen a quiescent graph (the counter is monotonic
+	// within an attempt, so there is no ABA).
+	gver    atomic.Int64
+	root    *vertex
+	flowSeq int
 
 	// mainTx is the Tx handle of the main flow; commit folds from its
 	// current vertex.
 	mainTx *Tx
+
+	// att is the attempt's outcome record for Future handles, created with
+	// the first Submit (always on the main flow, before any concurrency).
+	att *attempt
 
 	// serialSubmit makes Submit wait for each future to settle before the
 	// continuation proceeds (fork-join degradation after an SO conflict).
@@ -74,26 +91,24 @@ type topTx struct {
 	rollbackTo int64
 	rbCh       chan struct{}
 
-	phase     atomic.Int32
-	aborted   atomic.Bool
-	committed atomic.Bool
-	abortOnce sync.Once
-	abortMu   sync.Mutex
-	abortErr  error
-	abortCh   chan struct{}
-	commitCh  chan struct{}
+	phase    atomic.Int32
+	aborted  atomic.Bool
+	abortMu  sync.Mutex
+	abortErr error
 
-	// outstanding counts futures that have not settled yet; the spawning
-	// snapshot stays pinned in the MV-STM until it reaches zero so escaped
-	// futures can keep reading (GAC). outCond signals drops to zero; a zero
-	// observed after the main flow finished is stable because only unsettled
-	// future flows can submit new futures.
-	outMu       sync.Mutex
-	outCond     *sync.Cond
-	outstanding int
+	// refs counts the flows that may still touch the arena: the main flow,
+	// from newTop until it leaves commit or abort, and every submitted
+	// future that has not settled. Only an unsettled flow can submit, so a
+	// count the main flow observes at one is stable. The flow that drops it
+	// to zero retires the arena. unpin, when set, releases the snapshot the
+	// commit kept readable for futures still running past it (GAC); keep
+	// marks an arena that must not be recycled (see pool.go).
+	refs  atomic.Int32
+	unpin func()
+	keep  bool
 
-	// Commit record, set after a successful MV-STM commit; escaped futures
-	// resolve their observed sub-transaction reads against it.
+	// Commit record, kept only for an attempt that committed with escaped
+	// futures; they resolve their observed sub-transaction reads against it.
 	installed map[*mvstm.VBox]*mvstm.Version
 	finalWID  map[*mvstm.VBox]int64
 
@@ -106,18 +121,14 @@ type topTx struct {
 func (s *System) newTop() *topTx {
 	s.yield(sched.PointTopBegin, "")
 	txn := s.stm.Begin()
-	t := &topTx{
-		sys:      s,
-		id:       s.topSeq.Add(1),
-		txn:      txn,
-		snap:     txn.Snapshot(),
-		flowTx:   make(map[int]*Tx, 1),
-		abortCh:  make(chan struct{}),
-		commitCh: make(chan struct{}),
-	}
-	t.outCond = sync.NewCond(&t.outMu)
+	t := s.getTop()
+	t.id = s.topSeq.Add(1)
+	t.txn = txn
+	t.snap = txn.Snapshot()
 	t.rollbackTo = noRollback
+	t.refs.Store(1)
 	t.root = t.newVertex(0, nil)
+	t.mainTx = t.newTx(t.root) // pre-concurrency: no lock needed yet
 	s.record(history.Op{Top: t.id, Flow: 0, Kind: history.TopBegin})
 	return t
 }
@@ -150,50 +161,48 @@ func (t *topTx) abortCause() error {
 	return errors.New("core: top-level transaction aborted")
 }
 
-// requestAbort marks the transaction aborted and wakes every waiter. It is
-// safe to call from any flow and never takes t.mu.
+// requestAbort marks the transaction aborted (the first cause wins) and
+// wakes every waiter. It is safe to call from any flow and never takes t.mu.
 func (t *topTx) requestAbort(cause error) {
-	t.abortOnce.Do(func() {
-		t.abortMu.Lock()
+	t.abortMu.Lock()
+	if !t.aborted.Load() {
 		t.abortErr = cause
-		t.abortMu.Unlock()
 		t.aborted.Store(true)
-		close(t.abortCh)
-	})
-}
-
-// settleOne records that one future settled.
-func (t *topTx) settleOne() {
-	t.outMu.Lock()
-	t.outstanding--
-	if t.outstanding == 0 {
-		t.outCond.Broadcast()
+		if t.att != nil {
+			t.att.aborted.fire()
+		}
 	}
-	t.outMu.Unlock()
+	t.abortMu.Unlock()
 }
 
-// addOutstanding registers a newly submitted future.
-func (t *topTx) addOutstanding() {
-	t.outMu.Lock()
-	t.outstanding++
-	t.outMu.Unlock()
-}
-
-// awaitQuiescent blocks until no future of this attempt is unsettled.
-func (t *topTx) awaitQuiescent() {
-	t.outMu.Lock()
-	for t.outstanding > 0 {
-		t.outCond.Wait()
+// abortChan closes when the attempt aborts. Only a future can abort an
+// attempt behind its main flow's back, so before the first Submit there is
+// nothing to wait for and the channel is nil.
+func (t *topTx) abortChan() <-chan struct{} {
+	if t.att == nil {
+		return nil
 	}
-	t.outMu.Unlock()
+	return t.att.aborted.wait()
+}
+
+// unref drops one reference on the arena (see refs); the last one retires
+// it: the snapshot pin goes, and the arena is recycled unless an escaped
+// future may still be evaluated out of it.
+func (t *topTx) unref() {
+	if t.refs.Add(-1) != 0 {
+		return
+	}
+	if t.unpin != nil {
+		t.unpin()
+	}
+	if !t.keep {
+		t.sys.recycle(t)
+	}
 }
 
 // run executes the user body on the main flow.
 func (t *topTx) run(fn func(tx *Tx) (any, error)) (val any, err error) {
-	tx := &Tx{top: t, cur: t.root}
-	t.mainTx = tx
-	t.flowTx[0] = tx // pre-concurrency: no lock needed yet
-	val, err, retry := runBody(fn, tx)
+	val, err, retry := runBody(fn, t.mainTx)
 	if retry != nil {
 		return nil, &retryError{cause: retry.cause}
 	}
@@ -239,8 +248,10 @@ func (t *topTx) commit() (err error) {
 			}
 			f := fs[i]
 
-			if waitAny2(sys.opts.Hook, f.settled, t.abortCh) == 1 {
-				return &retryError{cause: t.abortCause()}
+			if sys.opts.Hook != nil || !f.settled.isSet() {
+				if waitAny2(sys.opts.Hook, f.settled.wait(), t.abortChan()) == 1 {
+					return &retryError{cause: t.abortCause()}
+				}
 			}
 			if t.aborted.Load() {
 				return &retryError{cause: t.abortCause()}
@@ -271,14 +282,25 @@ func (t *topTx) commit() (err error) {
 		return &retryError{cause: t.abortCause()}
 	}
 
-	// Fold the main chain into the MV-STM transaction.
+	// Fold the main chain into the MV-STM transaction, root first so later
+	// writes win.
 	t.lockG()
 	t.phase.Store(phaseFolding)
-	var mainChain []*vertex
+	escaped := 0
+	for _, f := range t.futures {
+		if st := f.getState(); st == fParked || st == fRunning {
+			escaped++
+		}
+	}
+	if escaped > 0 {
+		// The commit record the escapees resolve their reads against.
+		t.finalWID = make(map[*mvstm.VBox]int64)
+	}
+	mainChain := t.chainBuf[:0]
 	for v := t.mainTx.cur; v != nil; v = v.pred {
 		mainChain = append(mainChain, v)
 	}
-	t.finalWID = make(map[*mvstm.VBox]int64)
+	t.chainBuf = mainChain
 	for i := len(mainChain) - 1; i >= 0; i-- {
 		v := mainChain[i]
 		v.vmu.Lock()
@@ -289,67 +311,71 @@ func (t *topTx) commit() (err error) {
 		}
 		for b, we := range v.writes.all() {
 			t.txn.Write(b, we.val)
-			t.finalWID[b] = we.wid
+			if t.finalWID != nil {
+				t.finalWID[b] = we.wid
+			}
 		}
 		v.vmu.Unlock()
 	}
-	for b := range t.aggReads {
-		t.txn.NoteRead(b)
-	}
-	escaped := 0
-	for _, f := range t.futures {
-		if st := f.getState(); st == fParked || st == fRunning {
-			escaped++
-		}
-	}
 	t.unlockG()
 
-	// Keep the snapshot readable for still-running escaped futures, then
-	// release it once every future settled. Pinning through the live Txn
-	// (rather than STM.Pin by value) is race-free against concurrent
+	// Futures still running past this point (GAC) keep reading at the
+	// snapshot: pin it until the last of them settles. Pinning through the
+	// live Txn (rather than STM.Pin by value) is race-free against concurrent
 	// commits' version GC: the pin shares the registration's shard entry.
-	release := t.txn.Pin()
-	go func() {
-		t.awaitQuiescent()
-		release()
-	}()
+	if t.refs.Load() > 1 {
+		t.unpin = t.txn.Pin()
+	}
 
 	if err := t.txn.Commit(); err != nil {
 		return err
 	}
 
-	t.installed = t.txn.Installed()
+	var commitTS int64
+	if escaped > 0 || sys.opts.Recorder != nil {
+		t.installed = t.txn.Installed()
+		for _, v := range t.installed {
+			commitTS = v.TS
+			break
+		}
+	}
 	t.txn.Release() // recycled; t.installed is ours, the Txn is dead
 	t.txn = nil
-	t.committed.Store(true)
 	t.phase.Store(phaseDone)
 	if escaped > 0 {
+		// Someone may evaluate the escapees out of this arena at any later
+		// time (buildDetach): it is never recycled.
+		t.keep = true
 		sys.stats.EscapedFutures.Add(int64(escaped))
 	}
 	t.finalizeClaims()
-	close(t.commitCh)
-	sys.stats.TopCommits.Add(1)
-	var commitTS int64
-	for _, v := range t.installed {
-		commitTS = v.TS
-		break
+	if t.att != nil {
+		t.att.committed.fire()
 	}
+	sys.stats.TopCommits.Add(1)
 	sys.record(history.Op{Top: t.id, Flow: 0, Kind: history.TopCommit, WID: commitTS})
+	t.unref()
 	return nil
 }
 
 // abort discards this attempt: wake all waiters, release claimed escapes,
-// drop the MV-STM transaction.
+// drop the MV-STM transaction and the main flow's reference on the arena.
 func (t *topTx) abort(cause error) {
 	t.requestAbort(cause)
 	t.phase.Store(phaseDone)
 	t.releaseClaims()
-	if t.txn != nil {
-		t.txn.Discard()
-		t.txn.Release()
-		t.txn = nil
+	// A straggler's merge notes reads into the substrate transaction under
+	// the graph lock (mergeChain); take it away under the same lock.
+	t.lockG()
+	txn := t.txn
+	t.txn = nil
+	t.unlockG()
+	if txn != nil {
+		txn.Discard()
+		txn.Release()
 	}
 	t.sys.record(history.Op{Top: t.id, Flow: 0, Kind: history.TopAbort})
+	t.unref()
 }
 
 // addClaim registers an escaped future of another transaction that this one
@@ -368,6 +394,7 @@ func (t *topTx) finalizeClaims() {
 		f.mu.Lock()
 		if f.claimant == t {
 			f.final = true
+			f.claimant = nil // t is arena memory: keep no identity past it
 			if f.claimCh != nil {
 				close(f.claimCh)
 				f.claimCh = nil

@@ -14,10 +14,18 @@ import (
 // transaction or a future body. It is bound to the current sub-transaction
 // vertex and is re-bound at every Submit/Evaluate boundary (the paper's
 // implicit sub-transaction checkpoints), so a Tx must only be used by the
-// flow it was handed to and never stored across transactions.
+// flow it was handed to and never stored across transactions: the handle is
+// arena memory (pool.go) and serves another transaction afterwards.
 type Tx struct {
 	top *topTx
 	cur *vertex
+
+	// slot is the handle's position in top.flows while its flow is live (-1
+	// once the body finished); lastFut is the future this flow submitted
+	// last, which an SO sibling submitted next must wait for. Both guarded
+	// by top.mu.
+	slot    int
+	lastFut *Future
 
 	// Visible-write index: box -> the nearest iCommitted proper ancestor's
 	// write, i.e. what a first read of the box in cur resolves to before
@@ -27,7 +35,11 @@ type Tx struct {
 	// under top.mu held exclusively, consumed by the owner under at least
 	// top.mu.RLock — the two can never overlap) and flip visOK, which the
 	// lock-free read path checks under the gver seqlock.
-	vis map[*mvstm.VBox]writeEntry
+	//
+	// The map outlives the attempt with the handle; visBuilt says whether it
+	// currently holds this flow's index.
+	vis      map[*mvstm.VBox]writeEntry
+	visBuilt bool
 	// pending holds merge patches (chain write sets folded into a proper
 	// ancestor with no intervening same-path writes) to fold into vis, in
 	// merge order.
@@ -39,6 +51,21 @@ type Tx struct {
 	// unset. Owner stores true under (R)Lock; mutators store false under
 	// Lock; the lock-free fast path loads it.
 	visOK atomic.Bool
+}
+
+// reset readies a handle for its arena's next attempt: every reference is
+// dropped, a modest index map is kept (emptied).
+func (tx *Tx) reset() {
+	tx.cur, tx.lastFut = nil, nil
+	if len(tx.vis) > isetRetain {
+		tx.vis = nil
+	} else {
+		clear(tx.vis)
+	}
+	clear(tx.pending)
+	tx.pending = tx.pending[:0]
+	tx.visBuilt, tx.visDirty = false, false
+	tx.visOK.Store(false)
 }
 
 // markDirtyLocked invalidates the flow's index. Caller holds top.mu
@@ -55,17 +82,19 @@ func (tx *Tx) refreshVis() {
 	if tx.visOK.Load() {
 		return
 	}
-	if tx.vis != nil && !tx.visDirty {
+	if tx.visBuilt && !tx.visDirty {
 		for _, p := range tx.pending {
 			for b, we := range p {
 				tx.vis[b] = we
 			}
 		}
+		clear(tx.pending)
 		tx.pending = tx.pending[:0]
 		tx.visOK.Store(true)
 		return
 	}
-	tx.visDirty = false
+	tx.visBuilt, tx.visDirty = true, false
+	clear(tx.pending)
 	tx.pending = tx.pending[:0]
 	if tx.vis == nil {
 		tx.vis = make(map[*mvstm.VBox]writeEntry)
@@ -95,7 +124,7 @@ func (tx *Tx) absorbWrites(v *vertex) {
 		for b, we := range v.writes.all() {
 			tx.vis[b] = we
 		}
-	case tx.vis != nil && !tx.visDirty:
+	case tx.visBuilt && !tx.visDirty:
 		// Pending-mode: vis ⊕ pending must stay equal to the true visible
 		// set. v is nearer than any pending merge's target, so its writes
 		// fold last; copied because v's set can later mutate (v may itself
@@ -132,6 +161,15 @@ func (tx *Tx) checkAlive() {
 	}
 }
 
+// awaitSettled blocks until f settled, with await's unwind rules. A future
+// that already settled costs one load.
+func (tx *Tx) awaitSettled(f *Future) {
+	if tx.top.sys.opts.Hook == nil && f.settled.isSet() {
+		return
+	}
+	tx.await(f.settled.wait())
+}
+
 // await blocks on ch, unwinding on a transaction abort and — on a segmented
 // transaction's main flow — on a partial-rollback request.
 func (tx *Tx) await(ch <-chan struct{}) {
@@ -145,7 +183,7 @@ func (tx *Tx) await(ch <-chan struct{}) {
 			select {
 			case <-ch:
 				return
-			case <-top.abortCh:
+			case <-top.abortChan():
 				panic(&retrySignal{cause: top.abortCause()})
 			case <-top.rollbackChan():
 				if to := top.rollbackPending(); to != noRollback {
@@ -157,7 +195,7 @@ func (tx *Tx) await(ch <-chan struct{}) {
 		select {
 		case <-ch:
 			return
-		case <-top.abortCh:
+		case <-top.abortChan():
 			panic(&retrySignal{cause: top.abortCause()})
 		}
 	}
@@ -169,7 +207,7 @@ func (tx *Tx) awaitHook(h sched.Hook, ch <-chan struct{}) {
 	top := tx.top
 	seg := top.segMode && tx.cur.flow == 0
 	for {
-		if closedNow(top.abortCh) {
+		if top.aborted.Load() {
 			panic(&retrySignal{cause: top.abortCause()})
 		}
 		if seg {
@@ -181,7 +219,7 @@ func (tx *Tx) awaitHook(h sched.Hook, ch <-chan struct{}) {
 			return
 		}
 		h.Park(func() bool {
-			if closedNow(ch) || closedNow(top.abortCh) {
+			if closedNow(ch) || top.aborted.Load() {
 				return true
 			}
 			return seg && top.rollbackPending() != noRollback
@@ -242,8 +280,7 @@ func (tx *Tx) Read(b *mvstm.VBox) any {
 			obs = readObs{val: ver.Value, ver: ver}
 		}
 		cur.vmu.Lock()
-		cur.reads.put(b, obs)
-		cur.readSum |= b.Summary()
+		cur.addRead(b, obs)
 		cur.vmu.Unlock()
 		if top.gver.Load() == s {
 			tx.recordRead(cur, b, obs)
@@ -272,8 +309,7 @@ func (tx *Tx) Read(b *mvstm.VBox) any {
 	if prev, ok := cur.reads.get(b); ok {
 		obs = prev
 	} else {
-		cur.reads.put(b, obs)
-		cur.readSum |= b.Summary()
+		cur.addRead(b, obs)
 	}
 	cur.vmu.Unlock()
 	top.mu.RUnlock()
@@ -314,8 +350,7 @@ func (tx *Tx) Write(b *mvstm.VBox, v any) {
 	tx.checkAlive()
 	wid := tx.top.sys.nextWID()
 	tx.cur.vmu.Lock()
-	tx.cur.writes.put(b, writeEntry{val: v, wid: wid, flow: tx.cur.flow})
-	tx.cur.writeSum |= b.Summary()
+	tx.cur.addWrite(b, writeEntry{val: v, wid: wid, flow: tx.cur.flow})
 	tx.cur.vmu.Unlock()
 	if tx.top.sys.opts.Recorder != nil {
 		tx.top.sys.record(history.Op{
@@ -337,6 +372,31 @@ func (tx *Tx) Submit(body func(*Tx) (any, error)) *Future {
 	sys := top.sys
 
 	top.lockG()
+	f := tx.spawnLocked(body)
+	top.unlockG()
+	top.refs.Add(1)
+
+	sys.stats.FuturesSubmitted.Add(1)
+	sys.record(history.Op{Top: top.id, Flow: tx.cur.flow, Kind: history.Submit, Arg: f.name()})
+	if h := sys.opts.Hook; h != nil {
+		h.SpawnExpected()
+	}
+	sys.dispatch(f)
+	if top.serialSubmit {
+		tx.awaitSettled(f)
+	}
+	return f
+}
+
+// spawnLocked is Submit's graph mutation: the caller's vertex iCommits, the
+// future's first vertex and the continuation vertex hang off it, and the
+// future and its body's Tx handle are registered. Caller holds top.mu
+// exclusively.
+func (tx *Tx) spawnLocked(body func(*Tx) (any, error)) *Future {
+	top, sys := tx.top, tx.top.sys
+	if top.att == nil {
+		top.att = &attempt{id: top.id}
+	}
 	spawner := tx.cur
 	spawner.status = vICommitted
 	fv := top.newVertex(top.nextFlow(), spawner)
@@ -347,45 +407,27 @@ func (tx *Tx) Submit(body func(*Tx) (any, error)) *Future {
 
 	f := &Future{
 		sys:           sys,
+		att:           top.att,
 		top:           top,
 		id:            len(top.futures) + 1,
-		nm:            fmt.Sprintf("T%d.F%d", top.id, len(top.futures)+1),
 		flow:          fv.flow,
 		body:          body,
 		vertex:        fv,
 		cont:          cv,
 		submitSegment: spawner.segment,
-		execDone:      make(chan struct{}),
-		settled:       make(chan struct{}),
+		prevInFlow:    tx.lastFut,
 	}
 	fv.fut = f
 	// The body's Tx is created here (not in run) so invalidations reach its
 	// visible-write index from the first instant; its index itself builds
 	// lazily on the body's first ancestor-resolving read.
-	f.ftx = &Tx{top: top, cur: fv}
-	top.flowTx[fv.flow] = f.ftx
-	f.prevInFlow = top.lastInFlow[spawner.flow]
-	if top.lastInFlow == nil {
-		top.lastInFlow = make(map[int]*Future)
-	}
-	top.lastInFlow[spawner.flow] = f
+	f.ftx = top.newTx(fv)
+	tx.lastFut = f
 	top.futures = append(top.futures, f)
 	// The spawner just iCommitted: its writes become visible to the
 	// continuation.
 	tx.absorbWrites(spawner)
 	tx.cur = cv
-	top.unlockG()
-	top.addOutstanding()
-
-	sys.stats.FuturesSubmitted.Add(1)
-	sys.record(history.Op{Top: top.id, Flow: spawner.flow, Kind: history.Submit, Arg: f.name()})
-	if h := sys.opts.Hook; h != nil {
-		h.SpawnExpected()
-	}
-	go f.run()
-	if top.serialSubmit {
-		tx.await(f.settled)
-	}
 	return f
 }
 
@@ -400,7 +442,7 @@ func (tx *Tx) Evaluate(f *Future) (any, error) {
 	tx.top.sys.record(history.Op{
 		Top: tx.top.id, Flow: tx.cur.flow, Kind: history.Evaluate, Arg: f.name(),
 	})
-	if f.top != tx.top {
+	if f.att != tx.top.att {
 		return tx.evaluateForeign(f)
 	}
 	return tx.evaluateLocal(f)
@@ -411,9 +453,7 @@ func (tx *Tx) Evaluate(f *Future) (any, error) {
 // serialization orders; otherwise it behaves exactly like Evaluate.
 func (tx *Tx) TryEvaluate(f *Future) (val any, ok bool, err error) {
 	tx.checkAlive()
-	select {
-	case <-f.execDone:
-	default:
+	if !f.execDone.isSet() {
 		return nil, false, nil
 	}
 	val, err = tx.Evaluate(f)

@@ -60,8 +60,9 @@ var errCASMismatch = errors.New("server: MULTI contained a failed CAS")
 type unit struct {
 	srv *Server
 
-	cmds []*wire.Cmd   // the unit's store commands, in unit order
-	res  []wire.Result // one result slot per command
+	cmds     []*wire.Cmd   // the unit's store commands, in unit order
+	cmdShard []int         // each command's shard, found once by the plan
+	res      []wire.Result // one result slot per command
 
 	groups   [][]int // per shard: indices into cmds, unit order preserved
 	order    []int   // shards the unit touches, first-touch order
@@ -69,16 +70,32 @@ type unit struct {
 	appended []int   // shards that received a WAL record
 	buf      []byte  // WAL record encode buffer
 
-	// MULTI fan-out: the future handles, and a count of submitted future
-	// bodies so the slots above are never reused (by a retry attempt or by
-	// the next unit) while a straggler from an aborted attempt may still
-	// touch them.
-	futs []*wtftm.Future
-	wg   sync.WaitGroup
+	// MULTI fan-out: one future body per shard, bound once (it applies
+	// whatever groups[shard] holds when it runs); the future handles; and a
+	// count of submitted future bodies so the slots above are never reused
+	// (by a retry attempt or by the next unit) while a straggler from an
+	// aborted attempt may still touch them.
+	bodies []func(*wtftm.Tx) (any, error)
+	futs   []*wtftm.Future
+	wg     sync.WaitGroup
 }
 
 func newUnit(s *Server) *unit {
-	return &unit{srv: s, groups: make([][]int, s.cfg.Shards)}
+	u := &unit{
+		srv:    s,
+		groups: make([][]int, s.cfg.Shards),
+		bodies: make([]func(*wtftm.Tx) (any, error), s.cfg.Shards),
+	}
+	for sh := range u.bodies {
+		u.bodies[sh] = func(ftx *wtftm.Tx) (any, error) {
+			defer u.wg.Done()
+			for _, i := range u.groups[sh] {
+				u.res[i] = s.store.apply(ftx, sh, u.cmds[i])
+			}
+			return nil, nil
+		}
+	}
+	return u
 }
 
 // release drops the unit's references into the requests and the result
@@ -98,7 +115,7 @@ func (u *unit) release() {
 // changes no observable outcome, only the number of commits.
 func (u *unit) applySeq(tx *wtftm.Tx) error {
 	for i, c := range u.cmds {
-		u.res[i] = u.srv.store.apply(tx, c)
+		u.res[i] = u.srv.store.apply(tx, u.cmdShard[i], c)
 	}
 	return nil
 }
@@ -118,19 +135,11 @@ func (u *unit) applyMulti(tx *wtftm.Tx) error {
 	if len(u.order) <= 1 {
 		u.applySeq(tx) // one shard: nothing to run in parallel
 	} else {
-		s, cmds, res := u.srv, u.cmds, u.res
-		s.futureFanouts.Add(int64(len(u.order)))
+		u.srv.futureFanouts.Add(int64(len(u.order)))
 		u.futs = u.futs[:0]
 		for _, sh := range u.order {
-			idxs := u.groups[sh]
 			u.wg.Add(1)
-			u.futs = append(u.futs, tx.Submit(func(ftx *wtftm.Tx) (any, error) {
-				defer u.wg.Done()
-				for _, i := range idxs {
-					res[i] = s.store.apply(ftx, cmds[i])
-				}
-				return nil, nil
-			}))
+			u.futs = append(u.futs, tx.Submit(u.bodies[sh]))
 		}
 		for _, f := range u.futs {
 			if _, err := tx.Evaluate(f); err != nil {
@@ -187,13 +196,14 @@ func (s *Server) commit(u *unit, body func(*wtftm.Tx) error) (err, durErr error)
 	for _, sh := range u.order {
 		u.groups[sh] = u.groups[sh][:0]
 	}
-	u.order, u.shards = u.order[:0], u.shards[:0]
+	u.order, u.shards, u.cmdShard = u.order[:0], u.shards[:0], u.cmdShard[:0]
 	// d is nil on a memory-only server. This is the pipeline's only check
 	// of it: without a log no shard becomes a candidate, and every later
 	// stage walks the candidate list.
 	d := s.dur
 	for i, c := range u.cmds {
 		sh := s.store.shardOf(c.Key)
+		u.cmdShard = append(u.cmdShard, sh)
 		if len(u.groups[sh]) == 0 {
 			u.order = append(u.order, sh)
 		}

@@ -33,11 +33,11 @@ func newStore(stm *wtftm.STM, shards, buckets int) *store {
 	return st
 }
 
-// shardOf maps a key to its shard (FNV-1a, inlined over the string; the
+// fnv1a is FNV-1a over a key, as a string or still in its wire buffer (the
 // same hash values hash/fnv produces, stable across restarts so logs and
 // traces stay comparable, without the hash.Hash allocation risk on the
 // zero-alloc read fast path).
-func (st *store) shardOf(key string) int {
+func fnv1a[K ~string | ~[]byte](key K) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -47,8 +47,11 @@ func (st *store) shardOf(key string) int {
 		h ^= uint32(key[i])
 		h *= prime32
 	}
-	return int(h % uint32(len(st.shards)))
+	return h
 }
+
+// shardOf maps a key to its shard.
+func (st *store) shardOf(key string) int { return int(fnv1a(key) % uint32(len(st.shards))) }
 
 // getFast serves one GET against shard sh outside any transaction, via the
 // map's lock-free read path (tstruct.Map.GetFast over mvstm.ReadLatest).
@@ -62,20 +65,9 @@ func (st *store) getFast(sh int, key string) (val string, found bool, retries in
 	return v.(string), true, retries, true
 }
 
-// shardOfBytes is shardOf over a key still in its wire buffer (same FNV-1a,
-// same shard assignment, no string).
-func (st *store) shardOfBytes(key []byte) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return int(h % uint32(len(st.shards)))
-}
+// shardOfBytes is shardOf over a key still in its wire buffer: same shard
+// assignment, no string.
+func (st *store) shardOfBytes(key []byte) int { return int(fnv1a(key) % uint32(len(st.shards))) }
 
 // getFastBytes is getFast without the key string: the read loop hands the
 // key down as the payload subslice it decoded, and the hash, bucket lookup
@@ -88,15 +80,16 @@ func (st *store) getFastBytes(sh int, key []byte) (val string, found bool, retri
 	return v.(string), true, retries, true
 }
 
-// apply executes one command against the store through rw (a plain MV-STM
-// transaction or a futures-engine Tx — both work, which is what lets single
-// ops run inline and MULTI groups run inside future bodies).
+// apply executes one command against shard sh — the shard of c.Key, which
+// the pipeline's plan already found — through rw (a plain MV-STM transaction
+// or a futures-engine Tx — both work, which is what lets single ops run
+// inline and MULTI groups run inside future bodies).
 //
 // CAS never writes on a mismatch, so a mismatched command contributes no
 // write to its transaction: the all-or-nothing MULTI rule only needs the
 // caller to abort the transaction when any result is StatusCASMismatch.
-func (st *store) apply(rw wtftm.ReadWriter, c *wire.Cmd) wire.Result {
-	m := st.shards[st.shardOf(c.Key)]
+func (st *store) apply(rw wtftm.ReadWriter, sh int, c *wire.Cmd) wire.Result {
+	m := st.shards[sh]
 	switch c.Op {
 	case wire.OpGet:
 		v, ok := m.Get(rw, c.Key)

@@ -19,6 +19,9 @@ echo "== tier-1.5: vet =="
 go vet ./...
 
 echo "== tier-1.5: race (mvstm + core + conform + wtfd server/client/wire + wal/persist) =="
+# The core run covers arena reuse: graph memory handed from one attempt to the
+# next (retained handles, GAC escapees, parked stragglers — lifetime_test.go),
+# so a flow that can still reach a recycled vertex shows up here as a race.
 go test -race ./internal/mvstm/ ./internal/core/ ./internal/conform/ ./internal/server/ ./internal/client/ ./internal/wire/ ./internal/wal/ ./internal/persist/
 
 echo "== tier-1.5: crash recovery under race (deterministic fault injection) =="
@@ -89,6 +92,17 @@ check_allocs() {
 	fi
 	echo "   $bench: ${allocs} allocs/op (floor ${floor})"
 }
+
+echo "== tier-1.5: engine allocation guards (per future <= 6, single write <= 6) =="
+# What a future costs beyond its body: the handle, the caller's closure and
+# what the body itself boxes and commits. The graph (vertices, Tx handles,
+# registries, validation and merge scratch) comes from the recycled arena, so
+# a count above the floor means graph state went back to the heap. width=8
+# is the MULTI shape; the single write is a served PUT (all five are the
+# substrate's commit and the body's boxed value — the engine adds none).
+check_allocs ./internal/bench/ BenchmarkValidateWide/width=8 6
+check_allocs ./internal/bench/ BenchmarkSubmitEvaluate/depth=8 6
+check_allocs ./internal/bench/ BenchmarkAtomicSingleWrite 6
 
 echo "== tier-1.5: server request-path allocation guard (<= 2 allocs/op) =="
 # The serving hot loop (pooled decode -> pipeline unit of one -> append-encode
