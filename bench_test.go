@@ -198,17 +198,3 @@ func BenchmarkGraphReadPath(b *testing.B) {
 		b.Fatal(err)
 	}
 }
-
-// BenchmarkServer runs the wtfd end-to-end experiment at test scale:
-// closed-loop clients over loopback TCP, MULTI batches fanned out as
-// transactional futures under WO vs SO.
-func BenchmarkServer(b *testing.B) {
-	p := bench.ServerParams{Clients: []int{1, 2}, Batches: []int{1, 4}, Keys: 256, Shards: 4, WriteRatio: 0.2}
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunServer(quickCfg(), p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Points[0].ReqPerSec, "req/s@1client")
-	}
-}

@@ -1,12 +1,15 @@
 // Command wtfbench regenerates the paper's evaluation figures (§5 of
 // "Investigating the Semantics of Futures in Transactional Memory Systems",
-// PPoPP'21) on the local host and prints one table per figure.
+// PPoPP'21) and the §6 extras on the local host and prints one table per
+// experiment. Micro costs are the package-local Go benchmarks; anything
+// served by wtfd is measured by benchmark/.
 //
 // Usage:
 //
 //	wtfbench [flags]
 //
-//	-exp string    experiment: all|fig3|fig6left|fig6right|fig7|fig8|fig9|intruder|kmeans|segments|ablation|mvcommit|server|aborts|core (default "all")
+//	-exp string    experiment: all, or one name from the experiments table
+//	               below (an unknown name, e.g. -exp '?', lists them and exits 2)
 //	-quick         run the scaled-down grids (default true; -quick=false uses paper-scale parameters)
 //	-duration d    measurement window per data point (default 1s; quick: 250ms)
 //	-array n       size of the read array (paper: 1000000)
@@ -28,44 +31,113 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"wtftm/internal/bench"
 	"wtftm/internal/spin"
 )
 
-func main() {
-	var (
-		exp      = flag.String("exp", "all", "experiment: all|fig3|fig6left|fig6right|fig7|fig8|fig9|intruder|kmeans|segments|ablation|mvcommit|server|aborts|core")
-		quick    = flag.Bool("quick", true, "scaled-down grids (set -quick=false for paper-scale parameters)")
-		duration = flag.Duration("duration", 0, "measurement window per data point (0 = preset default)")
-		array    = flag.Int("array", 0, "read array size (0 = preset default; paper: 1000000)")
-		unit     = flag.Duration("unit", 200*time.Nanosecond, "nominal cost of one iter of emulated work")
-		mode     = flag.String("mode", "latency", "work emulation: latency|busy")
-		verbose  = flag.Bool("v", false, "per-point progress output")
-		jsonOut  = flag.Bool("json", false, "emit results as JSON objects instead of tables")
+type printer interface{ Print(io.Writer) }
 
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memProfile   = flag.String("memprofile", "", "write an allocation profile at exit to this file")
-		mutexProfile = flag.String("mutexprofile", "", "write a mutex-contention profile at exit to this file")
+// experiment is one -exp value and the driver behind it.
+type experiment struct {
+	name string
+	run  func(cfg bench.Config, quick bool) (printer, error)
+}
+
+// driver pairs an experiment's parameter preset with its run function.
+func driver[P any, R printer](preset func(quick bool) P, run func(bench.Config, P) (R, error)) func(bench.Config, bool) (printer, error) {
+	return func(cfg bench.Config, quick bool) (printer, error) {
+		return run(cfg, preset(quick))
+	}
+}
+
+// experiments is every experiment, in the order -exp all runs them. The flag
+// help, the unknown-name listing and the all loop are all built from it.
+var experiments = []experiment{
+	{"fig3", driver(bench.DefaultFig3, bench.RunFig3)},
+	{"fig6left", driver(bench.DefaultFig6Left, bench.RunFig6Left)},
+	{"fig6right", driver(bench.DefaultFig6Right, bench.RunFig6Right)},
+	{"fig7", driver(bench.DefaultFig7, bench.RunFig7)},
+	{"fig8", driver(bench.DefaultFig8, bench.RunFig8)},
+	{"fig9", driver(bench.DefaultFig9, bench.RunFig9)},
+	{"intruder", driver(bench.DefaultIntruder, bench.RunIntruder)},
+	{"kmeans", driver(bench.DefaultKMeans, bench.RunKMeans)},
+	{"segments", driver(bench.DefaultSegments, bench.RunSegments)},
+	{"ablation", func(cfg bench.Config, _ bool) (printer, error) { return bench.RunAblation(cfg) }},
+	{"aborts", driver(bench.DefaultAborts, bench.RunAborts)},
+}
+
+// expNames is "all|fig3|…": the values -exp accepts.
+func expNames() string {
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return strings.Join(names, "|")
+}
+
+// pick returns the experiments -exp value exp runs, in table order; none
+// for a name the table does not have.
+func pick(exp string) []experiment {
+	var todo []experiment
+	for _, e := range experiments {
+		if exp == "all" || exp == e.name {
+			todo = append(todo, e)
+		}
+	}
+	return todo
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments, streams and exit status made explicit.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wtfbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		exp      = fs.String("exp", "all", "experiment: "+expNames())
+		quick    = fs.Bool("quick", true, "scaled-down grids (set -quick=false for paper-scale parameters)")
+		duration = fs.Duration("duration", 0, "measurement window per data point (0 = preset default)")
+		array    = fs.Int("array", 0, "read array size (0 = preset default; paper: 1000000)")
+		unit     = fs.Duration("unit", 200*time.Nanosecond, "nominal cost of one iter of emulated work")
+		mode     = fs.String("mode", "latency", "work emulation: latency|busy")
+		verbose  = fs.Bool("v", false, "per-point progress output")
+		jsonOut  = fs.Bool("json", false, "emit results as JSON objects instead of tables")
+
+		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProfile   = fs.String("memprofile", "", "write an allocation profile at exit to this file")
+		mutexProfile = fs.String("mutexprofile", "", "write a mutex-contention profile at exit to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	todo := pick(*exp)
+	if len(todo) == 0 {
+		fmt.Fprintf(stderr, "wtfbench: unknown -exp %q; valid: %s\n", *exp, expNames())
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "wtfbench: -cpuprofile: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "wtfbench: -cpuprofile: %v\n", err)
+			return 2
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "wtfbench: start cpu profile: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "wtfbench: start cpu profile: %v\n", err)
+			return 2
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -74,10 +146,10 @@ func main() {
 	}
 	if *mutexProfile != "" {
 		runtime.SetMutexProfileFraction(5)
-		defer writeProfile("mutex", *mutexProfile)
+		defer writeProfile(stderr, "mutex", *mutexProfile)
 	}
 	if *memProfile != "" {
-		defer writeProfile("allocs", *memProfile)
+		defer writeProfile(stderr, "allocs", *memProfile)
 	}
 
 	cfg := bench.Default()
@@ -98,101 +170,51 @@ func main() {
 	case "busy":
 		cfg.Worker.Mode = spin.Busy
 	default:
-		fmt.Fprintf(os.Stderr, "wtfbench: unknown -mode %q\n", *mode)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "wtfbench: unknown -mode %q\n", *mode)
+		return 2
 	}
-	cfg.Out = os.Stdout
+	cfg.Out = stdout
 	cfg.Verbose = *verbose
 
-	banner := os.Stdout
+	banner := stdout
 	if *jsonOut {
-		banner = os.Stderr
+		banner = stderr
 	}
 	fmt.Fprintf(banner, "wtfbench: exp=%s quick=%v duration=%v array=%d work=%s/%v\n\n",
 		*exp, *quick, cfg.Duration, cfg.ArraySize, cfg.Worker.Mode, *unit)
 
-	type printer interface{ Print(io.Writer) }
-	emit := func(name string, res printer) error {
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			return enc.Encode(map[string]any{"experiment": name, "result": res})
-		}
-		res.Print(os.Stdout)
-		return nil
-	}
-	run := func(name string, fn func() (printer, error)) {
-		if *exp != "all" && *exp != name {
-			return
-		}
+	for _, e := range todo {
 		start := time.Now()
-		res, err := fn()
+		res, err := e.run(cfg, *quick)
 		if err == nil {
-			err = emit(name, res)
+			if *jsonOut {
+				err = json.NewEncoder(stdout).Encode(map[string]any{"experiment": e.name, "result": res})
+			} else {
+				res.Print(stdout)
+			}
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "wtfbench: %s failed: %v\n", name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "wtfbench: %s failed: %v\n", e.name, err)
+			return 1
 		}
 		if !*jsonOut {
-			fmt.Printf("\n[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(stdout, "\n[%s completed in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
 		}
 	}
-
-	run("fig3", func() (printer, error) {
-		return bench.RunFig3(cfg, bench.DefaultFig3(*quick))
-	})
-	run("fig6left", func() (printer, error) {
-		return bench.RunFig6Left(cfg, bench.DefaultFig6Left(*quick))
-	})
-	run("fig6right", func() (printer, error) {
-		return bench.RunFig6Right(cfg, bench.DefaultFig6Right(*quick))
-	})
-	run("fig7", func() (printer, error) {
-		return bench.RunFig7(cfg, bench.DefaultFig7(*quick))
-	})
-	run("fig8", func() (printer, error) {
-		return bench.RunFig8(cfg, bench.DefaultFig8(*quick))
-	})
-	run("fig9", func() (printer, error) {
-		return bench.RunFig9(cfg, bench.DefaultFig9(*quick))
-	})
-	run("intruder", func() (printer, error) {
-		return bench.RunIntruder(cfg, bench.DefaultIntruder(*quick))
-	})
-	run("kmeans", func() (printer, error) {
-		return bench.RunKMeans(cfg, bench.DefaultKMeans(*quick))
-	})
-	run("segments", func() (printer, error) {
-		return bench.RunSegments(cfg, bench.DefaultSegments(*quick))
-	})
-	run("ablation", func() (printer, error) {
-		return bench.RunAblation(cfg)
-	})
-	run("mvcommit", func() (printer, error) {
-		return bench.RunMVCommit(cfg, bench.DefaultMVCommit(*quick))
-	})
-	run("server", func() (printer, error) {
-		return bench.RunServer(cfg, bench.DefaultServer(*quick))
-	})
-	run("aborts", func() (printer, error) {
-		return bench.RunAborts(cfg, bench.DefaultAborts(*quick))
-	})
-	run("core", func() (printer, error) {
-		return bench.RunCore(cfg, bench.DefaultCore(*quick))
-	})
+	return 0
 }
 
 // writeProfile dumps a named runtime profile (after a GC, so allocation
 // profiles reflect live data accurately).
-func writeProfile(name, path string) {
+func writeProfile(stderr io.Writer, name, path string) {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "wtfbench: -%sprofile: %v\n", name, err)
+		fmt.Fprintf(stderr, "wtfbench: -%sprofile: %v\n", name, err)
 		return
 	}
 	defer f.Close()
 	runtime.GC()
 	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fmt.Fprintf(os.Stderr, "wtfbench: write %s profile: %v\n", name, err)
+		fmt.Fprintf(stderr, "wtfbench: write %s profile: %v\n", name, err)
 	}
 }

@@ -27,9 +27,6 @@ func New(stm *mvstm.STM, n, initialBalance int) *Bank {
 	return b
 }
 
-// NumAccounts returns the number of accounts.
-func (b *Bank) NumAccounts() int { return len(b.accounts) }
-
 // ExpectedTotal is the invariant sum of all balances.
 func (b *Bank) ExpectedTotal() int { return len(b.accounts) * b.initial }
 

@@ -8,7 +8,6 @@ import (
 
 	"wtftm/internal/core"
 	"wtftm/internal/mvstm"
-	"wtftm/internal/stats"
 	"wtftm/internal/tstruct"
 	"wtftm/internal/workload"
 )
@@ -253,7 +252,7 @@ func runIntruder(cfg Config, p IntruderParams, eng Engine, workers int) (float64
 	if doneFlows != p.Flows {
 		return 0, 0, fmt.Errorf("intruder: analyzed %d flows, want %d", doneFlows, p.Flows)
 	}
-	return stats.Throughput(int64(p.Flows), elapsed), st.suspicious.Len(txn), nil
+	return Throughput(int64(p.Flows), elapsed), st.suspicious.Len(txn), nil
 }
 
 // Print renders the intruder comparison.
@@ -264,7 +263,7 @@ func (r *IntruderResult) Print(w io.Writer) {
 	t := newTable("engine", "flows/s", "speedup vs sequential")
 	t.add("sequential", f(r.SeqPerSec), "1.00")
 	for _, eng := range []Engine{WTF, JTF} {
-		t.add(string(eng), f(r.FlowsPerSec[eng]), f(stats.Speedup(r.FlowsPerSec[eng], r.SeqPerSec)))
+		t.add(string(eng), f(r.FlowsPerSec[eng]), f(Speedup(r.FlowsPerSec[eng], r.SeqPerSec)))
 	}
 	t.print(w)
 	fmt.Fprintf(w, "flagged flows: %d (identical across engines)\n", r.Suspicious)
@@ -438,7 +437,7 @@ func runKMeans(cfg Config, p KMeansParams, eng Engine) (float64, float64, error)
 		}
 	}
 	elapsed := time.Since(start)
-	return stats.Throughput(int64(p.Iterations), elapsed), inertia, nil
+	return Throughput(int64(p.Iterations), elapsed), inertia, nil
 }
 
 // Print renders the kmeans comparison.
@@ -448,7 +447,7 @@ func (r *KMeansResult) Print(w io.Writer) {
 	t := newTable("engine", "iters/s", "speedup vs sequential")
 	t.add("sequential", f(r.SeqPerSec), "1.00")
 	for _, eng := range []Engine{WTF, JTF} {
-		t.add(string(eng), f(r.ItersPerSec[eng]), f(stats.Speedup(r.ItersPerSec[eng], r.SeqPerSec)))
+		t.add(string(eng), f(r.ItersPerSec[eng]), f(Speedup(r.ItersPerSec[eng], r.SeqPerSec)))
 	}
 	t.print(w)
 	fmt.Fprintf(w, "final inertia: %.2f (identical across engines)\n", r.FinalInertia)

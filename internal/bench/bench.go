@@ -136,6 +136,31 @@ func measure(workers int, d time.Duration, body func(worker int, rng *workload.R
 	return total.Load(), time.Since(start), first
 }
 
+// Throughput returns operations per second.
+func Throughput(ops int64, elapsed time.Duration) float64 {
+	if elapsed <= 0 {
+		return 0
+	}
+	return float64(ops) / elapsed.Seconds()
+}
+
+// Rate returns part/total, or 0 when total is 0. It is the abort-rate
+// helper: aborts / (aborts + commits).
+func Rate(part, total int64) float64 {
+	if total == 0 {
+		return 0
+	}
+	return float64(part) / float64(total)
+}
+
+// Speedup returns x/base, or 0 when base is 0.
+func Speedup(x, base float64) float64 {
+	if base == 0 {
+		return 0
+	}
+	return x / base
+}
+
 // table is a minimal aligned-column printer.
 type table struct {
 	header []string

@@ -220,3 +220,63 @@ func TestRunAblation(t *testing.T) {
 		t.Fatal("missing ablation rows")
 	}
 }
+
+func TestRunAborts(t *testing.T) {
+	p := AbortsParams{TopLevels: 2, Accounts: 16, Pairs: 2, Window: 2, UpdatePct: 90, Iter: 1}
+	res, err := RunAborts(tiny(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"WO/LAC", "WO/GAC", "SO/LAC", "SO/GAC"}
+	if len(res.Points) != len(want) {
+		t.Fatalf("points = %d, want one per mode", len(res.Points))
+	}
+	for i, pt := range res.Points {
+		if pt.Mode != want[i] {
+			t.Fatalf("point %d is mode %q, want %q", i, pt.Mode, want[i])
+		}
+		if pt.Chunks <= 0 {
+			t.Fatalf("%s replayed no chunk: %+v", pt.Mode, pt)
+		}
+		// Only SO aborts a continuation; only GAC lets a future escape the
+		// commit and be re-executed at its evaluation.
+		if strings.HasPrefix(pt.Mode, "WO/") && pt.SOContinuation != 0 {
+			t.Fatalf("%s counted %d SO continuation aborts", pt.Mode, pt.SOContinuation)
+		}
+		if strings.HasSuffix(pt.Mode, "/LAC") && pt.EscapeReexecs != 0 {
+			t.Fatalf("%s counted %d escape re-executions", pt.Mode, pt.EscapeReexecs)
+		}
+		if pt.HotCount > pt.Backward {
+			t.Fatalf("%s blames one account %d times out of %d backward aborts", pt.Mode, pt.HotCount, pt.Backward)
+		}
+	}
+	var buf bytes.Buffer
+	res.Print(&buf)
+	if !strings.Contains(buf.String(), "stm-backward") {
+		t.Fatalf("print output:\n%s", buf.String())
+	}
+}
+
+func TestThroughput(t *testing.T) {
+	if got := Throughput(100, time.Second); got != 100 {
+		t.Fatalf("throughput = %v", got)
+	}
+	if Throughput(100, 0) != 0 {
+		t.Fatal("zero-elapsed throughput")
+	}
+}
+
+func TestRateAndSpeedup(t *testing.T) {
+	if got := Rate(1, 4); got != 0.25 {
+		t.Fatalf("rate = %v", got)
+	}
+	if Rate(1, 0) != 0 {
+		t.Fatal("zero-total rate")
+	}
+	if got := Speedup(30, 10); got != 3 {
+		t.Fatalf("speedup = %v", got)
+	}
+	if Speedup(1, 0) != 0 {
+		t.Fatal("zero-base speedup")
+	}
+}

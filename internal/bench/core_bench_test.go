@@ -100,7 +100,9 @@ func BenchmarkAtomicSingleWrite(b *testing.B) {
 
 // BenchmarkSubmitEvaluate measures one submit+merge+evaluate round trip at
 // varying chain depths (the chain grows across the transaction, so deeper
-// configurations stress merge bookkeeping and ancestor updates).
+// configurations stress merge bookkeeping and ancestor updates). The
+// merged@sub column is the share of futures that serialized at submission
+// rather than at their evaluation.
 func BenchmarkSubmitEvaluate(b *testing.B) {
 	for _, depth := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
@@ -125,6 +127,9 @@ func BenchmarkSubmitEvaluate(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			st := sys.Stats().Snapshot()
+			b.ReportMetric(Rate(st.MergedAtSubmission, st.FuturesSubmitted), "merged@sub")
 		})
 	}
 }

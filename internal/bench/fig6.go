@@ -7,7 +7,6 @@ import (
 
 	"wtftm/internal/core"
 	"wtftm/internal/mvstm"
-	"wtftm/internal/stats"
 	"wtftm/internal/workload"
 )
 
@@ -66,8 +65,8 @@ func RunFig6Left(cfg Config, p Fig6LeftParams) (*Fig6LeftResult, error) {
 			}
 			pt := Fig6LeftPoint{
 				TxnLen: l, Iter: it,
-				SpeedupNT:  stats.Speedup(nt, base),
-				SpeedupWTF: stats.Speedup(wtf, base),
+				SpeedupNT:  Speedup(nt, base),
+				SpeedupWTF: Speedup(wtf, base),
 			}
 			res.Points = append(res.Points, pt)
 			cfg.progress("fig6left len=%d iter=%d NT=%.2f WTF=%.2f", l, it, pt.SpeedupNT, pt.SpeedupWTF)
@@ -94,7 +93,7 @@ func fig6LeftBaseline(cfg Config, p Fig6LeftParams, txnLen, iter int) (float64, 
 		})
 		return 1, err
 	})
-	return stats.Throughput(ops, el), err
+	return Throughput(ops, el), err
 }
 
 // fig6LeftNT: plain goroutine futures over raw memory — the cost floor.
@@ -129,7 +128,7 @@ func fig6LeftNT(cfg Config, p Fig6LeftParams, txnLen, iter int) (float64, error)
 		return 1, nil
 	})
 	_ = sink
-	return stats.Throughput(ops, el), err
+	return Throughput(ops, el), err
 }
 
 // fig6LeftWTF: the same reads split across transactional futures.
@@ -163,7 +162,7 @@ func fig6LeftWTF(cfg Config, p Fig6LeftParams, txnLen, iter int) (float64, error
 		})
 		return 1, err
 	})
-	return stats.Throughput(ops, el), err
+	return Throughput(ops, el), err
 }
 
 func perFuture(total, futures int) int {
@@ -255,7 +254,7 @@ func RunFig6Right(cfg Config, p Fig6RightParams) (*Fig6RightResult, error) {
 				}
 				pt := Fig6RightPoint{
 					Tops: split[0], Futures: split[1], ReadLen: rl,
-					Engine: eng, Speedup: stats.Speedup(tput, base),
+					Engine: eng, Speedup: Speedup(tput, base),
 				}
 				res.Points = append(res.Points, pt)
 				cfg.progress("fig6right len=%d %d*%d %s=%.2f", rl, split[0], split[1], eng, pt.Speedup)
@@ -298,7 +297,7 @@ func fig6RightJVSTM(cfg Config, p Fig6RightParams, readLen int) (float64, error)
 		})
 		return 1, err
 	})
-	return stats.Throughput(ops, el), err
+	return Throughput(ops, el), err
 }
 
 func fig6RightFutures(cfg Config, p Fig6RightParams, readLen, tops, futures int, eng Engine) (float64, error) {
@@ -325,7 +324,7 @@ func fig6RightFutures(cfg Config, p Fig6RightParams, readLen, tops, futures int,
 		})
 		return futures, err
 	})
-	return stats.Throughput(ops, el), err
+	return Throughput(ops, el), err
 }
 
 // Print renders the normalized-throughput table of Figure 6 (right).

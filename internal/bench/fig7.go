@@ -6,7 +6,6 @@ import (
 
 	"wtftm/internal/core"
 	"wtftm/internal/mvstm"
-	"wtftm/internal/stats"
 	"wtftm/internal/workload"
 )
 
@@ -89,7 +88,7 @@ func RunFig7(cfg Config, p Fig7Params) (*Fig7Result, error) {
 			}
 			res.Points = append(res.Points, Fig7Point{
 				Engine: JVSTM, Contention: cont.Label, Threads: n,
-				Speedup: stats.Speedup(tput, seq), TopAbortRate: topRate,
+				Speedup: Speedup(tput, seq), TopAbortRate: topRate,
 			})
 			for _, eng := range []Engine{WTF, JTF} {
 				tput, topRate, intRate, err := fig7Futures(cfg, p, cont.Size, n, eng)
@@ -98,7 +97,7 @@ func RunFig7(cfg Config, p Fig7Params) (*Fig7Result, error) {
 				}
 				res.Points = append(res.Points, Fig7Point{
 					Engine: eng, Contention: cont.Label, Threads: n,
-					Speedup:      stats.Speedup(tput, seq),
+					Speedup:      Speedup(tput, seq),
 					TopAbortRate: topRate, InternalAbortRate: intRate,
 				})
 			}
@@ -143,7 +142,7 @@ func fig7JVSTM(cfg Config, p Fig7Params, hotSize, threads int) (tput, topRate fl
 		return 0, 0, err
 	}
 	s := stm.Stats().Snapshot()
-	return stats.Throughput(ops, el), stats.Rate(s.Conflicts, s.Conflicts+s.Commits+s.ReadOnlyCommits), nil
+	return Throughput(ops, el), Rate(s.Conflicts, s.Conflicts+s.Commits+s.ReadOnlyCommits), nil
 }
 
 func fig7Futures(cfg Config, p Fig7Params, hotSize, futures int, eng Engine) (tput, topRate, intRate float64, err error) {
@@ -180,9 +179,9 @@ func fig7Futures(cfg Config, p Fig7Params, hotSize, futures int, eng Engine) (tp
 	attempts := s.TopCommits + s.TopConflict + s.TopInternal
 	internal := s.FutureReexecutions + s.TopInternal
 	serialized := s.MergedAtSubmission + s.MergedAtEvaluation
-	return stats.Throughput(ops, el),
-		stats.Rate(s.TopConflict+s.TopInternal, attempts),
-		stats.Rate(internal, internal+serialized),
+	return Throughput(ops, el),
+		Rate(s.TopConflict+s.TopInternal, attempts),
+		Rate(internal, internal+serialized),
 		nil
 }
 

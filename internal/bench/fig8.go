@@ -7,7 +7,6 @@ import (
 	"wtftm/internal/bank"
 	"wtftm/internal/core"
 	"wtftm/internal/mvstm"
-	"wtftm/internal/stats"
 	"wtftm/internal/workload"
 )
 
@@ -101,10 +100,10 @@ func RunFig8(cfg Config, p Fig8Params) (*Fig8Result, error) {
 				}
 				res.Points = append(res.Points, Fig8Point{
 					Variant: v, UpdatePct: pct, Threads: n,
-					Speedup:           stats.Speedup(tput, seq),
+					Speedup:           Speedup(tput, seq),
 					InternalAbortRate: intRate,
 				})
-				cfg.progress("fig8 upd=%d%% threads=%d %s speedup=%.2f", pct, n, v, stats.Speedup(tput, seq))
+				cfg.progress("fig8 upd=%d%% threads=%d %s speedup=%.2f", pct, n, v, Speedup(tput, seq))
 			}
 		}
 	}
@@ -129,7 +128,7 @@ func fig8Sequential(cfg Config, p Fig8Params, pct int) (float64, error) {
 		})
 		return chunk, err
 	})
-	return stats.Throughput(ops, el), err
+	return Throughput(ops, el), err
 }
 
 // fig8Futures replays chunks with one future per log operation, keeping up
@@ -166,7 +165,7 @@ func fig8Futures(cfg Config, p Fig8Params, pct, window int, v Fig8Variant) (floa
 	s := sys.Stats().Snapshot()
 	internal := s.FutureReexecutions + s.TopInternal
 	serialized := s.MergedAtSubmission + s.MergedAtEvaluation
-	return stats.Throughput(ops, el), stats.Rate(internal, internal+serialized), nil
+	return Throughput(ops, el), Rate(internal, internal+serialized), nil
 }
 
 // replayInOrder keeps a FIFO window of futures: evaluate the oldest, spawn

@@ -7,7 +7,6 @@ import (
 
 	"wtftm/internal/core"
 	"wtftm/internal/mvstm"
-	"wtftm/internal/stats"
 	"wtftm/internal/vacation"
 	"wtftm/internal/workload"
 )
@@ -103,7 +102,7 @@ func RunFig9(cfg Config, p Fig9Params) (*Fig9Result, error) {
 		}
 		res.Points = append(res.Points, Fig9Point{
 			Engine: JVSTM, Clients: n, Futures: 1, Parallelism: n,
-			Speedup: stats.Speedup(tput, seq), TopAbortRate: rate,
+			Speedup: Speedup(tput, seq), TopAbortRate: rate,
 		})
 	}
 	for _, c := range p.Clients {
@@ -115,9 +114,9 @@ func RunFig9(cfg Config, p Fig9Params) (*Fig9Result, error) {
 				}
 				res.Points = append(res.Points, Fig9Point{
 					Engine: eng, Clients: c, Futures: fu, Parallelism: c * fu,
-					Speedup: stats.Speedup(tput, seq), TopAbortRate: rate,
+					Speedup: Speedup(tput, seq), TopAbortRate: rate,
 				})
-				cfg.progress("fig9 %s clients=%d futures=%d speedup=%.2f", eng, c, fu, stats.Speedup(tput, seq))
+				cfg.progress("fig9 %s clients=%d futures=%d speedup=%.2f", eng, c, fu, Speedup(tput, seq))
 			}
 		}
 	}
@@ -161,7 +160,7 @@ func fig9JVSTM(cfg Config, p Fig9Params, clients int) (float64, float64, error) 
 		return 0, 0, err
 	}
 	s := stm.Stats().Snapshot()
-	return stats.Throughput(ops, el), stats.Rate(s.Conflicts, s.Conflicts+s.Commits+s.ReadOnlyCommits), nil
+	return Throughput(ops, el), Rate(s.Conflicts, s.Conflicts+s.Commits+s.ReadOnlyCommits), nil
 }
 
 // fig9Futures runs MakeReservation with the search operations divided among
@@ -223,7 +222,7 @@ func fig9Futures(cfg Config, p Fig9Params, clients, futures int, eng Engine) (fl
 	}
 	s := sys.Stats().Snapshot()
 	attempts := s.TopCommits + s.TopConflict + s.TopInternal
-	return stats.Throughput(ops, el), stats.Rate(s.TopConflict+s.TopInternal, attempts), nil
+	return Throughput(ops, el), Rate(s.TopConflict+s.TopInternal, attempts), nil
 }
 
 // Print renders the speedup and abort-rate tables of Figure 9.

@@ -44,6 +44,14 @@ func benchCommit(b *testing.B, goroutines int, overlap bool) {
 		}(g)
 	}
 	wg.Wait()
+	b.StopTimer()
+	// What the commit pipeline did beside committing: validation failures
+	// per attempt, completions a non-owner drove per successful commit (0
+	// under a global lock), and the commit queue's high-water mark.
+	st := s.Stats().Snapshot() // Commits >= goroutines: every one commits at least once
+	b.ReportMetric(float64(st.Conflicts)/float64(st.Commits+st.Conflicts), "conflict-rate")
+	b.ReportMetric(float64(st.HelpedCommits)/float64(st.Commits), "helped/commit")
+	b.ReportMetric(float64(st.CommitQueueHWM), "queue-hwm")
 }
 
 // BenchmarkCommitContention is the PR's headline number: read-write commit

@@ -8,8 +8,7 @@
 // parallel yet commit atomically. The server's -ordering knob selects WO or
 // SO future semantics per instance, turning the paper's semantics axis into
 // an operator-visible performance knob (benchmark/'s multi-hot workload
-// measures MULTI serving under WO; wtfbench -exp server is the older
-// in-process WO-against-SO sweep).
+// measures MULTI serving under WO).
 //
 // Concurrency model: one read loop and one write loop per connection, plus a
 // fixed set of shard-affine executors (DESIGN.md §10). Each executor owns a
@@ -118,9 +117,10 @@ type Config struct {
 	// GET through its shard's executor like any other command (DESIGN.md
 	// §13). It is a setting because the two routes split the benchmark: the
 	// fast path serves get-heavy 30% faster, the executor route serves
-	// mixed-durable, where 99% of GETs fall back anyway, 4% faster; ROADMAP
-	// item 6 asks for the selection to be made from the observed write share
-	// instead.
+	// mixed-durable, where 99% of GETs fall back anyway, 4% faster. The
+	// connection already counts its fast reads, its fallbacks and its
+	// pending writes, so the server could choose the route itself; until it
+	// does, the operator chooses.
 	DisableFastReads bool
 
 	// SlowMS is the flight-recorder threshold: a request slower than this
@@ -328,8 +328,8 @@ func New(cfg Config) (*Server, error) {
 	// bypasses both the engine and the executors, so a traced server serves
 	// no GET from the read loop. A recorded server also runs units of one:
 	// the FSG oracle checks the uncoalesced schedule, one request = one
-	// transaction. Both couplings stand until the served paths have an
-	// oracle of their own (ROADMAP item 3).
+	// transaction. Both couplings stand until there is an oracle that checks
+	// client-observed histories with coalescing and fast reads switched on.
 	s.fastOK = !cfg.DisableFastReads && cfg.Recorder == nil && cfg.execHook == nil
 	s.unitLimit = groupLimit
 	if cfg.Recorder != nil {

@@ -53,25 +53,17 @@ func fnv1a[K ~string | ~[]byte](key K) uint32 {
 // shardOf maps a key to its shard.
 func (st *store) shardOf(key string) int { return int(fnv1a(key) % uint32(len(st.shards))) }
 
-// getFast serves one GET against shard sh outside any transaction, via the
-// map's lock-free read path (tstruct.Map.GetFast over mvstm.ReadLatest).
-// ok == false means the retry budget was exhausted by concurrent version
-// trims and the caller must fall back to a transactional read.
-func (st *store) getFast(sh int, key string) (val string, found bool, retries int, ok bool) {
-	v, found, retries, ok := st.shards[sh].GetFast(key)
-	if !ok || !found {
-		return "", found, retries, ok
-	}
-	return v.(string), true, retries, true
-}
-
 // shardOfBytes is shardOf over a key still in its wire buffer: same shard
 // assignment, no string.
 func (st *store) shardOfBytes(key []byte) int { return int(fnv1a(key) % uint32(len(st.shards))) }
 
-// getFastBytes is getFast without the key string: the read loop hands the
-// key down as the payload subslice it decoded, and the hash, bucket lookup
-// and entry comparisons all run over the bytes.
+// getFastBytes serves one GET against shard sh outside any transaction, via
+// the map's lock-free read path (tstruct.Map.GetFastBytes over
+// mvstm.ReadLatest). The read loop hands the key down as the payload
+// subslice it decoded, and the hash, bucket lookup and entry comparisons all
+// run over the bytes. ok == false means the retry budget was exhausted by
+// concurrent version trims and the caller must fall back to a transactional
+// read.
 func (st *store) getFastBytes(sh int, key []byte) (val string, found bool, retries int, ok bool) {
 	v, found, retries, ok := st.shards[sh].GetFastBytes(key)
 	if !ok || !found {

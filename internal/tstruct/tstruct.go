@@ -70,31 +70,18 @@ func (m *Map) Get(tx mvstm.ReadWriter, key string) (any, bool) {
 	return nil, false
 }
 
-// GetFast returns the value for key at the current commit clock without a
-// transaction, via mvstm.ReadLatest on the key's bucket. The bucket slice
+// GetFastBytes returns the value for key at the current commit clock without
+// a transaction, via mvstm.ReadLatest on the key's bucket. The bucket slice
 // is an immutable copy-on-write snapshot, so scanning it outside any
 // transaction is safe. retries and ok relay ReadLatest's outcome: on !ok
 // (retry budget exhausted by concurrent version trims) the caller must
 // re-issue the read through a transaction; found is only meaningful when
 // ok is true.
-func (m *Map) GetFast(key string) (val any, found bool, retries int, ok bool) {
-	v, retries, ok := m.stm.ReadLatest(m.bucket(key))
-	if !ok {
-		return nil, false, retries, false
-	}
-	for _, e := range v.([]mapEntry) {
-		if e.key == key {
-			return e.val, true, retries, true
-		}
-	}
-	return nil, false, retries, true
-}
-
-// GetFastBytes is GetFast for a key that is still a byte slice in its wire
-// buffer: the bucket hash (maphash.Bytes equals maphash.String over the same
-// bytes) and the entry comparisons run directly over the slice, so the
-// caller materializes no key string — the last allocation on the serving
-// read path.
+//
+// The key is still a byte slice in its wire buffer: the bucket hash
+// (maphash.Bytes equals maphash.String over the same bytes) and the entry
+// comparisons run directly over the slice, so the caller materializes no key
+// string — the last allocation on the serving read path.
 func (m *Map) GetFastBytes(key []byte) (val any, found bool, retries int, ok bool) {
 	b := m.buckets[maphash.Bytes(m.seed, key)%uint64(len(m.buckets))]
 	v, retries, ok := m.stm.ReadLatest(b)

@@ -388,28 +388,28 @@ func TestMapSnapshotRestore(t *testing.T) {
 func TestMapGetFast(t *testing.T) {
 	stm := mvstm.New()
 	m := NewMap(stm, 4)
-	if _, found, retries, ok := m.GetFast("a"); !ok || found || retries != 0 {
-		t.Fatalf("GetFast on empty map: found=%v retries=%d ok=%v", found, retries, ok)
+	if _, found, retries, ok := m.GetFastBytes([]byte("a")); !ok || found || retries != 0 {
+		t.Fatalf("GetFastBytes on empty map: found=%v retries=%d ok=%v", found, retries, ok)
 	}
 	runTx(t, stm, func(tx *mvstm.Txn) error {
 		m.Put(tx, "a", "one")
 		m.Put(tx, "b", "two")
 		return nil
 	})
-	if v, found, _, ok := m.GetFast("a"); !ok || !found || v != "one" {
-		t.Fatalf("GetFast(a) = (%v, %v, ok=%v)", v, found, ok)
+	if v, found, _, ok := m.GetFastBytes([]byte("a")); !ok || !found || v != "one" {
+		t.Fatalf("GetFastBytes(a) = (%v, %v, ok=%v)", v, found, ok)
 	}
 	runTx(t, stm, func(tx *mvstm.Txn) error { m.Delete(tx, "a"); return nil })
-	if _, found, _, ok := m.GetFast("a"); !ok || found {
-		t.Fatalf("GetFast after delete: found=%v ok=%v", found, ok)
+	if _, found, _, ok := m.GetFastBytes([]byte("a")); !ok || found {
+		t.Fatalf("GetFastBytes after delete: found=%v ok=%v", found, ok)
 	}
-	if v, found, _, ok := m.GetFast("b"); !ok || !found || v != "two" {
-		t.Fatalf("GetFast(b) = (%v, %v, ok=%v)", v, found, ok)
+	if v, found, _, ok := m.GetFastBytes([]byte("b")); !ok || !found || v != "two" {
+		t.Fatalf("GetFastBytes(b) = (%v, %v, ok=%v)", v, found, ok)
 	}
 }
 
 // TestMapGetFastMatchesTransactionalGet cross-checks the fast path against
-// the transactional read under concurrent writers: any value GetFast
+// the transactional read under concurrent writers: any value GetFastBytes
 // returns must be one a snapshot transaction could also have observed
 // (per-key monotonically increasing, never ahead of the issuing writer).
 func TestMapGetFastMatchesTransactionalGet(t *testing.T) {
@@ -452,7 +452,7 @@ func TestMapGetFastMatchesTransactionalGet(t *testing.T) {
 			}
 			for i := 0; i < keys; i++ {
 				k := key(i)
-				v, found, _, ok := m.GetFast(k)
+				v, found, _, ok := m.GetFastBytes([]byte(k))
 				if !ok {
 					continue
 				}

@@ -231,7 +231,7 @@ type Response struct {
 	// Batch holds per-command results of a MULTI, aligned with the request.
 	Batch []Result
 	// valBuf is a private scratch buffer for Result.Val, populated only by
-	// SetVal/SetValString/DecodeResponseInto and recycled (size-capped) by
+	// SetVal/DecodeResponseInto and recycled (size-capped) by
 	// ReleaseResponse. It exists so pooled responses can carry values with
 	// zero steady-state allocation WITHOUT ever reusing Result.Val itself:
 	// Result.Val may alias memory the response does not own (the server's
@@ -247,15 +247,6 @@ type Response struct {
 // survive until the response is encoded; ReleaseResponse then recycles the
 // buffer. The copy semantics match ValResult — val itself is not retained.
 func (resp *Response) SetVal(st Status, val []byte) {
-	resp.valBuf = append(resp.valBuf[:0], val...)
-	resp.Result = Result{Status: st, Val: resp.valBuf, HasVal: true}
-}
-
-// SetValString is SetVal for string-typed values, avoiding the []byte
-// conversion allocation (this is the server GET fast path's value handoff:
-// store values are strings and must be copied exactly once, into the
-// response's own scratch).
-func (resp *Response) SetValString(st Status, val string) {
 	resp.valBuf = append(resp.valBuf[:0], val...)
 	resp.Result = Result{Status: st, Val: resp.valBuf, HasVal: true}
 }

@@ -18,6 +18,40 @@ echo "== tier-1: benchmark module unit tests (its own module, not reached by ./.
 echo "== tier-1.5: vet =="
 go vet ./...
 
+echo "== tier-1.5: docs name only scripts, top-level JSON files and wtfbench experiments that exist =="
+# EXPERIMENTS.md's one "Historical" section is where deleted instruments may
+# still be named; everything else must point at things in the tree. The
+# experiment names are whatever wtfbench lists when asked for an unknown one.
+docs="README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md"
+doc_refs() {
+	awk '/^## /{ skip = /^## Historical in-process sweeps/ } !skip' $docs | grep -oE -- "$1" | sort -u
+}
+exps=$(go run ./cmd/wtfbench -exp '?' 2>&1 | sed -n 's/.*valid: //p' | tr '|' ' ')
+if [ -z "$exps" ]; then
+	echo "ci: wtfbench -exp '?' listed no experiments" >&2
+	exit 1
+fi
+stale=0
+for ref in $(doc_refs 'scripts/[A-Za-z0-9_.-]+\.sh') $(doc_refs '(^|[^/A-Za-z0-9_.-])[A-Z][A-Za-z0-9_*]*\.json' | sed 's/^[^A-Z]//'); do
+	# Unquoted on purpose: a name with a * in it is a glob and must match a file.
+	if ! ls $ref >/dev/null 2>&1; then
+		echo "ci: the docs name $ref, which does not exist" >&2
+		stale=1
+	fi
+done
+for name in $(doc_refs '-exp [a-z][a-z0-9]*' | sed 's/^-exp //'); do
+	case " $exps " in
+	*" $name "*) ;;
+	*)
+		echo "ci: the docs name wtfbench -exp $name; valid: $exps" >&2
+		stale=1
+		;;
+	esac
+done
+if [ "$stale" -ne 0 ]; then
+	exit 1
+fi
+
 echo "== tier-1.5: race (mvstm + core + conform + wtfd server/client/wire + wal/persist) =="
 # The core run covers arena reuse: graph memory handed from one attempt to the
 # next (retained handles, GAC escapees, parked stragglers — lifetime_test.go),
@@ -133,7 +167,7 @@ check_allocs ./internal/client/ BenchmarkClientGetRoundTrip 1
 echo "== tier-1.5: read fast-path smoke (clean fallback rate <= 1%, session order under race) =="
 # The fallback-rate gate catches a broken watermark or retry budget (every
 # fallback is a silent perf loss, not an error); the race slice pins
-# ReadLatest against concurrent commits and trims, GetFast against
+# ReadLatest against concurrent commits and trims, GetFastBytes against
 # transactional writers, and the served monotonic-reads story across paths.
 go test -run TestFastReadCleanFallbackRate -count=1 ./internal/server/
 go test -race -count=1 -run 'TestReadLatestStress' ./internal/mvstm/
