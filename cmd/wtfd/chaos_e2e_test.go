@@ -6,15 +6,17 @@ package main
 // dead server's goroutines into the test. Each schedule serves a chaos
 // workload on a fixed port, SIGKILLs the daemon mid-schedule, restarts it
 // on the same data directory, and lets the workload's retry/backoff carry
-// it across the outage. The lost-ack oracle then judges the recovered
-// state: under -fsync group or always, an acknowledged write that does not
-// survive the crash is a durability lie.
+// it across the outage. Once the workload is done the restarted daemon is
+// stopped and the served-history checker (internal/chaos) judges what the
+// clients saw against the log both lifetimes wrote: under -fsync group or
+// always, an acknowledged write the log does not hold is a durability lie.
 
 import (
 	"fmt"
 	"net"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -83,8 +85,9 @@ func runCrashSchedule(t *testing.T, bin, fsync string, seed uint64) {
 	killAfter := time.Duration(60+10*int64(seed%8)) * time.Millisecond
 
 	var (
-		wg  sync.WaitGroup
-		rep *chaos.Report
+		wg        sync.WaitGroup
+		rep       *chaos.Report
+		restarted = make(chan *wtfdProc, 1)
 	)
 	wg.Add(1)
 	go func() {
@@ -105,6 +108,21 @@ func runCrashSchedule(t *testing.T, bin, fsync string, seed uint64) {
 			// table; a CAS resend straddling the crash legally observes
 			// its own first effect.
 			CrashTolerant: true,
+			Stop: func() (*chaos.Log, error) {
+				var p2 *wtfdProc
+				select {
+				case p2 = <-restarted:
+				case <-time.After(time.Minute):
+					return nil, fmt.Errorf("the daemon was never restarted")
+				}
+				if err := p2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+					return nil, err
+				}
+				if err := p2.cmd.Wait(); err != nil {
+					return nil, fmt.Errorf("graceful stop: %w", err)
+				}
+				return &chaos.Log{Dir: dataDir, Shards: 4}, nil
+			},
 		})
 	}()
 
@@ -113,7 +131,7 @@ func runCrashSchedule(t *testing.T, bin, fsync string, seed uint64) {
 		t.Fatalf("kill -9: %v", kerr)
 	}
 	p1.cmd.Wait()
-	start() // recover on the same directory and port
+	restarted <- start() // recover on the same directory and port
 
 	wg.Wait()
 	if err != nil {

@@ -35,18 +35,6 @@ func TestParseArgs(t *testing.T) {
 				if got.cfg.Fsync != wal.SyncGroup {
 					t.Errorf("default fsync = %v", got.cfg.Fsync)
 				}
-				if got.cfg.DisableFastReads {
-					t.Error("fast reads disabled by default")
-				}
-			},
-		},
-		{
-			name: "fast reads opt-out",
-			args: []string{"-fast-reads=false"},
-			check: func(t *testing.T, got parsed) {
-				if !got.cfg.DisableFastReads {
-					t.Error("-fast-reads=false did not set DisableFastReads")
-				}
 			},
 		},
 		{
@@ -54,7 +42,7 @@ func TestParseArgs(t *testing.T) {
 			args: []string{"-data-dir", "d", "-fsync", "always",
 				"-snapshot-every", "100", "-segment-bytes", "4096",
 				"-idle-timeout", "30s", "-max-inflight", "128",
-				"-ordering", "so", "-atomicity", "gac"},
+				"-ordering", "so"},
 			check: func(t *testing.T, got parsed) {
 				if got.cfg.Fsync != wal.SyncAlways || got.cfg.DataDir != "d" {
 					t.Errorf("durable cfg = %+v", got.cfg)
@@ -62,8 +50,8 @@ func TestParseArgs(t *testing.T) {
 				if got.cfg.IdleTimeout != 30*time.Second || got.cfg.MaxInFlight != 128 {
 					t.Errorf("idle/inflight = %v/%d", got.cfg.IdleTimeout, got.cfg.MaxInFlight)
 				}
-				if got.cfg.Ordering != wtftm.SO || got.cfg.Atomicity != wtftm.GAC {
-					t.Errorf("ordering/atomicity = %v/%v", got.cfg.Ordering, got.cfg.Atomicity)
+				if got.cfg.Ordering != wtftm.SO {
+					t.Errorf("ordering = %v", got.cfg.Ordering)
 				}
 			},
 		},
@@ -95,6 +83,10 @@ func TestParseArgs(t *testing.T) {
 		{name: "retired -flush-window", args: []string{"-flush-window", "50us"}, wantErr: "flag provided but not defined"},
 		{name: "retired -writer-queue", args: []string{"-writer-queue", "128"}, wantErr: "flag provided but not defined"},
 		{name: "retired -commit-delay", args: []string{"-data-dir", "d", "-commit-delay", "2ms"}, wantErr: "flag provided but not defined"},
+		// wtfd has one configuration: the fast-read opt-out and the
+		// atomicity setting are retired as well.
+		{name: "fast reads opt-out", args: []string{"-fast-reads=false"}, wantErr: "flag provided but not defined"},
+		{name: "bad atomicity", args: []string{"-atomicity", "gac"}, wantErr: "flag provided but not defined"},
 		{
 			name: "negative slow-ms disables the flight recorder",
 			args: []string{"-slow-ms", "-1"},
@@ -106,7 +98,6 @@ func TestParseArgs(t *testing.T) {
 		},
 		{name: "bad fsync", args: []string{"-data-dir", "d", "-fsync", "sometimes"}, wantErr: "sync policy"},
 		{name: "bad ordering", args: []string{"-ordering", "chaotic"}, wantErr: "-ordering"},
-		{name: "bad atomicity", args: []string{"-atomicity", "none"}, wantErr: "-atomicity"},
 		{name: "zero shards", args: []string{"-shards", "0"}, wantErr: "-shards"},
 		{name: "negative shards", args: []string{"-shards", "-4"}, wantErr: "-shards"},
 		{name: "zero buckets", args: []string{"-buckets", "0"}, wantErr: "-buckets"},
@@ -152,10 +143,10 @@ type parsed struct {
 // which is where it has to be argued: an option earns its place when two
 // deployments or benchmark workloads need different values.
 func TestFlagSurface(t *testing.T) {
-	want := []string{ // 16
-		"atomicity", "buckets", "data-dir", "executors", "fast-reads", "fsync",
-		"http", "idle-timeout", "listen", "max-inflight", "ordering",
-		"segment-bytes", "shards", "slow-ms", "snapshot-every", "stats",
+	want := []string{ // 14
+		"buckets", "data-dir", "executors", "fsync", "http", "idle-timeout",
+		"listen", "max-inflight", "ordering", "segment-bytes", "shards",
+		"slow-ms", "snapshot-every", "stats",
 	}
 	fs := flag.NewFlagSet("wtfd", flag.ContinueOnError)
 	if _, _, err := parseArgs(fs, nil); err != nil {

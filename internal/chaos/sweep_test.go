@@ -22,6 +22,7 @@ import (
 	"wtftm/internal/client"
 	"wtftm/internal/server"
 	"wtftm/internal/wal"
+	"wtftm/internal/wire"
 )
 
 // sweepSeeds is how many seeds each (scenario, policy) cell runs; trimmed
@@ -43,12 +44,15 @@ var sweepPolicies = []struct {
 
 // startDurableServer boots a wtfd server backed by an in-memory durable FS
 // (real WAL + snapshot code paths, no disk) with chaos-friendly timeouts.
-func startDurableServer(t testing.TB, pol wal.SyncPolicy) *server.Server {
+// The returned Log is where the checker finds the server's log once it is
+// drained.
+func startDurableServer(t testing.TB, pol wal.SyncPolicy) (*server.Server, *Log) {
 	t.Helper()
+	log := &Log{FS: wal.NewMemFS(), Dir: "chaos-data", Shards: 4}
 	s, err := server.New(server.Config{
-		Shards:      4,
-		DataDir:     "chaos-data",
-		FS:          wal.NewMemFS(),
+		Shards:      log.Shards,
+		DataDir:     log.Dir,
+		FS:          log.FS,
 		Fsync:       pol,
 		IdleTimeout: 30 * time.Second,
 	})
@@ -59,7 +63,7 @@ func startDurableServer(t testing.TB, pol wal.SyncPolicy) *server.Server {
 		t.Fatalf("Listen: %v", err)
 	}
 	t.Cleanup(s.Drain)
-	return s
+	return s, log
 }
 
 // runSchedule executes one fault schedule against a fresh durable server
@@ -70,7 +74,7 @@ func runSchedule(t testing.TB, scenario string, pol wal.SyncPolicy, seed uint64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := startDurableServer(t, pol)
+	s, log := startDurableServer(t, pol)
 	rep, err := RunWorkload(WorkloadConfig{
 		Addr:    s.Addr().String(),
 		Dial:    NewInjector(plan).Dialer(),
@@ -83,6 +87,7 @@ func runSchedule(t testing.TB, scenario string, pol wal.SyncPolicy, seed uint64,
 			MaxBackoff:  20 * time.Millisecond,
 		},
 		OpTimeout: 2 * time.Second,
+		Stop:      func() (*Log, error) { s.Drain(); return log, nil },
 	})
 	if err != nil {
 		t.Fatalf("workload infrastructure failed: %v", err)
@@ -135,11 +140,11 @@ func TestChaosConformanceSweep(t *testing.T) {
 // TestChaosFastReadConformance pins the read fast path's interaction with
 // faults and durability: lock-free read-loop GETs interleaved with
 // group-committed durable writes, through an injected-fault transport with
-// retrying clients, must still tell each session one monotonic,
-// read-your-writes story — the workload oracle's per-key monotonic check
-// judges exactly that. The STATS assertion closes the loophole of passing
-// by never taking the fast path: the sweep must have actually served reads
-// from the connection loop, not quietly routed everything to executors.
+// retrying clients, must still tell one serializable story that respects
+// each session's order — the checker judges exactly that. The STATS
+// assertion closes the loophole of passing by never taking the fast path:
+// the sweep must have actually served reads from the connection loop, not
+// quietly routed everything to executors.
 func TestChaosFastReadConformance(t *testing.T) {
 	for _, scenario := range []string{"reset", "slow-client"} {
 		t.Run(scenario, func(t *testing.T) {
@@ -147,7 +152,8 @@ func TestChaosFastReadConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := startDurableServer(t, wal.SyncGroup)
+			s, log := startDurableServer(t, wal.SyncGroup)
+			var stats *wire.StatsReply
 			rep, err := RunWorkload(WorkloadConfig{
 				Addr:    s.Addr().String(),
 				Dial:    NewInjector(plan).Dialer(),
@@ -160,25 +166,25 @@ func TestChaosFastReadConformance(t *testing.T) {
 					MaxBackoff:  20 * time.Millisecond,
 				},
 				OpTimeout: 2 * time.Second,
+				Stop: func() (*Log, error) {
+					clean := client.New(client.Options{Addr: s.Addr().String(), Conns: 1})
+					defer clean.Close()
+					var err error
+					if stats, err = clean.Stats(); err != nil {
+						return nil, err
+					}
+					s.Drain()
+					return log, nil
+				},
 			})
 			if err != nil {
 				t.Fatalf("workload: %v", err)
 			}
 			if rep.Failed() {
-				t.Fatalf("oracle violations with fast reads under %s: %v", scenario, rep.Violations)
+				t.Fatalf("violations with fast reads under %s: %v", scenario, rep.Violations)
 			}
 			if rep.Acked == 0 {
 				t.Fatal("nothing acked: the schedule starved the workload")
-			}
-
-			clean := client.New(client.Options{Addr: s.Addr().String(), Conns: 1})
-			defer clean.Close()
-			stats, err := clean.Stats()
-			if err != nil {
-				t.Fatalf("stats: %v", err)
-			}
-			if !stats.Server.FastReadsEnabled {
-				t.Fatal("FastReadsEnabled = false: conformance ran against the wrong configuration")
 			}
 			if stats.Server.FastReads == 0 {
 				t.Fatal("FastReads = 0: every GET fell back to the executor path, fast path untested")
@@ -273,7 +279,7 @@ func TestCorruptionSurvival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := startDurableServer(t, wal.SyncGroup)
+	s, _ := startDurableServer(t, wal.SyncGroup)
 	cl := client.New(client.Options{
 		Addr:  s.Addr().String(),
 		Conns: 2,

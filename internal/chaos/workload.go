@@ -1,36 +1,26 @@
-// The chaos workload runner and its oracle.
+// The chaos workload runner.
 //
 // The workload drives a real wtfd server through fault-injected clients and
-// keeps just enough bookkeeping to say, afterwards, whether the system lied
-// to anyone. The checks, and why they are sound under this client:
+// records what each of them saw as a History; Check (check.go) then says
+// whether the server lied to anyone. The shape of the traffic is what makes
+// that judgment possible without a log: each worker owns a disjoint set of
+// counter keys, to which it writes strictly increasing values, and one CAS
+// key it advances with the expectation it last learned. Every key therefore
+// has a single writer, whose program order is the key's version order, and
+// every written value is unique. Each worker ends with a read of everything
+// it owns over a clean connection, so a write it was acked for and that did
+// not stick shows up in its own session.
 //
-//   - No lost acked writes. Each worker owns a disjoint set of counter keys
-//     and writes strictly increasing values to them. An acked write is a
-//     promise; a call that errors out is ambiguous (the request may have
-//     committed while its ack died on a reset or partition). So the oracle
-//     demands final(key) ∈ [lastAcked(key), lastIssued(key)]: below the
-//     window an acked write was lost, above it a write materialized from
-//     nowhere.
-//   - No duplicated CAS effects. Each worker owns one CAS key and advances
-//     it cur→next with the correct expectation every time. With retries
-//     riding the DEDUP envelope, a mismatch on a non-ambiguous call can
-//     only mean the CAS applied twice (the resend ran against the first
-//     send's effect) — the exact bug exactly-once exists to kill. After an
-//     ambiguous (errored) CAS the worker re-reads the key and accepts
-//     either outcome before continuing.
-//   - Monotonic per-key reads. Writers issue strictly increasing values and
-//     every retried write is exactly-once, so two reads of one key by one
-//     observer can never go backwards. Going backwards would mean a stale
-//     duplicate re-applied — at-least-once masquerading as exactly-once.
-//
-// All verdicts tolerate errors (chaos guarantees plenty); they never
-// tolerate a wrong answer.
+// Errors are expected (chaos guarantees plenty): an operation that fails is
+// recorded as ambiguous, and the checker accepts either of its outcomes. A
+// wrong answer is never tolerated.
 package chaos
 
 import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -45,8 +35,7 @@ type WorkloadConfig struct {
 	// Addr is the wtfd server address.
 	Addr string
 	// Dial, when non-nil, replaces the workers' dialer (the chaos
-	// injector's Dialer goes here). The final verification pass never uses
-	// it: verdicts are read over a clean connection.
+	// injector's Dialer goes here). The final read-back never uses it.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 	// Workers is the number of concurrent writer clients (default 2).
 	Workers int
@@ -63,56 +52,44 @@ type WorkloadConfig struct {
 	// wedge a worker forever. A timed-out op is ambiguous, not fatal.
 	// Default 2s.
 	OpTimeout time.Duration
-	// CrashTolerant relaxes the duplicated-CAS-effect verdict for
-	// schedules that kill -9 the server: the dedup table is in-memory, so
-	// a CAS resend that straddles a crash re-executes against its own
-	// effect and reports a mismatch whose current value IS the attempted
-	// value. With this set, that exact signature is adopted as "the first
-	// send applied" (counted in Report.CrashAdopted) instead of flagged.
-	// Leave it false for crash-free schedules, where the same signature
-	// can only mean the exactly-once table failed.
+	// CrashTolerant is Check's crashTolerant: set it for schedules that
+	// kill -9 the server, whose exactly-once table does not survive the
+	// crash. Leave it false for crash-free schedules, where a duplicated
+	// effect can only mean that table failed.
 	CrashTolerant bool
+	// Stop, when non-nil, runs once every worker is done. It must stop the
+	// server — Drain, or end its process — so that its log is quiescent,
+	// and say where the log is; Check then takes every key's version order
+	// from that log. Nil means a memory-only server.
+	Stop func() (*Log, error)
 }
 
 // Report is what one workload run observed.
 type Report struct {
-	// Ops counts operations issued; Acked those acknowledged successfully;
-	// Ambiguous those that errored (outcome unknown).
+	// Ops counts operations issued; Acked those answered; Ambiguous those
+	// that errored (outcome unknown). The final read-back is not counted.
 	Ops, Acked, Ambiguous int64
 	// Retries, BusyRetries and Redials aggregate the workers' client
 	// metrics.
 	Retries, BusyRetries, Redials int64
-	// Violations holds every oracle violation found; empty means the run
-	// passed.
+	// Violations holds every contradiction Check found; empty means the
+	// run passed.
 	Violations []string
-	// CrashAdopted counts CAS mismatches adopted as crash-straddling
+	// CrashAdopted counts duplicated effects adopted as crash-straddling
 	// resends (only possible with WorkloadConfig.CrashTolerant).
 	CrashAdopted int64
 	// P99 is the 99th-percentile operation latency (retries included).
 	P99 time.Duration
 }
 
-// Failed reports whether the oracle found any violation.
+// Failed reports whether the checker found any violation.
 func (r *Report) Failed() bool { return len(r.Violations) > 0 }
 
-// keyState is the oracle's per-counter-key bookkeeping.
-type keyState struct {
-	lastAcked  int64 // highest value whose write was acknowledged
-	lastIssued int64 // highest value ever sent (acked or not)
-}
-
-// casState is the oracle's per-CAS-key bookkeeping, written once by the
-// owning worker as it exits.
-type casState struct {
-	cur       string // last value known committed ("" = absent)
-	ambiguous string // in-doubt value if the last CAS errored ("" = none)
-}
-
 // RunWorkload drives cfg.Workers fault-injected clients against the server,
-// then verifies the oracle over a clean (fault-free) connection and returns
-// the report. The only returned error is infrastructural — the clean
-// verification client itself could not reach the server. Semantic failures
-// land in Report.Violations.
+// stops it through cfg.Stop and checks the recorded history. The returned
+// error is infrastructural — a clean read-back could not reach the server,
+// Stop failed, or Check could not judge the log. Semantic failures land in
+// Report.Violations.
 func RunWorkload(cfg WorkloadConfig) (*Report, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
@@ -130,45 +107,39 @@ func RunWorkload(cfg WorkloadConfig) (*Report, error) {
 	rep := &Report{}
 	var (
 		mu   sync.Mutex
-		keys = map[string]*keyState{}
-		cas  = map[string]*casState{}
 		lats []time.Duration
+		hist History
+		wg   sync.WaitGroup
 	)
-	addVi := func(format string, args ...any) {
-		mu.Lock()
-		rep.Violations = append(rep.Violations, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
-
-	// Register every key up front so the final pass covers keys whose
-	// worker never got a single op through.
-	for w := 0; w < cfg.Workers; w++ {
-		for k := 0; k < cfg.KeysPerWorker; k++ {
-			keys[counterKey(w, k)] = &keyState{}
-		}
-		cas[casKeyOf(w)] = &casState{}
-	}
-
-	var wg sync.WaitGroup
+	errs := make([]error, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			wk := worker{cfg: &cfg, id: id, rep: rep, mu: &mu,
-				keys: keys, cas: cas, lats: &lats, addVi: addVi}
+			wk := worker{cfg: &cfg, id: id, rep: rep, mu: &mu, lats: &lats, hist: &hist}
 			wk.run()
+			errs[id] = wk.readBack()
 		}(w)
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return rep, err
+		}
+	}
 
-	// Let any delivered-but-unanswered tail requests drain before the
-	// final read-back (their effects sit inside the oracle windows either
-	// way; this keeps the read-back from racing the last commits).
-	time.Sleep(50 * time.Millisecond)
-
-	if err := verifyFinal(&cfg, keys, cas, addVi); err != nil {
+	var log *Log
+	if cfg.Stop != nil {
+		var err error
+		if log, err = cfg.Stop(); err != nil {
+			return rep, fmt.Errorf("stopping the server: %w", err)
+		}
+	}
+	v, err := Check(hist.Ops(), log, cfg.CrashTolerant)
+	if err != nil {
 		return rep, err
 	}
+	rep.Violations, rep.CrashAdopted = v.Violations, v.CrashAdopted
 
 	if len(lats) > 0 {
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
@@ -182,30 +153,27 @@ func casKeyOf(worker int) string      { return fmt.Sprintf("cas.w%d", worker) }
 
 // worker is one writer client's run state.
 type worker struct {
-	cfg   *WorkloadConfig
-	id    int
-	rep   *Report
-	mu    *sync.Mutex
-	keys  map[string]*keyState
-	cas   map[string]*casState
-	lats  *[]time.Duration
-	addVi func(string, ...any)
+	cfg  *WorkloadConfig
+	id   int
+	rep  *Report
+	mu   *sync.Mutex
+	lats *[]time.Duration
+	hist *History
 
-	cl       *client.Client
-	rng      prng
-	next     []int64          // next counter value per owned key
-	lastRead map[string]int64 // monotonic-read watermark per key
-	casCur   string
-	casAmb   string
+	cl     *client.Client
+	rng    prng
+	seq    int     // program-order index of the next operation
+	next   []int64 // next counter value per owned key
+	casCur string  // the CAS key's value as last learned ("" = absent)
+	casAmb string  // the value of a CAS whose outcome is unknown
 }
 
 // run is the worker's life: a seeded mix of PUT / GET / CAS / MULTI over
-// its own keys, with oracle bookkeeping around every ack.
+// its own keys, each recorded in the history.
 func (w *worker) run() {
 	w.rng = prng{s: w.cfg.Seed ^ uint64(w.id)*0x9e3779b97f4a7c15}
 	w.rng.next()
 	w.next = make([]int64, w.cfg.KeysPerWorker)
-	w.lastRead = map[string]int64{}
 
 	w.cl = client.New(client.Options{
 		Addr:     w.cfg.Addr,
@@ -220,8 +188,6 @@ func (w *worker) run() {
 		w.rep.Retries += m.Retries
 		w.rep.BusyRetries += m.BusyRetries
 		w.rep.Redials += m.Redials
-		st := w.cas[casKeyOf(w.id)]
-		st.cur, st.ambiguous = w.casCur, w.casAmb
 		w.mu.Unlock()
 		w.cl.Close()
 	}()
@@ -240,9 +206,21 @@ func (w *worker) run() {
 	}
 }
 
-// record books one finished op's latency and outcome; it returns true when
-// the op was acked.
-func (w *worker) record(start time.Time, err error) bool {
+// add numbers op in the worker's program order and records it in the
+// history; an error makes it ambiguous.
+func (w *worker) add(op Op, err error) {
+	if err != nil {
+		op.Outcome = Ambiguous
+	}
+	op.Process, op.Index = w.id, w.seq
+	w.seq++
+	w.hist.Add(op)
+}
+
+// record books one finished op in the history and its latency and outcome
+// in the report; it returns true when the op was answered.
+func (w *worker) record(op Op, start time.Time, err error) bool {
+	w.add(op, err)
 	w.mu.Lock()
 	*w.lats = append(*w.lats, time.Since(start))
 	w.rep.Ops++
@@ -263,69 +241,40 @@ func (w *worker) putOp() {
 	k := w.rng.intn(len(w.next))
 	key := counterKey(w.id, k)
 	w.next[k]++
-	val := w.next[k]
-	w.mu.Lock()
-	w.keys[key].lastIssued = val
-	w.mu.Unlock()
-
+	val := strconv.FormatInt(w.next[k], 10)
 	start := time.Now()
 	ctx, cancel := w.opCtx()
-	err := w.cl.PutCtx(ctx, key, strconv.FormatInt(val, 10))
+	err := w.cl.PutCtx(ctx, key, val)
 	cancel()
-	if w.record(start, err) {
-		w.mu.Lock()
-		w.keys[key].lastAcked = val
-		w.mu.Unlock()
-	}
+	w.record(Op{Kind: "put", Access: []Access{{Key: key, Write: val}}}, start, err)
 }
 
 func (w *worker) getOp() {
-	// Half the reads target another worker's keys: cross-client
-	// monotonicity is the interesting half.
+	// Half the reads target another worker's keys.
 	key := counterKey(w.id, w.rng.intn(w.cfg.KeysPerWorker))
 	if w.rng.intn(2) == 0 {
 		key = counterKey(w.rng.intn(w.cfg.Workers), w.rng.intn(w.cfg.KeysPerWorker))
 	}
 	start := time.Now()
 	ctx, cancel := w.opCtx()
-	v, ok, err := w.cl.GetCtx(ctx, key)
+	v, _, err := w.cl.GetCtx(ctx, key)
 	cancel()
-	if !w.record(start, err) || !ok {
-		return
-	}
-	n, perr := strconv.ParseInt(v, 10, 64)
-	if perr != nil {
-		w.addVi("key %s holds non-counter value %q", key, v)
-		return
-	}
-	if n < w.lastRead[key] {
-		w.addVi("non-monotonic read: worker %d saw key %s go %d -> %d",
-			w.id, key, w.lastRead[key], n)
-	}
-	w.lastRead[key] = n
+	w.record(Op{Kind: "get", Access: []Access{{Key: key, Reads: true, Read: v}}}, start, err)
 }
 
 func (w *worker) casOp(i int) {
 	key := casKeyOf(w.id)
 	if w.casAmb != "" {
-		// Resynchronize after an in-doubt CAS: the key must hold either
-		// the old or the attempted value; anything else is a foreign write
-		// on a single-writer key.
+		// Learn the outcome of the in-doubt CAS before the next one: the
+		// key holds the old or the attempted value, and the checker judges
+		// which one it may hold.
 		start := time.Now()
 		ctx, cancel := w.opCtx()
-		v, ok, err := w.cl.GetCtx(ctx, key)
+		v, _, err := w.cl.GetCtx(ctx, key)
 		cancel()
-		if !w.record(start, err) {
-			return // still ambiguous; try again on a later op
+		if w.record(Op{Kind: "get", Access: []Access{{Key: key, Reads: true, Read: v}}}, start, err) {
+			w.casCur, w.casAmb = v, ""
 		}
-		got := ""
-		if ok {
-			got = v
-		}
-		if got != w.casCur && got != w.casAmb {
-			w.addVi("CAS key %s resync saw %q, want %q or %q", key, got, w.casCur, w.casAmb)
-		}
-		w.casCur, w.casAmb = got, ""
 		return
 	}
 
@@ -338,113 +287,69 @@ func (w *worker) casOp(i int) {
 	ctx, cancel := w.opCtx()
 	ok, cur, err := w.cl.CASCtx(ctx, key, expect, nextVal)
 	cancel()
-	if !w.record(start, err) {
+	op := Op{Kind: "cas", Access: []Access{{Key: key, Write: nextVal, Reads: true, Read: w.casCur}}}
+	switch {
+	case err != nil:
 		w.casAmb = nextVal
-		return
-	}
-	if !ok {
-		if w.cfg.CrashTolerant && string(cur) == nextVal {
-			// The mismatch is against our own attempted value: the first
-			// send applied, the ack died with the server, and the resend
-			// could not be deduplicated because the crash wiped the
-			// exactly-once table. Adopt the write.
-			w.mu.Lock()
-			w.rep.CrashAdopted++
-			w.mu.Unlock()
-			w.casCur = nextVal
-			return
-		}
-		// Single writer + exactly-once retries: a mismatch on an
-		// unambiguous call means the CAS applied twice.
-		w.addVi("duplicated CAS effect: key %s expected %q, server holds %q", key, w.casCur, cur)
+	case ok:
+		w.casCur = nextVal
+	default:
+		// The single writer always expects what it last learned, so with
+		// exactly-once retries a mismatch is a duplicated effect; the
+		// checker says so. Carry on from what the server holds.
+		op.Outcome, op.Access[0].Read = Mismatch, string(cur)
 		w.casCur = string(cur)
-		return
 	}
-	w.casCur = nextVal
+	w.record(op, start, err)
 }
 
 func (w *worker) multiOp() {
 	n := 1 + w.rng.intn(w.cfg.KeysPerWorker)
 	batch := make([]wire.Cmd, 0, n)
-	vals := make(map[string]int64, n)
+	op := Op{Kind: "multi"}
 	for j := 0; j < n; j++ {
 		k := w.rng.intn(w.cfg.KeysPerWorker)
 		key := counterKey(w.id, k)
-		if _, dup := vals[key]; dup {
+		if slices.ContainsFunc(op.Access, func(a Access) bool { return a.Key == key }) {
 			continue
 		}
 		w.next[k]++
-		vals[key] = w.next[k]
-		batch = append(batch, wire.Put(key, []byte(strconv.FormatInt(w.next[k], 10))))
+		val := strconv.FormatInt(w.next[k], 10)
+		batch = append(batch, wire.Put(key, []byte(val)))
+		op.Access = append(op.Access, Access{Key: key, Write: val})
 	}
-	w.mu.Lock()
-	for key, v := range vals {
-		w.keys[key].lastIssued = v
-	}
-	w.mu.Unlock()
-
 	start := time.Now()
 	ctx, cancel := w.opCtx()
 	_, applied, err := w.cl.MultiCtx(ctx, batch)
 	cancel()
-	if w.record(start, err) && applied {
-		w.mu.Lock()
-		for key, v := range vals {
-			w.keys[key].lastAcked = v
-		}
-		w.mu.Unlock()
+	if err == nil && !applied {
+		op.Outcome = Mismatch
 	}
+	w.record(op, start, err)
 }
 
-// verifyFinal reads every key back over a clean connection and applies the
-// end-state oracle: counters inside their [acked, issued] window, CAS keys
-// holding exactly what their single writer last confirmed (or the in-doubt
-// value of a trailing ambiguous CAS).
-func verifyFinal(cfg *WorkloadConfig, keys map[string]*keyState,
-	cas map[string]*casState, addVi func(string, ...any)) error {
-
+// readBack ends the worker's program with a read of every key it owns,
+// over a clean connection: the reads its acked writes are held against.
+// An error is infrastructural — even the clean connection failed.
+func (w *worker) readBack() error {
 	cl := client.New(client.Options{
-		Addr:  cfg.Addr,
+		Addr:  w.cfg.Addr,
 		Conns: 1,
 		Retry: client.RetryPolicy{MaxAttempts: 10, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
 	})
 	defer cl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-
-	for key, st := range keys {
-		v, ok, err := cl.GetCtx(ctx, key)
-		if err != nil {
-			return fmt.Errorf("final read of %s: %w", key, err)
-		}
-		var got int64
-		if ok {
-			var perr error
-			got, perr = strconv.ParseInt(v, 10, 64)
-			if perr != nil {
-				addVi("final: key %s holds non-counter value %q", key, v)
-				continue
-			}
-		}
-		if got < st.lastAcked {
-			addVi("lost acked write: key %s final=%d < lastAcked=%d", key, got, st.lastAcked)
-		}
-		if got > st.lastIssued {
-			addVi("phantom write: key %s final=%d > lastIssued=%d", key, got, st.lastIssued)
-		}
+	keys := []string{casKeyOf(w.id)}
+	for k := 0; k < w.cfg.KeysPerWorker; k++ {
+		keys = append(keys, counterKey(w.id, k))
 	}
-	for key, st := range cas {
-		v, ok, err := cl.GetCtx(ctx, key)
+	for _, key := range keys {
+		v, _, err := cl.GetCtx(ctx, key)
 		if err != nil {
 			return fmt.Errorf("final read of %s: %w", key, err)
 		}
-		got := ""
-		if ok {
-			got = v
-		}
-		if got != st.cur && !(st.ambiguous != "" && got == st.ambiguous) {
-			addVi("CAS key %s final=%q, want %q (ambiguous tail %q)", key, got, st.cur, st.ambiguous)
-		}
+		w.add(Op{Kind: "get", Access: []Access{{Key: key, Reads: true, Read: v}}}, nil)
 	}
 	return nil
 }

@@ -19,6 +19,9 @@ func TestPolygraphAcyclicPlain(t *testing.T) {
 	if order[0] != "a" || order[2] != "c" {
 		t.Fatalf("order = %v", order)
 	}
+	if cyc := p.Cycle(); cyc != nil {
+		t.Fatalf("chain has a cycle %v", cyc)
+	}
 }
 
 func TestPolygraphCyclePlain(t *testing.T) {
@@ -28,6 +31,10 @@ func TestPolygraphCyclePlain(t *testing.T) {
 	p.AddEdge("c", "a")
 	if p.Acyclic() {
 		t.Fatal("cycle not detected")
+	}
+	p.AddEdge("c", "d")
+	if cyc := strings.Join(p.Cycle(), ","); cyc != "a,b,c" {
+		t.Fatalf("cycle = %s, want a,b,c", cyc)
 	}
 }
 
@@ -376,6 +383,21 @@ func TestInterTopAntiDependency(t *testing.T) {
 		t.Fatal("missing inter-top anti-dependency edge")
 	}
 
+	// A client that saw T2 answered before it issued T1 orders them the
+	// other way: T1 then read a stale x.
+	h.Order = [][2]string{{"T2", "T1"}}
+	p, err = Build(h, WOsem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Acyclic() {
+		t.Fatal("stale read after the session's own earlier write accepted")
+	}
+	if cyc := p.Cycle(); len(cyc) != 2 {
+		t.Fatalf("cycle = %v, want B(T1) and B(T2)", cyc)
+	}
+	h.Order = nil
+
 	// If T1 had also observed T2's x, the orders contradict.
 	h.Agents["T1"] = []Op{
 		{Kind: Read, Var: "x", Obs: ""},
@@ -431,6 +453,15 @@ func TestBuildErrors(t *testing.T) {
 				Top: map[string]string{"T": "T"},
 			},
 			want: "duplicate WID",
+		},
+		{
+			name: "order within one top",
+			h: History{
+				Agents: map[string][]Op{"T": {{Kind: Submit, Future: "F"}}, "F": nil},
+				Top:    map[string]string{"T": "T", "F": "T"},
+				Order:  [][2]string{{"T", "F"}},
+			},
+			want: "two top-level transactions",
 		},
 	}
 	for _, tc := range cases {

@@ -50,6 +50,10 @@ type History struct {
 	Top map[string]string
 	// Commits is the global commit order of top-level transactions.
 	Commits []CommitRec
+	// Order lists pairs (a, b) of agents whose top-level transactions must
+	// serialize a before b whatever the data says: the session order of a
+	// client that saw a answered before it issued b.
+	Order [][2]string
 }
 
 // Semantics selects which ordering constraints Build encodes.
@@ -85,6 +89,7 @@ type builder struct {
 	evals map[string][]string // future -> V_eval vertices (in discovery order)
 	cend  map[string]string   // future -> vertex preceding its first eval
 	wloc  map[string]string   // write id -> vertex
+	tops  map[string][]string // top-level transaction -> its vertices
 	evCnt int
 }
 
@@ -102,11 +107,24 @@ func Build(h History, sem Semantics) (*Polygraph, error) {
 		evals: make(map[string][]string),
 		cend:  make(map[string]string),
 		wloc:  make(map[string]string),
+		tops:  make(map[string][]string),
 	}
 	if err := b.segment(); err != nil {
 		return nil, err
 	}
+	for vname, vi := range b.info {
+		top := h.Top[vi.agent]
+		b.tops[top] = append(b.tops[top], vname)
+	}
 	b.structural(sem)
+	for _, o := range h.Order {
+		ta, oka := h.Top[o[0]]
+		tb, okb := h.Top[o[1]]
+		if !oka || !okb || ta == tb {
+			return nil, fmt.Errorf("fsg: order pair %q -> %q needs agents of two top-level transactions", o[0], o[1])
+		}
+		b.allPairs(ta, tb)
+	}
 	if err := b.conflicts(); err != nil {
 		return nil, err
 	}
@@ -357,14 +375,8 @@ func (b *builder) readConstraints(
 // vertex of top-level transaction b ("atomicity between different top-level
 // transactions", §3.4).
 func (b *builder) allPairs(a, bb string) {
-	for vname, vi := range b.info {
-		if b.h.Top[vi.agent] != a {
-			continue
-		}
-		for wname, wi := range b.info {
-			if b.h.Top[wi.agent] != bb {
-				continue
-			}
+	for _, vname := range b.tops[a] {
+		for _, wname := range b.tops[bb] {
 			b.p.AddEdge(vname, wname)
 		}
 	}

@@ -125,41 +125,50 @@ func (p *Polygraph) adjacency(extra []Edge) [][]int {
 	return adj
 }
 
-// cyclic reports whether the digraph with the given adjacency has a cycle.
-func cyclic(adj [][]int) bool {
+// cycle returns the vertices of one cycle of the digraph with the given
+// adjacency, in edge order, or nil if it has none.
+func cycle(adj [][]int) []int {
 	const (
-		white = 0
-		grey  = 1
-		black = 2
+		white  = 0
+		onPath = 1
+		done   = 2
 	)
 	color := make([]int8, len(adj))
-	var stack []int
+	type frame struct{ v, next int }
+	var path []frame
 	for s := range adj {
 		if color[s] != white {
 			continue
 		}
-		stack = append(stack[:0], s)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			if color[v] == white {
-				color[v] = grey
-				for _, w := range adj[v] {
-					if color[w] == grey {
-						return true
-					}
-					if color[w] == white {
-						stack = append(stack, w)
-					}
+		color[s] = onPath
+		path = append(path[:0], frame{v: s})
+		for len(path) > 0 {
+			f := &path[len(path)-1]
+			if f.next == len(adj[f.v]) {
+				color[f.v] = done
+				path = path[:len(path)-1]
+				continue
+			}
+			w := adj[f.v][f.next]
+			f.next++
+			switch color[w] {
+			case white:
+				color[w] = onPath
+				path = append(path, frame{v: w})
+			case onPath:
+				i := len(path) - 1
+				for path[i].v != w {
+					i--
 				}
-			} else {
-				if color[v] == grey {
-					color[v] = black
+				cyc := make([]int, 0, len(path)-i)
+				for _, fr := range path[i:] {
+					cyc = append(cyc, fr.v)
 				}
-				stack = stack[:len(stack)-1]
+				return cyc
 			}
 		}
 	}
-	return false
+	return nil
 }
 
 // Acyclic reports whether some digraph encoded by the polygraph is acyclic,
@@ -170,12 +179,23 @@ func (p *Polygraph) Acyclic() bool {
 	return ok
 }
 
+// Cycle returns the vertices of one cycle formed by the mandatory edges
+// alone, in edge order, or nil if they form none. For a polygraph without
+// bipaths that cycle is why Acyclic reports false.
+func (p *Polygraph) Cycle() []string {
+	var names []string
+	for _, v := range cycle(p.adjacency(nil)) {
+		names = append(names, p.names[v])
+	}
+	return names
+}
+
 // Witness returns a topological order of the vertices of some acyclic
 // digraph encoded by the polygraph, or ok == false if every bipath
 // selection is cyclic. The search backtracks over bipath selections with
 // forced-choice propagation.
 func (p *Polygraph) Witness() ([]string, bool) {
-	if cyclic(p.adjacency(nil)) {
+	if cycle(p.adjacency(nil)) != nil {
 		return nil, false
 	}
 	chosen := make([]Edge, 0, len(p.bipaths))
@@ -193,7 +213,7 @@ func (p *Polygraph) choose(i int, chosen *[]Edge) bool {
 	bp := p.bipaths[i]
 	for _, e := range []Edge{bp.A, bp.B} {
 		*chosen = append(*chosen, e)
-		if !cyclic(p.adjacency(*chosen)) && p.choose(i+1, chosen) {
+		if cycle(p.adjacency(*chosen)) == nil && p.choose(i+1, chosen) {
 			return true
 		}
 		*chosen = (*chosen)[:len(*chosen)-1]

@@ -70,10 +70,10 @@ func (e *executor) flush() {
 }
 
 // collect tops e.group off with coalescible work that is already queued, up
-// to the server's unit limit. It never blocks: group commit trades no latency
+// to groupLimit commands. It never blocks: group commit trades no latency
 // for throughput — it only exploits backlog that pipelining already created.
 func (e *executor) collect() {
-	for len(e.group) < e.srv.unitLimit {
+	for len(e.group) < groupLimit {
 		select {
 		case t, ok := <-e.q:
 			if !e.admit(t, ok) {

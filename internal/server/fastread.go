@@ -120,7 +120,7 @@ func (c *conn) fastGetInner(payload []byte) bool {
 		return false
 	}
 	sh := s.store.shardOfBytes(key)
-	if c.pendWAll.Load() != 0 || c.pendW[sh].Load() != 0 {
+	if !faultWatermark && (c.pendWAll.Load() != 0 || c.pendW[sh].Load() != 0) {
 		c.fastFallbackN++
 		return false
 	}

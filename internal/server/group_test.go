@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"testing"
 
-	"wtftm"
 	"wtftm/internal/wire"
 )
 
@@ -174,30 +173,5 @@ func TestGroupCommitCASAllOrNothing(t *testing.T) {
 	}
 	if h.s.groupCommits.Load() == 0 {
 		t.Fatalf("no group commits happened; CAS semantics were never tested under coalescing")
-	}
-}
-
-// TestRecorderDisablesGroupCommit proves the FSG-conformance contract: a
-// server constructed with a Recorder serves one request per transaction — no
-// coalesced commit ever happens, even with a same-shard backlog queued that
-// any other server would commit in a few units.
-func TestRecorderDisablesGroupCommit(t *testing.T) {
-	leakCheck(t)
-	h := startHeld(t, Config{Recorder: wtftm.NewRecorder()})
-	keys := h.keysOn(h.shard, 4)
-	var reqs []*wire.Request
-	for i := 0; i < 20; i++ {
-		for _, k := range keys {
-			reqs = append(reqs, &wire.Request{Op: wire.OpPut, Cmd: wire.Put(k, []byte(strconv.Itoa(i)))})
-		}
-	}
-	resps, _, _ := h.burst(t, reqs)
-	for i, resp := range resps {
-		if resp.Result.Status != wire.StatusOK {
-			t.Fatalf("PUT %d: %+v", i, resp.Result)
-		}
-	}
-	if n := h.s.groupCommits.Load(); n != 0 {
-		t.Fatalf("recorded server performed %d group commits; the FSG oracle expects the uncoalesced schedule", n)
 	}
 }

@@ -20,7 +20,7 @@
 // stages it skips by design.
 //
 // Abort attribution answers "which shard/box and which validation
-// direction killed the transaction", per ordering/atomicity mode: the
+// direction killed the transaction", per ordering mode: the
 // MV-STM conflict hook attributes backward (commit-time read-set)
 // validation failures to the store shard owning the stale box, and the
 // engine's counters attribute forward-validation kills (SO continuation
@@ -107,7 +107,7 @@ const flightRingSize = 256
 // the hot paths record into. Always non-nil on a constructed Server.
 type metrics struct {
 	reg  *obs.Registry
-	mode string // "<ordering>/<atomicity>", the abort-attribution key
+	mode string // the server's ordering ("WO" or "SO"), the abort-attribution key
 
 	// stage[stage][opClass] are the per-stage latency histograms (ns).
 	stage [numStages][numOpc]*obs.Histogram
@@ -139,7 +139,7 @@ func newMetrics(s *Server) *metrics {
 	cfg := &s.cfg
 	m := &metrics{
 		reg:  obs.NewRegistry(),
-		mode: s.sys.Options().Ordering.String() + "/" + s.sys.Options().Atomicity.String(),
+		mode: s.sys.Options().Ordering.String(),
 	}
 	slowMS := int64(cfg.SlowMS)
 	if slowMS == 0 {
@@ -152,9 +152,7 @@ func newMetrics(s *Server) *metrics {
 	r := m.reg
 
 	r.GaugeFunc("wtfd_info", "Constant 1; labels echo the instance's semantics mode.",
-		obs.Labels{"ordering": s.sys.Options().Ordering.String(),
-			"atomicity": s.sys.Options().Atomicity.String(),
-			"shards":    strconv.Itoa(cfg.Shards)},
+		obs.Labels{"ordering": m.mode, "shards": strconv.Itoa(cfg.Shards)},
 		func() int64 { return 1 })
 
 	for st := range m.stage {

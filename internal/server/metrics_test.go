@@ -54,12 +54,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	body := rec.Body.String()
 	for _, want := range []string{
-		`wtfd_info{atomicity="LAC",ordering="WO",shards="4"} 1`,
+		`wtfd_info{ordering="WO",shards="4"} 1`,
 		`wtfd_stage_latency_seconds{op="put",stage="decode",quantile=`,
 		`wtfd_stage_latency_seconds_count{op="get",stage="exec"}`,
 		`wtfd_stage_latency_seconds_count{op="multi",stage="exec"}`,
-		`wtfd_aborts_total{direction="stm_backward",mode="WO/LAC",shard="0"}`,
-		`wtfd_aborts_total{direction="so_continuation",mode="WO/LAC"}`,
+		`wtfd_aborts_total{direction="stm_backward",mode="WO",shard="0"}`,
+		`wtfd_aborts_total{direction="so_continuation",mode="WO"}`,
 		`wtfd_exec_queue_depth{executor="0"}`,
 		`wtfd_exec_queue_depth{executor="1"}`,
 		"wtfd_requests_total",
@@ -113,7 +113,7 @@ func TestStatsWireSections(t *testing.T) {
 	if reply.Aborts == nil {
 		t.Fatal("STATS reply has no aborts section")
 	}
-	if reply.Aborts.Mode != "WO/LAC" {
+	if reply.Aborts.Mode != "WO" {
 		t.Fatalf("aborts mode = %q", reply.Aborts.Mode)
 	}
 	// Per-shard slots plus the trailing "other" bucket for boxes whose name

@@ -43,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"wtftm"
 	"wtftm/internal/obs"
@@ -223,6 +224,16 @@ func (s *Server) commit(u *unit, body func(*wtftm.Tx) error) (err, durErr error)
 	// versions it read) for as long as the unit keeps it.
 	u.wg.Wait()
 	clear(u.futs)
+	if faultLogOrder {
+		// A unit writing several shards (a MULTI) holds the gap open, so a
+		// commit another executor makes on one of them meanwhile logs first.
+		for _, sh := range u.shards {
+			d.mgr.Unlock(sh)
+		}
+		if len(u.shards) > 1 {
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
 	if err == nil {
 		// Only a committed transaction logs anything; an aborted one (CAS
 		// mismatch, terminal engine error) wrote nothing.
@@ -251,8 +262,10 @@ func (s *Server) commit(u *unit, body func(*wtftm.Tx) error) (err, durErr error)
 			u.appended = append(u.appended, sh)
 		}
 	}
-	for _, sh := range u.shards {
-		d.mgr.Unlock(sh)
+	if !faultLogOrder {
+		for _, sh := range u.shards {
+			d.mgr.Unlock(sh)
+		}
 	}
 	return err, durErr
 }

@@ -61,10 +61,6 @@ type Config struct {
 	// Ordering selects the futures semantics MULTI fan-outs run under
 	// (default WO; SO gives the JTF baseline's strongly ordered serving).
 	Ordering wtftm.Ordering
-	// Atomicity selects the escaping-future semantics (default LAC; the
-	// server evaluates every future it submits, so this only matters for
-	// engine bookkeeping).
-	Atomicity wtftm.Atomicity
 	// Shards is the number of store partitions (and the MULTI fan-out
 	// width); default 16.
 	Shards int
@@ -106,22 +102,6 @@ type Config struct {
 	// FS overrides the durability layer's file system (crash-injection
 	// tests); nil means the real one.
 	FS wal.FS
-	// Recorder, when non-nil, captures the engine's totally ordered
-	// operation log so a served workload can be FSG-checked after the fact
-	// (see the end-to-end conformance test). Recording costs one mutex
-	// acquisition per transactional event, and a recorded server commits
-	// every request as its own transaction and routes every GET through an
-	// executor (see New); leave nil in production.
-	Recorder *wtftm.Recorder
-	// DisableFastReads turns the lock-free GET fast path off, routing every
-	// GET through its shard's executor like any other command (DESIGN.md
-	// §13). It is a setting because the two routes split the benchmark: the
-	// fast path serves get-heavy 30% faster, the executor route serves
-	// mixed-durable, where 99% of GETs fall back anyway, 4% faster. The
-	// connection already counts its fast reads, its fallbacks and its
-	// pending writes, so the server could choose the route itself; until it
-	// does, the operator chooses.
-	DisableFastReads bool
 
 	// SlowMS is the flight-recorder threshold: a request slower than this
 	// end-to-end (decode through response hand-off, fsync wait included) is
@@ -134,7 +114,7 @@ type Config struct {
 
 	// execHook, when non-nil, runs at the start of every request execution.
 	// Tests use it to hold requests in flight; a hooked server routes every
-	// GET through an executor (see New).
+	// GET through an executor, where the hook can see it.
 	execHook func(*wire.Request)
 }
 
@@ -226,11 +206,9 @@ type Server struct {
 	dedupHits     atomic.Int64
 	idleReaped    atomic.Int64
 
-	// fastOK gates the GET fast path (fastread.go) and unitLimit bounds how
-	// many single-key commands an executor coalesces into one unit
-	// (executor.go); both are fixed in New.
-	fastOK    bool
-	unitLimit int
+	// fastOK gates the GET fast path (fastread.go); it is off only for a
+	// server built with an execHook.
+	fastOK bool
 
 	fastReads         atomic.Int64
 	fastReadRetries   atomic.Int64
@@ -314,7 +292,7 @@ type conn struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	stm := wtftm.NewSTM()
-	sys := wtftm.NewSystem(stm, wtftm.Options{Ordering: cfg.Ordering, Atomicity: cfg.Atomicity, Recorder: cfg.Recorder})
+	sys := wtftm.NewSystem(stm, wtftm.Options{Ordering: cfg.Ordering})
 	s := &Server{
 		cfg:   cfg,
 		stm:   stm,
@@ -322,18 +300,10 @@ func New(cfg Config) (*Server, error) {
 		store: newStore(stm, cfg.Shards, cfg.Buckets),
 		quit:  make(chan struct{}),
 		conns: make(map[*conn]struct{}),
-	}
-	// What tracing costs, derived here and nowhere else. A Recorder or an
-	// execHook must see every request reach an executor, and a fast read
-	// bypasses both the engine and the executors, so a traced server serves
-	// no GET from the read loop. A recorded server also runs units of one:
-	// the FSG oracle checks the uncoalesced schedule, one request = one
-	// transaction. Both couplings stand until there is an oracle that checks
-	// client-observed histories with coalescing and fast reads switched on.
-	s.fastOK = !cfg.DisableFastReads && cfg.Recorder == nil && cfg.execHook == nil
-	s.unitLimit = groupLimit
-	if cfg.Recorder != nil {
-		s.unitLimit = 1
+		// A fast read bypasses the executors, so a test's execHook would
+		// never see it; with no hook every GET the watermark allows is
+		// served from the read loop.
+		fastOK: cfg.execHook == nil,
 	}
 	s.execs = make([]*executor, cfg.Executors)
 	for i := range s.execs {
@@ -743,7 +713,6 @@ func (s *Server) statsReply() wire.StatsReply {
 		Aborts:  s.m.abortSection(e),
 		Server: wire.ServerStats{
 			Ordering:          s.sys.Options().Ordering.String(),
-			Atomicity:         s.sys.Options().Atomicity.String(),
 			Shards:            s.cfg.Shards,
 			Executors:         s.cfg.Executors,
 			WriterQueueHWM:    s.writerQHWM.Load(),
@@ -760,7 +729,6 @@ func (s *Server) statsReply() wire.StatsReply {
 			MaxInFlight:       s.cfg.MaxInFlight,
 			InFlight:          s.inflight.Load(),
 			Shed:              s.shed.Load(),
-			FastReadsEnabled:  s.fastOK,
 			FastReads:         s.fastReads.Load(),
 			FastReadRetries:   s.fastReadRetries.Load(),
 			FastReadFallbacks: s.fastReadFallbacks.Load(),

@@ -69,10 +69,10 @@ func newClient(t *testing.T, s *Server, conns int) *client.Client {
 // when two deployments or benchmark workloads need different values;
 // otherwise it is a constant, or something New can derive.
 func TestConfigSurface(t *testing.T) {
-	want := []string{ // 15
-		"Atomicity", "Buckets", "DataDir", "DisableFastReads", "Executors",
-		"FS", "Fsync", "IdleTimeout", "MaxInFlight", "Ordering", "Recorder",
-		"SegmentBytes", "Shards", "SlowMS", "SnapshotEvery",
+	want := []string{ // 12
+		"Buckets", "DataDir", "Executors", "FS", "Fsync", "IdleTimeout",
+		"MaxInFlight", "Ordering", "SegmentBytes", "Shards", "SlowMS",
+		"SnapshotEvery",
 	}
 	var got []string
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {

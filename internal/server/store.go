@@ -25,9 +25,9 @@ type store struct {
 func newStore(stm *wtftm.STM, shards, buckets int) *store {
 	st := &store{shards: make([]*tstruct.Map, shards)}
 	for i := range st.shards {
-		// Unique per-shard box names keep recorded histories (Config.
-		// Recorder) attributable: the FSG oracle must see shard 0's bucket
-		// and shard 1's bucket as different variables.
+		// Unique per-shard box names keep boxes attributable: abort
+		// attribution parses the shard out of a stale box's "shard<N>."
+		// name (metrics.go).
 		st.shards[i] = tstruct.NewMapNamed(stm, fmt.Sprintf("shard%d", i), buckets)
 	}
 	return st

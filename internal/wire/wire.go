@@ -980,10 +980,10 @@ type LatencyStats struct {
 }
 
 // AbortStats attributes transaction aborts per validation direction, keyed
-// by the server's ordering/atomicity mode — the WO/SO x LAC/GAC cost
-// question from the paper as a stats section.
+// by the server's ordering — the paper's WO/SO cost question as a stats
+// section.
 type AbortStats struct {
-	// Mode is "<ordering>/<atomicity>", e.g. "WO/LAC".
+	// Mode is the server's ordering, "WO" or "SO".
 	Mode string `json:"mode"`
 	// Backward counts MV-STM read-set validation failures at top-level
 	// commit (a concurrent first committer won); BackwardByShard splits
@@ -1003,9 +1003,8 @@ type AbortStats struct {
 
 // ServerStats are wtfd's own counters and configuration echo.
 type ServerStats struct {
-	Ordering  string `json:"ordering"`
-	Atomicity string `json:"atomicity"`
-	Shards    int    `json:"shards"`
+	Ordering string `json:"ordering"`
+	Shards   int    `json:"shards"`
 	// Executors is the shard-affine executor goroutine count; single-key
 	// requests for one shard always run on the same executor.
 	Executors int `json:"executors"`
@@ -1030,13 +1029,11 @@ type ServerStats struct {
 	MaxInFlight int   `json:"max_in_flight"`
 	InFlight    int64 `json:"in_flight"`
 	Shed        int64 `json:"shed"`
-	// FastReadsEnabled reports whether the lock-free GET fast path is on.
 	// FastReads counts GETs served directly in the connection read loop
 	// (no executor hop, no transaction); FastReadRetries the clock-reload
 	// retries those reads needed against concurrent version trims;
 	// FastReadFallbacks the eligible GETs routed to an executor after all —
 	// retry budget exhausted or a pending write on the same session.
-	FastReadsEnabled  bool  `json:"fast_reads_enabled"`
 	FastReads         int64 `json:"fast_reads"`
 	FastReadRetries   int64 `json:"fast_read_retries"`
 	FastReadFallbacks int64 `json:"fast_read_fallbacks"`

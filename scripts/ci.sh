@@ -97,7 +97,7 @@ go test -run TestRecoverySmoke -count=1 ./cmd/wtfd/
 
 echo "== tier-1.5: chaos smoke under race (fixed seed, wall-clock budget) =="
 # Fixed-seed slice of the chaos conformance sweep: fault-injected transports
-# against a durable server, lost-ack oracle on the recovered state. The full
+# against a durable server, client history checked against its WAL. The full
 # sweep (8 seeds x 4 scenarios x 2 fsync policies, plus the kill -9 crash
 # rows in cmd/wtfd) runs via go test ./...; this gate pins the reset and
 # partition rows under the race detector with a hard wall-clock budget so a
@@ -184,6 +184,30 @@ go test -race -count=1 -run 'TestReadLatestStress' ./internal/mvstm/
 go test -race -count=1 -run 'TestMapGetFastMatchesTransactionalGet' ./internal/tstruct/
 go test -race -count=1 -run 'TestFastRead' ./internal/server/
 go test -race -count=1 -run 'TestChaosFastReadConformance' ./internal/chaos/
+
+echo "== tier-1.5: served-history check under race (the one configuration wtfd runs) =="
+# A durable server with group commit, fast reads, deferred acks and MULTI
+# fan-out all on, judged from outside: client histories against the WAL,
+# through the FSG polygraph, under WO and SO.
+go test -race -count=1 -run TestServedHistoryConformance ./internal/server/
+
+echo "== tier-1.5: served-history check (conform_fault_logorder / conform_fault_watermark builds: must catch each) =="
+# The server's entries in the mutation ledger: commit releasing its shard
+# locks before the log step, and a fast GET ignoring the session watermark.
+# The test passes untagged (above); under each tag it must fail with a
+# violation, not with anything else.
+for tag in conform_fault_logorder conform_fault_watermark; do
+	if out=$(go test -tags "$tag" -count=1 -run TestServedHistoryConformance ./internal/server/ 2>&1); then
+		echo "ci: the $tag build passed the served-history test — the checker is blind to it" >&2
+		exit 1
+	fi
+	if ! printf '%s\n' "$out" | grep -q 'served history violation'; then
+		printf '%s\n' "$out" >&2
+		echo "ci: the $tag build failed the served-history test without a violation" >&2
+		exit 1
+	fi
+	echo "   $tag: caught"
+done
 
 echo "== tier-1.5: wtfconform smoke (conform_fault build: must catch the bug) =="
 if go run -tags conform_fault ./cmd/wtfconform -mode dfs -ordering wo -atomicity lac -seed 1 -seeds 8 -budget 300; then
