@@ -18,11 +18,10 @@
 // determinism, printed with its replay command line, and the process exits 1.
 // -replay re-runs one program under an exact recorded schedule trace.
 //
-// A build with -tags conform_fault disables the engine's backward validation
-// at future evaluation points, and one with -tags conform_fault_claim lets a
-// body its evaluator claimed serialize at the evaluation even under SO; the
-// fixed-seed smoke budgets in scripts/ci.sh must find an FSG violation under
-// each of those builds and zero violations otherwise.
+// The fixed-seed sweeps in scripts/ci.sh must find zero violations on the
+// engine. The mutation ledger (internal/mutant) holds the deliberately broken
+// builds they must catch; those run in-process, without this command:
+// go test -tags mutants -run TestMutantsCaught ./internal/conform/.
 package main
 
 import (

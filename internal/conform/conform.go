@@ -12,11 +12,11 @@
 // schedule is shrunk (shrink.go) to a minimal parameter set and replayed
 // from its trace to confirm determinism.
 //
-// cmd/wtfconform is the CLI front end; scripts/ci.sh runs a fixed-seed smoke
-// budget, and building with -tags conform_fault (backward validation off)
-// or -tags conform_fault_claim (an evaluator-claimed body serializes at its
-// evaluation under SO) weakens the engine to prove the oracle actually
-// detects violations.
+// cmd/wtfconform is the CLI front end; scripts/ci.sh runs fixed-seed
+// sweeps that must find nothing. The mutation ledger (internal/mutant) proves
+// the oracle detects violations: under the mutants build tag,
+// TestMutantsCaught switches on each engine mutant this package owns and
+// requires a shrunk, replayable FSG cycle from the DFS explorer.
 package conform
 
 import (

@@ -1,5 +1,3 @@
-//go:build !conform_fault && !conform_fault_claim
-
 package conform
 
 import (
@@ -95,8 +93,8 @@ func TestClaimRaceBothOutcomes(t *testing.T) {
 
 // TestSweepClean runs the fixed-seed smoke sweep across all four semantics
 // combinations: a correct engine must show zero violations. This is the same
-// sweep scripts/ci.sh runs through cmd/wtfconform (which, built with
-// -tags conform_fault, must instead find a violation — see fault_test.go).
+// sweep scripts/ci.sh runs through cmd/wtfconform (which, with an engine
+// mutant active, must instead find a violation — see mutants_test.go).
 func TestSweepClean(t *testing.T) {
 	for _, ord := range []core.Ordering{core.WO, core.SO} {
 		for _, atom := range []core.Atomicity{core.LAC, core.GAC} {

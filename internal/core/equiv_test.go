@@ -381,7 +381,7 @@ func fmtWrite(we writeEntry) string { return fmt.Sprintf("%v@f%d.w%d", we.val, w
 
 // snapshot renders everything the merge and the validators can change, in a
 // form two graphs over different boxes can be compared in.
-func (g *equivGraph) snapshot(t *testing.T) map[string]any {
+func (g *equivGraph) snapshot(t testing.TB) map[string]any {
 	out := make(map[string]any)
 	for _, v := range g.top.verts[:g.top.nverts] {
 		ev := equivVertex{Status: v.status, Flow: v.flow, Segment: v.segment, Pred: vid(v.pred), Next: vid(v.next),
@@ -426,7 +426,11 @@ func (g *equivGraph) snapshot(t *testing.T) map[string]any {
 	return out
 }
 
-func TestValidationEquivalence(t *testing.T) {
+func TestValidationEquivalence(t *testing.T) { validationEquivalence(t) }
+
+// validationEquivalence is TestValidationEquivalence's body; the mutation
+// ledger also runs it on broken validators (mutants_test.go).
+func validationEquivalence(t testing.TB) {
 	const (
 		seeds    = 600
 		nboxes   = 10
@@ -551,7 +555,9 @@ func TestValidationEquivalence(t *testing.T) {
 // pending future hanging off it, however many were re-rooted onto one vertex
 // (the walk once edited the successor list it was ranging over and skipped a
 // sibling, which then could still merge — into a removed vertex).
-func TestDiscardReachesEveryPendingChild(t *testing.T) {
+func TestDiscardReachesEveryPendingChild(t *testing.T) { discardReachesEveryPendingChild(t) }
+
+func discardReachesEveryPendingChild(t testing.TB) {
 	g := newEquivGraph(true, 2)
 	g.submit(g.flows[0]) // F = flows[1]
 	g.submit(g.flows[1]) // G = flows[2], nested in F

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"wtftm/internal/history"
+	"wtftm/internal/mutant"
 	"wtftm/internal/mvstm"
 	"wtftm/internal/sched"
 )
@@ -391,7 +392,7 @@ func runBody(body func(*Tx) (any, error), tx *Tx) (res any, err error, retry *re
 // evaluating flow, instead of making it wait for a worker.
 func (tx *Tx) evaluateLocal(f *Future) (any, error) {
 	top := tx.top
-	if faultClaimAtEvaluation && f.claim() {
+	if mutant.Active == mutant.ClaimAtEvaluation && f.claim() {
 		tx.shortcutAtEvaluation(f)
 	} else if n := f.runUnclaimed(); n > 0 {
 		top.sys.stats.ClaimedAtEvaluation.Add(int64(n))
@@ -438,9 +439,7 @@ func (tx *Tx) evaluateLocal(f *Future) (any, error) {
 			{
 				rsum, _ := chainSums(f.vertex)
 				conflict, ok := backwardConflicts(tx.cur, f.vertex.pred, f.vertex, rsum, f.flow)
-				if faultSkipBackwardValidation {
-					// conform_fault: pretend backward validation passed. The
-					// conformance harness must flag the resulting histories.
+				if mutant.Active == mutant.SkipBackwardValidation {
 					conflict = false
 				}
 				if ok && !conflict && !f.extraConflict(rsum) {
@@ -507,11 +506,11 @@ func (tx *Tx) reexecuteLocked(f *Future) (any, error) {
 	return res, err
 }
 
-// shortcutAtEvaluation is the conform_fault_claim mutation: a body its
+// shortcutAtEvaluation is the ClaimAtEvaluation mutant: a body its
 // evaluator claimed skips Future.run and takes WO's re-execution path — the
 // submission-vertex view, forward validation and the SO in-flow wait all
 // skipped — so under SO it serializes at its evaluation, a history the
-// conformance harness must reject. Normal builds never call it.
+// conformance harness must reject. Only that mutant calls it.
 func (tx *Tx) shortcutAtEvaluation(f *Future) {
 	top := tx.top
 	defer func() {

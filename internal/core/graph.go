@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"wtftm/internal/history"
+	"wtftm/internal/mutant"
 	"wtftm/internal/mvstm"
 )
 
@@ -254,7 +255,7 @@ func (t *topTx) forwardConflicts(start, head *vertex, wsum uint64, skip *vertex)
 			v.vmu.Unlock()
 		}
 		for _, s := range v.succs {
-			if s.mark != ep {
+			if s.mark != ep && (mutant.Active != mutant.ForwardSkipsFutureChains || s.fut == nil) {
 				s.mark = ep
 				stack = append(stack, s)
 			}
@@ -337,7 +338,7 @@ func (t *topTx) mergeChain(head, target *vertex, evalFrom *vertex) {
 		}
 	}
 	for i, child := range pending {
-		if f := child.fut; f != nil {
+		if f := child.fut; f != nil && mutant.Active != mutant.MergeDropsPathWrites {
 			for _, s := range cs[i+1:] {
 				f.addExtraPathWrites(s)
 			}
@@ -487,6 +488,9 @@ func (t *topTx) discardSubtree(head *vertex) {
 				t.sys.record(history.Op{Top: t.id, Flow: child.flow, Kind: history.FutureAbort, Arg: child.fut.name()})
 			}
 			t.discardSubtree(child)
+			if mutant.Active == mutant.DiscardSkipsSibling {
+				break
+			}
 		}
 		c.status = vRemoved
 		c.dropSuccs()

@@ -99,6 +99,24 @@ func FromLog(ops []history.Op) (History, error) {
 		kept[name] = e
 		keptRev[e] = name
 	}
+	// A future submitted by an execution that did not survive — a discarded
+	// run of a re-executed future, or a future that never resolved — was
+	// never submitted in any serialization order, so it did not survive
+	// either, whatever it recorded itself. A future's Submit is logged before
+	// anything its executions submit, so one pass in log order drops whole
+	// subtrees.
+	for _, op := range ops {
+		if op.Kind != history.Submit || op.Flow == 0 {
+			continue
+		}
+		if _, ok := keptRev[exec{top: op.Top, flow: op.Flow}]; ok {
+			continue
+		}
+		if e, ok := kept[op.Arg]; ok {
+			delete(kept, op.Arg)
+			delete(keptRev, e)
+		}
+	}
 
 	agentOf := func(top int64, flow int) (string, bool) {
 		if _, ok := committed[top]; !ok {

@@ -1,6 +1,7 @@
 package fsg
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,6 +14,163 @@ func logOps(ops ...history.Op) []history.Op {
 		ops[i].Seq = int64(i + 1)
 	}
 	return ops
+}
+
+// parseLog reads a log of top-level transaction 1 written one op a line:
+// "<flow> <kind>" then "<var> <obs>" for a read, "<var> <wid>" for a write,
+// "<ts>" for topCommit, and the Arg of any other kind.
+func parseLog(t *testing.T, text string) []history.Op {
+	kinds := map[string]history.Kind{}
+	for k := history.TopBegin; k <= history.SegRollback; k++ {
+		kinds[k.String()] = k
+	}
+	var ops []history.Op
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		f := strings.Fields(line)
+		flow, err := strconv.Atoi(f[0])
+		kind, ok := kinds[f[1]]
+		if err != nil || !ok {
+			t.Fatalf("bad log line %q", line)
+		}
+		op := history.Op{Top: 1, Flow: flow, Kind: kind}
+		switch kind {
+		case history.Read:
+			op.Var, op.Obs = f[2], f[3]
+		case history.Write:
+			op.Var = f[2]
+			op.WID, err = strconv.ParseInt(f[3], 10, 64)
+		case history.TopCommit:
+			op.WID, err = strconv.ParseInt(f[2], 10, 64)
+		default:
+			if len(f) > 2 {
+				op.Arg = f[2]
+			}
+		}
+		if err != nil {
+			t.Fatalf("bad log line %q", line)
+		}
+		ops = append(ops, op)
+	}
+	return logOps(ops...)
+}
+
+// checkNested converts a log of nested futures, requires its polygraph to be
+// acyclic under WO, and requires exactly the named futures to have dropped
+// out of it.
+func checkNested(t *testing.T, text string, dropped, kept []string) {
+	t.Helper()
+	h, err := FromLog(parseLog(t, text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range dropped {
+		if ops := h.Agents[name]; len(ops) != 0 {
+			t.Errorf("%s survived with %d ops", name, len(ops))
+		}
+	}
+	for _, name := range kept {
+		if len(h.Agents[name]) == 0 {
+			t.Errorf("%s lost its ops", name)
+		}
+	}
+	p, err := Build(h, WOsem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Acyclic() {
+		t.Fatal("FSG has a cycle")
+	}
+}
+
+// TestFromLogDropsFuturesOfDiscardedExecution: F1's first execution (flow
+// 1) submits F2 and F3, which merge into its chain; F1 is then re-executed
+// at its evaluation (flow 4) and submits F4 and F5 instead. F2 and F3 record
+// no abort of their own, but the execution that submitted them was
+// discarded, so their writes never happened — the committed values are F5's.
+// Kept, they close a cycle CB(T1.F1) B(T1.F1) CB(T1.F4) CB(T1.F5) B(T1.F3).
+// This is wtfconform's shrunk repro of WO/LAC seed 12, futures 1, depth 2.
+func TestFromLogDropsFuturesOfDiscardedExecution(t *testing.T) {
+	checkNested(t, `
+0 topBegin
+0 submit T1.F1
+0 read x1 v0
+0 write x1 1
+1 futureBegin T1.F1
+1 read x1 v0
+1 submit T1.F2
+1 submit T1.F3
+1 read x0 v0
+1 evaluate T1.F2
+2 futureBegin T1.F2
+2 read x0 v0
+2 read x1 v0
+2 futureMerge submission
+1 evaluate T1.F3
+3 futureBegin T1.F3
+3 write x0 2
+3 read x1 v0
+3 write x1 3
+3 futureMerge evaluation
+0 evaluate T1.F1/implicit
+1 futureAbort T1.F1
+4 futureBegin T1.F1
+4 read x1 w1
+4 submit T1.F4
+4 submit T1.F5
+4 read x0 v0
+4 evaluate T1.F4
+5 futureBegin T1.F4
+5 read x0 v0
+5 read x1 w1
+5 futureMerge submission
+4 evaluate T1.F5
+6 futureBegin T1.F5
+6 write x0 4
+6 read x1 w1
+6 write x1 5
+6 futureMerge evaluation
+1 futureMerge evaluation
+0 topCommit 1`, []string{"T1.F2", "T1.F3"}, []string{"T1.F1", "T1.F4", "T1.F5"})
+}
+
+// TestFromLogDropsFuturesOfUnresolvedFuture: under GAC the top-level
+// transaction commits without evaluating F3, so F3 never took effect; F5,
+// which F3 submitted and which merged into F3's chain, read F3's write w5.
+// Kept, F5's read refers to a discarded write. This is wtfconform's shrunk
+// repro of WO/GAC seed 11, futures 3, depth 3.
+func TestFromLogDropsFuturesOfUnresolvedFuture(t *testing.T) {
+	checkNested(t, `
+0 topBegin
+0 submit T1.F1
+1 futureBegin T1.F1
+1 write x0 1
+1 submit T1.F2
+2 futureBegin T1.F2
+2 read x0 w1
+2 write x0 2
+2 futureMerge submission
+1 write x0 3
+1 evaluate T1.F2
+1 futureMerge submission
+0 write x0 4
+0 evaluate T1.F1
+0 submit T1.F3
+3 futureBegin T1.F3
+3 submit T1.F4
+3 write x0 5
+3 submit T1.F5
+3 read x0 w5
+3 evaluate T1.F4
+4 futureBegin T1.F4
+4 write x0 6
+4 write x0 7
+4 write x0 8
+5 futureBegin T1.F5
+5 read x0 w5
+5 futureMerge submission
+0 topCommit 1
+4 futureMerge evaluation
+3 evaluate T1.F5`, []string{"T1.F3", "T1.F4", "T1.F5"}, []string{"T1.F1", "T1.F2"})
 }
 
 func TestFromLogBasic(t *testing.T) {

@@ -1,0 +1,50 @@
+// Package mutant is the mutation ledger: deliberately broken builds that the
+// checks must reject. A site is one condition, `mutant.Active == mutant.X`
+// (or !=). Without the mutants build tag Active is the constant 0 and every
+// site folds away (off.go); with it, the detecting package's
+// TestMutantsCaught sets Active (on.go), one subtest per entry:
+// go test -tags mutants -run TestMutantsCaught/<Name> ./internal/<Pkg>/
+package mutant
+
+// ID names one entry of Table.
+type ID uint8
+
+const (
+	SkipBackwardValidation ID = iota + 1
+	ClaimAtEvaluation
+	UnlockBeforeLog
+	FastGetIgnoresWatermark
+	DiscardSkipsSibling
+	UnitKeepsFutures
+	ForwardSkipsFutureChains
+	MergeDropsPathWrites
+)
+
+// Entry is one mutant: Pkg's TestMutantsCaught/<Name> must report it. Sweep
+// records whether scripts/ci.sh's wtfconform sweeps report it too (never for
+// a server site; conform's TestMutantsSweep checks every engine site).
+type Entry struct {
+	ID                   ID
+	Name, Site, Pkg, Bug string
+	Sweep                bool
+}
+
+// Table is the ledger, in ID order.
+var Table = []Entry{
+	{SkipBackwardValidation, "SkipBackwardValidation", "core.(*Tx).evaluateLocal", "conform",
+		"a parked future merges at its evaluation without backward validation", true},
+	{ClaimAtEvaluation, "ClaimAtEvaluation", "core.(*Tx).evaluateLocal", "conform",
+		"a body its evaluator claimed serializes at the evaluation even under SO", true},
+	{UnlockBeforeLog, "UnlockBeforeLog", "server.(*Server).commit", "server",
+		"commit unlocks its shards before the log step: log order can differ from commit order", false},
+	{FastGetIgnoresWatermark, "FastGetIgnoresWatermark", "server.(*conn).fastGetInner", "server",
+		"a fast GET overtakes its own session's queued write", false},
+	{DiscardSkipsSibling, "DiscardSkipsSibling", "core.(*topTx).discardSubtree", "core",
+		"discarding a chain skips a pending sibling, which can then still merge (arena rewrite)", false},
+	{UnitKeepsFutures, "UnitKeepsFutures", "server.(*Server).commit", "server",
+		"a reused executor unit keeps a MULTI's future handles, pinning their transactions", false},
+	{ForwardSkipsFutureChains, "ForwardSkipsFutureChains", "core.(*topTx).forwardConflicts", "core",
+		"forward validation skips futures hanging off the continuation (map-free validators)", false},
+	{MergeDropsPathWrites, "MergeDropsPathWrites", "core.(*topTx).mergeChain", "core",
+		"a re-rooted child is not charged the writes before its new position (map-free merge)", false},
+}

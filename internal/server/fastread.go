@@ -34,6 +34,7 @@ package server
 import (
 	"encoding/binary"
 
+	"wtftm/internal/mutant"
 	"wtftm/internal/obs"
 	"wtftm/internal/wire"
 )
@@ -120,7 +121,7 @@ func (c *conn) fastGetInner(payload []byte) bool {
 		return false
 	}
 	sh := s.store.shardOfBytes(key)
-	if !faultWatermark && (c.pendWAll.Load() != 0 || c.pendW[sh].Load() != 0) {
+	if mutant.Active != mutant.FastGetIgnoresWatermark && (c.pendWAll.Load() != 0 || c.pendW[sh].Load() != 0) {
 		c.fastFallbackN++
 		return false
 	}

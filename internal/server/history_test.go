@@ -40,28 +40,34 @@ import (
 func TestServedHistoryConformance(t *testing.T) {
 	for _, ord := range []wtftm.Ordering{wtftm.WO, wtftm.SO} {
 		t.Run(ord.String(), func(t *testing.T) {
-			leakCheck(t)
-			log := &chaos.Log{FS: wal.NewMemFS(), Dir: "served", Shards: 4}
-			s := startServer(t, Config{Ordering: ord, Shards: log.Shards, Executors: 2,
-				DataDir: log.Dir, FS: log.FS, Fsync: wal.SyncGroup})
-			w := &served{s: s}
-			w.run(t)
-
-			st := fetchStats(t, s)
-			if st.Server.GroupCommits == 0 || st.Server.FastReads == 0 || st.Engine.FuturesSubmitted == 0 {
-				t.Fatalf("a mechanism never ran: group_commits=%d fast_reads=%d futures_submitted=%d",
-					st.Server.GroupCommits, st.Server.FastReads, st.Engine.FuturesSubmitted)
-			}
-			s.Drain()
-			v, err := chaos.Check(w.hist.Ops(), log, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, x := range v.Violations {
+			for _, x := range servedHistoryViolations(t, ord) {
 				t.Errorf("served history violation: %s", x)
 			}
 		})
 	}
+}
+
+// servedHistoryViolations serves TestServedHistoryConformance's workload
+// under ord and returns what the served-history checker finds wrong with it.
+func servedHistoryViolations(t *testing.T, ord wtftm.Ordering) []string {
+	leakCheck(t)
+	log := &chaos.Log{FS: wal.NewMemFS(), Dir: "served", Shards: 4}
+	s := startServer(t, Config{Ordering: ord, Shards: log.Shards, Executors: 2,
+		DataDir: log.Dir, FS: log.FS, Fsync: wal.SyncGroup})
+	w := &served{s: s}
+	w.run(t)
+
+	st := fetchStats(t, s)
+	if st.Server.GroupCommits == 0 || st.Server.FastReads == 0 || st.Engine.FuturesSubmitted == 0 {
+		t.Fatalf("a mechanism never ran: group_commits=%d fast_reads=%d futures_submitted=%d",
+			st.Server.GroupCommits, st.Server.FastReads, st.Engine.FuturesSubmitted)
+	}
+	s.Drain()
+	v, err := chaos.Check(w.hist.Ops(), log, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v.Violations
 }
 
 // served is the workload of TestServedHistoryConformance.

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"wtftm"
+	"wtftm/internal/mutant"
 	"wtftm/internal/obs"
 	"wtftm/internal/wal"
 	"wtftm/internal/wire"
@@ -223,8 +224,10 @@ func (s *Server) commit(u *unit, body func(*wtftm.Tx) error) (err, durErr error)
 	// future handles: each one pins its whole transaction (write sets, the
 	// versions it read) for as long as the unit keeps it.
 	u.wg.Wait()
-	clear(u.futs)
-	if faultLogOrder {
+	if mutant.Active != mutant.UnitKeepsFutures {
+		clear(u.futs)
+	}
+	if mutant.Active == mutant.UnlockBeforeLog {
 		// A unit writing several shards (a MULTI) holds the gap open, so a
 		// commit another executor makes on one of them meanwhile logs first.
 		for _, sh := range u.shards {
@@ -262,7 +265,7 @@ func (s *Server) commit(u *unit, body func(*wtftm.Tx) error) (err, durErr error)
 			u.appended = append(u.appended, sh)
 		}
 	}
-	if !faultLogOrder {
+	if mutant.Active != mutant.UnlockBeforeLog {
 		for _, sh := range u.shards {
 			d.mgr.Unlock(sh)
 		}

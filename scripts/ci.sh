@@ -2,9 +2,10 @@
 # Tier-1.5 gate: everything tier-1 runs (build + full tests) plus vet, the
 # race detector over the concurrency-critical packages (the lock-free commit
 # pipeline, the futures engine, and the conformance scheduler), coverage
-# floors for the engine and its oracle, and the wtfconform smoke budget —
-# which must find nothing on the real engine and must find a violation on
-# the fault-injected builds. Run before merging substrate changes.
+# floors for the engine and its oracle, the wtfconform smoke budget — which
+# must find nothing on the real engine — and the mutation ledger, whose every
+# deliberately broken build must be reported. Run before merging substrate
+# changes.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -15,13 +16,16 @@ go test ./...
 echo "== tier-1: benchmark module unit tests (its own module, not reached by ./...) =="
 (cd benchmark && go test -short ./...)
 
-echo "== tier-1.5: vet =="
+echo "== tier-1.5: vet (untagged and with the mutation ledger's sites live) =="
 go vet ./...
+go vet -tags mutants ./...
 
-echo "== tier-1.5: docs name only scripts, top-level JSON files and wtfbench experiments that exist =="
+echo "== tier-1.5: docs name only scripts, top-level JSON files, wtfbench experiments, build tags and mutants that exist =="
 # EXPERIMENTS.md's one "Historical" section is where deleted instruments may
 # still be named; everything else must point at things in the tree. The
-# experiment names are whatever wtfbench lists when asked for an unknown one.
+# experiment names are whatever wtfbench lists when asked for an unknown one;
+# the one build tag is mutants, and the mutant names are internal/mutant's
+# table.
 docs="README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md"
 doc_refs() {
 	awk '/^## /{ skip = /^## Historical in-process sweeps/ } !skip' $docs | grep -oE -- "$1" | sort -u
@@ -44,6 +48,22 @@ for name in $(doc_refs '-exp [a-z][a-z0-9]*' | sed 's/^-exp //'); do
 	*" $name "*) ;;
 	*)
 		echo "ci: the docs name wtfbench -exp $name; valid: $exps" >&2
+		stale=1
+		;;
+	esac
+done
+for tag in $(doc_refs '-tags[ =][A-Za-z0-9_,]+' | sed 's/^-tags.//'); do
+	if [ "$tag" != mutants ]; then
+		echo "ci: the docs name build tag $tag; the only one is mutants" >&2
+		stale=1
+	fi
+done
+mutants=$(sed -n 's/^	{[A-Za-z]*, "\([A-Za-z]*\)".*/\1/p' internal/mutant/mutant.go | tr '\n' ' ')
+for name in $(doc_refs 'TestMutantsCaught/[A-Za-z]+' | sed 's|.*/||'); do
+	case " $mutants " in
+	*" $name "*) ;;
+	*)
+		echo "ci: the docs name mutant $name; the table has: $mutants" >&2
 		stale=1
 		;;
 	esac
@@ -107,11 +127,15 @@ go test -race -run TestChaosSweepSmoke -count=1 -timeout 120s ./internal/chaos/
 echo "== tier-1.5: wtfconform smoke (fixed seeds, clean engine: expect 0 violations) =="
 go run ./cmd/wtfconform -mode dfs -seed 1 -seeds 8 -budget 300
 
-echo "== tier-1.5: wtfconform deep-chain smoke (nesting depth 4: long ancestor paths) =="
-# Deeply nested futures build the long pred chains the visible-write index,
-# merge patches and validation summaries optimize; this sweep pins their
-# conformance on the schedules where those caches are most stressed.
-go run ./cmd/wtfconform -mode dfs -seed 1 -seeds 4 -budget 300 -futures 2 -depth 4 -ops 8
+echo "== tier-1.5: wtfconform nested-futures sweep (depth 2 and 3, clean engine: expect 0 violations) =="
+# Futures that submit futures: a re-executed or never-evaluated future takes
+# what its discarded execution submitted with it, and the oracle must drop
+# those futures too (it once did not, and failed the clean engine at depth 2
+# seed 12 and depth 3 seed 11). conform's TestMutantsSweep runs these shapes
+# and the smoke sweep above with each engine mutant active.
+for depth in 2 3; do
+	go run ./cmd/wtfconform -mode dfs -seed 1 -seeds 16 -budget 300 -futures 3 -depth $depth -ops 8
+done
 
 echo "== tier-1.5: guard benchmarks (smoke run: hot paths must still complete) =="
 go test -run '^$' -bench 'ReadDepth|BeginFinish' -benchtime 200ms ./internal/bench/ ./internal/mvstm/
@@ -191,38 +215,11 @@ echo "== tier-1.5: served-history check under race (the one configuration wtfd r
 # through the FSG polygraph, under WO and SO.
 go test -race -count=1 -run TestServedHistoryConformance ./internal/server/
 
-echo "== tier-1.5: served-history check (conform_fault_logorder / conform_fault_watermark builds: must catch each) =="
-# The server's entries in the mutation ledger: commit releasing its shard
-# locks before the log step, and a fast GET ignoring the session watermark.
-# The test passes untagged (above); under each tag it must fail with a
-# violation, not with anything else.
-for tag in conform_fault_logorder conform_fault_watermark; do
-	if out=$(go test -tags "$tag" -count=1 -run TestServedHistoryConformance ./internal/server/ 2>&1); then
-		echo "ci: the $tag build passed the served-history test — the checker is blind to it" >&2
-		exit 1
-	fi
-	if ! printf '%s\n' "$out" | grep -q 'served history violation'; then
-		printf '%s\n' "$out" >&2
-		echo "ci: the $tag build failed the served-history test without a violation" >&2
-		exit 1
-	fi
-	echo "   $tag: caught"
-done
-
-echo "== tier-1.5: wtfconform smoke (conform_fault build: must catch the bug) =="
-if go run -tags conform_fault ./cmd/wtfconform -mode dfs -ordering wo -atomicity lac -seed 1 -seeds 8 -budget 300; then
-	echo "ci: fault-injected engine produced no violation — the oracle is blind" >&2
-	exit 1
-fi
-go test -tags conform_fault -run TestFaultDetected ./internal/conform/
-
-echo "== tier-1.5: wtfconform smoke (conform_fault_claim build: must catch the bug) =="
-# The claim site's mutation: an evaluator-claimed body serializes at its
-# evaluation even under SO. The SO sweep must see it.
-if go run -tags conform_fault_claim ./cmd/wtfconform -mode dfs -ordering so -atomicity lac -seed 1 -seeds 8 -budget 300; then
-	echo "ci: claim-fault engine produced no violation — the oracle is blind to the claim site" >&2
-	exit 1
-fi
-go test -tags conform_fault_claim -run TestClaimFaultDetected ./internal/conform/
+echo "== tier-1.5: mutation ledger (internal/mutant: every broken build reported, clean suites pass) =="
+# One run per detecting package with the mutants tag: its clean tests run
+# with no mutant active, and TestMutantsCaught activates each table entry the
+# package owns and requires its detector's report (an FSG cycle, a served-
+# history violation, a failed invariant). One entry: -run TestMutantsCaught/<name>.
+go test -tags mutants -count=1 ./internal/core/ ./internal/conform/ ./internal/server/
 
 echo "ci: all gates passed"
