@@ -9,11 +9,11 @@ import (
 // BenchmarkClientGetRoundTrip measures a full GET over loopback — encode,
 // write, server fast path, response decode into a pooled *wire.Response,
 // value copy into the caller's buffer — via the GetBytes variant. This is
-// the round-trip allocation gate scripts/ci.sh enforces (≤ 1 alloc/op):
-// the single remaining allocation is the server materializing the key
-// string during request decode (map keys are strings); everything else on
-// both ends — frames, requests, responses, the value handoff — is pooled,
-// so a read-heavy workload's cost is syscalls, not GC.
+// the round-trip allocation gate scripts/ci.sh enforces (0 allocs/op): the
+// server hashes, routes and looks up the key in its wire buffer without
+// building a string, and everything else on both ends — frames, requests,
+// responses, the value handoff — is pooled, so a read-heavy workload's cost
+// is syscalls, not GC.
 func BenchmarkClientGetRoundTrip(b *testing.B) {
 	s, err := server.New(server.Config{Shards: 4})
 	if err != nil {

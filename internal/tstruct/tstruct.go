@@ -5,9 +5,11 @@
 // bucket — making them the natural shared-state layer for the concurrent
 // applications the paper's introduction motivates.
 //
-// All structures store immutable snapshots inside boxes (copy-on-write), so
-// readers never observe partial updates and the MV-STM's version chains stay
-// well-formed.
+// All structures store immutable values inside boxes: a write installs a new
+// value (a copied slice, or for Map a path-copied hash trie sharing every
+// untouched node) and never mutates a published one, so readers never
+// observe partial updates — not even readers outside any transaction — and
+// the MV-STM's version chains stay well-formed.
 package tstruct
 
 import (
@@ -20,16 +22,18 @@ import (
 // Map is a transactional hash map with a fixed bucket count. Keys are
 // strings; values are arbitrary. Operations conflict only when they touch
 // the same bucket (or the size counter, for size-changing operations).
+//
+// Each bucket box holds the root of an immutable hash trie (hashtrie.go):
+// leaves of at most leafMax entries that carry their key's 64-bit hash,
+// under inner nodes that split on further bits of that hash. A lookup
+// compares hashes before it reads any key string, and Put and Delete copy
+// only the nodes on the key's path. ForEach and Snapshot visit a bucket in
+// hash order.
 type Map struct {
 	stm     *mvstm.STM
-	buckets []*mvstm.VBox // each holds entries ([]mapEntry)
+	buckets []*mvstm.VBox // each holds its trie's root, a *leaf or an *inner
 	size    *mvstm.VBox   // int
 	seed    maphash.Seed
-}
-
-type mapEntry struct {
-	key string
-	val any
 }
 
 // NewMap creates a map with the given bucket count (rounded up to 1).
@@ -51,99 +55,75 @@ func NewMapNamed(stm *mvstm.STM, name string, buckets int) *Map {
 		seed:    maphash.MakeSeed(),
 	}
 	for i := range m.buckets {
-		m.buckets[i] = stm.NewBoxNamed(fmt.Sprintf("%s.b%d", name, i), []mapEntry(nil))
+		m.buckets[i] = stm.NewBoxNamed(fmt.Sprintf("%s.b%d", name, i), emptyLeaf)
 	}
 	return m
 }
 
-func (m *Map) bucket(key string) *mvstm.VBox {
-	return m.buckets[maphash.String(m.seed, key)%uint64(len(m.buckets))]
-}
+// bucket is the box of the key whose hash is h.
+func (m *Map) bucket(h uint64) *mvstm.VBox { return m.buckets[h%uint64(len(m.buckets))] }
 
 // Get returns the value for key and whether it is present.
 func (m *Map) Get(tx mvstm.ReadWriter, key string) (any, bool) {
-	for _, e := range tx.Read(m.bucket(key)).([]mapEntry) {
-		if e.key == key {
-			return e.val, true
-		}
-	}
-	return nil, false
+	h := maphash.String(m.seed, key)
+	return lookup(tx.Read(m.bucket(h)), h, key)
 }
 
 // GetFastBytes returns the value for key at the current commit clock without
-// a transaction, via mvstm.ReadLatest on the key's bucket. The bucket slice
-// is an immutable copy-on-write snapshot, so scanning it outside any
-// transaction is safe. retries and ok relay ReadLatest's outcome: on !ok
-// (retry budget exhausted by concurrent version trims) the caller must
-// re-issue the read through a transaction; found is only meaningful when
-// ok is true.
+// a transaction, via mvstm.ReadLatest on the key's bucket. Every node
+// reachable from a published bucket value is immutable (writers path-copy),
+// so walking the trie outside any transaction is safe. retries and ok relay
+// ReadLatest's outcome: on !ok (retry budget exhausted by concurrent version
+// trims) the caller must re-issue the read through a transaction; found is
+// only meaningful when ok is true.
 //
-// The key is still a byte slice in its wire buffer: the bucket hash
-// (maphash.Bytes equals maphash.String over the same bytes) and the entry
-// comparisons run directly over the slice, so the caller materializes no key
-// string — the last allocation on the serving read path.
+// The key is still a byte slice in its wire buffer: the hash (maphash.Bytes
+// equals maphash.String over the same bytes) and the one lookup Get also
+// uses run directly over the slice, so the caller materializes no key string.
 func (m *Map) GetFastBytes(key []byte) (val any, found bool, retries int, ok bool) {
-	b := m.buckets[maphash.Bytes(m.seed, key)%uint64(len(m.buckets))]
-	v, retries, ok := m.stm.ReadLatest(b)
+	h := maphash.Bytes(m.seed, key)
+	root, retries, ok := m.stm.ReadLatest(m.bucket(h))
 	if !ok {
 		return nil, false, retries, false
 	}
-	for _, e := range v.([]mapEntry) {
-		if e.key == string(key) {
-			return e.val, true, retries, true
-		}
-	}
-	return nil, false, retries, true
+	val, found = lookup(root, h, key)
+	return val, found, retries, true
 }
 
 // Put stores val under key, returning whether the key was new.
 func (m *Map) Put(tx mvstm.ReadWriter, key string, val any) bool {
-	b := m.bucket(key)
-	entries := tx.Read(b).([]mapEntry)
-	for i, e := range entries {
-		if e.key == key {
-			next := make([]mapEntry, len(entries))
-			copy(next, entries)
-			next[i].val = val
-			tx.Write(b, next)
-			return false
-		}
+	h := maphash.String(m.seed, key)
+	b := m.bucket(h)
+	root, added := put(tx.Read(b), 0, h, key, val)
+	tx.Write(b, root)
+	if added {
+		tx.Write(m.size, tx.Read(m.size).(int)+1)
 	}
-	next := make([]mapEntry, len(entries), len(entries)+1)
-	copy(next, entries)
-	tx.Write(b, append(next, mapEntry{key: key, val: val}))
-	tx.Write(m.size, tx.Read(m.size).(int)+1)
-	return true
+	return added
 }
 
 // Delete removes key, returning whether it was present.
 func (m *Map) Delete(tx mvstm.ReadWriter, key string) bool {
-	b := m.bucket(key)
-	entries := tx.Read(b).([]mapEntry)
-	for i, e := range entries {
-		if e.key == key {
-			next := make([]mapEntry, 0, len(entries)-1)
-			next = append(next, entries[:i]...)
-			next = append(next, entries[i+1:]...)
-			tx.Write(b, next)
-			tx.Write(m.size, tx.Read(m.size).(int)-1)
-			return true
-		}
+	h := maphash.String(m.seed, key)
+	b := m.bucket(h)
+	root, removed := del(tx.Read(b), 0, h, key)
+	if removed {
+		tx.Write(b, root)
+		tx.Write(m.size, tx.Read(m.size).(int)-1)
 	}
-	return false
+	return removed
 }
 
 // Len returns the number of entries.
 func (m *Map) Len(tx mvstm.ReadWriter) int { return tx.Read(m.size).(int) }
 
-// ForEach visits every entry (bucket order); it reads every bucket, so the
-// enclosing transaction conflicts with any concurrent size-changing writer.
+// ForEach visits every entry (bucket order, hash order within a bucket); it
+// reads every bucket, so the enclosing transaction conflicts with any
+// concurrent size-changing writer.
 func (m *Map) ForEach(tx mvstm.ReadWriter, fn func(key string, val any) bool) {
 	for _, b := range m.buckets {
-		for _, e := range tx.Read(b).([]mapEntry) {
-			if !fn(e.key, e.val) {
-				return
-			}
+		if !walk(tx.Read(b), func(e *mapEntry) bool { return fn(e.key, e.val) }) {
+			return
 		}
 	}
 }
@@ -154,52 +134,42 @@ type KV struct {
 	Val any
 }
 
-// Snapshot appends every entry to dst (bucket order) and returns it. Like
-// ForEach it reads every bucket, so the enclosing transaction observes one
-// consistent cut of the map — which is exactly what a durability checkpoint
-// needs.
+// Snapshot appends every entry to dst (bucket order, hash order within a
+// bucket) and returns it. Like ForEach it reads every bucket, so the
+// enclosing transaction observes one consistent cut of the map — which is
+// exactly what a durability checkpoint needs.
 func (m *Map) Snapshot(tx mvstm.ReadWriter, dst []KV) []KV {
 	for _, b := range m.buckets {
-		for _, e := range tx.Read(b).([]mapEntry) {
+		walk(tx.Read(b), func(e *mapEntry) bool {
 			dst = append(dst, KV{Key: e.key, Val: e.val})
-		}
+			return true
+		})
 	}
 	return dst
 }
 
-// Restore bulk-inserts kvs (later duplicates win). It rebuilds each touched
-// bucket once and writes the size box once, where n repeated Puts would copy
-// the growing bucket n times and serialize every restore transaction on the
-// size box — the difference between O(n) and O(n²) recovery.
+// Restore bulk-inserts kvs (later duplicates win). It builds each touched
+// bucket's trie once, from its sorted entries, and writes the size box once,
+// where n repeated Puts would path-copy per key and serialize every restore
+// transaction on the size box.
 func (m *Map) Restore(tx mvstm.ReadWriter, kvs []KV) {
 	if len(kvs) == 0 {
 		return
 	}
-	byBucket := make([][]KV, len(m.buckets))
+	byBucket := make([][]mapEntry, len(m.buckets))
 	for _, kv := range kvs {
-		i := maphash.String(m.seed, kv.Key) % uint64(len(m.buckets))
-		byBucket[i] = append(byBucket[i], kv)
+		h := maphash.String(m.seed, kv.Key)
+		i := h % uint64(len(m.buckets))
+		byBucket[i] = append(byBucket[i], mapEntry{h, kv.Key, kv.Val})
 	}
 	added := 0
 	for i, batch := range byBucket {
 		if len(batch) == 0 {
 			continue
 		}
-		entries := tx.Read(m.buckets[i]).([]mapEntry)
-		next := make([]mapEntry, len(entries), len(entries)+len(batch))
-		copy(next, entries)
-	insert:
-		for _, kv := range batch {
-			for j := range next {
-				if next[j].key == kv.Key {
-					next[j].val = kv.Val
-					continue insert
-				}
-			}
-			next = append(next, mapEntry{key: kv.Key, val: kv.Val})
-			added++
-		}
-		tx.Write(m.buckets[i], next)
+		root, n := merge(tx.Read(m.buckets[i]), batch)
+		tx.Write(m.buckets[i], root)
+		added += n
 	}
 	if added != 0 {
 		tx.Write(m.size, tx.Read(m.size).(int)+added)

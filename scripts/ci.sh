@@ -185,6 +185,12 @@ echo "== tier-1.5: GET fast-path allocation guard (0 allocs/op, metrics enabled)
 # so this also proves the latency sampler stays off the heap.
 check_allocs ./internal/server/ BenchmarkServerFastGet 0
 
+echo "== tier-1.5: map fast-read allocation guard (0 allocs/op, 128 entries per bucket) =="
+# GetFastBytes walks the bucket's hash trie with the key still a byte slice:
+# hashing, routing and the key comparison must build no string, at the
+# get-heavy occupancy where a bucket is an inner node over leaves.
+check_allocs ./internal/tstruct/ BenchmarkMapGetFast/entries=128 0
+
 echo "== tier-1.5: histogram record-path allocation guard (0 allocs/op) =="
 # obs.Histogram.Observe sits inside every serving stage (including the 33ns
 # fast-read sampler); it must never touch the heap.
@@ -193,10 +199,10 @@ check_allocs ./internal/obs/ BenchmarkHistogramRecord 0
 echo "== tier-1.5: observability endpoint smoke under race (/metrics + /debug/wtfd/slow on live traffic) =="
 go test -race -count=1 -run 'TestMetricsEndpoint|TestStatsWireSections|TestFlightRecorder' ./internal/server/
 
-echo "== tier-1.5: client GET round-trip allocation guard (<= 1 alloc/op) =="
-# Full loopback round trip via GetBytes: the only permitted allocation is
-# the server materializing the key string during request decode.
-check_allocs ./internal/client/ BenchmarkClientGetRoundTrip 1
+echo "== tier-1.5: client GET round-trip allocation guard (0 allocs/op) =="
+# Full loopback round trip via GetBytes: both ends are pooled and the server
+# routes and looks up the key in its wire buffer, so nothing is allocated.
+check_allocs ./internal/client/ BenchmarkClientGetRoundTrip 0
 
 echo "== tier-1.5: read fast-path smoke (clean fallback rate <= 1%, session order under race) =="
 # The fallback-rate gate catches a broken watermark or retry budget (every
