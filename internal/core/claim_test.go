@@ -25,8 +25,9 @@ import (
 // program's own flows can claim the bodies they did not take. Waits the
 // engine delegates to it are polled.
 type heldWorkers struct {
-	free atomic.Int32
-	open chan struct{}
+	free  atomic.Int32
+	ended atomic.Int32 // wakings whose bodies have returned, settling included
+	open  chan struct{}
 }
 
 func newHeldWorkers(free int32) *heldWorkers {
@@ -38,7 +39,7 @@ func newHeldWorkers(free int32) *heldWorkers {
 func (h *heldWorkers) release()                  { close(h.open) }
 func (h *heldWorkers) Yield(sched.Point, string) {}
 func (h *heldWorkers) SpawnExpected()            {}
-func (h *heldWorkers) TaskEnd()                  {}
+func (h *heldWorkers) TaskEnd()                  { h.ended.Add(1) }
 func (h *heldWorkers) TaskBegin() {
 	if h.free.Add(-1) < 0 {
 		<-h.open
@@ -90,8 +91,14 @@ func TestEvaluatorClaimedBodyOfAbortedAttempt(t *testing.T) {
 				if tx.top.id == firstID {
 					return errors.New("the retry runs as the aborted attempt")
 				}
+				// wg only joins the bodies: f1's worker may still hold the
+				// aborted attempt's last reference, and wipes the arena
+				// when it lets go.
+				for hook.ended.Load() == 0 {
+					time.Sleep(50 * time.Microsecond)
+				}
 				if f1.top != nil || f2.top != nil {
-					return errors.New("the retry started before the aborted attempt's arena was wiped")
+					return errors.New("the aborted attempt's arena was not wiped once its last body let go")
 				}
 				if st := f2.getState(); st != fStale {
 					return fmt.Errorf("the claimed body settled in state %d, want stale", st)

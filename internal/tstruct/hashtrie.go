@@ -1,7 +1,6 @@
 package tstruct
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 )
@@ -129,9 +128,9 @@ func put(n any, depth int, h uint64, key string, val any) (any, bool) {
 }
 
 // del returns the trie n on level depth without key (hash h), and whether
-// key was there. An inner node left with at most leafMax/2 entries, all in
-// leaves, folds back into one leaf; the gap to leafMax keeps a bucket near
-// the split size from splitting and folding on alternate writes.
+// key was there. An emptied child is dropped, and an inner node left with no
+// children is emptyLeaf; a shrinking inner node is not folded back into a
+// leaf.
 func del(n any, depth int, h uint64, key string) (any, bool) {
 	if in, ok := n.(*inner); ok {
 		bit := slot(h, depth)
@@ -143,14 +142,15 @@ func del(n any, depth int, h uint64, key string) (any, bool) {
 		if !removed {
 			return n, false
 		}
-		next := &inner{in.bits, slices.Clone(in.kids)}
-		if kid == emptyLeaf {
-			next.bits &^= bit
-			next.kids = slices.Delete(next.kids, i, i+1)
-		} else {
-			next.kids[i] = kid
+		if kid != emptyLeaf {
+			kids := slices.Clone(in.kids)
+			kids[i] = kid
+			return &inner{in.bits, kids}, true
 		}
-		return next.fold(), true
+		if len(in.kids) == 1 {
+			return emptyLeaf, true
+		}
+		return &inner{in.bits &^ bit, slices.Delete(slices.Clone(in.kids), i, i+1)}, true
 	}
 	ents := n.(*leaf).ents
 	for j := seek(ents, h); j < len(ents) && ents[j].h == h; j++ {
@@ -164,38 +164,11 @@ func del(n any, depth int, h uint64, key string) (any, bool) {
 	return n, false
 }
 
-// fold is in as one leaf when its children are leaves holding at most
-// leafMax/2 entries together, and in otherwise.
-func (in *inner) fold() any {
-	total := 0
-	for _, k := range in.kids {
-		l, ok := k.(*leaf)
-		if !ok {
-			return in
-		}
-		total += len(l.ents)
-	}
-	if total > leafMax/2 {
-		return in
-	}
-	if total == 0 {
-		return emptyLeaf
-	}
-	ents := make([]mapEntry, 0, total)
-	for _, k := range in.kids {
-		ents = append(ents, k.(*leaf).ents...)
-	}
-	return &leaf{ents}
-}
-
-// build is the trie on level depth over ents, which are sorted by hash and
-// owned by the caller: a run of more than leafMax entries splits on the
+// build is the trie on level depth over ents, which are non-empty, sorted by
+// hash and owned by the caller: a run of more than leafMax entries splits on the
 // next slot bits. Each child gets its own copy of its run, so a value a
 // later Put overwrites in one leaf is not kept alive by a sibling's array.
 func build(ents []mapEntry, depth int) any {
-	if len(ents) == 0 {
-		return emptyLeaf
-	}
 	if len(ents) <= leafMax || depth == trieLevels {
 		return &leaf{ents}
 	}
@@ -233,30 +206,4 @@ func walk(n any, fn func(e *mapEntry) bool) bool {
 		}
 	}
 	return true
-}
-
-// merge is the trie n with batch added in order (a later entry for a key
-// wins), built without path-copying per key, and the number of keys that
-// were new.
-func merge(n any, batch []mapEntry) (any, int) {
-	var ents []mapEntry
-	walk(n, func(e *mapEntry) bool { ents = append(ents, *e); return true })
-	had := len(ents)
-	// The stable sort keeps each key's entries in insertion order, existing
-	// entry first; the last one in every run of equal keys is kept.
-	ents = append(ents, batch...)
-	slices.SortStableFunc(ents, func(a, b mapEntry) int { return cmp.Compare(a.h, b.h) })
-	out := ents[:0]
-next:
-	for _, e := range ents {
-		for j := len(out) - 1; j >= 0 && out[j].h == e.h; j-- {
-			if out[j].key == e.key {
-				out[j].val = e.val
-				continue next
-			}
-		}
-		out = append(out, e)
-	}
-	clear(ents[len(out):])
-	return build(out, 0), len(out) - had
 }

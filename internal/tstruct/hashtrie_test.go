@@ -65,7 +65,7 @@ func checkNode(n any, path []uint16, seed *maphash.Seed) error {
 // TestTrieHashCollision gives distinct keys one 64-bit hash, and others that
 // differ from it only in the lowest bit, so the trie runs out of hash bits:
 // the keys sharing a hash end in one leaf on the last level that holds more
-// than leafMax entries. Put, lookup, merge and Delete must all still tell the
+// than leafMax entries. Put, lookup and Delete must all still tell the
 // keys apart, and deleting every key must give back the empty root.
 func TestTrieHashCollision(t *testing.T) {
 	const same = uint64(0x9e3779b97f4a7c15)
@@ -105,20 +105,17 @@ func TestTrieHashCollision(t *testing.T) {
 		t.Fatal("lookup found a key that was never put")
 	}
 
-	// merge with colliding keys: an overwrite, a new key, and a duplicate
-	// inside the batch whose later entry wins.
-	merged, added := merge(root, []mapEntry{
-		{same, "k0", "new"}, {same, "extra", 1}, {same, "extra", 2},
-	})
-	if err := checkTrie(merged, nil); err != nil {
-		t.Fatalf("after merge: %v", err)
+	// An overwrite among colliding keys replaces only its own key's value.
+	over, added := put(root, 0, same, "k0", "new")
+	if added {
+		t.Fatal("overwriting k0 reported a new key")
 	}
-	if added != 1 {
-		t.Fatalf("merge added %d keys, want 1", added)
+	if err := checkTrie(over, nil); err != nil {
+		t.Fatalf("after overwrite: %v", err)
 	}
-	for key, want := range map[string]any{"k0": "new", "extra": 2, "k1": 1} {
-		if v, ok := lookup(merged, same, key); !ok || v != want {
-			t.Fatalf("merged %s = (%v, %v), want %v", key, v, ok, want)
+	for key, want := range map[string]any{"k0": "new", "k1": 1} {
+		if v, ok := lookup(over, same, key); !ok || v != want {
+			t.Fatalf("after overwrite %s = (%v, %v), want %v", key, v, ok, want)
 		}
 	}
 

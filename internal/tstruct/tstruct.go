@@ -148,28 +148,19 @@ func (m *Map) Snapshot(tx mvstm.ReadWriter, dst []KV) []KV {
 	return dst
 }
 
-// Restore bulk-inserts kvs (later duplicates win). It builds each touched
-// bucket's trie once, from its sorted entries, and writes the size box once,
-// where n repeated Puts would path-copy per key and serialize every restore
-// transaction on the size box.
+// Restore bulk-inserts kvs (later duplicates win). It is Put per key but
+// writes the size box once, where n repeated Puts would serialize every
+// restore transaction on the size box.
 func (m *Map) Restore(tx mvstm.ReadWriter, kvs []KV) {
-	if len(kvs) == 0 {
-		return
-	}
-	byBucket := make([][]mapEntry, len(m.buckets))
+	added := 0
 	for _, kv := range kvs {
 		h := maphash.String(m.seed, kv.Key)
-		i := h % uint64(len(m.buckets))
-		byBucket[i] = append(byBucket[i], mapEntry{h, kv.Key, kv.Val})
-	}
-	added := 0
-	for i, batch := range byBucket {
-		if len(batch) == 0 {
-			continue
+		b := m.bucket(h)
+		root, isNew := put(tx.Read(b), 0, h, kv.Key, kv.Val)
+		tx.Write(b, root)
+		if isNew {
+			added++
 		}
-		root, n := merge(tx.Read(m.buckets[i]), batch)
-		tx.Write(m.buckets[i], root)
-		added += n
 	}
 	if added != 0 {
 		tx.Write(m.size, tx.Read(m.size).(int)+added)
