@@ -15,16 +15,19 @@
 // baseline). -stats periodically prints the server/engine/substrate counter
 // snapshot — the same document the STATS wire op returns — to stderr.
 //
-// -data-dir enables durability (DESIGN.md §11): every shard keeps a
-// write-ahead log and rolling snapshots under the directory, boot recovers
-// the store from them, and writes are acknowledged only once they satisfy
-// the -fsync policy — group (default) runs one coalesced fsync barrier per
-// commit group (the ack daemon holds it open 1 ms for more commits to join),
-// always fsyncs every append, off defers syncing to segment rotation and
-// shutdown (a power cut may lose the unsynced tail, a graceful shutdown
-// loses nothing). -snapshot-every checkpoints a shard after that many log
-// records (0 = default 65536, negative = never); -segment-bytes sets the
-// log rotation threshold. The durability flags (-fsync, -snapshot-every,
+// -data-dir enables durability (DESIGN.md §11): the store keeps one
+// write-ahead log (dir/wal, one record per commit unit, so a cross-shard
+// MULTI is durable whole or not at all) and each shard keeps rolling
+// snapshots (dir/shard-NNN); boot recovers the store from them, and writes
+// are acknowledged only once they satisfy the -fsync policy — group
+// (default) runs one fsync of the log per ack cycle (the ack daemon holds
+// it open 1 ms for more commits to join), always fsyncs every append, off
+// defers syncing to segment rotation and shutdown (a power cut may lose the
+// unsynced tail, a graceful shutdown loses nothing). A directory written
+// with one log per shard (shard-NNN/wal-*.seg) is refused. -snapshot-every
+// checkpoints a shard after that many log records carrying its writes
+// (0 = default 65536, negative = never); -segment-bytes sets the log
+// rotation threshold. The durability flags (-fsync, -snapshot-every,
 // -segment-bytes) are rejected without -data-dir: silently ignoring them
 // would let an operator believe a memory-only daemon was fsyncing.
 //
@@ -96,7 +99,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (server.Config, runOpts, error) 
 		maxInFlight = fs.Int("max-inflight", 0, "shed store requests with BUSY beyond this many in flight (0 = default 4096, negative = unbounded)")
 		ordering    = fs.String("ordering", "wo", "futures ordering semantics: wo|so")
 		stats       = fs.Duration("stats", 0, "print counter snapshots at this interval (0 = off)")
-		dataDir     = fs.String("data-dir", "", "durability directory: per-shard WAL + snapshots, recovered on boot (empty = memory-only)")
+		dataDir     = fs.String("data-dir", "", "durability directory: one WAL + per-shard snapshots, recovered on boot (empty = memory-only)")
 		fsync       = fs.String("fsync", "group", "when to fsync the WAL before acking writes: always|group|off")
 		snapEvery   = fs.Int64("snapshot-every", 0, "checkpoint a shard after this many WAL records (0 = default 65536, negative = never)")
 		segBytes    = fs.Int64("segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = default)")

@@ -8,12 +8,13 @@
 // one serialization explains every answer while respecting each process's
 // session order. A durable server's log adds what no client can see:
 //
-//   - Version order. A shard's WAL is its commit order (DESIGN.md §10: the
-//     commit lock spans the STM commit and the append). Check reads it
-//     through persist.Open — the replay recovery runs — and turns each
-//     record into one fsg.CommitRec per operation whose writes it holds: a
-//     coalesced unit's record spans several operations, and a MULTI's
-//     writes span several shards' records. Written values are unique per
+//   - Version order. The WAL, restricted to one shard's parts, is that
+//     shard's commit order (DESIGN.md §10: the commit lock spans the STM
+//     commit and the append). Check reads it through persist.Open — the
+//     replay recovery runs — and turns each record part into one
+//     fsg.CommitRec per operation whose writes it holds: a coalesced unit's
+//     part spans several operations, and a MULTI's writes span the parts of
+//     its one record on several shards. Written values are unique per
 //     key, so a logged value names the operation that issued it and a read
 //     value names its writer. A memory-only server has no log; there every
 //     key needs a single writer process, whose program order is then the
@@ -222,9 +223,9 @@ func (c *checker) install(i int, w kv, id string) {
 	c.commit[w] = id
 }
 
-// replay reads the log shard by shard, in record order, through the
-// recovery callbacks; shard-major order keeps every key's versions in its
-// shard's commit order.
+// replay reads the one log in record order through the recovery callbacks,
+// one call per part; record order restricted to a shard is that shard's
+// commit order, so every key's versions arrive in commit order.
 func (c *checker) replay(log *Log) error {
 	m, err := persist.Open(persist.Options{
 		FS:     log.FS,

@@ -11,11 +11,16 @@
 package chaos
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"runtime"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -315,16 +320,73 @@ func TestCorruptionSurvival(t *testing.T) {
 	}
 }
 
+// gatedFS is a MemFS whose file fsyncs wait while the gate is shut. Under
+// -fsync always a write's executor fsyncs before the write is answered, so a
+// shut gate holds that write in flight for as long as the test needs.
+type gatedFS struct {
+	*wal.MemFS
+	shut    atomic.Bool
+	held    chan struct{} // signalled when an fsync finds the gate shut
+	release chan struct{} // closed to let the held fsyncs through
+}
+
+func (g *gatedFS) OpenFile(name string, flag int, perm fs.FileMode) (wal.File, error) {
+	f, err := g.MemFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return gatedFile{f, g}, nil
+}
+
+type gatedFile struct {
+	wal.File
+	g *gatedFS
+}
+
+func (f gatedFile) Sync() error {
+	if f.g.shut.Load() {
+		select {
+		case f.g.held <- struct{}{}:
+		default:
+		}
+		<-f.g.release
+	}
+	return f.File.Sync()
+}
+
+// shedCount reads the server's BUSY refusal counter in process, without a
+// request an executor would have to serve.
+func shedCount(s *server.Server) (int64, error) {
+	var b bytes.Buffer
+	if err := s.Metrics().WritePrometheus(&b); err != nil {
+		return 0, err
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "wtfd_shed_total "); ok {
+			return strconv.ParseInt(v, 10, 64)
+		}
+	}
+	return 0, errors.New("no wtfd_shed_total in the metrics")
+}
+
 // TestShedAndRetryUnderResets is the overload acceptance criterion: with 5%
 // connection resets AND a server forced into shedding (MaxInFlight 1),
 // every worker's workload still completes through retry/backoff, p99 stays
 // bounded, and STATS reports the sheds.
+//
+// The overload is made, not hoped for: four workers against one admission
+// slot overlap only when the scheduler interleaves them, which at
+// GOMAXPROCS 1 it mostly does not. So a write outside the workload takes
+// the slot first and stays in flight — its fsync waits on a shut gate —
+// until the server has refused several workload requests; then the gate
+// opens and the workers retry their way through the rest of the run.
 func TestShedAndRetryUnderResets(t *testing.T) {
 	plan, err := Scenario("reset", 4) // ResetProb 0.05
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := server.New(server.Config{Shards: 4, MaxInFlight: 1})
+	gate := &gatedFS{MemFS: wal.NewMemFS(), held: make(chan struct{}, 1), release: make(chan struct{})}
+	s, err := server.New(server.Config{Shards: 4, MaxInFlight: 1, DataDir: "d", FS: gate, Fsync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,6 +394,31 @@ func TestShedAndRetryUnderResets(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Drain()
+
+	gate.shut.Store(true)
+	hog := client.New(client.Options{Addr: s.Addr().String(), Conns: 1})
+	defer hog.Close()
+	hogDone := make(chan error, 1)
+	go func() { hogDone <- hog.Put("hog", "h") }()
+	<-gate.held // the hog's write holds the one admission slot
+	go func() {
+		defer close(gate.release)
+		defer gate.shut.Store(false)
+		// A BUSY answer can die with a reset connection before its client
+		// reads it, so wait for several refusals, not one. The deadline only
+		// bounds a broken run; the assertions below then report it.
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+			n, err := shedCount(s)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if n >= 8 {
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
 
 	rep, err := RunWorkload(WorkloadConfig{
 		Addr:    s.Addr().String(),
@@ -373,5 +460,8 @@ func TestShedAndRetryUnderResets(t *testing.T) {
 	}
 	if rep.BusyRetries == 0 {
 		t.Fatal("clients never saw BUSY: shedding path untested")
+	}
+	if err := <-hogDone; err != nil {
+		t.Fatalf("the write that held the slot: %v", err)
 	}
 }

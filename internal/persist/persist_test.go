@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wtftm/internal/wal"
@@ -333,5 +334,109 @@ func TestOSFSRoundTrip(t *testing.T) {
 	defer m2.Close()
 	if !reflect.DeepEqual(model(got), want) {
 		t.Fatalf("recovered state mismatch on OS fs\ngot:  %v\nwant: %v", got, want)
+	}
+}
+
+// TestRefusesPerShardLogLayout: a data directory whose shard directories
+// hold WAL segments was written with one log per shard. Its snapshot seqs
+// count that shard's records, not the one log's, so Open must refuse it by
+// name instead of recovering from the snapshots alone.
+func TestRefusesPerShardLogLayout(t *testing.T) {
+	fs := wal.NewMemFS()
+	old, err := wal.Open(wal.Options{FS: fs, Dir: "data/shard-001"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.Append(wal.AppendPut(wal.AppendBatchHeader(nil, 1), "k", []byte("v"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(opts(fs, newModel(2), 0, 0, wal.SyncGroup))
+	if err == nil {
+		m.Close()
+		t.Fatal("Open accepted a directory with per-shard logs")
+	}
+	if !strings.Contains(err.Error(), "per-shard write-ahead log") || !strings.Contains(err.Error(), "data/shard-001") {
+		t.Fatalf("error does not name the per-shard layout: %v", err)
+	}
+}
+
+// TestSkewedWritesCompact: one shard receives a single write and then none,
+// while another receives thousands. The idle shard's lone record must not
+// pin the log: the checkpoints the busy shard triggers have to advance the
+// compaction floor past it, and recovery must still see both shards. Each
+// put waits for the checkpoints it kicked, so the schedule is deterministic.
+func TestSkewedWritesCompact(t *testing.T) {
+	fs := wal.NewMemFS()
+	live := newModel(2)
+	m, err := Open(opts(fs, live, 256, 10, wal.SyncGroup))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendPut(t, m, live, 1, "idle", "v"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if err := appendPut(t, m, live, 0, fmt.Sprintf("k%02d", i%20), fmt.Sprintf("v%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		m.wg.Wait() // let every checkpoint this put kicked finish
+	}
+	want := live.clone()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// With one log per shard this schedule left 3 segments (shard 0's log
+	// compacted behind its own checkpoints); the one log must keep no more.
+	// Without a checkpoint of the idle shard, none of the 249 is removed.
+	st := m.Stats()
+	if st.Segments > 3 {
+		t.Fatalf("%d segments remain (%d removed): the idle shard pins the log", st.Segments, st.RemovedSegments)
+	}
+
+	got := newModel(2)
+	m2, err := Open(opts(fs, got, 256, 10, wal.SyncGroup))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered state != written state\ngot:  %v\nwant: %v", got, want)
+	}
+}
+
+// TestOneFsyncPerBarrier: however many shards a unit writes, the barrier
+// after it is one fsync of the one log.
+func TestOneFsyncPerBarrier(t *testing.T) {
+	fs := wal.NewMemFS()
+	live := newModel(16)
+	m, err := Open(opts(fs, live, 0, 0, wal.SyncGroup))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for round, width := range []int{1, 4, 16} {
+		var rec []byte
+		for sh := 0; sh < width; sh++ {
+			m.Lock(sh)
+			batch := wal.AppendPut(wal.AppendBatchHeader(nil, 1), fmt.Sprintf("r%d", round), []byte("v"))
+			rec = AppendPart(rec, sh, batch)
+		}
+		_, err := m.AppendUnit(rec)
+		for sh := 0; sh < width; sh++ {
+			m.Unlock(sh)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := m.Stats().Fsyncs
+		if err := m.Sync(0); err != nil {
+			t.Fatal(err)
+		}
+		if n := m.Stats().Fsyncs - before; n != 1 {
+			t.Fatalf("a unit over %d shards: the barrier issued %d fsyncs, want 1", width, n)
+		}
 	}
 }

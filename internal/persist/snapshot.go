@@ -1,10 +1,19 @@
-// Package persist is wtfd's durability manager: one wal.Log plus a rolling
-// pair of CRC-validated snapshots per shard, and the recovery procedure that
-// rebuilds a shard as (latest valid snapshot) + (log suffix replay). The
-// server talks to it through three callbacks — Source walks a shard's live
-// entries for checkpointing, Restore installs a snapshot entry, Apply replays
-// one committed WAL batch — so persist depends only on the wal file layer,
-// never on the store or the STM.
+// Package persist is wtfd's durability manager: one wal.Log for the whole
+// store, a rolling pair of CRC-validated snapshots per shard, and the
+// recovery procedure that rebuilds every shard as (its latest valid
+// snapshot) + (its parts in the log past that snapshot). A log record is one
+// commit unit — the per-shard batches one top-level transaction wrote — so a
+// cross-shard unit is durable whole or not at all, and one fsync covers a
+// commit cycle whichever shards it touched. The server talks to the manager
+// through three callbacks — Source walks a shard's live entries for
+// checkpointing, Restore installs a snapshot entry, Apply replays one shard's
+// committed batch — so persist depends only on the wal file layer, never on
+// the store or the STM.
+//
+// Directory layout under Options.Dir:
+//
+//	wal/wal-%016d.seg           the log's segments (internal/wal)
+//	shard-%03d/snap-%016d.snap  each shard's snapshots, named by log seq
 package persist
 
 import (
@@ -26,7 +35,7 @@ import (
 //
 //	8 bytes  magic "WTFSNAP1"
 //	uint32   shard
-//	uint64   seq     last WAL record the snapshot covers
+//	uint64   seq     last log record the snapshot covers (a seq of the one log)
 //	uint64   count   entry count
 //	count ×  entry:  uvarint klen, key, uvarint vlen, val
 //	uint32   CRC32C  over every preceding byte

@@ -264,11 +264,12 @@ func TestCrashRecoversAckedPrefix(t *testing.T) {
 	}
 }
 
-// TestCrashMidMulti checks the ack contract for cross-shard MULTI batches: a
-// batch is acknowledged only after every touched shard's record is durable,
-// so every acked batch survives the crash whole. Unacked batches may be
-// partially durable (the per-shard logs tear independently before the ack
-// barrier), but any surviving write must carry the value that batch wrote.
+// TestCrashMidMulti checks that a cross-shard MULTI batch is all-or-nothing
+// across a crash. A batch is one log record, whichever shards it writes, so
+// the crash keeps or tears the record whole: every batch, acked or not,
+// recovers with all of its keys or none of them. A batch is acknowledged only
+// after its record is durable, so every acked batch is among the whole ones,
+// and every surviving write carries the value its batch wrote.
 func TestCrashMidMulti(t *testing.T) {
 	const nMulti = 24
 	for fault := 2; fault <= 40; fault += 5 {
@@ -304,6 +305,7 @@ func TestCrashMidMulti(t *testing.T) {
 					}
 				}
 			}
+			keys := make(map[int]int) // batch → how many of its keys recovered
 			for key, val := range got {
 				var i int
 				var suffix byte
@@ -315,13 +317,19 @@ func TestCrashMidMulti(t *testing.T) {
 				if val != want {
 					t.Fatalf("recovered %q = %q, want %q", key, val, want)
 				}
+				keys[i]++
+			}
+			for i, n := range keys {
+				if n != 3 {
+					t.Fatalf("batch %d recovered %d of its 3 keys (acked=%d): a MULTI must be whole or absent", i, n, acked)
+				}
 			}
 		})
 	}
 }
 
 // TestDrainFlushesWAL is the satellite-2 durability half of Drain: even
-// under -fsync off, a graceful drain syncs every shard's final segment, so a
+// under -fsync off, a graceful drain syncs the log's final segment, so a
 // power cut immediately after Drain loses nothing.
 func TestDrainFlushesWAL(t *testing.T) {
 	leakCheck(t)

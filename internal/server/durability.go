@@ -7,10 +7,10 @@
 // order equals the STM's commit order per shard. The second half belongs to
 // the write pipeline (pipeline.go), which is the only code that takes the
 // per-shard commit locks and the only code that appends; this file owns the
-// first half — syncShards is the one fsync barrier, run by an executor for
-// the units that must settle on it and by the ack daemon for everything
-// else — plus what surrounds serving: opening the data directory, replaying
-// it, feeding checkpoints and reporting WAL statistics.
+// first half — sync is the one fsync barrier, run by an executor for the
+// units that must settle on it and by the ack daemon for everything else —
+// plus what surrounds serving: opening the data directory, replaying it,
+// feeding checkpoints and reporting WAL statistics.
 package server
 
 import (
@@ -35,15 +35,14 @@ import (
 // to the ack daemon instead of fsyncing inline — it never blocks on the
 // disk, so reads queued behind a write unit are not stalled for its
 // barrier (the exceptions are stated with the ack rule in run). The single
-// ack daemon drains everything enqueued, fsyncs the union of the touched
-// shards' logs (in parallel — independent files whose journal commits the
-// file system shares), releases all the acks at once, and immediately
-// starts over on whatever arrived meanwhile. The batch per fsync therefore
-// grows with load — the classic group-commit self-clock: while one fsync is
-// in flight the next batch accumulates — and one global daemon (rather than
-// one per shard) keeps the arrival stream undivided, so batching survives
-// high shard counts. No client is ever acked before its records are
-// durable, exactly as if the barrier were inline.
+// ack daemon drains everything enqueued, fsyncs the store's one log once,
+// releases all the acks at once, and immediately starts over on whatever
+// arrived meanwhile. The batch per fsync therefore grows with load — the
+// classic group-commit self-clock: while one fsync is in flight the next
+// batch accumulates — and one global daemon over one log keeps the arrival
+// stream undivided, so a cycle costs one fsync however many shards its
+// units wrote. No client is ever acked before its record is durable,
+// exactly as if the barrier were inline.
 type durability struct {
 	mgr    *persist.Manager
 	policy wal.SyncPolicy
@@ -58,11 +57,10 @@ type durability struct {
 	ackPool sync.Pool // *ackBatch
 }
 
-// ackBatch is one committed unit's deferred write responses plus the shards
-// whose logs must be durable before they may go out.
+// ackBatch is one committed unit's deferred write responses, which may go
+// out once the log is durable past the unit's record.
 type ackBatch struct {
-	tasks  []task
-	shards []int
+	tasks []task
 	// The unit's stage class and its exec span, so the daemon can account
 	// the sync and flush stages (and flight-record slow members) the way
 	// the executor would have: sync = fsync done − execEnd.
@@ -73,7 +71,7 @@ type ackBatch struct {
 // deferAcks hands a committed, appended unit's effective-write responses to
 // the ack daemon and sends everything else (reads, writes that logged
 // nothing — a mismatched CAS, a missed delete) immediately.
-func (d *durability) deferAcks(tasks []task, shards []int, opc int, start, execEnd int64) {
+func (d *durability) deferAcks(tasks []task, opc int, start, execEnd int64) {
 	b := d.ackPool.Get().(*ackBatch)
 	for i := range tasks {
 		t := &tasks[i]
@@ -83,7 +81,6 @@ func (d *durability) deferAcks(tasks []task, shards []int, opc int, start, execE
 			d.srv.finish(t, start, execEnd, 0, execEnd)
 		}
 	}
-	b.shards = append(b.shards[:0], shards...)
 	b.opc, b.start, b.execEnd = opc, start, execEnd
 	d.ackCh <- b
 }
@@ -102,15 +99,12 @@ const commitDelay = time.Millisecond
 const maxAckOps = 256
 
 // ackLoop is the group-commit daemon: collect what the commit-delay window
-// accumulates, fsync the union of touched shards, release the acks, repeat.
+// accumulates, fsync the log, release the acks, repeat.
 func (d *durability) ackLoop() {
 	defer d.ackWG.Done()
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
-	var (
-		batch  []*ackBatch
-		shards []int
-	)
+	var batch []*ackBatch
 	for first := range d.ackCh {
 		batch = append(batch[:0], first)
 		n := len(first.tasks)
@@ -151,13 +145,7 @@ func (d *durability) ackLoop() {
 				more = false
 			}
 		}
-		shards = shards[:0]
-		for _, b := range batch {
-			for _, sh := range b.shards {
-				shards = insertShard(shards, sh)
-			}
-		}
-		err := d.syncShards(shards)
+		err := d.sync()
 		var failRes wire.Result
 		if err != nil {
 			failRes = d.failResult(err)
@@ -184,7 +172,6 @@ func (d *durability) ackLoop() {
 			flushStart = now
 			clear(b.tasks)
 			b.tasks = b.tasks[:0]
-			b.shards = b.shards[:0]
 			d.ackPool.Put(b)
 		}
 		clear(batch)
@@ -334,42 +321,14 @@ func (s *Server) snapshotSource(shard int, emit func(key string, val []byte) err
 	return nil
 }
 
-// syncShards fsyncs every listed shard's log, in parallel when there is more
-// than one: the logs are independent files, so the barrier's latency is one
-// fsync, not one per shard (and concurrent barriers against the same shard
-// still coalesce inside wal.Log.Sync).
-func (d *durability) syncShards(shards []int) error {
-	if len(shards) == 0 {
-		return nil
-	}
+// sync is the one fsync barrier: every shard appends to the one log, so a
+// single coalescing Sync (wal.Log.Sync) makes every record appended before
+// it durable, whatever shards the records wrote.
+func (d *durability) sync() error {
 	t0 := obs.Now()
-	var firstErr error
-	if len(shards) == 1 {
-		firstErr = d.mgr.Sync(shards[0])
-	} else {
-		var (
-			wg sync.WaitGroup
-			mu sync.Mutex
-		)
-		for _, sh := range shards {
-			wg.Add(1)
-			go func(sh int) {
-				defer wg.Done()
-				if err := d.mgr.Sync(sh); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}(sh)
-		}
-		wg.Wait()
-	}
-	// One observation per barrier: multi-shard fans out in parallel, so the
-	// barrier's latency is one fsync regardless of shard count.
+	err := d.mgr.Sync(0)
 	d.srv.m.fsyncLat.Observe(obs.Now() - t0)
-	return firstErr
+	return err
 }
 
 // failResult counts and formats a never-acked durability failure.

@@ -20,8 +20,8 @@ import (
 // outside: a durable server with every serving mechanism on — group commit,
 // the GET fast path, deferred acks, MULTI fan-out over futures — serves
 // concurrent clients that record what they saw, and after Drain the
-// served-history checker (chaos.Check) takes each shard's WAL as its commit
-// order and asks internal/fsg's polygraph for one serialization that
+// served-history checker (chaos.Check) takes the WAL, restricted to each
+// shard, as that shard's commit order and asks internal/fsg's polygraph for one serialization that
 // explains every answer and respects every session's order. The clients:
 //
 //   - transfers read two accounts on two shards with a MULTI, then move a

@@ -12,18 +12,21 @@
 //	         are the shards of the commands that may write
 //	lock     take the candidates' commit locks, ascending
 //	commit   run the body as one System.Atomic
-//	log      append each candidate shard's effective writes as one record
+//	log      append one record: a part per candidate shard with effective
+//	         writes, holding that shard's writes
 //	unlock
-//	barrier  fsync the shards that received a record (policy group)
+//	barrier  fsync the log (policy group)
 //	ack      hand the responses to their connections' write loops
 //
 // Holding a shard's commit lock across the STM commit AND the WAL append is
 // what makes log order equal commit order per shard: no other commit for
-// that shard can slip between the two. Fsyncs happen after unlock — they
-// order nothing, they only make the already-ordered prefix durable. Every
-// unit locks in ascending shard order, and the checkpointer holds one shard
-// lock at a time, so nothing here can deadlock. This is the only place the
-// argument has to be made, because it is the only place that locks.
+// that shard can slip between the two. The store has one log, so a unit
+// that wrote several shards is one record, durable whole or not at all.
+// Fsyncs happen after unlock — they order nothing, they only make the
+// already-ordered prefix durable. Every unit locks in ascending shard
+// order, and the checkpointer holds one shard lock at a time, so nothing
+// here can deadlock. This is the only place the argument has to be made,
+// because it is the only place that locks.
 //
 // A memory-only server runs the same sequence with no log: the plan finds no
 // shard that has one, so lock, log, unlock and barrier are loops over
@@ -48,6 +51,7 @@ import (
 	"wtftm"
 	"wtftm/internal/mutant"
 	"wtftm/internal/obs"
+	"wtftm/internal/persist"
 	"wtftm/internal/wal"
 	"wtftm/internal/wire"
 )
@@ -66,11 +70,12 @@ type unit struct {
 	cmdShard []int         // each command's shard, found once by the plan
 	res      []wire.Result // one result slot per command
 
-	groups   [][]int // per shard: indices into cmds, unit order preserved
-	order    []int   // shards the unit touches, first-touch order
-	shards   []int   // candidate write shards, ascending (the lock order)
-	appended []int   // shards that received a WAL record
-	buf      []byte  // WAL record encode buffer
+	groups [][]int // per shard: indices into cmds, unit order preserved
+	order  []int   // shards the unit touches, first-touch order
+	shards []int   // candidate write shards, ascending (the lock order)
+	logged bool    // the unit appended a WAL record
+	batch  []byte  // one shard's batch encode buffer
+	rec    []byte  // WAL record encode buffer: the unit's per-shard parts
 
 	// MULTI fan-out: one future body per shard, bound once (it applies
 	// whatever groups[shard] holds when it runs); the future handles; and a
@@ -185,7 +190,7 @@ func appendOp(buf []byte, cmd *wire.Cmd) []byte {
 
 // commit runs u.cmds through plan → lock → commit → log → unlock (see the
 // file comment) with body as the transaction, leaving the results in u.res
-// and adding the shards that now need a barrier to u.appended. err is the
+// and setting u.logged when the unit's record now needs a barrier. err is the
 // transaction's outcome (nothing was written or logged when it is non-nil);
 // durErr is a failed append: committed in memory but not durable, so the
 // unit must never be acked.
@@ -240,6 +245,7 @@ func (s *Server) commit(u *unit, body func(*wtftm.Tx) error) (err, durErr error)
 	if err == nil {
 		// Only a committed transaction logs anything; an aborted one (CAS
 		// mismatch, terminal engine error) wrote nothing.
+		rec := u.rec[:0]
 		for _, sh := range u.shards {
 			n := 0
 			for _, i := range u.groups[sh] {
@@ -252,17 +258,19 @@ func (s *Server) commit(u *unit, body func(*wtftm.Tx) error) (err, durErr error)
 			}
 			s.m.batchOps.Observe(int64(n))
 			atomicMax(&d.batchOpsHWM, int64(n))
-			buf := wal.AppendBatchHeader(u.buf[:0], n)
+			batch := wal.AppendBatchHeader(u.batch[:0], n)
 			for _, i := range u.groups[sh] {
 				if effectiveWrite(u.cmds[i], u.res[i]) {
-					buf = appendOp(buf, u.cmds[i])
+					batch = appendOp(batch, u.cmds[i])
 				}
 			}
-			u.buf = buf
-			if _, durErr = d.mgr.Append(sh, buf); durErr != nil {
-				break
-			}
-			u.appended = append(u.appended, sh)
+			u.batch = batch
+			rec = persist.AppendPart(rec, sh, batch)
+		}
+		u.rec = rec
+		if len(rec) > 0 {
+			_, durErr = d.mgr.AppendUnit(rec)
+			u.logged = durErr == nil
 		}
 	}
 	if mutant.Active != mutant.UnlockBeforeLog {
@@ -308,7 +316,7 @@ func (e *executor) run(tasks []task) {
 	// the unit is this one request.
 	replayed := first.Dedup && s.dedup.lookup(first.ClientID, first.Seq, resp)
 	var err, durErr error
-	u.appended = u.appended[:0] // a unit that never reaches commit logged nothing
+	u.logged = false // a unit that never reaches commit logged nothing
 	switch {
 	case replayed:
 		s.dedupHits.Add(1)
@@ -367,8 +375,8 @@ func (e *executor) run(tasks []task) {
 	m.stage[stExec][opc].Observe(execEnd - start)
 
 	var syncNS int64
-	if durErr == nil && len(u.appended) > 0 && s.dur.policy == wal.SyncGroup {
-		// The unit logged records that must be fsynced before its writes
+	if durErr == nil && u.logged && s.dur.policy == wal.SyncGroup {
+		// The unit logged a record that must be fsynced before its writes
 		// are acked (always synced inside Append; off defers durability to
 		// rotation and shutdown by design). This is the one ack rule: the
 		// ack daemon takes the write acks, so the executor never blocks on
@@ -379,10 +387,10 @@ func (e *executor) run(tasks []task) {
 		// one response answers for every shard it logged to, waits for its
 		// own barrier the same way.
 		if !first.Dedup && first.Op != wire.OpMulti {
-			s.dur.deferAcks(tasks, u.appended, opc, start, execEnd)
+			s.dur.deferAcks(tasks, opc, start, execEnd)
 			return
 		}
-		durErr = s.dur.syncShards(u.appended)
+		durErr = s.dur.sync()
 		syncNS = obs.Now() - execEnd
 		m.stage[stSync][opc].Observe(syncNS)
 	}

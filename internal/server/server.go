@@ -82,10 +82,11 @@ type Config struct {
 	// STATS are always admitted so health checks see through overload.
 	// Default 4096; negative disables (unbounded queueing).
 	MaxInFlight int
-	// DataDir, when non-empty, enables durability: every shard gets a
-	// write-ahead log (and rolling snapshots) under this directory, boot
-	// recovers the store from it, and writes are acknowledged only after
-	// they satisfy the Fsync policy. Empty means memory-only (the default).
+	// DataDir, when non-empty, enables durability: the store gets one
+	// write-ahead log and every shard rolling snapshots under this
+	// directory, boot recovers the store from them, and writes are
+	// acknowledged only after they satisfy the Fsync policy. Empty means
+	// memory-only (the default).
 	DataDir string
 	// Fsync selects when WAL appends are fsynced: wal.SyncGroup (default)
 	// runs one coalesced barrier per commit group before acking,
@@ -94,7 +95,7 @@ type Config struct {
 	// tail). Ignored without DataDir.
 	Fsync wal.SyncPolicy
 	// SnapshotEvery checkpoints a shard (snapshot + log compaction) after
-	// this many WAL records. 0 means the 65536 default; negative disables
+	// this many WAL records carrying its writes. 0 means the 65536 default; negative disables
 	// automatic checkpoints. Ignored without DataDir.
 	SnapshotEvery int64
 	// SegmentBytes is the WAL segment rotation threshold (0 = wal default).
@@ -791,9 +792,9 @@ func (s *Server) Drain() {
 	if s.dur != nil {
 		// All executors are quiescent: stop the ack daemon (syncing and
 		// delivering every still-deferred ack), flush in-flight checkpoints,
-		// fsync every shard's final segment (all policies — a graceful
-		// shutdown never loses acknowledged or even unacknowledged committed
-		// writes) and close the logs.
+		// fsync the log's final segment (all policies — a graceful shutdown
+		// never loses acknowledged or even unacknowledged committed writes)
+		// and close the log.
 		s.dur.close()
 	}
 }

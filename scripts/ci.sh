@@ -89,7 +89,8 @@ go test -race -cpu 1,4 -count=1 -run 'TestEvaluatorClaimedBodyOfAbortedAttempt|T
 echo "== tier-1.5: crash recovery under race (deterministic fault injection) =="
 # The durability acceptance property: for every injected crash point, the
 # recovered store equals a prefix of the acknowledged-op sequence — no acked
-# write lost under -fsync group/always, MULTI batches atomic across the cut.
+# write lost under -fsync group/always — and every MULTI batch, acked or not,
+# recovers whole or not at all (it is one record of the one log).
 go test -race -run 'TestCrash|TestDrainFlushesWAL' -count=1 ./internal/server/
 
 echo "== tier-1.5: coverage floors (core >= 80%, fsg >= 85%, wal >= 80%, persist >= 75%) =="
@@ -123,6 +124,12 @@ echo "== tier-1.5: chaos smoke under race (fixed seed, wall-clock budget) =="
 # partition rows under the race detector with a hard wall-clock budget so a
 # livelocked retry loop fails fast instead of hanging CI.
 go test -race -run TestChaosSweepSmoke -count=1 -timeout 120s ./internal/chaos/
+
+echo "== tier-1.5: overload shedding at GOMAXPROCS 1 (20 runs) =="
+# The shed+retry acceptance test makes its own overload (a write held in
+# flight on a gated fsync) instead of waiting for the scheduler to overlap
+# the workers, which on one CPU it mostly does not; repeat it there.
+go test -run TestShedAndRetryUnderResets -cpu 1 -count 20 ./internal/chaos/
 
 echo "== tier-1.5: wtfconform smoke (fixed seeds, clean engine: expect 0 violations) =="
 go run ./cmd/wtfconform -mode dfs -seed 1 -seeds 8 -budget 300
