@@ -171,6 +171,47 @@ func BenchmarkValidateWide(b *testing.B) {
 	}
 }
 
+// BenchmarkReadWide measures futures with wide read sets, the shape of the
+// bank's getTotalAmount: one spawner submits 4 futures that each read the
+// same `reads` boxes, then evaluates them all; ns/op and allocs/op are per
+// future. Every merge folds a read set of `reads` entries into a
+// continuation vertex that read nothing, so the point prices the engine's
+// per-read bookkeeping: recording each read, and handing the set over at
+// the merge.
+func BenchmarkReadWide(b *testing.B) {
+	const width = 4
+	for _, reads := range []int{16, 128, 1024} {
+		b.Run(fmt.Sprintf("reads=%d", reads), func(b *testing.B) {
+			sys, boxes := newCoreBench(reads)
+			body := func(ftx *core.Tx) (any, error) {
+				for _, box := range boxes {
+					ftx.Read(box)
+				}
+				return nil, nil
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n += width {
+				err := sys.Atomic(func(tx *core.Tx) error {
+					var futs [width]*core.Future
+					for i := range futs {
+						futs[i] = tx.Submit(body)
+					}
+					for _, f := range futs {
+						if _, err := tx.Evaluate(f); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // reportFutureMetrics prints, per submitted future, the share that
 // serialized at its submission (merged@sub), the share whose body the flow
 // evaluating it ran (claimed@eval) and the workers woken for it

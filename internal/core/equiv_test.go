@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"wtftm/internal/mvstm"
 )
@@ -236,10 +237,11 @@ func (t *topTx) refPushMergePatch(patch map[*mvstm.VBox]writeEntry, target, eval
 // operation sequence on separate engines, so vertex ids, flow numbers and
 // write ids line up; boxes are compared by name.
 type equivGraph struct {
-	fresh bool
-	top   *topTx
-	boxes []*mvstm.VBox
-	flows []*equivFlow // every flow ever opened, index-aligned across copies
+	fresh   bool
+	top     *topTx
+	boxes   []*mvstm.VBox
+	flows   []*equivFlow // every flow ever opened, index-aligned across copies
+	swapped int          // merges whose target took over a chain vertex's read set
 }
 
 type equivFlow struct {
@@ -306,7 +308,7 @@ func (g *equivGraph) settle(fl *equivFlow) (verdicts [5]bool) {
 	}
 	if !forward && !extra {
 		if g.fresh {
-			t.mergeChain(f.vertex, f.vertex.pred, nil)
+			g.noteSwap(f.vertex, f.vertex.pred, func() { t.mergeChain(f.vertex, f.vertex.pred, nil) })
 		} else {
 			t.refMergeChain(f.vertex, f.vertex.pred, nil)
 		}
@@ -332,7 +334,7 @@ func (g *equivGraph) settle(fl *equivFlow) (verdicts [5]bool) {
 		cur := ev.cur
 		cur.status = vICommitted
 		if g.fresh {
-			t.mergeChain(f.vertex, cur, cur)
+			g.noteSwap(f.vertex, cur, func() { t.mergeChain(f.vertex, cur, cur) })
 		} else {
 			t.refMergeChain(f.vertex, cur, cur)
 		}
@@ -342,6 +344,22 @@ func (g *equivGraph) settle(fl *equivFlow) (verdicts [5]bool) {
 	}
 	t.discardChain(f.vertex)
 	return verdicts
+}
+
+// noteSwap runs merge, the merge of the chain rooted at head into target,
+// and counts it in g.swapped if target's read set ends up in a map one of
+// the chain's vertices held.
+func (g *equivGraph) noteSwap(head, target *vertex, merge func()) {
+	chainMaps := map[unsafe.Pointer]bool{}
+	for c := head; c != nil; c = c.next {
+		if c.reads.n < 0 {
+			chainMaps[reflect.ValueOf(c.reads.m).UnsafePointer()] = true
+		}
+	}
+	merge()
+	if target.reads.n < 0 && chainMaps[reflect.ValueOf(target.reads.m).UnsafePointer()] {
+		g.swapped++
+	}
 }
 
 // --- comparison ---------------------------------------------------------------
@@ -380,7 +398,10 @@ func fmtRead(obs readObs) string {
 func fmtWrite(we writeEntry) string { return fmt.Sprintf("%v@f%d.w%d", we.val, we.flow, we.wid) }
 
 // snapshot renders everything the merge and the validators can change, in a
-// form two graphs over different boxes can be compared in.
+// form two graphs over different boxes can be compared in. A removed
+// vertex's reads are not rendered: a merge may hand its read set to the
+// target and leave it the target's former entries (iset.absorb), and
+// nothing reads the set of a removed vertex again.
 func (g *equivGraph) snapshot(t testing.TB) map[string]any {
 	out := make(map[string]any)
 	for _, v := range g.top.verts[:g.top.nverts] {
@@ -390,15 +411,17 @@ func (g *equivGraph) snapshot(t testing.TB) map[string]any {
 			ev.Succs = append(ev.Succs, s.id)
 		}
 		var rsum, wsum uint64
-		for b, obs := range v.reads.all() {
-			ev.Reads[b.Name] = fmtRead(obs)
-			rsum |= b.Summary()
+		if !v.removed() {
+			for b, obs := range v.reads.all() {
+				ev.Reads[b.Name] = fmtRead(obs)
+				rsum |= b.Summary()
+			}
 		}
 		for b, we := range v.writes.all() {
 			ev.Writes[b.Name] = fmtWrite(we)
 			wsum |= b.Summary()
 		}
-		if v.reads.size() != len(ev.Reads) || v.writes.size() != len(ev.Writes) {
+		if (!v.removed() && v.reads.size() != len(ev.Reads)) || v.writes.size() != len(ev.Writes) {
 			t.Fatalf("vertex %d: set size disagrees with its iteration", v.id)
 		}
 		// Summaries may over-approximate, never miss a member.
@@ -436,7 +459,7 @@ func validationEquivalence(t testing.TB) {
 		nboxes   = 10
 		maxVerts = 12
 	)
-	var merges, evalMerges, conflicts, relocated, spilled, patched int
+	var merges, evalMerges, conflicts, relocated, spilled, patched, swapped int
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := newEquivGraph(true, nboxes), newEquivGraph(false, nboxes)
@@ -532,6 +555,7 @@ func validationEquivalence(t testing.TB) {
 				relocated++
 			}
 		}
+		swapped += a.swapped
 		for _, v := range a.top.verts[:a.top.nverts] {
 			if v.reads.n < 0 || v.writes.n < 0 {
 				spilled++
@@ -541,10 +565,11 @@ func validationEquivalence(t testing.TB) {
 			t.Fatalf("seed %d: final graphs differ", seed)
 		}
 	}
-	t.Logf("%d seeds: %d submission merges, %d evaluation merges, %d conflicts; %d relocated children, %d spilled sets, %d built indexes at a merge",
-		seeds, merges, evalMerges, conflicts, relocated, spilled, patched)
+	t.Logf("%d seeds: %d submission merges, %d evaluation merges, %d conflicts; %d relocated children, %d spilled sets, %d built indexes at a merge, %d merges that swapped read sets",
+		seeds, merges, evalMerges, conflicts, relocated, spilled, patched, swapped)
 	for name, n := range map[string]int{"submission merges": merges, "evaluation merges": evalMerges, "conflicts": conflicts,
-		"relocated children": relocated, "spilled sets": spilled, "built indexes at a merge": patched} {
+		"relocated children": relocated, "spilled sets": spilled, "built indexes at a merge": patched,
+		"merges that swapped read sets": swapped} {
 		if n == 0 {
 			t.Errorf("the generator never produced %s", name)
 		}

@@ -108,15 +108,16 @@ func (v *vertex) addWrite(b *mvstm.VBox, we writeEntry) {
 	}
 }
 
-// reset readies a vertex for its arena's next attempt.
-func (v *vertex) reset() {
+// reset readies a vertex for its arena's next attempt; its set maps are
+// kept against *budget (iset.reset).
+func (v *vertex) reset(budget *int) {
 	v.id, v.flow, v.segment = 0, 0, 0
 	v.pred, v.next, v.fut = nil, nil, nil
 	v.dropSuccs()
 	v.status = vActive
 	v.mark = 0
-	v.reads.reset()
-	v.writes.reset()
+	v.reads.reset(budget)
+	v.writes.reset(budget)
 	v.readSum.Store(0)
 	v.writeSum.Store(0)
 }
@@ -367,14 +368,16 @@ func (t *topTx) mergeChain(head, target *vertex, evalFrom *vertex) {
 		for b, we := range c.writes.all() {
 			target.writes.put(b, we)
 		}
-		for b, obs := range c.reads.all() {
-			if _, ok := target.reads.get(b); !ok {
-				target.reads.put(b, obs)
-			}
-			if obs.ver != nil && note {
-				t.txn.NoteRead(b)
+		if note {
+			for b, obs := range c.reads.all() {
+				if obs.ver != nil {
+					t.txn.NoteRead(b)
+				}
 			}
 		}
+		// c is removed below and its read set never read again, so target
+		// may take c's storage outright (iset.absorb).
+		target.reads.absorb(&c.reads)
 		// The folded sets are supersets of nothing beyond the union, so the
 		// vertex summaries OR in directly.
 		target.readSum.Store(target.readSum.Load() | c.readSum.Load())

@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"wtftm/internal/mvstm"
 	"wtftm/internal/sched"
@@ -408,5 +410,84 @@ func TestBlockedBodiesDoNotStarveWorkers(t *testing.T) {
 	sys.workers.mu.Unlock()
 	if idle > workerIdleMax {
 		t.Fatalf("%d workers parked, the idle set is bounded at %d", idle, workerIdleMax)
+	}
+}
+
+// TestArenaMapBudget: a free arena keeps spilled set maps only up to
+// arenaMapBudget high-water entries, however wide its attempts read. Each
+// attempt is a list of futures, each reading either far more boxes than the
+// budget or just past the inline capacity. The schedule makes a later,
+// smaller attempt leave an earlier one's big map on a vertex it does not
+// use, and makes a merge hand a big map that now holds a few entries to a
+// future's vertex: the budget must charge both for what they grew to. The
+// test tracks that size itself, as the largest size it saw each map at.
+func TestArenaMapBudget(t *testing.T) {
+	const w, n = 20000, isetInline + 2
+	sys, stm := newSys(WO, LAC)
+	boxes := newBoxes(stm, w)
+	seen := map[unsafe.Pointer]int{} // map -> largest size observed
+	observe := func(m map[*mvstm.VBox]readObs) {
+		if m != nil {
+			p := reflect.ValueOf(m).UnsafePointer()
+			seen[p] = max(seen[p], len(m))
+		}
+	}
+	for attempt, widths := range [][]int{
+		{n, n, n, n, n, n, n, w}, // the last continuation vertex keeps a big map
+		{w},                      // the root takes one too; the tail must pay for its own
+		{n, w, w, w, w, w, w, w}, // the root's big map moves to the first future's vertex, holding 6
+		{w, w, w, w, w, w, w, w},
+		{n, w},
+	} {
+		err := sys.Atomic(func(tx *Tx) error {
+			futs := make([]*Future, len(widths))
+			for k, width := range widths {
+				futs[k] = tx.Submit(func(ftx *Tx) (any, error) {
+					for _, b := range boxes[:width] {
+						ftx.Read(b)
+					}
+					return nil, nil
+				})
+			}
+			for _, f := range futs {
+				if _, err := tx.Evaluate(f); err != nil {
+					return err
+				}
+			}
+			top := tx.top
+			top.mu.RLock()
+			defer top.mu.RUnlock()
+			for _, v := range top.verts[:top.nverts] {
+				v.vmu.Lock()
+				observe(v.reads.m)
+				v.vmu.Unlock()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitRetired(t, sys)
+		sys.arenas.mu.Lock()
+		for _, a := range sys.arenas.free {
+			kept, charged := 0, 0
+			for _, v := range a.verts {
+				if m := v.reads.m; m != nil {
+					kept += seen[reflect.ValueOf(m).UnsafePointer()]
+					charged += v.reads.hw
+				}
+				if v.writes.m != nil {
+					t.Errorf("attempt %d: a vertex kept a write map, but no future wrote", attempt)
+				}
+			}
+			if kept > arenaMapBudget || charged > arenaMapBudget {
+				t.Errorf("attempt %d: a free arena keeps read maps of %d high-water entries (charged %d), the budget is %d",
+					attempt, kept, charged, arenaMapBudget)
+			}
+			if kept < w {
+				t.Errorf("attempt %d: a free arena keeps read maps of only %d entries, one wide read set fits", attempt, kept)
+			}
+		}
+		sys.arenas.mu.Unlock()
 	}
 }

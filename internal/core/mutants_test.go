@@ -35,6 +35,7 @@ func TestMutantsCaught(t *testing.T) {
 		mutant.DiscardSkipsSibling:      {discardReachesEveryPendingChild, "survived the discard"},
 		mutant.ForwardSkipsFutureChains: {validationEquivalence, "verdicts differ"},
 		mutant.MergeDropsPathWrites:     {validationEquivalence, "differs"},
+		mutant.AbsorbDropsTargetReads:   {validationEquivalence, "differs"},
 	}
 	for _, e := range mutant.Table {
 		if e.Pkg != "core" {

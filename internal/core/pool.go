@@ -4,6 +4,7 @@ import (
 	"iter"
 	"sync"
 
+	"wtftm/internal/mutant"
 	"wtftm/internal/mvstm"
 )
 
@@ -48,12 +49,23 @@ import (
 // served workloads touches one or two boxes (a tstruct bucket, sometimes the
 // size counter); sets past the inline capacity spill to a map that the
 // vertex keeps across arena reuse, so a vertex whose role always spills (the
-// root of a coalesced write group) stops allocating after its first use.
+// root of a coalesced write group, a future that reads a thousand accounts)
+// stops allocating after its first use.
 const isetInline = 4
 
-// isetRetain is the largest spilled map a recycled vertex keeps; larger
-// ones are left to the garbage collector so a free arena stays small.
+// isetRetain is the largest Tx visible-write index a recycled Tx handle
+// keeps (tx.go); larger ones are left to the garbage collector.
 const isetRetain = 32
+
+// arenaMapBudget bounds the spilled set maps one free arena keeps, summed
+// over its vertices by each map's high-water entry count (a Go map never
+// shrinks, so that is the size it keeps). Maps are kept in vertex order,
+// lowest first, which is the order the next attempt hands vertices out in;
+// a map that would overrun the budget is left to the garbage collector. A
+// map holds at most 128 bytes per high-water entry past 28 entries and
+// about 1.9 KB below that, and an arena has at most 2 × arenaKeep set maps,
+// so one free arena keeps at most about 5.2 MB of them.
+const arenaMapBudget = 1 << 15
 
 // iset is a small-footprint box-keyed set: up to isetInline entries are
 // stored inline in the struct, past that it spills to a heap map. The zero
@@ -64,6 +76,7 @@ type iset[V any] struct {
 	keys [isetInline]*mvstm.VBox
 	vals [isetInline]V
 	m    map[*mvstm.VBox]V // may be non-nil and empty while n >= 0 (kept by reset)
+	hw   int               // m's high-water entry count, as of its last reset
 }
 
 // size returns the number of entries.
@@ -155,26 +168,55 @@ func (s *iset[V]) all() iter.Seq2[*mvstm.VBox, V] {
 	}
 }
 
-// reset empties the set for the vertex's next use, dropping every reference
-// it held. A modest spilled map is kept (emptied) for the next spill.
-func (s *iset[V]) reset() {
-	if s.n < 0 {
-		if len(s.m) > isetRetain {
-			s.m = nil
-		} else {
-			clear(s.m)
+// absorb adds src's entries to s, keeping s's entry for a box both hold.
+// When src is spilled and larger, the two swap storage and s's former
+// entries are put back on top, so the fold costs the smaller side. src is
+// left holding an unspecified part of the union: its owner must not read it
+// again before reset.
+func (s *iset[V]) absorb(src *iset[V]) {
+	if src.n < 0 && len(src.m) > s.size() {
+		*s, *src = *src, *s
+		if mutant.Active != mutant.AbsorbDropsTargetReads {
+			for b, v := range src.all() {
+				s.put(b, v)
+			}
 		}
+		return
+	}
+	for b, v := range src.all() {
+		if _, ok := s.get(b); !ok {
+			s.put(b, v)
+		}
+	}
+}
+
+// reset empties the set for the vertex's next use, dropping every reference
+// it held. A spilled map is kept (emptied) for the next spill while its
+// high-water size fits in *budget, which it is charged; otherwise it is
+// dropped. A set that is already empty is charged for the map it keeps.
+func (s *iset[V]) reset(budget *int) {
+	if s.n < 0 {
+		s.hw = max(s.hw, len(s.m))
 	} else {
 		clear(s.keys[:s.n])
 		clear(s.vals[:s.n])
 	}
 	s.n = 0
+	switch {
+	case s.m == nil:
+	case s.hw > *budget:
+		s.m, s.hw = nil, 0
+	default:
+		*budget -= s.hw
+		clear(s.m)
+	}
 }
 
 // arenaFreeMax bounds the System's free list, and arenaKeep the vertices and
-// Tx handles a free arena holds on to: together with isetRetain they cap
-// what recycling can keep resident at a few hundred KB, whatever the largest
-// transaction ever run looked like.
+// Tx handles a free arena holds on to: together with arenaMapBudget and
+// isetRetain they cap what recycling can keep resident at about 43 MB (42 MB
+// of it set maps at the budget's worst case; a few hundred KB when no
+// vertex spills far), whatever the largest transaction ever run looked like.
 const (
 	arenaFreeMax = 8
 	arenaKeep    = 256
@@ -265,8 +307,15 @@ func (t *topTx) wipe() {
 	}
 	clear(t.futures)
 	t.futures = t.futures[:0]
-	for _, v := range t.verts[:t.nverts] {
-		v.reset()
+	budget := arenaMapBudget
+	for i, v := range t.verts {
+		if i < t.nverts {
+			v.reset(&budget)
+		} else {
+			// Reset by an earlier wipe; its kept maps count all the same.
+			v.reads.reset(&budget)
+			v.writes.reset(&budget)
+		}
 	}
 	for _, tx := range t.txs[:t.ntxs] {
 		tx.reset()

@@ -18,6 +18,7 @@ const (
 	UnitKeepsFutures
 	ForwardSkipsFutureChains
 	MergeDropsPathWrites
+	AbsorbDropsTargetReads
 )
 
 // Entry is one mutant: Pkg's TestMutantsCaught/<Name> must report it. Sweep
@@ -47,4 +48,6 @@ var Table = []Entry{
 		"forward validation skips futures hanging off the continuation (map-free validators)", false},
 	{MergeDropsPathWrites, "MergeDropsPathWrites", "core.(*topTx).mergeChain", "core",
 		"a re-rooted child is not charged the writes before its new position (map-free merge)", false},
+	{AbsorbDropsTargetReads, "AbsorbDropsTargetReads", "core.(*iset).absorb", "core",
+		"a merge that takes over the chain's larger read set loses the target's own reads", false},
 }

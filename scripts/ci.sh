@@ -166,7 +166,7 @@ check_allocs() {
 	echo "   $bench: ${allocs} allocs/op (floor ${floor})"
 }
 
-echo "== tier-1.5: engine allocation guards (per future <= 4, single write <= 6) =="
+echo "== tier-1.5: engine allocation guards (per future <= 4, single write <= 6, wide-read future <= 2) =="
 # What a future costs beyond its body: the handle, the caller's closure and
 # what the body itself boxes and commits. The graph (vertices, Tx handles,
 # registries, validation and merge scratch) comes from the recycled arena,
@@ -178,6 +178,14 @@ echo "== tier-1.5: engine allocation guards (per future <= 4, single write <= 6)
 check_allocs ./internal/bench/ BenchmarkValidateWide/width=8 4
 check_allocs ./internal/bench/ BenchmarkSubmitEvaluate/depth=8 4
 check_allocs ./internal/bench/ BenchmarkAtomicSingleWrite 6
+# A future that reads 1024 boxes: its vertex reuses a read-set map its arena
+# kept, and its merge hands that map to the target instead of copying it, so
+# only the handle and the occasional wait channel are left (1 allocs/op at
+# 20000x, 2 at 2000x: the wait channel is 0 to 0.75 per future, depending on
+# whether the evaluator blocks on a worker). Before the hand-over and the
+# per-arena map budget it was 40: every read set regrew its map, and so did
+# every merge target.
+check_allocs ./internal/bench/ BenchmarkReadWide/reads=1024 2
 
 echo "== tier-1.5: server request-path allocation guard (<= 2 allocs/op) =="
 # The serving hot loop (pooled decode -> pipeline unit of one -> append-encode
