@@ -114,18 +114,6 @@ func BenchmarkKMeans(b *testing.B) {
 	}
 }
 
-// BenchmarkSegmentsRollback compares SO conflict recovery: full retry
-// (Atomic) vs partial continuation rollback (AtomicSegments).
-func BenchmarkSegmentsRollback(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunSegments(quickCfg(), bench.DefaultSegments(true))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.AtomicLatency)/float64(res.SegmentsLatency), "fullretry/partial")
-	}
-}
-
 // BenchmarkAblations runs the design-choice ablations from DESIGN.md.
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {

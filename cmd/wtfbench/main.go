@@ -71,7 +71,6 @@ var experiments = []experiment{
 	{"fig9", driver(bench.DefaultFig9, bench.RunFig9)},
 	{"intruder", driver(bench.DefaultIntruder, bench.RunIntruder)},
 	{"kmeans", driver(bench.DefaultKMeans, bench.RunKMeans)},
-	{"segments", driver(bench.DefaultSegments, bench.RunSegments)},
 	{"ablation", func(cfg bench.Config, _ bool) (printer, error) { return bench.RunAblation(cfg) }},
 	{"aborts", driver(bench.DefaultAborts, bench.RunAborts)},
 }

@@ -55,23 +55,3 @@ func TestIntruderDeterministicAcrossEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRunSegmentsAblation(t *testing.T) {
-	cfg := tiny()
-	p := SegmentsParams{PrefixSegments: 2, PrefixIters: 200, Rounds: 2}
-	res, err := RunSegments(cfg, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rollbacks < 1 {
-		t.Fatalf("no partial rollbacks recorded: %+v", res)
-	}
-	if res.SegmentsLatency <= 0 || res.AtomicLatency <= 0 {
-		t.Fatalf("latencies = %v / %v", res.SegmentsLatency, res.AtomicLatency)
-	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if !strings.Contains(buf.String(), "partial rollback") {
-		t.Fatal("missing print content")
-	}
-}

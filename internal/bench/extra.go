@@ -166,126 +166,6 @@ func (r *Fig3Result) Print(w io.Writer) {
 	t.print(w)
 }
 
-// SegmentsParams configures the partial-rollback ablation: a segmented
-// transaction whose last segment conflicts with its future under SO
-// semantics. With plain Atomic the whole transaction (including the
-// expensive prefix segments) re-runs; with AtomicSegments only the
-// conflicting suffix replays.
-type SegmentsParams struct {
-	// PrefixSegments is the number of expensive, conflict-free segments.
-	PrefixSegments int
-	// PrefixIters is the emulated work per prefix segment.
-	PrefixIters int
-	// Rounds is the number of measured transactions per variant.
-	Rounds int
-}
-
-// DefaultSegments returns a host-scaled configuration.
-func DefaultSegments(quick bool) SegmentsParams {
-	if quick {
-		return SegmentsParams{PrefixSegments: 3, PrefixIters: 2000, Rounds: 5}
-	}
-	return SegmentsParams{PrefixSegments: 5, PrefixIters: 20000, Rounds: 20}
-}
-
-// SegmentsResult compares full retry vs partial rollback under SO conflicts.
-type SegmentsResult struct {
-	Params SegmentsParams
-	// AtomicLatency / SegmentsLatency are mean per-transaction latencies.
-	AtomicLatency, SegmentsLatency time.Duration
-	// Rollbacks counts the partial rollbacks the segmented variant used.
-	Rollbacks int64
-}
-
-// RunSegments measures the ablation.
-func RunSegments(cfg Config, p SegmentsParams) (*SegmentsResult, error) {
-	res := &SegmentsResult{Params: p}
-
-	makeSegs := func(sys *core.System, work *workload.HotSpots, conflictOnce *bool) []func(*core.Tx) error {
-		segs := make([]func(*core.Tx) error, 0, p.PrefixSegments+1)
-		for s := 0; s < p.PrefixSegments; s++ {
-			s := s
-			segs = append(segs, func(tx *core.Tx) error {
-				m := cfg.Worker.Meter()
-				m.Do(p.PrefixIters)
-				m.Flush()
-				b := work.Box(s % work.Len())
-				tx.Write(b, tx.Read(b).(int)+1)
-				return nil
-			})
-		}
-		segs = append(segs, func(tx *core.Tx) error {
-			race := *conflictOnce
-			*conflictOnce = false
-			gate := make(chan struct{})
-			z := work.Box(work.Len() - 1)
-			f := tx.Submit(func(ftx *core.Tx) (any, error) {
-				if race {
-					<-gate
-				}
-				ftx.Write(z, ftx.Read(z).(int)+1)
-				return nil, nil
-			})
-			if race {
-				_ = tx.Read(z)
-				close(gate)
-			}
-			_, err := tx.Evaluate(f)
-			return err
-		})
-		return segs
-	}
-
-	run := func(segmented bool) (time.Duration, int64, error) {
-		sys, stm := newSystem(JTF) // SO semantics
-		work := workload.NewHotSpots(stm, p.PrefixSegments+1)
-		var total time.Duration
-		for round := 0; round < p.Rounds; round++ {
-			conflict := true
-			segs := makeSegs(sys, work, &conflict)
-			start := time.Now()
-			var err error
-			if segmented {
-				err = sys.AtomicSegments(segs...)
-			} else {
-				err = sys.Atomic(func(tx *core.Tx) error {
-					for _, s := range segs {
-						if e := s(tx); e != nil {
-							return e
-						}
-					}
-					return nil
-				})
-			}
-			if err != nil {
-				return 0, 0, err
-			}
-			total += time.Since(start)
-		}
-		return total / time.Duration(p.Rounds), sys.Stats().SegmentRollbacks.Load(), nil
-	}
-
-	var err error
-	if res.AtomicLatency, _, err = run(false); err != nil {
-		return nil, err
-	}
-	if res.SegmentsLatency, res.Rollbacks, err = run(true); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// Print renders the comparison.
-func (r *SegmentsResult) Print(w io.Writer) {
-	fmt.Fprintln(w, "Segments ablation: SO continuation conflict — full retry vs partial rollback")
-	fmt.Fprintf(w, "(%d expensive prefix segments, conflict in the last segment)\n", r.Params.PrefixSegments)
-	t := newTable("recovery", "mean latency", "vs segments")
-	t.add("AtomicSegments (partial rollback)", r.SegmentsLatency.String(), "1.00")
-	t.add("Atomic (full retry)", r.AtomicLatency.String(), f(float64(r.AtomicLatency)/float64(r.SegmentsLatency)))
-	t.print(w)
-	fmt.Fprintf(w, "partial rollbacks used: %d\n", r.Rollbacks)
-}
-
 // AblationResult quantifies three design choices DESIGN.md calls out: the
 // cost of maintaining G (WTF over raw goroutine futures on an uncontended
 // workload), the serialization-point mix under continuation conflicts, and

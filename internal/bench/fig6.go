@@ -265,11 +265,14 @@ func RunFig6Right(cfg Config, p Fig6RightParams) (*Fig6RightResult, error) {
 }
 
 // fig6RightWork is the per-future workload: uniform reads then hot-spot
-// read-modify-write updates, with emulated computation in between. The
-// updates of one transaction's futures are partitioned (future fi owns a
-// distinct slice of the hot-spot set), so the contention this figure studies
-// is *between* top-level transactions — the workload where WO semantics
-// cannot help and the figure isolates WTF-TM's bookkeeping overhead vs JTF.
+// read-modify-write updates, with emulated computation in between. Future fi
+// updates slots offset+fi+i*futures, so a transaction's futures touch
+// distinct hot spots only while futures*WritesPerFuture <= HotSpots; then
+// the contention is *between* top-level transactions, the workload where WO
+// semantics cannot help and the figure isolates WTF-TM's bookkeeping
+// overhead vs JTF. Past that bound (the quick preset's 2x6 split: 24 > 20)
+// futures fi and fi+2 share a slot, and under SO the later one can conflict
+// with the earlier one's continuation inside the same transaction.
 func fig6RightWork(cfg Config, p Fig6RightParams, readLen, offset, fi, futures int, tx mvstm.ReadWriter, arr *workload.Array, hot *workload.HotSpots, rng *workload.RNG) {
 	m := cfg.Worker.Meter()
 	for i := 0; i < readLen; i++ {

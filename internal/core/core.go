@@ -120,7 +120,6 @@ type Stats struct {
 	ImplicitEvaluations atomic.Int64 // LAC implicit evaluations at top commit
 	EscapedFutures      atomic.Int64 // GAC futures that detached at top commit
 	EscapeReexecutions  atomic.Int64 // detached futures re-run in the evaluator
-	SegmentRollbacks    atomic.Int64 // partial continuation rollbacks (AtomicSegments)
 	ClaimedAtEvaluation atomic.Int64 // bodies run by the flow evaluating them, not a worker
 	WorkerWakes         atomic.Int64 // future workers woken or started (worker.go)
 }
@@ -130,7 +129,7 @@ type StatsSnapshot struct {
 	TopCommits, TopConflict, TopInternal                                   int64
 	FuturesSubmitted, MergedAtSubmission, MergedAtEvaluation               int64
 	FutureReexecutions, ImplicitEvaluations, EscapedFutures, EscapeReexecs int64
-	SegmentRollbacks, ClaimedAtEvaluation, WorkerWakes                     int64
+	ClaimedAtEvaluation, WorkerWakes                                       int64
 }
 
 // Snapshot copies the counters.
@@ -146,7 +145,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		ImplicitEvaluations: s.ImplicitEvaluations.Load(),
 		EscapedFutures:      s.EscapedFutures.Load(),
 		EscapeReexecs:       s.EscapeReexecutions.Load(),
-		SegmentRollbacks:    s.SegmentRollbacks.Load(),
 		ClaimedAtEvaluation: s.ClaimedAtEvaluation.Load(),
 		WorkerWakes:         s.WorkerWakes.Load(),
 	}
@@ -190,9 +188,6 @@ func (s *System) Options() Options { return s.opts }
 func (s *System) Stats() *Stats { return &s.stats }
 
 func (s *System) nextWID() int64 { return s.widSeq.Add(1) }
-
-// errMVConflict aliases the MV-STM conflict error for the segments driver.
-var errMVConflict = mvstm.ErrConflict
 
 // control-flow sentinels carried by panics inside transaction bodies; they
 // never escape the package.

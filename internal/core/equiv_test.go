@@ -366,7 +366,7 @@ func (g *equivGraph) noteSwap(head, target *vertex, merge func()) {
 
 type equivVertex struct {
 	Status        vstatus
-	Flow, Segment int
+	Flow          int
 	Pred, Next    int
 	Succs         []int
 	Reads, Writes map[string]string
@@ -405,7 +405,7 @@ func fmtWrite(we writeEntry) string { return fmt.Sprintf("%v@f%d.w%d", we.val, w
 func (g *equivGraph) snapshot(t testing.TB) map[string]any {
 	out := make(map[string]any)
 	for _, v := range g.top.verts[:g.top.nverts] {
-		ev := equivVertex{Status: v.status, Flow: v.flow, Segment: v.segment, Pred: vid(v.pred), Next: vid(v.next),
+		ev := equivVertex{Status: v.status, Flow: v.flow, Pred: vid(v.pred), Next: vid(v.next),
 			Reads: map[string]string{}, Writes: map[string]string{}}
 		for _, s := range v.succs {
 			ev.Succs = append(ev.Succs, s.id)

@@ -127,10 +127,6 @@ type Future struct {
 	// paper's straggler effect, Fig. 3).
 	prevInFlow *Future
 
-	// submitSegment is the AtomicSegments segment this future was submitted
-	// in (0 outside segmented transactions).
-	submitSegment int
-
 	// claimed is set by whoever won the right to run the body (claim).
 	claimed atomic.Bool
 
@@ -350,18 +346,13 @@ func (f *Future) run() {
 	}
 	if sys.opts.Ordering == SO {
 		// A continuation sub-transaction observed state this future is about
-		// to overwrite: under SO the continuation must abort. With
-		// AtomicSegments only the segments from this future's submission
-		// point replay (partial continuation rollback); plain Atomic retries
-		// the whole transaction since Go lacks first-class continuations
-		// (see DESIGN.md, substitutions).
+		// to overwrite: under SO the continuation must abort. Go has no
+		// first-class continuations to restart just the continuation, as JTF
+		// does, so the whole transaction retries (see DESIGN.md,
+		// substitutions).
 		f.setState(fFailed)
 		sys.stats.TopInternal.Add(1)
-		if top.segMode {
-			top.requestRollback(f.submitSegment)
-		} else {
-			top.requestAbort(errSOConflict)
-		}
+		top.requestAbort(errSOConflict)
 		return
 	}
 	f.setState(fParked)
@@ -411,9 +402,6 @@ func (tx *Tx) evaluateLocal(f *Future) (any, error) {
 
 		case fFailed, fStale:
 			top.unlockG()
-			if top.segMode && f.getState() == fFailed {
-				panic(&segSignal{to: f.submitSegment})
-			}
 			panic(&retrySignal{cause: errSOConflict})
 
 		case fMerged:

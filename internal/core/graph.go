@@ -82,10 +82,6 @@ type vertex struct {
 	readSum  atomic.Uint64
 	writeSum atomic.Uint64
 
-	// segment is the AtomicSegments segment this vertex belongs to
-	// (inherited from pred; re-stamped at segment boundaries).
-	segment int
-
 	// fut is non-nil on the first vertex of a future body.
 	fut *Future
 }
@@ -111,7 +107,7 @@ func (v *vertex) addWrite(b *mvstm.VBox, we writeEntry) {
 // reset readies a vertex for its arena's next attempt; its set maps are
 // kept against *budget (iset.reset).
 func (v *vertex) reset(budget *int) {
-	v.id, v.flow, v.segment = 0, 0, 0
+	v.id, v.flow = 0, 0
 	v.pred, v.next, v.fut = nil, nil, nil
 	v.dropSuccs()
 	v.status = vActive
@@ -154,7 +150,6 @@ func (t *topTx) newVertex(flow int, pred *vertex) *vertex {
 	v.flow = flow
 	v.pred = pred
 	if pred != nil {
-		v.segment = pred.segment
 		pred.succs = append(pred.succs, v)
 		if pred.flow == flow {
 			pred.next = v

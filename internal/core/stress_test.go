@@ -48,54 +48,6 @@ func TestSOWithGACWaitsAllFutures(t *testing.T) {
 	}
 }
 
-// TestConcurrentSegmentedTransactions: several goroutines run segmented SO
-// transactions against shared hot spots; every increment must apply exactly
-// once despite rollbacks and full retries.
-func TestConcurrentSegmentedTransactions(t *testing.T) {
-	sys, stm := newSys(SO, LAC)
-	hot := stm.NewBoxNamed("hot", 0)
-	aux := stm.NewBoxNamed("aux", 0)
-	const workers = 6
-	const perWorker = 5
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				err := sys.AtomicSegments(
-					func(tx *Tx) error {
-						tx.Write(aux, tx.Read(aux).(int)+1)
-						return nil
-					},
-					func(tx *Tx) error {
-						f := tx.Submit(func(ftx *Tx) (any, error) {
-							ftx.Write(hot, ftx.Read(hot).(int)+1)
-							return nil, nil
-						})
-						// Conflict-prone continuation read races the future.
-						_ = tx.Read(hot)
-						_, err := tx.Evaluate(f)
-						return err
-					},
-				)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	want := workers * perWorker
-	if got := readInt(t, stm, hot); got != want {
-		t.Fatalf("hot = %d, want %d", got, want)
-	}
-	if got := readInt(t, stm, aux); got != want {
-		t.Fatalf("aux = %d, want %d (prefix segment must apply exactly once per commit)", got, want)
-	}
-}
-
 // TestGACRandomizedPipelines: random chains of producer transactions leaving
 // escaping futures behind and consumer transactions evaluating them, with
 // interleaved interfering writers forcing detach re-executions. The final
@@ -250,72 +202,6 @@ func TestAncestorReadStabilityUnderMerges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestAncestorReadStabilityAcrossSegmentRollback: concurrent segmented SO
-// transactions conflict on a hot box, forcing partial rollbacks. After each
-// replay the main flow must still see its own earlier-segment write (the
-// surviving prefix stays on the ancestor path) and must NOT see the replayed
-// segment's discarded write from the previous attempt — i.e. rollbacks
-// correctly invalidate the visible-write index.
-func TestAncestorReadStabilityAcrossSegmentRollback(t *testing.T) {
-	sys, stm := newSys(SO, LAC)
-	hot := stm.NewBoxNamed("hot", 0)
-	const workers = 4
-	const perWorker = 4
-	keep := make([]*mvstm.VBox, workers)
-	scratch := make([]*mvstm.VBox, workers)
-	for g := range keep {
-		keep[g] = stm.NewBoxNamed(fmt.Sprintf("keep%d", g), 0)
-		scratch[g] = stm.NewBoxNamed(fmt.Sprintf("scratch%d", g), 0)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				err := sys.AtomicSegments(
-					func(tx *Tx) error {
-						tx.Write(keep[g], 7)
-						return nil
-					},
-					func(tx *Tx) error {
-						// A previous attempt of this segment wrote 1 and was
-						// rolled back; the discarded write must be invisible.
-						if got := tx.Read(scratch[g]).(int); got != 0 {
-							return fmt.Errorf("discarded segment write visible: scratch[%d] = %d", g, got)
-						}
-						tx.Write(scratch[g], 1)
-						f := tx.Submit(func(ftx *Tx) (any, error) {
-							ftx.Write(hot, ftx.Read(hot).(int)+1)
-							return nil, nil
-						})
-						_ = tx.Read(hot) // conflict-prone continuation read
-						// The prefix segment survives every rollback of this
-						// one: its write stays on the ancestor path.
-						if got := tx.Read(keep[g]).(int); got != 7 {
-							return fmt.Errorf("ancestor write lost: keep[%d] = %d, want 7", g, got)
-						}
-						_, err := tx.Evaluate(f)
-						return err
-					},
-					func(tx *Tx) error {
-						tx.Write(scratch[g], 0) // restore for the next iteration
-						return nil
-					},
-				)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := readInt(t, stm, hot); got != workers*perWorker {
-		t.Fatalf("hot = %d, want %d", got, workers*perWorker)
 	}
 }
 

@@ -81,16 +81,6 @@ type topState struct {
 	// continuation proceeds (fork-join degradation after an SO conflict).
 	serialSubmit bool
 
-	// Segmented-transaction state (AtomicSegments): segMode enables partial
-	// continuation rollback; curSegment is the segment the main flow is
-	// executing (under mu); rollbackTo/rbCh carry rollback requests (under
-	// rbMu).
-	segMode    bool
-	curSegment int
-	rbMu       sync.Mutex
-	rollbackTo int64
-	rbCh       chan struct{}
-
 	phase    atomic.Int32
 	aborted  atomic.Bool
 	abortMu  sync.Mutex
@@ -125,7 +115,6 @@ func (s *System) newTop() *topTx {
 	t.id = s.topSeq.Add(1)
 	t.txn = txn
 	t.snap = txn.Snapshot()
-	t.rollbackTo = noRollback
 	t.refs.Store(1)
 	t.root = t.newVertex(0, nil)
 	t.mainTx = t.newTx(t.root) // pre-concurrency: no lock needed yet
@@ -256,12 +245,7 @@ func (t *topTx) commit() (err error) {
 			if t.aborted.Load() {
 				return &retryError{cause: t.abortCause()}
 			}
-			if st := f.getState(); st == fFailed && t.segMode && !f.isInvalidated() {
-				// A strongly ordered future conflicted while the commit was
-				// resolving: replay from its submission segment. (Cancelled
-				// failures were already rolled back and replaced.)
-				return &segRollbackError{to: f.submitSegment}
-			} else if st == fParked {
+			if f.getState() == fParked {
 				if f.isInvalidated() {
 					// Cancelled (its spawning chain was discarded): skip.
 					continue

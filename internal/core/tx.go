@@ -45,7 +45,7 @@ type Tx struct {
 	// merge order.
 	pending []map[*mvstm.VBox]writeEntry
 	// visDirty forces a full rebuild: the ancestor path itself changed
-	// (discard, segment rollback, re-rooting at an evaluation point).
+	// (discard, re-rooting at an evaluation point).
 	visDirty bool
 	// visOK is true iff vis is built, pending is empty and visDirty is
 	// unset. Owner stores true under (R)Lock; mutators store false under
@@ -149,15 +149,13 @@ func (tx *Tx) Flow() int { return tx.cur.flow }
 
 // checkAlive aborts the current flow (by unwinding to the retry loop) when
 // the top-level transaction has been aborted by a concurrent event, e.g. an
-// SO continuation conflict detected by a future.
+// SO continuation conflict detected by a future. It is kept out of line so
+// its panic path is not copied into Read, Write, Submit and Evaluate.
+//
+//go:noinline
 func (tx *Tx) checkAlive() {
 	if tx.top.aborted.Load() {
 		panic(&retrySignal{cause: tx.top.abortCause()})
-	}
-	if tx.top.segMode && tx.cur.flow == 0 {
-		if to := tx.top.rollbackPending(); to != noRollback {
-			panic(&segSignal{to: int(to)})
-		}
 	}
 }
 
@@ -170,34 +168,17 @@ func (tx *Tx) awaitSettled(f *Future) {
 	tx.await(f.settled.wait())
 }
 
-// await blocks on ch, unwinding on a transaction abort and — on a segmented
-// transaction's main flow — on a partial-rollback request.
+// await blocks on ch, unwinding on a transaction abort.
 func (tx *Tx) await(ch <-chan struct{}) {
 	top := tx.top
 	if h := top.sys.opts.Hook; h != nil {
 		tx.awaitHook(h, ch)
 		return
 	}
-	for {
-		if top.segMode && tx.cur.flow == 0 {
-			select {
-			case <-ch:
-				return
-			case <-top.abortChan():
-				panic(&retrySignal{cause: top.abortCause()})
-			case <-top.rollbackChan():
-				if to := top.rollbackPending(); to != noRollback {
-					panic(&segSignal{to: int(to)})
-				}
-				continue // already-handled request; re-arm
-			}
-		}
-		select {
-		case <-ch:
-			return
-		case <-top.abortChan():
-			panic(&retrySignal{cause: top.abortCause()})
-		}
+	select {
+	case <-ch:
+	case <-top.abortChan():
+		panic(&retrySignal{cause: top.abortCause()})
 	}
 }
 
@@ -205,25 +186,14 @@ func (tx *Tx) await(ch <-chan struct{}) {
 // harness so a paused sibling cannot wedge it, with the same unwind rules.
 func (tx *Tx) awaitHook(h sched.Hook, ch <-chan struct{}) {
 	top := tx.top
-	seg := top.segMode && tx.cur.flow == 0
 	for {
 		if top.aborted.Load() {
 			panic(&retrySignal{cause: top.abortCause()})
 		}
-		if seg {
-			if to := top.rollbackPending(); to != noRollback {
-				panic(&segSignal{to: int(to)})
-			}
-		}
 		if closedNow(ch) {
 			return
 		}
-		h.Park(func() bool {
-			if closedNow(ch) || top.aborted.Load() {
-				return true
-			}
-			return seg && top.rollbackPending() != noRollback
-		})
+		h.Park(func() bool { return closedNow(ch) || top.aborted.Load() })
 	}
 }
 
@@ -406,16 +376,15 @@ func (tx *Tx) spawnLocked(body func(*Tx) (any, error)) *Future {
 	spawner.next = cv
 
 	f := &Future{
-		sys:           sys,
-		att:           top.att,
-		top:           top,
-		id:            len(top.futures) + 1,
-		flow:          fv.flow,
-		body:          body,
-		vertex:        fv,
-		cont:          cv,
-		submitSegment: spawner.segment,
-		prevInFlow:    tx.lastFut,
+		sys:        sys,
+		att:        top.att,
+		top:        top,
+		id:         len(top.futures) + 1,
+		flow:       fv.flow,
+		body:       body,
+		vertex:     fv,
+		cont:       cv,
+		prevInFlow: tx.lastFut,
 	}
 	fv.fut = f
 	// The body's Tx is created here (not in run) so invalidations reach its

@@ -16,7 +16,6 @@ import (
 // formal model only constrains the single execution of each (sub-)
 // transaction that did commit.
 func FromLog(ops []history.Op) (History, error) {
-	ops = elideRolledBackSegments(ops)
 	h := History{
 		Agents: make(map[string][]Op),
 		Top:    make(map[string]string),
@@ -249,54 +248,6 @@ func FromLog(ops []history.Op) (History, error) {
 		})
 	}
 	return h, nil
-}
-
-// elideRolledBackSegments removes, per top-level transaction, the main-flow
-// operations recorded between a SegStart and a later SegRollback targeting
-// that segment (or an earlier one): those operations belong to discarded
-// sub-transaction vertices and never committed. Future-flow operations are
-// handled separately (discarded executions carry FutureAbort records).
-func elideRolledBackSegments(ops []history.Op) []history.Op {
-	type mark struct {
-		seg int64
-		pos int // index into kept
-	}
-	kept := make([]history.Op, 0, len(ops))
-	starts := make(map[int64][]mark) // per top: active SegStart stack
-	for _, op := range ops {
-		switch {
-		case op.Kind == history.SegStart && op.Flow == 0:
-			starts[op.Top] = append(starts[op.Top], mark{seg: op.WID, pos: len(kept)})
-			continue // markers themselves are not model operations
-		case op.Kind == history.SegRollback && op.Flow == 0:
-			st := starts[op.Top]
-			cut := -1
-			for i := len(st) - 1; i >= 0; i-- {
-				if st[i].seg >= op.WID {
-					cut = i
-				} else {
-					break
-				}
-			}
-			if cut >= 0 {
-				// Drop the main-flow ops of this top recorded since the cut;
-				// ops of other tops/flows interleaved with them survive.
-				target := st[cut].pos
-				filtered := kept[:target:target]
-				for _, k := range kept[target:] {
-					if k.Top == op.Top && k.Flow == 0 {
-						continue
-					}
-					filtered = append(filtered, k)
-				}
-				kept = filtered
-				starts[op.Top] = st[:cut]
-			}
-			continue
-		}
-		kept = append(kept, op)
-	}
-	return kept
 }
 
 // validFutureName rejects names that would conflate a future's graph

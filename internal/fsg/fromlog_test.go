@@ -21,7 +21,7 @@ func logOps(ops ...history.Op) []history.Op {
 // "<ts>" for topCommit, and the Arg of any other kind.
 func parseLog(t *testing.T, text string) []history.Op {
 	kinds := map[string]history.Kind{}
-	for k := history.TopBegin; k <= history.SegRollback; k++ {
+	for k := history.TopBegin; k <= history.FutureAbort; k++ {
 		kinds[k.String()] = k
 	}
 	var ops []history.Op

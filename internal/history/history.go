@@ -37,18 +37,11 @@ const (
 	FutureMerge
 	// FutureAbort marks a discarded future execution (it will re-execute).
 	FutureAbort
-	// SegStart marks the main flow entering a segment (AtomicSegments);
-	// WID carries the segment index.
-	SegStart
-	// SegRollback marks a partial rollback; WID carries the target segment.
-	// Main-flow operations recorded since the matching SegStart are void.
-	SegRollback
 )
 
 var kindNames = [...]string{
 	"topBegin", "topCommit", "topAbort", "read", "write",
 	"submit", "evaluate", "futureBegin", "futureMerge", "futureAbort",
-	"segStart", "segRollback",
 }
 
 func (k Kind) String() string {

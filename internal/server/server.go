@@ -748,7 +748,6 @@ func (s *Server) statsReply() wire.StatsReply {
 			ImplicitEvaluations: e.ImplicitEvaluations,
 			EscapedFutures:      e.EscapedFutures,
 			EscapeReexecs:       e.EscapeReexecs,
-			SegmentRollbacks:    e.SegmentRollbacks,
 			ClaimedAtEvaluation: e.ClaimedAtEvaluation,
 			WorkerWakes:         e.WorkerWakes,
 		},

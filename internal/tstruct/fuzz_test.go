@@ -7,96 +7,6 @@ import (
 	"wtftm/internal/mvstm"
 )
 
-// FuzzTreeAgainstModel drives the red-black tree with an op tape and checks
-// it against a map model plus its structural invariants. Run the seeds with
-// plain `go test`; explore with `go test -fuzz=FuzzTreeAgainstModel`.
-func FuzzTreeAgainstModel(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add([]byte{0, 0, 0, 255, 255, 9, 9, 9, 1, 2})
-	f.Add([]byte("delete-heavy-tape-with-repeats"))
-	f.Fuzz(func(t *testing.T, tape []byte) {
-		if len(tape) > 256 {
-			tape = tape[:256]
-		}
-		stm := mvstm.New()
-		tr := NewTree[int](stm)
-		model := make(map[int]int)
-		err := stm.Atomic(func(tx *mvstm.Txn) error {
-			for i, b := range tape {
-				k := int(b % 32)
-				switch b % 3 {
-				case 0, 1:
-					tr.Put(tx, k, i)
-					model[k] = i
-				case 2:
-					got := tr.Delete(tx, k)
-					if _, want := model[k]; got != want {
-						t.Fatalf("Delete(%d) = %v, model has %v", k, got, want)
-					}
-					delete(model, k)
-				}
-				if err := tr.CheckInvariants(tx); err != nil {
-					t.Fatalf("after op %d: %v", i, err)
-				}
-			}
-			if tr.Len(tx) != len(model) {
-				t.Fatalf("Len = %d, model = %d", tr.Len(tx), len(model))
-			}
-			for k, v := range model {
-				if got, ok := tr.Get(tx, k); !ok || got != v {
-					t.Fatalf("Get(%d) = (%v,%v), want %d", k, got, ok, v)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-// FuzzSkipListAgainstModel is the skip-list analogue.
-func FuzzSkipListAgainstModel(f *testing.F) {
-	f.Add([]byte{9, 8, 7, 6, 5}, uint64(1))
-	f.Add([]byte{0, 1, 0, 1, 0, 1, 2, 2, 2}, uint64(42))
-	f.Fuzz(func(t *testing.T, tape []byte, seed uint64) {
-		if len(tape) > 256 {
-			tape = tape[:256]
-		}
-		stm := mvstm.New()
-		sl := NewSkipList[int](stm, seed)
-		model := make(map[int]int)
-		err := stm.Atomic(func(tx *mvstm.Txn) error {
-			for i, b := range tape {
-				k := int(b % 24)
-				switch b % 3 {
-				case 0, 1:
-					sl.Put(tx, k, i)
-					model[k] = i
-				case 2:
-					got := sl.Delete(tx, k)
-					if _, want := model[k]; got != want {
-						t.Fatalf("Delete(%d) mismatch", k)
-					}
-					delete(model, k)
-				}
-			}
-			if err := sl.CheckInvariants(tx); err != nil {
-				t.Fatal(err)
-			}
-			for k, v := range model {
-				if got, ok := sl.Get(tx, k); !ok || got != v {
-					t.Fatalf("Get(%d) = (%v,%v), want %d", k, got, ok, v)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 // FuzzQueueFIFO checks the two-list queue against a slice model.
 func FuzzQueueFIFO(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 0, 0, 1, 1, 1, 0})

@@ -1093,7 +1093,6 @@ type EngineStats struct {
 	ImplicitEvaluations int64 `json:"implicit_evaluations"`
 	EscapedFutures      int64 `json:"escaped_futures"`
 	EscapeReexecs       int64 `json:"escape_reexecs"`
-	SegmentRollbacks    int64 `json:"segment_rollbacks"`
 	ClaimedAtEvaluation int64 `json:"claimed_at_evaluation"`
 	WorkerWakes         int64 `json:"worker_wakes"`
 }

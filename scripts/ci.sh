@@ -25,10 +25,12 @@ echo "== tier-1.5: docs name only scripts, top-level JSON files, wtfbench experi
 # still be named; everything else must point at things in the tree. The
 # experiment names are whatever wtfbench lists when asked for an unknown one;
 # the one build tag is mutants, and the mutant names are internal/mutant's
-# table.
+# table. The docs are searched as one line, so a reference wrapped onto the
+# next line is still seen, and a "|" list (-exp fig3|fig7) yields each name.
 docs="README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md"
 doc_refs() {
-	awk '/^## /{ skip = /^## Historical in-process sweeps/ } !skip' $docs | grep -oE -- "$1" | sort -u
+	awk '/^## /{ skip = /^## Historical in-process sweeps/ } !skip' $docs | tr -s '\n ' '  ' |
+		grep -oE -- "$1" | tr '|' '\n' | sort -u
 }
 exps=$(go run ./cmd/wtfbench -exp '?' 2>&1 | sed -n 's/.*valid: //p' | tr '|' ' ')
 if [ -z "$exps" ]; then
@@ -43,7 +45,7 @@ for ref in $(doc_refs 'scripts/[A-Za-z0-9_.-]+\.sh') $(doc_refs '(^|[^/A-Za-z0-9
 		stale=1
 	fi
 done
-for name in $(doc_refs '-exp [a-z][a-z0-9]*' | sed 's/^-exp //'); do
+for name in $(doc_refs '-exp [a-z][a-z0-9]*(\|[a-z][a-z0-9]*)*' | sed 's/^-exp //'); do
 	case " $exps " in
 	*" $name "*) ;;
 	*)

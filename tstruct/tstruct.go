@@ -12,12 +12,7 @@
 //	})
 package tstruct
 
-import (
-	"cmp"
-
-	"wtftm/internal/mvstm"
-	internal "wtftm/internal/tstruct"
-)
+import internal "wtftm/internal/tstruct"
 
 // Re-exported structure types; see the methods on each.
 type (
@@ -29,12 +24,6 @@ type (
 	Counter = internal.Counter
 	// Set is a transactional string set.
 	Set = internal.Set
-	// Tree is a transactional ordered map (left-leaning red-black tree
-	// with node-granular conflicts).
-	Tree[K cmp.Ordered] = internal.Tree[K]
-	// SkipList is a transactional ordered map with skip-list structure
-	// (no rebalancing: writers touch only nodes adjacent to their key).
-	SkipList[K cmp.Ordered] = internal.SkipList[K]
 )
 
 // Constructors.
@@ -48,13 +37,3 @@ var (
 	// NewSet creates a set with the given bucket count.
 	NewSet = internal.NewSet
 )
-
-// NewTree creates an empty transactional red-black tree (generic functions
-// cannot be aliased through a var, hence the wrapper).
-func NewTree[K cmp.Ordered](stm *mvstm.STM) *Tree[K] { return internal.NewTree[K](stm) }
-
-// NewSkipList creates an empty transactional skip list (seed 0 selects a
-// default).
-func NewSkipList[K cmp.Ordered](stm *mvstm.STM, seed uint64) *SkipList[K] {
-	return internal.NewSkipList[K](stm, seed)
-}

@@ -39,11 +39,9 @@
 // eventual evaluation inside another transaction.
 //
 // Beyond the paper's API: Tx.ForkJoin provides classic parallel nesting as
-// the blocking restriction of futures; System.AtomicSegments provides
-// partial continuation rollback under SO semantics (see that method's
-// documentation); and the wtftm/tstruct package provides transactional data
-// structures (map, queue, counter, set, red-black tree, skip list) built on
-// the same versioned boxes.
+// the blocking restriction of futures, and the wtftm/tstruct package provides
+// transactional data structures (map, queue, counter, set) built on the same
+// versioned boxes.
 package wtftm
 
 import (
