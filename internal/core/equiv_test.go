@@ -1,12 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
-	"unsafe"
 
 	"wtftm/internal/mvstm"
 )
@@ -347,17 +347,17 @@ func (g *equivGraph) settle(fl *equivFlow) (verdicts [5]bool) {
 }
 
 // noteSwap runs merge, the merge of the chain rooted at head into target,
-// and counts it in g.swapped if target's read set ends up in a map one of
-// the chain's vertices held.
+// and counts it in g.swapped if target's read set ends up in the dense
+// storage one of the chain's vertices held.
 func (g *equivGraph) noteSwap(head, target *vertex, merge func()) {
-	chainMaps := map[unsafe.Pointer]bool{}
+	chainStore := map[*isetDense[readObs]]bool{}
 	for c := head; c != nil; c = c.next {
 		if c.reads.n < 0 {
-			chainMaps[reflect.ValueOf(c.reads.m).UnsafePointer()] = true
+			chainStore[c.reads.d] = true
 		}
 	}
 	merge()
-	if target.reads.n < 0 && chainMaps[reflect.ValueOf(target.reads.m).UnsafePointer()] {
+	if target.reads.n < 0 && chainStore[target.reads.d] {
 		g.swapped++
 	}
 }
@@ -611,5 +611,64 @@ func discardReachesEveryPendingChild(t testing.TB) {
 			t.Errorf("pending future %d survived the discard of its ancestor (invalid=%v removed=%v)",
 				i-2, f.isInvalidated(), f.vertex.removed())
 		}
+	}
+}
+
+// TestMergeNotesHiddenRead: a merge into a main-flow vertex notes the
+// snapshot reads the fold hides from commit. The main flow's vertex reads b
+// through a sibling future's write; the merged chain read b at the
+// snapshot. The fold keeps the target's entry (iset.absorb), and commit
+// notes only the snapshot reads on the main chain, so unless the merge
+// noted b, a commit to b by another transaction after the snapshot would go
+// unseen and the attempt would not retry. The validators keep such a fold
+// from arising in the executions the other tests generate; the graph is
+// built by hand and the merge called directly.
+func TestMergeNotesHiddenRead(t *testing.T) { mergeNotesHiddenRead(t) }
+
+func mergeNotesHiddenRead(t testing.TB) {
+	stm := mvstm.New()
+	sys := New(stm, Options{Ordering: WO, Atomicity: GAC})
+	b := stm.NewBoxNamed("b", 0)
+	g := &equivGraph{fresh: true, top: sys.newTop(), boxes: []*mvstm.VBox{b}}
+	g.flows = []*equivFlow{{tx: g.top.mainTx}}
+	main := g.flows[0]
+
+	g.submit(main) // C = flows[1], off the root
+	chain := g.flows[1]
+	chain.tx.Read(b) // at the snapshot: nothing has written b yet
+	g.submit(main)   // S = flows[2], off the main flow's continuation
+	sib := g.flows[2]
+	sib.tx.Write(b, 1)
+	g.top.lockG()
+	g.top.unregister(sib.tx)
+	g.top.unregister(chain.tx)
+	g.top.unlockG()
+	sib.done, chain.done = true, true
+	if v := g.settle(sib); v[4] {
+		t.Fatalf("the sibling did not merge at submission: %v", v)
+	}
+	if got := main.tx.Read(b); got != 1 {
+		t.Fatalf("the main flow read %v, want the sibling's write 1", got)
+	}
+	target := main.tx.cur
+	if obs, ok := target.reads.get(b); !ok || obs.ver != nil {
+		t.Fatalf("the target's read of b is %+v, want one that observed a sub-transaction write", obs)
+	}
+
+	g.top.lockG()
+	target.status = vICommitted
+	g.top.mergeChain(chain.fut.vertex, target, target)
+	main.tx.absorbWrites(target)
+	main.tx.cur = g.top.newVertex(target.flow, target)
+	g.top.unlockG()
+
+	other := stm.Begin()
+	other.Write(b, 2)
+	if err := other.Commit(); err != nil {
+		t.Fatalf("the concurrent commit to b failed: %v", err)
+	}
+	other.Release()
+	if err := g.top.commit(); !errors.Is(err, mvstm.ErrConflict) {
+		t.Errorf("commit returned %v after a concurrent commit to b: the merged chain's snapshot read of b, hidden by the fold, was not validated", err)
 	}
 }

@@ -156,8 +156,8 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 		cur := tx.cur
 		cur.vmu.Lock()
 		for _, r := range det.reads {
-			if _, ok := cur.reads.get(r.box); !ok {
-				cur.addRead(r.box, readObs{val: r.ver.Value, ver: r.ver})
+			if _, slot, ok := cur.reads.find(r.box); !ok {
+				cur.addRead(slot, r.box, readObs{val: r.ver.Value, ver: r.ver})
 			}
 		}
 		for _, w := range det.writes {

@@ -88,9 +88,10 @@ type vertex struct {
 
 func (v *vertex) removed() bool { return v.status == vRemoved }
 
-// addRead records a first read of b. Caller holds v.vmu.
-func (v *vertex) addRead(b *mvstm.VBox, obs readObs) {
-	v.reads.put(b, obs)
+// addRead records a first read of b, which v.reads.find just missed at
+// slot. Caller holds v.vmu.
+func (v *vertex) addRead(slot int, b *mvstm.VBox, obs readObs) {
+	v.reads.insert(slot, b, obs)
 	if s := v.readSum.Load(); s|b.Summary() != s {
 		v.readSum.Store(s | b.Summary())
 	}
@@ -352,10 +353,14 @@ func (t *topTx) mergeChain(head, target *vertex, evalFrom *vertex) {
 	}
 
 	// Fold the chain into target in chain order (later writes win). The
-	// chain's snapshot reads go straight into the substrate transaction's
-	// read set — the top-level validation set — unless the main chain was
-	// already folded (or the attempt aborted), after which nothing consumes
-	// them and the substrate transaction is no longer ours to touch.
+	// chain's snapshot reads go into the substrate transaction's read set —
+	// the top-level validation set — unless the main chain was already
+	// folded (or the attempt aborted), after which nothing consumes them and
+	// the substrate transaction is no longer ours to touch. A flow-0 target
+	// is never merged or discarded, so it stays on commit's pred walk and
+	// commit notes every snapshot read it holds; such a merge notes only the
+	// reads the fold hides (noteHidden). Any other target may yet be merged
+	// or discarded, so its merge notes all of the chain's snapshot reads.
 	note := !t.phaseAtLeast(phaseFolding)
 	for _, c := range cs {
 		c.vmu.Lock()
@@ -363,12 +368,16 @@ func (t *topTx) mergeChain(head, target *vertex, evalFrom *vertex) {
 		for b, we := range c.writes.all() {
 			target.writes.put(b, we)
 		}
-		if note {
+		switch {
+		case !note:
+		case target.flow != 0:
 			for b, obs := range c.reads.all() {
 				if obs.ver != nil {
 					t.txn.NoteRead(b)
 				}
 			}
+		case mutant.Active != mutant.MergeNotesNoHiddenRead:
+			t.noteHidden(target, c)
 		}
 		// c is removed below and its read set never read again, so target
 		// may take c's storage outright (iset.absorb).
@@ -384,6 +393,33 @@ func (t *topTx) mergeChain(head, target *vertex, evalFrom *vertex) {
 	}
 	head.unlink()
 	t.pushMergePatch(head, target, evalFrom)
+}
+
+// noteHidden notes the snapshot reads of c that folding c into target hides:
+// boxes for which target already holds a read that observed a
+// sub-transaction write, and which the fold (iset.absorb) keeps. Commit's
+// walk sees only target's entry and would not validate the box. It ranges
+// over the smaller of the two sets. Caller holds c.vmu and target.vmu.
+func (t *topTx) noteHidden(target, c *vertex) {
+	if c.reads.size() <= target.reads.size() {
+		for b, obs := range c.reads.all() {
+			if obs.ver == nil {
+				continue
+			}
+			if prev, ok := target.reads.get(b); ok && prev.ver == nil {
+				t.txn.NoteRead(b)
+			}
+		}
+		return
+	}
+	for b, prev := range target.reads.all() {
+		if prev.ver != nil {
+			continue
+		}
+		if obs, ok := c.reads.get(b); ok && obs.ver != nil {
+			t.txn.NoteRead(b)
+		}
+	}
 }
 
 // pushMergePatch propagates a merge to the visible-write indexes of the

@@ -3,13 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"wtftm/internal/mvstm"
 	"wtftm/internal/sched"
@@ -413,29 +411,24 @@ func TestBlockedBodiesDoNotStarveWorkers(t *testing.T) {
 	}
 }
 
-// TestArenaMapBudget: a free arena keeps spilled set maps only up to
+// TestArenaMapBudget: a free arena keeps spilled set storage only up to
 // arenaMapBudget high-water entries, however wide its attempts read. Each
 // attempt is a list of futures, each reading either far more boxes than the
 // budget or just past the inline capacity. The schedule makes a later,
-// smaller attempt leave an earlier one's big map on a vertex it does not
-// use, and makes a merge hand a big map that now holds a few entries to a
+// smaller attempt leave an earlier one's big set on a vertex it does not
+// use, and makes a merge hand a big set that now holds a few entries to a
 // future's vertex: the budget must charge both for what they grew to. The
-// test tracks that size itself, as the largest size it saw each map at.
+// test tracks that size itself, as the largest number of entries it saw
+// each set's dense storage hold.
 func TestArenaMapBudget(t *testing.T) {
 	const w, n = 20000, isetInline + 2
 	sys, stm := newSys(WO, LAC)
 	boxes := newBoxes(stm, w)
-	seen := map[unsafe.Pointer]int{} // map -> largest size observed
-	observe := func(m map[*mvstm.VBox]readObs) {
-		if m != nil {
-			p := reflect.ValueOf(m).UnsafePointer()
-			seen[p] = max(seen[p], len(m))
-		}
-	}
+	seen := map[*isetDense[readObs]]int{} // storage -> largest length observed
 	for attempt, widths := range [][]int{
-		{n, n, n, n, n, n, n, w}, // the last continuation vertex keeps a big map
+		{n, n, n, n, n, n, n, w}, // the last continuation vertex keeps a big set
 		{w},                      // the root takes one too; the tail must pay for its own
-		{n, w, w, w, w, w, w, w}, // the root's big map moves to the first future's vertex, holding 6
+		{n, w, w, w, w, w, w, w}, // the root's big set moves to the first future's vertex, holding 6
 		{w, w, w, w, w, w, w, w},
 		{n, w},
 	} {
@@ -459,7 +452,9 @@ func TestArenaMapBudget(t *testing.T) {
 			defer top.mu.RUnlock()
 			for _, v := range top.verts[:top.nverts] {
 				v.vmu.Lock()
-				observe(v.reads.m)
+				if d := v.reads.d; d != nil {
+					seen[d] = max(seen[d], len(d.ents))
+				}
 				v.vmu.Unlock()
 			}
 			return nil
@@ -472,20 +467,20 @@ func TestArenaMapBudget(t *testing.T) {
 		for _, a := range sys.arenas.free {
 			kept, charged := 0, 0
 			for _, v := range a.verts {
-				if m := v.reads.m; m != nil {
-					kept += seen[reflect.ValueOf(m).UnsafePointer()]
+				if v.reads.d != nil {
+					kept += seen[v.reads.d]
 					charged += v.reads.hw
 				}
-				if v.writes.m != nil {
-					t.Errorf("attempt %d: a vertex kept a write map, but no future wrote", attempt)
+				if v.writes.d != nil {
+					t.Errorf("attempt %d: a vertex kept write-set storage, but no future wrote", attempt)
 				}
 			}
 			if kept > arenaMapBudget || charged > arenaMapBudget {
-				t.Errorf("attempt %d: a free arena keeps read maps of %d high-water entries (charged %d), the budget is %d",
+				t.Errorf("attempt %d: a free arena keeps read sets of %d high-water entries (charged %d), the budget is %d",
 					attempt, kept, charged, arenaMapBudget)
 			}
 			if kept < w {
-				t.Errorf("attempt %d: a free arena keeps read maps of only %d entries, one wide read set fits", attempt, kept)
+				t.Errorf("attempt %d: a free arena keeps read sets of only %d entries, one wide read set fits", attempt, kept)
 			}
 		}
 		sys.arenas.mu.Unlock()

@@ -36,6 +36,7 @@ func TestMutantsCaught(t *testing.T) {
 		mutant.ForwardSkipsFutureChains: {validationEquivalence, "verdicts differ"},
 		mutant.MergeDropsPathWrites:     {validationEquivalence, "differs"},
 		mutant.AbsorbDropsTargetReads:   {validationEquivalence, "differs"},
+		mutant.MergeNotesNoHiddenRead:   {mergeNotesHiddenRead, "was not validated"},
 	}
 	for _, e := range mutant.Table {
 		if e.Pkg != "core" {

@@ -2,14 +2,16 @@ package core
 
 import (
 	"iter"
+	"math/bits"
 	"sync"
 
 	"wtftm/internal/mutant"
 	"wtftm/internal/mvstm"
 )
 
-// This file holds the engine's memory plumbing: the small inline box sets of
-// a vertex, and the recycling of a top-level attempt's graph arena.
+// This file holds the engine's memory plumbing: the box sets of a vertex
+// (inline while small, dense past that), and the recycling of a top-level
+// attempt's graph arena.
 //
 // The arena of an attempt is its topTx value together with everything hung
 // off it — the vertices of G, the Tx handles of its flows, the flow and
@@ -47,114 +49,221 @@ import (
 
 // isetInline is the inline capacity of an iset. A sub-transaction of the
 // served workloads touches one or two boxes (a tstruct bucket, sometimes the
-// size counter); sets past the inline capacity spill to a map that the
-// vertex keeps across arena reuse, so a vertex whose role always spills (the
-// root of a coalesced write group, a future that reads a thousand accounts)
-// stops allocating after its first use.
+// size counter); sets past the inline capacity spill to an entry slice and
+// an index that the vertex keeps across arena reuse, so a vertex whose role
+// always spills (the root of a coalesced write group, a future that reads a
+// thousand accounts) stops allocating after its first use.
 const isetInline = 4
+
+// isetIndexMin is the smallest spilled index: 16 slots, room for 8 entries.
+const isetIndexMin = 4 * isetInline
 
 // isetRetain is the largest Tx visible-write index a recycled Tx handle
 // keeps (tx.go); larger ones are left to the garbage collector.
 const isetRetain = 32
 
-// arenaMapBudget bounds the spilled set maps one free arena keeps, summed
-// over its vertices by each map's high-water entry count (a Go map never
-// shrinks, so that is the size it keeps). Maps are kept in vertex order,
-// lowest first, which is the order the next attempt hands vertices out in;
-// a map that would overrun the budget is left to the garbage collector. A
-// map holds at most 128 bytes per high-water entry past 28 entries and
-// about 1.9 KB below that, and an arena has at most 2 × arenaKeep set maps,
-// so one free arena keeps at most about 5.2 MB of them.
+// arenaMapBudget bounds the spilled set storage one free arena keeps, summed
+// over its vertices by each set's high-water entry count (entry slices and
+// indexes never shrink, so that is the size they keep). Sets are kept in
+// vertex order, lowest first, which is the order the next attempt hands
+// vertices out in; a set whose storage would overrun the budget lets it go to
+// the garbage collector. Measured (go1.24, amd64), a spilled read set keeps
+// 512 bytes up to 8 entries, 1.1 KB up to 16 and 58 to 93 bytes per entry
+// beyond (a 48-byte entry, the slack append leaves, and 8 to 16 bytes of
+// index); a write set keeps about a fifth less. At worst 121 bytes per
+// high-water entry (9 entries), one free arena keeps at most about 4 MB.
 const arenaMapBudget = 1 << 15
 
-// iset is a small-footprint box-keyed set: up to isetInline entries are
-// stored inline in the struct, past that it spills to a heap map. The zero
-// value is an empty set. Not safe for concurrent use; callers synchronize
-// exactly as they did for the maps it replaces (vertex.vmu).
+// iset is a small-footprint box-keyed set. Up to isetInline entries are
+// stored inline in the struct; past that the set spills to dense storage
+// (isetDense): the entries in insertion order, and an open-addressed index
+// over them (linear probing on the box's Hash, a power-of-two number of
+// slots, at most half of them used). A lookup is one probe sequence over
+// int32 slots, iteration ranges over a slice, and emptying the set clears
+// the used prefix of the entries (the next spill clears the part of the
+// index it uses), not a hash table. The dense storage hangs off one pointer, so a vertex, which
+// holds two sets, is no larger than when a spilled set was a Go map. The
+// zero value is an empty set. Not safe for concurrent use; callers
+// synchronize with vertex.vmu.
 type iset[V any] struct {
-	n    int // inline entries; -1 once the set lives in m
+	n    int // inline entries; -1 once the set lives in d
 	keys [isetInline]*mvstm.VBox
 	vals [isetInline]V
-	m    map[*mvstm.VBox]V // may be non-nil and empty while n >= 0 (kept by reset)
-	hw   int               // m's high-water entry count, as of its last reset
+	d    *isetDense[V] // may be non-nil and empty while n >= 0 (kept by reset)
+	hw   int           // d's high-water entry count, as of its last reset
+}
+
+// isetDense is a spilled iset's storage. ents holds the entries in insertion
+// order; a deleted one stays as a tombstone (a nil box) until the next
+// rehash. Each idx slot is 0 (free) or 1 + a position in ents; a box's probe
+// sequence starts at Hash() >> shift.
+type isetDense[V any] struct {
+	ents  []isetEntry[V]
+	idx   []int32
+	shift uint8
+	live  int // entries in ents that are not tombstones
+}
+
+type isetEntry[V any] struct {
+	b *mvstm.VBox
+	v V
 }
 
 // size returns the number of entries.
 func (s *iset[V]) size() int {
 	if s.n < 0 {
-		return len(s.m)
+		return s.d.live
 	}
 	return s.n
 }
 
+// find looks b up. On a miss, slot is where insert places b; it stays valid
+// until the set next changes.
+func (s *iset[V]) find(b *mvstm.VBox) (v V, slot int, ok bool) {
+	if s.n >= 0 {
+		for i := 0; i < s.n; i++ {
+			if s.keys[i] == b {
+				return s.vals[i], i, true
+			}
+		}
+		return v, s.n, false
+	}
+	d := s.d
+	mask := len(d.idx) - 1
+	for i := int(b.Hash() >> d.shift); ; i = (i + 1) & mask {
+		p := d.idx[i]
+		if p == 0 {
+			return v, i, false
+		}
+		if e := &d.ents[p-1]; e.b == b {
+			return e.v, i, true
+		}
+	}
+}
+
+// insert adds an entry for b, which find just missed at slot.
+func (s *iset[V]) insert(slot int, b *mvstm.VBox, v V) {
+	if s.n >= 0 {
+		if s.n < isetInline {
+			s.keys[s.n], s.vals[s.n] = b, v
+			s.n++
+			return
+		}
+		if s.d == nil {
+			s.d = new(isetDense[V])
+		}
+		var zero V
+		for i := 0; i < s.n; i++ {
+			s.d.ents = append(s.d.ents, isetEntry[V]{s.keys[i], s.vals[i]})
+			s.keys[i], s.vals[i] = nil, zero
+		}
+		s.d.live, s.n = isetInline, -1
+		s.d.rehash(isetInline + 1)
+		_, slot, _ = s.find(b)
+	} else if 2*(len(s.d.ents)+1) > len(s.d.idx) {
+		s.d.rehash(s.d.live + 1)
+		_, slot, _ = s.find(b)
+	}
+	d := s.d
+	d.ents = append(d.ents, isetEntry[V]{b, v})
+	d.idx[slot] = int32(len(d.ents))
+	d.live++
+}
+
+// rehash drops the tombstones from ents, keeping the order of the rest, and
+// rebuilds the index with room for want entries at load at most 1/2. The
+// index is sized by want, not by the capacity it kept: a set that once held
+// thousands of entries and now spills with a few clears and probes a few
+// hundred bytes, not its widest use's index.
+func (d *isetDense[V]) rehash(want int) {
+	if d.live < len(d.ents) {
+		k := 0
+		for _, e := range d.ents {
+			if e.b != nil {
+				d.ents[k] = e
+				k++
+			}
+		}
+		clear(d.ents[k:])
+		d.ents = d.ents[:k]
+	}
+	size := isetIndexMin
+	for size < 2*want {
+		size *= 2
+	}
+	if size <= cap(d.idx) {
+		d.idx = d.idx[:size]
+		clear(d.idx)
+	} else {
+		d.idx = make([]int32, size)
+	}
+	d.shift = uint8(32 - bits.TrailingZeros(uint(size)))
+	mask := size - 1
+	for p := range d.ents {
+		i := int(d.ents[p].b.Hash() >> d.shift)
+		for d.idx[i] != 0 {
+			i = (i + 1) & mask
+		}
+		d.idx[i] = int32(p + 1)
+	}
+}
+
 // get returns the value stored for b.
 func (s *iset[V]) get(b *mvstm.VBox) (V, bool) {
-	if s.n < 0 {
-		v, ok := s.m[b]
-		return v, ok
-	}
-	for i := 0; i < s.n; i++ {
-		if s.keys[i] == b {
-			return s.vals[i], true
-		}
-	}
-	var zero V
-	return zero, false
+	v, _, ok := s.find(b)
+	return v, ok
 }
 
-// put inserts or overwrites the entry for b.
+// put inserts or overwrites the entry for b. An overwritten entry keeps its
+// place in the iteration order. An inline set is handled here without find
+// and insert: a served sub-transaction's writes all take this path, and the
+// two calls cost it about a third more.
 func (s *iset[V]) put(b *mvstm.VBox, v V) {
-	if s.n < 0 {
-		s.m[b] = v
-		return
-	}
-	for i := 0; i < s.n; i++ {
-		if s.keys[i] == b {
-			s.vals[i] = v
+	if s.n >= 0 {
+		for i := 0; i < s.n; i++ {
+			if s.keys[i] == b {
+				s.vals[i] = v
+				return
+			}
+		}
+		if s.n < isetInline {
+			s.keys[s.n], s.vals[s.n] = b, v
+			s.n++
 			return
 		}
 	}
-	if s.n < isetInline {
-		s.keys[s.n], s.vals[s.n] = b, v
-		s.n++
-		return
+	if _, slot, ok := s.find(b); ok {
+		s.d.ents[s.d.idx[slot]-1].v = v
+	} else {
+		s.insert(slot, b, v)
 	}
-	if s.m == nil {
-		s.m = make(map[*mvstm.VBox]V, 4*isetInline)
-	}
-	var zero V
-	for i := 0; i < s.n; i++ {
-		s.m[s.keys[i]] = s.vals[i]
-		s.keys[i], s.vals[i] = nil, zero
-	}
-	s.n = -1
-	s.m[b] = v
 }
 
-// del removes the entry for b, if present.
+// del removes the entry for b, if present. A spilled entry becomes a
+// tombstone; its index slot stays taken so that no probe sequence breaks.
 func (s *iset[V]) del(b *mvstm.VBox) {
-	if s.n < 0 {
-		delete(s.m, b)
-		return
-	}
-	for i := 0; i < s.n; i++ {
-		if s.keys[i] == b {
-			s.n--
-			s.keys[i], s.vals[i] = s.keys[s.n], s.vals[s.n]
-			s.keys[s.n] = nil
-			var zero V
-			s.vals[s.n] = zero
-			return
-		}
+	_, slot, ok := s.find(b)
+	switch {
+	case !ok:
+	case s.n >= 0:
+		copy(s.keys[slot:s.n], s.keys[slot+1:s.n])
+		copy(s.vals[slot:s.n], s.vals[slot+1:s.n])
+		s.n--
+		var zero V
+		s.keys[s.n], s.vals[s.n] = nil, zero
+	default:
+		s.d.ents[s.d.idx[slot]-1] = isetEntry[V]{}
+		s.d.live--
 	}
 }
 
-// all iterates the entries in unspecified order, like a map range.
+// all iterates the entries in insertion order.
 func (s *iset[V]) all() iter.Seq2[*mvstm.VBox, V] {
 	return func(yield func(*mvstm.VBox, V) bool) {
 		if s.n < 0 {
-			for b, v := range s.m {
-				if !yield(b, v) {
+			ents := s.d.ents
+			for i := range ents {
+				if e := &ents[i]; e.b != nil && !yield(e.b, e.v) {
 					return
 				}
 			}
@@ -174,7 +283,7 @@ func (s *iset[V]) all() iter.Seq2[*mvstm.VBox, V] {
 // left holding an unspecified part of the union: its owner must not read it
 // again before reset.
 func (s *iset[V]) absorb(src *iset[V]) {
-	if src.n < 0 && len(src.m) > s.size() {
+	if src.n < 0 && src.d.live > s.size() {
 		*s, *src = *src, *s
 		if mutant.Active != mutant.AbsorbDropsTargetReads {
 			for b, v := range src.all() {
@@ -184,39 +293,44 @@ func (s *iset[V]) absorb(src *iset[V]) {
 		return
 	}
 	for b, v := range src.all() {
-		if _, ok := s.get(b); !ok {
-			s.put(b, v)
+		if _, slot, ok := s.find(b); !ok {
+			s.insert(slot, b, v)
 		}
 	}
 }
 
 // reset empties the set for the vertex's next use, dropping every reference
-// it held. A spilled map is kept (emptied) for the next spill while its
-// high-water size fits in *budget, which it is charged; otherwise it is
-// dropped. A set that is already empty is charged for the map it keeps.
+// it held. Spilled storage is kept for the next spill while its high-water
+// size fits in *budget, which it is charged; otherwise it is dropped. A set
+// that is already empty is charged for the storage it keeps. The kept index
+// is cleared, as far as the next spill uses it, by the rehash at that spill.
 func (s *iset[V]) reset(budget *int) {
 	if s.n < 0 {
-		s.hw = max(s.hw, len(s.m))
+		d := s.d
+		s.hw = max(s.hw, len(d.ents))
+		clear(d.ents)
+		d.ents = d.ents[:0]
+		d.live = 0
 	} else {
 		clear(s.keys[:s.n])
 		clear(s.vals[:s.n])
 	}
 	s.n = 0
 	switch {
-	case s.m == nil:
+	case s.d == nil:
 	case s.hw > *budget:
-		s.m, s.hw = nil, 0
+		s.d, s.hw = nil, 0
 	default:
 		*budget -= s.hw
-		clear(s.m)
 	}
 }
 
 // arenaFreeMax bounds the System's free list, and arenaKeep the vertices and
 // Tx handles a free arena holds on to: together with arenaMapBudget and
-// isetRetain they cap what recycling can keep resident at about 43 MB (42 MB
-// of it set maps at the budget's worst case; a few hundred KB when no
-// vertex spills far), whatever the largest transaction ever run looked like.
+// isetRetain they cap what recycling can keep resident at about 33 MB (32 MB
+// of it spilled set storage at the budget's worst case; a few hundred KB
+// when no vertex spills far), whatever the largest transaction ever run
+// looked like.
 const (
 	arenaFreeMax = 8
 	arenaKeep    = 256

@@ -226,11 +226,11 @@ func (tx *Tx) Read(b *mvstm.VBox) any {
 		cur.vmu.Unlock()
 		return we.val
 	}
-	if obs, ok := cur.reads.get(b); ok {
+	obs, slot, ok := cur.reads.find(b)
+	if ok {
 		cur.vmu.Unlock()
 		return obs.val
 	}
-	cur.vmu.Unlock()
 
 	// Ancestor resolution, lock-free fast path: all proper ancestors are
 	// iCommitted and therefore frozen, so when the flow's visible-write
@@ -238,54 +238,54 @@ func (tx *Tx) Read(b *mvstm.VBox) any {
 	// resolves the read. The gver seqlock validates the window: if no
 	// mutation epoch overlapped [s, recheck], the index was current and
 	// every later validator will observe the read we just recorded (it must
-	// bump gver before scanning). On a race the tentative read is retracted
-	// — a validator may have glimpsed it, which is conservative-safe (at
-	// worst a spurious parked future or re-execution).
+	// bump gver before scanning). The lookups, the resolution, the record
+	// and the recheck share one vmu hold, and nothing taken under it is a
+	// lock (ReadAt is lock-free; it panics only on an engine bug), so the
+	// top.mu → vmu order stands. On a race the tentative read is retracted
+	// under the same hold: a validator that bumped gver takes vmu to scan
+	// cur's reads and so never sees a read that is later retracted. The
+	// summary bit stays set — summaries only ever over-approximate.
 	if s := top.gver.Load(); s&1 == 0 && tx.visOK.Load() {
-		var obs readObs
-		if we, ok := tx.vis[b]; ok {
-			obs = readObs{val: we.val, flow: we.flow, wid: we.wid}
-		} else {
-			ver := b.ReadAt(top.snap)
-			obs = readObs{val: ver.Value, ver: ver}
-		}
-		cur.vmu.Lock()
-		cur.addRead(b, obs)
-		cur.vmu.Unlock()
+		obs = tx.resolve(b)
+		cur.addRead(slot, b, obs)
 		if top.gver.Load() == s {
+			cur.vmu.Unlock()
 			tx.recordRead(cur, b, obs)
 			return obs.val
 		}
-		cur.vmu.Lock()
 		// Only this flow inserts into cur.reads, so the retraction removes
-		// exactly the tentative entry. The summary bit stays set — summaries
-		// only ever over-approximate.
+		// exactly the tentative entry.
 		cur.reads.del(b)
-		cur.vmu.Unlock()
 	}
+	cur.vmu.Unlock()
 
 	top.mu.RLock()
 	tx.refreshVis()
-	var obs readObs
-	if we, ok := tx.vis[b]; ok {
-		obs = readObs{val: we.val, flow: we.flow, wid: we.wid}
-	} else {
-		ver := b.ReadAt(top.snap)
-		obs = readObs{val: ver.Value, ver: ver}
-	}
+	obs = tx.resolve(b)
 	cur.vmu.Lock()
 	// Keep the first observation if one was registered in the meantime (a
 	// merge may have folded a read into cur while we resolved).
-	if prev, ok := cur.reads.get(b); ok {
+	if prev, slot, ok := cur.reads.find(b); ok {
 		obs = prev
 	} else {
-		cur.addRead(b, obs)
+		cur.addRead(slot, b, obs)
 	}
 	cur.vmu.Unlock()
 	top.mu.RUnlock()
 
 	tx.recordRead(cur, b, obs)
 	return obs.val
+}
+
+// resolve is what a first read of b in the flow's current vertex observes:
+// the nearest iCommitted ancestor's write (the visible-write index, which
+// must be current), or else the version at the top-level snapshot.
+func (tx *Tx) resolve(b *mvstm.VBox) readObs {
+	if we, ok := tx.vis[b]; ok {
+		return readObs{val: we.val, flow: we.flow, wid: we.wid}
+	}
+	ver := b.ReadAt(tx.top.snap)
+	return readObs{val: ver.Value, ver: ver}
 }
 
 // recordRead emits a history op for a first read, when recording is on. The

@@ -19,6 +19,7 @@ const (
 	ForwardSkipsFutureChains
 	MergeDropsPathWrites
 	AbsorbDropsTargetReads
+	MergeNotesNoHiddenRead
 )
 
 // Entry is one mutant: Pkg's TestMutantsCaught/<Name> must report it. Sweep
@@ -50,4 +51,6 @@ var Table = []Entry{
 		"a re-rooted child is not charged the writes before its new position (map-free merge)", false},
 	{AbsorbDropsTargetReads, "AbsorbDropsTargetReads", "core.(*iset).absorb", "core",
 		"a merge that takes over the chain's larger read set loses the target's own reads", false},
+	{MergeNotesNoHiddenRead, "MergeNotesNoHiddenRead", "core.(*topTx).mergeChain", "core",
+		"a merge into a main-flow vertex notes no snapshot read, not even one the fold hides from commit", false},
 }

@@ -67,6 +67,10 @@ type VBox struct {
 	// a summary word; two sets with non-intersecting summaries provably share
 	// no box, so a zero AND lets validators skip a scan entirely.
 	sum uint64
+	// hash is the box's hash for open-addressed box sets, fixed at creation
+	// from the same scrambled sequence number as sum (its high half, which
+	// sum does not use).
+	hash uint32
 	// Name is an optional debugging label.
 	Name string
 }
@@ -78,6 +82,10 @@ var boxSeq atomic.Uint64
 
 // Summary returns the box's two-bit Bloom fingerprint.
 func (b *VBox) Summary() uint64 { return b.sum }
+
+// Hash returns the box's 32-bit hash. It is a Fibonacci hash of the box's
+// sequence number, so its high bits spread boxes created in a row evenly.
+func (b *VBox) Hash() uint32 { return b.hash }
 
 // ReadAt returns the newest committed version with TS <= snap. It is safe to
 // call concurrently with commits and never blocks. It panics if snap predates
@@ -196,6 +204,7 @@ func (s *STM) NewBoxNamed(name string, init any) *VBox {
 	// fingerprint bits.
 	h := boxSeq.Add(1) * 0x9E3779B97F4A7C15
 	b.sum = 1<<(h&63) | 1<<((h>>6)&63)
+	b.hash = uint32(h >> 32)
 	b.head.Store(&Version{Value: init, TS: 0})
 	return b
 }

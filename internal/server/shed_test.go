@@ -102,8 +102,15 @@ func TestOverloadShedding(t *testing.T) {
 	if got := s.shed.Load(); got < 3 {
 		t.Fatalf("shed counter = %d, want >= 3", got)
 	}
-	if got := s.inflight.Load(); got != 0 {
-		t.Fatalf("inflight after quiesce = %d, want 0", got)
+	// A request retires (conn.done decrements inflight) after its response
+	// is handed off, so the client can read the held PUT's reply and the
+	// STATS reply before the count drops: wait for it, with a deadline.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.inflight.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("inflight after quiesce = %d, want 0", s.inflight.Load())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

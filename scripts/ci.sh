@@ -146,6 +146,12 @@ for depth in 2 3; do
 	go run ./cmd/wtfconform -mode dfs -seed 1 -seeds 16 -budget 300 -futures 3 -depth $depth -ops 8
 done
 
+echo "== tier-1.5: engine box-set fuzz (10 s past the seed corpus) =="
+# FuzzIset drives a vertex's read/write set (put, add, del, absorb both
+# ways, reset against a budget) against a Go-map model across index
+# doublings; its seeds run with the plain tests, this explores beyond them.
+go test -run '^$' -fuzz FuzzIset -fuzztime 10s ./internal/core/
+
 echo "== tier-1.5: guard benchmarks (smoke run: hot paths must still complete) =="
 go test -run '^$' -bench 'ReadDepth|BeginFinish' -benchtime 200ms ./internal/bench/ ./internal/mvstm/
 
@@ -180,13 +186,13 @@ echo "== tier-1.5: engine allocation guards (per future <= 4, single write <= 6,
 check_allocs ./internal/bench/ BenchmarkValidateWide/width=8 4
 check_allocs ./internal/bench/ BenchmarkSubmitEvaluate/depth=8 4
 check_allocs ./internal/bench/ BenchmarkAtomicSingleWrite 6
-# A future that reads 1024 boxes: its vertex reuses a read-set map its arena
-# kept, and its merge hands that map to the target instead of copying it, so
-# only the handle and the occasional wait channel are left (1 allocs/op at
-# 20000x, 2 at 2000x: the wait channel is 0 to 0.75 per future, depending on
-# whether the evaluator blocks on a worker). Before the hand-over and the
-# per-arena map budget it was 40: every read set regrew its map, and so did
-# every merge target.
+# A future that reads 1024 boxes: its vertex reuses read-set storage its
+# arena kept, and its merge hands that storage to the target instead of
+# copying it, so only the handle and the occasional wait channel are left
+# (1 allocs/op at 20000x, 2 at 2000x: the wait channel is 0 to 0.75 per
+# future, depending on whether the evaluator blocks on a worker). Before the
+# hand-over and the per-arena budget it was 40: every read set regrew its
+# map, and so did every merge target.
 check_allocs ./internal/bench/ BenchmarkReadWide/reads=1024 2
 
 echo "== tier-1.5: server request-path allocation guard (<= 2 allocs/op) =="
