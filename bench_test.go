@@ -90,18 +90,6 @@ func BenchmarkFig9Vacation(b *testing.B) {
 	}
 }
 
-// BenchmarkIntruder runs the extra packet-reassembly benchmark (futures
-// analyze completed flows atomically with their reassembly).
-func BenchmarkIntruder(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunIntruder(quickCfg(), bench.DefaultIntruder(true))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.FlowsPerSec[bench.WTF], "WTF-flows/s")
-	}
-}
-
 // BenchmarkKMeans runs the extra clustering benchmark (assignment step
 // fanned out over futures).
 func BenchmarkKMeans(b *testing.B) {
@@ -111,17 +99,6 @@ func BenchmarkKMeans(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.ItersPerSec[bench.WTF], "WTF-iters/s")
-	}
-}
-
-// BenchmarkAblations runs the design-choice ablations from DESIGN.md.
-func BenchmarkAblations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunAblation(quickCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.GraphOverheadTypicalPct, "graph-overhead-%")
 	}
 }
 

@@ -1,6 +1,7 @@
 // Command wtfbench regenerates the paper's evaluation figures (§5 of
 // "Investigating the Semantics of Futures in Transactional Memory Systems",
-// PPoPP'21) and the §6 extras on the local host and prints one table per
+// PPoPP'21), the abort attribution table and one extra application
+// (KMeans, a §6 "real use case") on the local host and prints one table per
 // experiment. Micro costs are the package-local Go benchmarks; anything
 // served by wtfd is measured by benchmark/.
 //
@@ -69,9 +70,7 @@ var experiments = []experiment{
 	{"fig7", driver(bench.DefaultFig7, bench.RunFig7)},
 	{"fig8", driver(bench.DefaultFig8, bench.RunFig8)},
 	{"fig9", driver(bench.DefaultFig9, bench.RunFig9)},
-	{"intruder", driver(bench.DefaultIntruder, bench.RunIntruder)},
 	{"kmeans", driver(bench.DefaultKMeans, bench.RunKMeans)},
-	{"ablation", func(cfg bench.Config, _ bool) (printer, error) { return bench.RunAblation(cfg) }},
 	{"aborts", driver(bench.DefaultAborts, bench.RunAborts)},
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 func TestUnknownExperimentRejected(t *testing.T) {
-	// "server" was an experiment once; a name the table lacks must not
-	// succeed by running nothing.
-	for _, name := range []string{"server", "?", ""} {
+	// "server", "intruder" and "ablation" were experiments once; a name
+	// the table lacks must not succeed by running nothing.
+	for _, name := range []string{"server", "intruder", "ablation", "?", ""} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{"-exp", name}, &stdout, &stderr); code != 2 {
 			t.Fatalf("-exp %q exited %d, want 2", name, code)

@@ -202,25 +202,6 @@ func TestRunFig9(t *testing.T) {
 	}
 }
 
-func TestRunAblation(t *testing.T) {
-	res, err := RunAblation(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// LAC must block on the running escapee; GAC must not.
-	if res.LACCommitLatency < 4*time.Millisecond {
-		t.Fatalf("LAC commit latency = %v, expected to block ~5ms", res.LACCommitLatency)
-	}
-	if res.GACCommitLatency > res.LACCommitLatency {
-		t.Fatalf("GAC (%v) slower than LAC (%v)", res.GACCommitLatency, res.LACCommitLatency)
-	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if !strings.Contains(buf.String(), "LAC") {
-		t.Fatal("missing ablation rows")
-	}
-}
-
 func TestRunAborts(t *testing.T) {
 	p := AbortsParams{TopLevels: 2, Accounts: 16, Pairs: 2, Window: 2, UpdatePct: 90, Iter: 1}
 	res, err := RunAborts(tiny(), p)

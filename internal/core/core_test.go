@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"wtftm/internal/mvstm"
@@ -541,47 +542,90 @@ func TestGACEscapeStaleReexecutes(t *testing.T) {
 
 // TestFig1dLACImplicitEvaluation: under LAC the spawning top-level
 // transaction implicitly evaluates the escaping future at commit; a later
-// explicit evaluation returns the same (memoized) result.
+// explicit evaluation returns the same (memoized) result. In the gated input
+// the body is still running when the spawner commits: it waits at a gate
+// that opens only when the commit parks on it, so a commit that did not wait
+// for the escapee would return before the body finished.
 func TestFig1dLACImplicitEvaluation(t *testing.T) {
-	sys, stm := newSys(WO, LAC)
-	ref := stm.NewBoxNamed("ref", nil)
-	a := stm.NewBoxNamed("a", 5)
-	b := stm.NewBoxNamed("b", 0)
+	for _, in := range []struct {
+		name  string
+		gated bool
+	}{{"free", false}, {"gated", true}} {
+		t.Run(in.name, func(t *testing.T) {
+			stm := mvstm.New()
+			opts := Options{Ordering: WO, Atomicity: LAC}
+			var hook *parkGate
+			if in.gated {
+				hook = &parkGate{gateHook: gateHook{blocked: make(chan struct{}), open: make(chan struct{})}}
+				hook.armed.Store(true)
+				opts.Hook = hook
+				defer hook.release()
+			}
+			sys := New(stm, opts)
+			ref := stm.NewBoxNamed("ref", nil)
+			a := stm.NewBoxNamed("a", 5)
+			b := stm.NewBoxNamed("b", 0)
+			gate := stm.NewBoxNamed("gate", 0)
 
-	err := sys.Atomic(func(tx *Tx) error {
-		f := tx.Submit(func(ftx *Tx) (any, error) {
-			v := ftx.Read(a).(int)
-			ftx.Write(b, v*2)
-			return v * 2, nil
+			var finished atomic.Bool
+			err := sys.Atomic(func(tx *Tx) error {
+				f := tx.Submit(func(ftx *Tx) (any, error) {
+					ftx.Write(gate, 1) // gated: parks until the commit waits
+					v := ftx.Read(a).(int)
+					ftx.Write(b, v*2)
+					finished.Store(true)
+					return v * 2, nil
+				})
+				tx.Write(ref, f)
+				if in.gated {
+					<-hook.blocked // the body is running on a worker
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !finished.Load() {
+				t.Fatal("Atomic returned before the escaping body finished")
+			}
+			// LAC: the future's effects committed with T1.
+			if readInt(t, stm, b) != 10 {
+				t.Fatalf("b = %d, want 10 (implicit evaluation at commit)", readInt(t, stm, b))
+			}
+
+			var got any
+			err = sys.Atomic(func(tx *Tx) error {
+				f := tx.Read(ref).(*Future)
+				v, err := tx.Evaluate(f)
+				if err != nil {
+					return err
+				}
+				got = v
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != 10 {
+				t.Fatalf("repeated evaluation = %v, want 10", got)
+			}
 		})
-		tx.Write(ref, f)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// LAC: the future's effects committed with T1.
-	if readInt(t, stm, b) != 10 {
-		t.Fatalf("b = %d, want 10 (implicit evaluation at commit)", readInt(t, stm, b))
-	}
-
-	var got any
-	err = sys.Atomic(func(tx *Tx) error {
-		f := tx.Read(ref).(*Future)
-		v, err := tx.Evaluate(f)
-		if err != nil {
-			return err
-		}
-		got = v
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 10 {
-		t.Fatalf("repeated evaluation = %v, want 10", got)
 	}
 }
+
+// parkGate is a gateHook whose gate opens at the first wait the engine
+// parks on: a body held at the gate finishes only if someone waits for it.
+type parkGate struct {
+	gateHook
+	once sync.Once
+}
+
+func (h *parkGate) Park(ready func() bool) {
+	h.release()
+	h.gateHook.Park(ready)
+}
+
+func (h *parkGate) release() { h.once.Do(func() { close(h.open) }) }
 
 func TestFutureUserErrorDiscardsWrites(t *testing.T) {
 	sys, stm := newSys(WO, LAC)

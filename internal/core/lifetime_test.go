@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -217,12 +218,8 @@ func TestEscapedAttemptIsNeverRecycled(t *testing.T) {
 	if n := reused.Load(); n != 0 {
 		t.Fatalf("the escaped attempt's arena was handed to %d other transactions", n)
 	}
-	sys.arenas.mu.Lock()
-	defer sys.arenas.mu.Unlock()
-	for _, a := range sys.arenas.free {
-		if a == arena {
-			t.Fatal("the escaped attempt's arena is on the free list")
-		}
+	if onFreeList(sys, arena) {
+		t.Fatal("the escaped attempt's arena is on the free list")
 	}
 	if sys.Stats().EscapedFutures.Load() != 1 {
 		t.Fatalf("EscapedFutures = %d, want 1", sys.Stats().EscapedFutures.Load())
@@ -309,14 +306,25 @@ func TestStragglerKeepsItsArena(t *testing.T) {
 		t.Fatal("the straggler's write reached committed state")
 	}
 	// settled fires just before the reference drops; the arena is free once
-	// it has.
+	// it has. Look for it on the free list itself rather than wait for a
+	// transaction to draw it: getTop hands out the most recently retired
+	// arena first, and the churn arenas retiring after it can bury it
+	// under them for as long as churn runs. (The test never has
+	// arenaFreeMax arenas, so recycle does not drop it for a full list.)
 	deadline := time.Now().Add(5 * time.Second)
-	for churn(t, sys, boxes, 1, 1, first) == 0 {
+	for !onFreeList(sys, first) {
 		if time.Now().After(deadline) {
-			t.Fatal("the arena was not reused after the straggler settled")
+			t.Fatal("the arena was not retired after the straggler settled")
 		}
 		runtime.Gosched()
 	}
+}
+
+// onFreeList reports whether arena t is on sys's free list.
+func onFreeList(sys *System, t *topTx) bool {
+	sys.arenas.mu.Lock()
+	defer sys.arenas.mu.Unlock()
+	return slices.Contains(sys.arenas.free, t)
 }
 
 // TestSettledHandlePinsNothing: once a future settled for good, its handle

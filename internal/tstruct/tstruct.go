@@ -1,5 +1,5 @@
 // Package tstruct provides transactional data structures built on versioned
-// boxes: a hash map, a FIFO queue, a sharded counter and a set. They compose
+// boxes: a hash map, a FIFO queue and a sharded counter. They compose
 // with transactional futures exactly like raw boxes do — a future that
 // touches a bucket conflicts only with sub-transactions touching the same
 // bucket — making them the natural shared-state layer for the concurrent
@@ -256,28 +256,3 @@ func (c *Counter) Sum(tx mvstm.ReadWriter) int {
 	}
 	return total
 }
-
-// Set is a transactional string set over Map.
-type Set struct {
-	m *Map
-}
-
-// NewSet creates a set with the given bucket count.
-func NewSet(stm *mvstm.STM, buckets int) *Set {
-	return &Set{m: NewMap(stm, buckets)}
-}
-
-// Add inserts key, reporting whether it was absent.
-func (s *Set) Add(tx mvstm.ReadWriter, key string) bool { return s.m.Put(tx, key, struct{}{}) }
-
-// Remove deletes key, reporting whether it was present.
-func (s *Set) Remove(tx mvstm.ReadWriter, key string) bool { return s.m.Delete(tx, key) }
-
-// Contains reports membership.
-func (s *Set) Contains(tx mvstm.ReadWriter, key string) bool {
-	_, ok := s.m.Get(tx, key)
-	return ok
-}
-
-// Len returns the set's cardinality.
-func (s *Set) Len(tx mvstm.ReadWriter) int { return s.m.Len(tx) }

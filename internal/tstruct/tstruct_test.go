@@ -276,26 +276,6 @@ func TestCounterNegativeHint(t *testing.T) {
 	})
 }
 
-func TestSetSemantics(t *testing.T) {
-	stm := mvstm.New()
-	s := NewSet(stm, 8)
-	runTx(t, stm, func(tx *mvstm.Txn) error {
-		if !s.Add(tx, "a") || s.Add(tx, "a") {
-			t.Error("Add semantics wrong")
-		}
-		if !s.Contains(tx, "a") || s.Contains(tx, "b") {
-			t.Error("Contains wrong")
-		}
-		if s.Len(tx) != 1 {
-			t.Errorf("Len = %d", s.Len(tx))
-		}
-		if !s.Remove(tx, "a") || s.Remove(tx, "a") {
-			t.Error("Remove semantics wrong")
-		}
-		return nil
-	})
-}
-
 func TestMinimumSizes(t *testing.T) {
 	stm := mvstm.New()
 	m := NewMap(stm, 0)

@@ -20,7 +20,7 @@ echo "== tier-1.5: vet (untagged and with the mutation ledger's sites live) =="
 go vet ./...
 go vet -tags mutants ./...
 
-echo "== tier-1.5: docs name only scripts, top-level JSON files, wtfbench experiments, build tags and mutants that exist =="
+echo "== tier-1.5: docs name only scripts, top-level JSON files, wtfbench experiments, build tags, mutants and Go tests that exist =="
 # EXPERIMENTS.md's one "Historical" section is where deleted instruments may
 # still be named; everything else must point at things in the tree. The
 # experiment names are whatever wtfbench lists when asked for an unknown one;
@@ -69,6 +69,14 @@ for name in $(doc_refs 'TestMutantsCaught/[A-Za-z]+' | sed 's|.*/||'); do
 		stale=1
 		;;
 	esac
+done
+# A Go test name is read as a go test -run prefix: some test, benchmark or
+# fuzz target must start with it.
+for name in $(doc_refs '(^|[^A-Za-z0-9_])(Benchmark|Test|Fuzz)[A-Z][A-Za-z0-9_]*' | sed 's/^[^A-Z]//' | sort -u); do
+	if ! grep -rqE --include='*_test.go' "^func $name[A-Za-z0-9_]*\(" .; then
+		echo "ci: the docs name $name, which no func in a _test.go file starts with" >&2
+		stale=1
+	fi
 done
 if [ "$stale" -ne 0 ]; then
 	exit 1

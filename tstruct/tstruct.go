@@ -1,6 +1,6 @@
 // Package tstruct exposes the transactional data structures of
-// wtftm/internal/tstruct as public API: a hash map, a FIFO queue, a sharded
-// counter and a set, all built on versioned boxes and usable from plain
+// wtftm/internal/tstruct as public API: a hash map, a FIFO queue and a
+// sharded counter, all built on versioned boxes and usable from plain
 // transactions and transactional futures alike.
 //
 //	stm := wtftm.NewSTM()
@@ -22,8 +22,6 @@ type (
 	Queue = internal.Queue
 	// Counter is a sharded transactional counter.
 	Counter = internal.Counter
-	// Set is a transactional string set.
-	Set = internal.Set
 )
 
 // Constructors.
@@ -34,6 +32,4 @@ var (
 	NewQueue = internal.NewQueue
 	// NewCounter creates a counter with the given shard count.
 	NewCounter = internal.NewCounter
-	// NewSet creates a set with the given bucket count.
-	NewSet = internal.NewSet
 )

@@ -40,7 +40,7 @@
 //
 // Beyond the paper's API: Tx.ForkJoin provides classic parallel nesting as
 // the blocking restriction of futures, and the wtftm/tstruct package provides
-// transactional data structures (map, queue, counter, set) built on the same
+// transactional data structures (map, queue, counter) built on the same
 // versioned boxes.
 package wtftm
 
