@@ -1,7 +1,7 @@
 // Command wtfd is a sharded transactional key-value store daemon that
 // serves the WTF-TM futures engine over TCP (internal/server): every request
-// is one atomic transaction, and a MULTI batch fans its per-shard command
-// groups out as transactional futures.
+// is one atomic transaction of the engine, a MULTI batch over any shards
+// included, and no request submits a future.
 //
 // Usage:
 //
@@ -10,9 +10,10 @@
 //	     [-stats interval] [-data-dir dir] [-fsync always|group|off]
 //	     [-snapshot-every n] [-segment-bytes n] [-http addr] [-slow-ms n]
 //
-// The -ordering flag selects the future semantics MULTI batches run under:
-// wo (weakly ordered, the paper's WTF-TM) or so (strongly ordered, the JTF
-// baseline). -stats periodically prints the server/engine/substrate counter
+// The -ordering flag sets the engine's future semantics: wo (weakly ordered,
+// the paper's WTF-TM) or so (strongly ordered, the JTF baseline). No served
+// request submits a future, so the setting reaches no served transaction;
+// STATS echoes it. -stats periodically prints the server/engine/substrate counter
 // snapshot — the same document the STATS wire op returns — to stderr.
 //
 // -data-dir enables durability (DESIGN.md §11): the store keeps one

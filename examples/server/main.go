@@ -137,8 +137,8 @@ func main() {
 	}
 	fmt.Printf("%d transfers by %d tellers, %d CAS retries, %d audits — total stayed %d\n",
 		tellers*transfers, tellers, retries.Load(), audits, accounts*initBal)
-	fmt.Printf("server: %d requests, %d MULTI batches, %d future fan-outs\n",
-		stats.Server.Requests, stats.Server.MultiBatches, stats.Server.FutureFanouts)
+	fmt.Printf("server: %d requests, %d MULTI batches\n",
+		stats.Server.Requests, stats.Server.MultiBatches)
 	fmt.Printf("engine: %d commits, %d futures; stm: %d commits (%d helped, queue hwm %d)\n",
 		stats.Engine.TopCommits, stats.Engine.FuturesSubmitted,
 		stats.STM.Commits, stats.STM.HelpedCommits, stats.STM.CommitQueueHWM)

@@ -15,13 +15,14 @@ import (
 
 // AbortsParams configures the abort-attribution sweep: the §5.3 bank
 // workload (chunked transfer/getTotalAmount log replayed through a window of
-// futures per top-level transaction) run once per ordering × atomicity mode,
-// with the same attribution hooks the server's observability layer uses
-// (DESIGN.md §14) — the mvstm conflict hook naming the box that killed each
-// backward validation, and the engine counters splitting the forward
-// directions. It is not a paper figure — it demonstrates the abort counters
-// as an operator-facing answer to "which semantics mode aborts where, and
-// why" on the paper's benchmark shape.
+// futures per top-level transaction) run once per ordering × atomicity mode.
+// The mvstm conflict hook names the box that killed each backward
+// validation, as the server's wtfd_aborts_total does per shard (DESIGN.md
+// §14), and the engine counters split the forward directions. wtfd exports
+// only the backward direction, because no served transaction submits a
+// future; this sweep is where the forward ones are measured. It is not a
+// paper figure — it answers "which semantics mode aborts where, and why" on
+// the paper's benchmark shape.
 type AbortsParams struct {
 	// TopLevels is the number of concurrent top-level replayers.
 	TopLevels int

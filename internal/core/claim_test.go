@@ -64,8 +64,8 @@ func atProcs(t *testing.T, fn func(t *testing.T)) {
 // TestEvaluatorClaimedBodyOfAbortedAttempt: a body its evaluator claimed is
 // still running when a sibling aborts the attempt. The arena is not wiped
 // until that body settled and let go of it; the bodies are joined before
-// the retry the way the server's unit.wg joins them; and the retry runs in
-// a wiped arena.
+// the retry, as a caller whose bodies write into state it reuses must join
+// them; and the retry runs in a wiped arena.
 func TestEvaluatorClaimedBodyOfAbortedAttempt(t *testing.T) {
 	// One worker runs f1; no other may take f2 from its evaluator.
 	hook := newHeldWorkers(1)
@@ -85,7 +85,7 @@ func TestEvaluatorClaimedBodyOfAbortedAttempt(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- sys.Atomic(func(tx *Tx) error {
-			wg.Wait() // the previous attempt's bodies, as unit.wg
+			wg.Wait() // the previous attempt's bodies
 			attempts++
 			if attempts > 1 {
 				if tx.top.id == firstID {

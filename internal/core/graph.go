@@ -223,8 +223,8 @@ func chainRead(head *vertex, b *mvstm.VBox, self int) bool {
 //
 // Summaries come first: a visited vertex whose read summary shares no bit
 // with wsum is passed without taking its lock or touching a set, so a scan
-// in which nothing overlaps (every MULTI of disjoint per-shard futures)
-// materialises nothing. Caller holds top.mu exclusively.
+// in which nothing overlaps (futures over disjoint boxes, the
+// BenchmarkValidateWide shape) materialises nothing. Caller holds top.mu exclusively.
 func (t *topTx) forwardConflicts(start, head *vertex, wsum uint64, skip *vertex) bool {
 	if wsum == 0 {
 		return false

@@ -252,7 +252,7 @@ func (h *gateHook) TaskBegin()     {}
 func (h *gateHook) TaskEnd()       {}
 
 // TestStragglerKeepsItsArena: the body of an aborted attempt that is still
-// running (what unit.wg guards in the server) holds its arena back: the
+// running holds its arena back: the
 // retry and a hundred later transactions run elsewhere, and only when the
 // straggler has settled does the arena become reusable.
 func TestStragglerKeepsItsArena(t *testing.T) {

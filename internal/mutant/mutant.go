@@ -15,7 +15,6 @@ const (
 	UnlockBeforeLog
 	FastGetIgnoresWatermark
 	DiscardSkipsSibling
-	UnitKeepsFutures
 	ForwardSkipsFutureChains
 	MergeDropsPathWrites
 	AbsorbDropsTargetReads
@@ -43,8 +42,6 @@ var Table = []Entry{
 		"a fast GET overtakes its own session's queued write", false},
 	{DiscardSkipsSibling, "DiscardSkipsSibling", "core.(*topTx).discardSubtree", "core",
 		"discarding a chain skips a pending sibling, which can then still merge (arena rewrite)", false},
-	{UnitKeepsFutures, "UnitKeepsFutures", "server.(*Server).commit", "server",
-		"a reused executor unit keeps a MULTI's future handles, pinning their transactions", false},
 	{ForwardSkipsFutureChains, "ForwardSkipsFutureChains", "core.(*topTx).forwardConflicts", "core",
 		"forward validation skips futures hanging off the continuation (map-free validators)", false},
 	{MergeDropsPathWrites, "MergeDropsPathWrites", "core.(*topTx).mergeChain", "core",

@@ -154,6 +154,10 @@ func TestFastReadMonotonicAcrossPaths(t *testing.T) {
 		}
 	}()
 
+	// A failed check returns early; the writer must not report into a
+	// finished test.
+	defer func() { <-writerDone }()
+
 	nc, br := rawDial(t, s)
 	last := ""
 	id := uint32(1000)
@@ -167,18 +171,29 @@ func TestFastReadMonotonicAcrossPaths(t *testing.T) {
 		// key in the same shard (forced fallback): both observations feed
 		// the same monotonicity check.
 		for pass := 0; pass < 2; pass++ {
+			putID := uint32(0)
 			if pass == 1 {
 				id++
+				putID = id
 				rawSend(t, nc, &wire.Request{ID: id, Op: wire.OpPut, Cmd: wire.Put("mono.other", []byte("x"))})
 			}
 			id++
 			rawSend(t, nc, &wire.Request{ID: id, Op: wire.OpGet, Cmd: wire.Get("mono")})
-			if pass == 1 {
-				if resp := rawRecv(t, br); resp.Result.Status != wire.StatusOK {
-					t.Fatalf("filler PUT status = %v", resp.Result.Status)
+			// The GET's answer can be written before the filler PUT's (see
+			// TestFastReadReadYourWrites), so the two are told apart by ID.
+			var resp wire.Response
+			for range pass + 1 {
+				switch r := rawRecv(t, br); r.ID {
+				case putID:
+					if r.Result.Status != wire.StatusOK {
+						t.Fatalf("filler PUT status = %v", r.Result.Status)
+					}
+				case id:
+					resp = r
+				default:
+					t.Fatalf("response to unknown request %d", r.ID)
 				}
 			}
-			resp := rawRecv(t, br)
 			if resp.Result.Status == wire.StatusNotFound {
 				continue
 			}

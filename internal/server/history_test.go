@@ -18,7 +18,7 @@ import (
 
 // TestServedHistoryConformance checks the server production runs, from
 // outside: a durable server with every serving mechanism on — group commit,
-// the GET fast path, deferred acks, MULTI fan-out over futures — serves
+// the GET fast path, deferred acks, cross-shard MULTIs — serves
 // concurrent clients that record what they saw, and after Drain the
 // served-history checker (chaos.Check) takes the WAL, restricted to each
 // shard, as that shard's commit order and asks internal/fsg's polygraph for one serialization that
@@ -58,9 +58,9 @@ func servedHistoryViolations(t *testing.T, ord wtftm.Ordering) []string {
 	w.run(t)
 
 	st := fetchStats(t, s)
-	if st.Server.GroupCommits == 0 || st.Server.FastReads == 0 || st.Engine.FuturesSubmitted == 0 {
-		t.Fatalf("a mechanism never ran: group_commits=%d fast_reads=%d futures_submitted=%d",
-			st.Server.GroupCommits, st.Server.FastReads, st.Engine.FuturesSubmitted)
+	if st.Server.GroupCommits == 0 || st.Server.FastReads == 0 || st.Server.MultiBatches == 0 {
+		t.Fatalf("a mechanism never ran: group_commits=%d fast_reads=%d multi_batches=%d",
+			st.Server.GroupCommits, st.Server.FastReads, st.Server.MultiBatches)
 	}
 	s.Drain()
 	v, err := chaos.Check(w.hist.Ops(), log, false)

@@ -171,9 +171,9 @@ func newMetrics(s *Server) *metrics {
 	m.groupSize = r.Histogram("wtfd_group_commit_ops",
 		"Tasks per group-commit transaction.", nil)
 
-	// Abort attribution, keyed by mode. Backward = MV-STM read-set
-	// validation at commit, split per stale box's shard; the engine
-	// counters cover the forward directions.
+	// Abort attribution, keyed by mode. A served transaction submits no
+	// future, so the one direction that can abort it is backward: MV-STM
+	// read-set validation at commit, split per stale box's shard.
 	m.abortBackward = make([]*obs.Counter, cfg.Shards+1)
 	for sh := range m.abortBackward {
 		lbl := strconv.Itoa(sh)
@@ -185,15 +185,6 @@ func newMetrics(s *Server) *metrics {
 			obs.Labels{"mode": m.mode, "direction": "stm_backward", "shard": lbl})
 	}
 	es := s.sys.Stats()
-	r.CounterFunc("wtfd_aborts_total", "",
-		obs.Labels{"mode": m.mode, "direction": "so_continuation"},
-		func() int64 { return es.TopInternal.Load() })
-	r.CounterFunc("wtfd_aborts_total", "",
-		obs.Labels{"mode": m.mode, "direction": "future_reexec"},
-		func() int64 { return es.FutureReexecutions.Load() })
-	r.CounterFunc("wtfd_aborts_total", "",
-		obs.Labels{"mode": m.mode, "direction": "escape_reexec"},
-		func() int64 { return es.EscapeReexecutions.Load() })
 	r.CounterFunc("wtfd_top_conflicts_total",
 		"Top-level transaction conflict retries (engine view).", nil,
 		func() int64 { return es.TopConflict.Load() })
@@ -225,7 +216,6 @@ func newMetrics(s *Server) *metrics {
 	counter("wtfd_group_commits_total", "Coalesced group-commit transactions.", s.groupCommits.Load)
 	counter("wtfd_grouped_ops_total", "Ops carried by group commits.", s.groupedOps.Load)
 	counter("wtfd_multi_batches_total", "MULTI batches served.", s.multiBatches.Load)
-	counter("wtfd_future_fanouts_total", "Futures submitted by MULTI fan-outs.", s.futureFanouts.Load)
 	counter("wtfd_dedup_hits_total", "Writes answered from the exactly-once table.", s.dedupHits.Load)
 	counter("wtfd_idle_reaped_total", "Connections reaped by the idle deadline.", s.idleReaped.Load)
 	counter("wtfd_conns_opened_total", "Connections accepted.", s.connsOpened.Load)
@@ -347,12 +337,9 @@ func (m *metrics) latencySection() []wire.LatencyStats {
 }
 
 // abortSection assembles the STATS reply's abort-attribution section.
-func (m *metrics) abortSection(e wtftm.StatsSnapshot) *wire.AbortStats {
+func (m *metrics) abortSection() *wire.AbortStats {
 	a := &wire.AbortStats{
 		Mode:            m.mode,
-		SOContinuation:  e.TopInternal,
-		FutureReexecs:   e.FutureReexecutions,
-		EscapeReexecs:   e.EscapeReexecs,
 		BackwardByShard: make([]int64, len(m.abortBackward)),
 	}
 	for sh, c := range m.abortBackward {

@@ -59,7 +59,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`wtfd_stage_latency_seconds_count{op="get",stage="exec"}`,
 		`wtfd_stage_latency_seconds_count{op="multi",stage="exec"}`,
 		`wtfd_aborts_total{direction="stm_backward",mode="WO",shard="0"}`,
-		`wtfd_aborts_total{direction="so_continuation",mode="WO"}`,
+		`wtfd_aborts_total{direction="stm_backward",mode="WO",shard="other"}`,
 		`wtfd_exec_queue_depth{executor="0"}`,
 		`wtfd_exec_queue_depth{executor="1"}`,
 		"wtfd_requests_total",
@@ -68,6 +68,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// A served transaction submits no future, so no forward direction is
+	// exported.
+	for _, gone := range []string{"so_continuation", "future_reexec", "escape_reexec", "wtfd_future_fanouts_total"} {
+		if strings.Contains(body, gone) {
+			t.Errorf("/metrics exports %q", gone)
 		}
 	}
 

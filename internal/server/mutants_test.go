@@ -26,7 +26,6 @@ func TestMutantsCaught(t *testing.T) {
 	detectors := map[mutant.ID]func(*testing.T) string{
 		mutant.UnlockBeforeLog:         served,
 		mutant.FastGetIgnoresWatermark: served,
-		mutant.UnitKeepsFutures:        unitPin,
 	}
 	for _, e := range mutant.Table {
 		if e.Pkg != "server" {

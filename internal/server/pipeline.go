@@ -3,10 +3,10 @@
 //
 // A unit is what one top-level transaction commits: the single-key commands
 // an executor coalesced from its run queue — a solo request, dedup-enveloped
-// or not, is a unit of one — or one MULTI batch. Units differ only in their
-// transaction body (sequential applies vs per-shard futures plus the
-// all-or-nothing CAS rule); the sequence around the body is the same for
-// all of them, durable or not:
+// or not, is a unit of one — or one MULTI batch. Both apply their commands
+// in unit order inside one System.Atomic and submit no future; a MULTI adds
+// only the all-or-nothing CAS rule. The sequence around the body is the same
+// for all of them, durable or not:
 //
 //	plan     route every command to its shard; the candidate write shards
 //	         are the shards of the commands that may write
@@ -45,7 +45,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"wtftm"
@@ -70,39 +69,15 @@ type unit struct {
 	cmdShard []int         // each command's shard, found once by the plan
 	res      []wire.Result // one result slot per command
 
-	groups [][]int // per shard: indices into cmds, unit order preserved
-	order  []int   // shards the unit touches, first-touch order
+	groups [][]int // per candidate write shard: its commands that may write, in order
 	shards []int   // candidate write shards, ascending (the lock order)
 	logged bool    // the unit appended a WAL record
 	batch  []byte  // one shard's batch encode buffer
 	rec    []byte  // WAL record encode buffer: the unit's per-shard parts
-
-	// MULTI fan-out: one future body per shard, bound once (it applies
-	// whatever groups[shard] holds when it runs); the future handles; and a
-	// count of submitted future bodies so the slots above are never reused
-	// (by a retry attempt or by the next unit) while a straggler from an
-	// aborted attempt may still touch them.
-	bodies []func(*wtftm.Tx) (any, error)
-	futs   []*wtftm.Future
-	wg     sync.WaitGroup
 }
 
 func newUnit(s *Server) *unit {
-	u := &unit{
-		srv:    s,
-		groups: make([][]int, s.cfg.Shards),
-		bodies: make([]func(*wtftm.Tx) (any, error), s.cfg.Shards),
-	}
-	for sh := range u.bodies {
-		u.bodies[sh] = func(ftx *wtftm.Tx) (any, error) {
-			defer u.wg.Done()
-			for _, i := range u.groups[sh] {
-				u.res[i] = s.store.apply(ftx, sh, u.cmds[i])
-			}
-			return nil, nil
-		}
-	}
-	return u
+	return &unit{srv: s, groups: make([][]int, s.cfg.Shards)}
 }
 
 // release drops the unit's references into the requests and the result
@@ -127,33 +102,14 @@ func (u *unit) applySeq(tx *wtftm.Tx) error {
 	return nil
 }
 
-// applyMulti is the body of a MULTI: the per-shard command groups fan out
-// as transactional futures, then the all-or-nothing CAS rule decides the
-// batch. The continuation (which submits the futures and evaluates them in
-// submission order) touches no boxes itself, so under WO the futures
-// overwhelmingly serialize at their submission points; under SO each future
-// additionally waits for its predecessor to settle — the straggler
-// behaviour the server experiment measures.
+// applyMulti is the body of a MULTI: the batch applies in unit order, as
+// applySeq does, and then the all-or-nothing CAS rule decides it. The batch
+// may span every shard, but it is one transaction that submits no future:
+// each command is one to a few map operations, far less work than a future
+// costs, and a body that runs its commands one after another leaves the
+// engine no validation to do between them.
 func (u *unit) applyMulti(tx *wtftm.Tx) error {
-	// An aborted attempt's future goroutines may still be finishing their
-	// last store.apply when the retry starts; join them before reusing the
-	// result slots they write into.
-	u.wg.Wait()
-	if len(u.order) <= 1 {
-		u.applySeq(tx) // one shard: nothing to run in parallel
-	} else {
-		u.srv.futureFanouts.Add(int64(len(u.order)))
-		u.futs = u.futs[:0]
-		for _, sh := range u.order {
-			u.wg.Add(1)
-			u.futs = append(u.futs, tx.Submit(u.bodies[sh]))
-		}
-		for _, f := range u.futs {
-			if _, err := tx.Evaluate(f); err != nil {
-				return err
-			}
-		}
-	}
+	u.applySeq(tx)
 	for i := range u.res {
 		if u.res[i].Status == wire.StatusCASMismatch {
 			// Abort the whole batch: no write of this attempt commits. The
@@ -200,10 +156,10 @@ func (s *Server) commit(u *unit, body func(*wtftm.Tx) error) (err, durErr error)
 	} else {
 		u.res = u.res[:n] // zeroed by release
 	}
-	for _, sh := range u.order {
+	for _, sh := range u.shards {
 		u.groups[sh] = u.groups[sh][:0]
 	}
-	u.order, u.shards, u.cmdShard = u.order[:0], u.shards[:0], u.cmdShard[:0]
+	u.shards, u.cmdShard = u.shards[:0], u.cmdShard[:0]
 	// d is nil on a memory-only server. This is the pipeline's only check
 	// of it: without a log no shard becomes a candidate, and every later
 	// stage walks the candidate list.
@@ -211,12 +167,9 @@ func (s *Server) commit(u *unit, body func(*wtftm.Tx) error) (err, durErr error)
 	for i, c := range u.cmds {
 		sh := s.store.shardOf(c.Key)
 		u.cmdShard = append(u.cmdShard, sh)
-		if len(u.groups[sh]) == 0 {
-			u.order = append(u.order, sh)
-		}
-		u.groups[sh] = append(u.groups[sh], i)
 		if d != nil && canWrite(c.Op) {
 			u.shards = insertShard(u.shards, sh)
+			u.groups[sh] = append(u.groups[sh], i)
 		}
 	}
 
@@ -224,14 +177,6 @@ func (s *Server) commit(u *unit, body func(*wtftm.Tx) error) (err, durErr error)
 		d.mgr.Lock(sh)
 	}
 	err = s.sys.Atomic(body)
-	// Join stragglers of a finally-aborted attempt before anyone reads the
-	// result slots or recycles the requests their bodies read, and drop the
-	// future handles: each one pins its whole transaction (write sets, the
-	// versions it read) for as long as the unit keeps it.
-	u.wg.Wait()
-	if mutant.Active != mutant.UnitKeepsFutures {
-		clear(u.futs)
-	}
 	if mutant.Active == mutant.UnlockBeforeLog {
 		// A unit writing several shards (a MULTI) holds the gap open, so a
 		// commit another executor makes on one of them meanwhile logs first.

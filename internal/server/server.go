@@ -1,14 +1,12 @@
 // Package server implements wtfd, a sharded transactional key-value store
 // daemon that serves the WTF-TM futures engine over TCP.
 //
-// Every request executes as one top-level transaction (System.Atomic) and a
-// MULTI request — a batch of GET/PUT/DEL/CAS commands — fans its per-shard
-// command groups out as transactional futures inside that transaction: the
-// paper's motivating shape, where a request's independent key lookups run in
-// parallel yet commit atomically. The server's -ordering knob selects WO or
-// SO future semantics per instance, turning the paper's semantics axis into
-// an operator-visible performance knob (benchmark/'s multi-hot workload
-// measures MULTI serving under WO).
+// Every request executes as one top-level transaction of the engine
+// (System.Atomic), and a MULTI request — a batch of GET/PUT/DEL/CAS commands
+// over any shards — applies its commands in order inside that one
+// transaction and commits all or nothing. No served request submits a
+// future: a MULTI's per-shard work is a few map operations, far less than a
+// future costs, so wtfd serves the engine for its top-level transactions.
 //
 // Concurrency model: one read loop and one write loop per connection, plus a
 // fixed set of shard-affine executors (DESIGN.md §10). Each executor owns a
@@ -25,10 +23,10 @@
 //
 // Everything an executor dequeues commits through one write pipeline
 // (pipeline.go): consecutive single-key commands coalesce into one unit, a
-// solo request is a unit of one, a MULTI is a unit whose transaction body
-// fans out futures, and a memory-only server is the same sequence with no
-// log. The only request that does not take it is a single-key GET the read
-// loop can serve itself (fastread.go).
+// solo request is a unit of one, a MULTI is a unit whose body adds the
+// all-or-nothing CAS rule, and a memory-only server is the same sequence
+// with no log. The only request that does not take it is a single-key GET
+// the read loop can serve itself (fastread.go).
 //
 // The request lifecycle is allocation-free in steady state: frame buffers,
 // wire.Request and wire.Response objects are pooled (size-capped), decoding
@@ -58,11 +56,11 @@ import (
 
 // Config configures a Server.
 type Config struct {
-	// Ordering selects the futures semantics MULTI fan-outs run under
-	// (default WO; SO gives the JTF baseline's strongly ordered serving).
+	// Ordering is the engine's futures semantics (default WO). No served
+	// request submits a future, so the setting reaches no served
+	// transaction; STATS and /metrics echo it.
 	Ordering wtftm.Ordering
-	// Shards is the number of store partitions (and the MULTI fan-out
-	// width); default 16.
+	// Shards is the number of store partitions; default 16.
 	Shards int
 	// Buckets is the per-shard hash-map bucket count; default 64.
 	Buckets int
@@ -191,21 +189,20 @@ type Server struct {
 
 	dedup dedupTable // exactly-once table for retried writes
 
-	connsOpened   atomic.Int64
-	connsActive   atomic.Int64
-	requests      atomic.Int64
-	keysServed    atomic.Int64
-	multiBatches  atomic.Int64
-	futureFanouts atomic.Int64
-	badFrames     atomic.Int64
-	groupCommits  atomic.Int64
-	groupedOps    atomic.Int64
-	writerQHWM    atomic.Int64
-	execQHWM      atomic.Int64
-	inflight      atomic.Int64
-	shed          atomic.Int64
-	dedupHits     atomic.Int64
-	idleReaped    atomic.Int64
+	connsOpened  atomic.Int64
+	connsActive  atomic.Int64
+	requests     atomic.Int64
+	keysServed   atomic.Int64
+	multiBatches atomic.Int64
+	badFrames    atomic.Int64
+	groupCommits atomic.Int64
+	groupedOps   atomic.Int64
+	writerQHWM   atomic.Int64
+	execQHWM     atomic.Int64
+	inflight     atomic.Int64
+	shed         atomic.Int64
+	dedupHits    atomic.Int64
+	idleReaped   atomic.Int64
 
 	// fastOK gates the GET fast path (fastread.go); it is off only for a
 	// server built with an execHook.
@@ -711,7 +708,7 @@ func (s *Server) statsReply() wire.StatsReply {
 	return wire.StatsReply{
 		WAL:     walSec,
 		Latency: s.m.latencySection(),
-		Aborts:  s.m.abortSection(e),
+		Aborts:  s.m.abortSection(),
 		Server: wire.ServerStats{
 			Ordering:          s.sys.Options().Ordering.String(),
 			Shards:            s.cfg.Shards,
@@ -725,7 +722,6 @@ func (s *Server) statsReply() wire.StatsReply {
 			Requests:          s.requests.Load(),
 			KeysServed:        s.keysServed.Load(),
 			MultiBatches:      s.multiBatches.Load(),
-			FutureFanouts:     s.futureFanouts.Load(),
 			BadFrames:         s.badFrames.Load(),
 			MaxInFlight:       s.cfg.MaxInFlight,
 			InFlight:          s.inflight.Load(),

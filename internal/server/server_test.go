@@ -127,6 +127,10 @@ func TestBasicOps(t *testing.T) {
 	}
 }
 
+// TestMultiFanOut: a MULTI whose commands fan out over several shards is
+// one inline transaction under either ordering. It returns every value,
+// submits no future and wakes no worker, and later commands of the batch see
+// the effects of earlier ones in unit order.
 func TestMultiFanOut(t *testing.T) {
 	leakCheck(t)
 	for _, ord := range []wtftm.Ordering{wtftm.WO, wtftm.SO} {
@@ -134,9 +138,16 @@ func TestMultiFanOut(t *testing.T) {
 			s := startServer(t, Config{Shards: 8, Ordering: ord})
 			cl := newClient(t, s, 1)
 
-			var puts []wire.Cmd
+			var puts, gets []wire.Cmd
+			shards := map[int]bool{}
 			for i := 0; i < 32; i++ {
-				puts = append(puts, wire.Put(fmt.Sprintf("key-%d", i), []byte(strconv.Itoa(i))))
+				k := fmt.Sprintf("key-%d", i)
+				puts = append(puts, wire.Put(k, []byte(strconv.Itoa(i))))
+				gets = append(gets, wire.Get(k))
+				shards[s.store.shardOf(k)] = true
+			}
+			if len(shards) < 3 {
+				t.Fatalf("the batch spans %d shards, want at least 3", len(shards))
 			}
 			results, applied, err := cl.Multi(puts)
 			if err != nil || !applied {
@@ -144,11 +155,6 @@ func TestMultiFanOut(t *testing.T) {
 			}
 			if len(results) != len(puts) {
 				t.Fatalf("got %d results, want %d", len(results), len(puts))
-			}
-
-			var gets []wire.Cmd
-			for i := 0; i < 32; i++ {
-				gets = append(gets, wire.Get(fmt.Sprintf("key-%d", i)))
 			}
 			results, applied, err = cl.Multi(gets)
 			if err != nil || !applied {
@@ -160,14 +166,27 @@ func TestMultiFanOut(t *testing.T) {
 				}
 			}
 
-			// The 32-key batches span several of the 8 shards, so they must
-			// have fanned out as transactional futures.
+			// Unit order inside one batch: the CAS sees the PUT before it,
+			// and the GET sees the CAS.
+			results, applied, err = cl.Multi([]wire.Cmd{
+				wire.Put("ordered", []byte("a")),
+				wire.CAS("ordered", []byte("a"), []byte("b")),
+				wire.Get("ordered"),
+			})
+			if err != nil || !applied {
+				t.Fatalf("Multi(put, cas, get) applied=%v err=%v %+v", applied, err, results)
+			}
+			if r := results[2]; r.Status != wire.StatusOK || string(r.Val) != "b" {
+				t.Fatalf("GET after PUT a, CAS a→b in one batch = %+v, want b", r)
+			}
+
 			st, err := cl.Stats()
 			if err != nil {
 				t.Fatalf("Stats: %v", err)
 			}
-			if st.Engine.FuturesSubmitted == 0 {
-				t.Fatalf("no futures submitted by MULTI batches: %+v", st.Engine)
+			if st.Engine.FuturesSubmitted != 0 || st.Engine.WorkerWakes != 0 {
+				t.Fatalf("MULTI batches submitted %d futures and woke %d workers, want none",
+					st.Engine.FuturesSubmitted, st.Engine.WorkerWakes)
 			}
 			if st.Server.Ordering != ord.String() {
 				t.Fatalf("stats ordering = %q, want %q", st.Server.Ordering, ord)

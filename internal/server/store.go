@@ -73,9 +73,7 @@ func (st *store) getFastBytes(sh int, key []byte) (val string, found bool, retri
 }
 
 // apply executes one command against shard sh — the shard of c.Key, which
-// the pipeline's plan already found — through rw (a plain MV-STM transaction
-// or a futures-engine Tx — both work, which is what lets single ops run
-// inline and MULTI groups run inside future bodies).
+// the pipeline's plan already found — inside rw, the unit's transaction.
 //
 // CAS never writes on a mismatch, so a mismatched command contributes no
 // write to its transaction: the all-or-nothing MULTI rule only needs the

@@ -979,11 +979,11 @@ type LatencyStats struct {
 	Hist []byte `json:"hist,omitempty"`
 }
 
-// AbortStats attributes transaction aborts per validation direction, keyed
-// by the server's ordering — the paper's WO/SO cost question as a stats
-// section.
+// AbortStats attributes the server's transaction aborts. A served
+// transaction submits no future, so the one validation direction that can
+// abort it is backward, at top-level commit.
 type AbortStats struct {
-	// Mode is the server's ordering, "WO" or "SO".
+	// Mode echoes the server's configured ordering, "WO" or "SO".
 	Mode string `json:"mode"`
 	// Backward counts MV-STM read-set validation failures at top-level
 	// commit (a concurrent first committer won); BackwardByShard splits
@@ -991,14 +991,6 @@ type AbortStats struct {
 	// aggregates boxes outside the keyspace).
 	Backward        int64   `json:"backward"`
 	BackwardByShard []int64 `json:"backward_by_shard,omitempty"`
-	// SOContinuation counts continuations killed by forward validation
-	// under strong ordering (futures won the prefix race).
-	SOContinuation int64 `json:"so_continuation"`
-	// FutureReexecs counts futures re-executed because their snapshot went
-	// stale before merge; EscapeReexecs the same for escaped futures under
-	// GAC.
-	FutureReexecs int64 `json:"future_reexecs"`
-	EscapeReexecs int64 `json:"escape_reexecs"`
 }
 
 // ServerStats are wtfd's own counters and configuration echo.
@@ -1014,15 +1006,14 @@ type ServerStats struct {
 	ExecQueueHWM int64 `json:"exec_queue_hwm"`
 	// GroupCommits counts coalesced transactions (≥ 2 single-key ops each);
 	// GroupedOps counts the ops they carried.
-	GroupCommits  int64 `json:"group_commits"`
-	GroupedOps    int64 `json:"grouped_ops"`
-	ConnsOpened   int64 `json:"conns_opened"`
-	ConnsActive   int64 `json:"conns_active"`
-	Requests      int64 `json:"requests"`
-	KeysServed    int64 `json:"keys_served"`
-	MultiBatches  int64 `json:"multi_batches"`
-	FutureFanouts int64 `json:"future_fanouts"`
-	BadFrames     int64 `json:"bad_frames"`
+	GroupCommits int64 `json:"group_commits"`
+	GroupedOps   int64 `json:"grouped_ops"`
+	ConnsOpened  int64 `json:"conns_opened"`
+	ConnsActive  int64 `json:"conns_active"`
+	Requests     int64 `json:"requests"`
+	KeysServed   int64 `json:"keys_served"`
+	MultiBatches int64 `json:"multi_batches"`
+	BadFrames    int64 `json:"bad_frames"`
 	// MaxInFlight echoes the overload-shedding admission bound (0 =
 	// unlimited); InFlight is the current admitted-but-unanswered request
 	// count and Shed counts requests refused with StatusBusy.

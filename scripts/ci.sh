@@ -141,6 +141,12 @@ echo "== tier-1.5: overload shedding at GOMAXPROCS 1 (20 runs) =="
 # the workers, which on one CPU it mostly does not; repeat it there.
 go test -run TestShedAndRetryUnderResets -cpu 1 -count 20 ./internal/chaos/
 
+echo "== tier-1.5: fast/fallback read monotonicity at GOMAXPROCS 4 under race (50 runs) =="
+# A fast GET's answer can be written before that of a write queued ahead of
+# it on the same connection; the test matches responses by ID, and repeating
+# it on 4 Ps keeps that ordering exercised.
+go test -race -cpu 4 -count 50 -run TestFastReadMonotonicAcrossPaths ./internal/server/
+
 echo "== tier-1.5: wtfconform smoke (fixed seeds, clean engine: expect 0 violations) =="
 go run ./cmd/wtfconform -mode dfs -seed 1 -seeds 8 -budget 300
 
@@ -188,8 +194,8 @@ echo "== tier-1.5: engine allocation guards (per future <= 4, single write <= 6,
 # registries, validation and merge scratch) comes from the recycled arena,
 # and the evaluating flow runs a body nobody started instead of blocking on
 # a channel for it, so a count above the floor means graph state or a
-# hand-off went back to the heap. width=8 is the MULTI shape; the single
-# write is a served PUT (all five are the substrate's commit and the body's
+# hand-off went back to the heap. width=8 is 8 futures over disjoint boxes;
+# the single write is a served PUT (all five are the substrate's commit and the body's
 # boxed value — the engine adds none).
 check_allocs ./internal/bench/ BenchmarkValidateWide/width=8 4
 check_allocs ./internal/bench/ BenchmarkSubmitEvaluate/depth=8 4
@@ -247,9 +253,9 @@ go test -race -count=1 -run 'TestFastRead' ./internal/server/
 go test -race -count=1 -run 'TestChaosFastReadConformance' ./internal/chaos/
 
 echo "== tier-1.5: served-history check under race (the one configuration wtfd runs) =="
-# A durable server with group commit, fast reads, deferred acks and MULTI
-# fan-out all on, judged from outside: client histories against the WAL,
-# through the FSG polygraph, under WO and SO.
+# A durable server with group commit, fast reads, deferred acks and
+# cross-shard MULTIs all on, judged from outside: client histories against
+# the WAL, through the FSG polygraph, under WO and SO.
 go test -race -count=1 -run TestServedHistoryConformance ./internal/server/
 
 echo "== tier-1.5: mutation ledger (internal/mutant: every broken build reported, clean suites pass) =="
