@@ -7,30 +7,32 @@
 //
 //	wtfd [-listen addr] [-shards n] [-buckets n] [-executors n]
 //	     [-idle-timeout d] [-max-inflight n] [-ordering wo|so]
-//	     [-stats interval] [-data-dir dir] [-fsync always|group|off]
-//	     [-snapshot-every n] [-segment-bytes n] [-http addr] [-slow-ms n]
+//	     [-data-dir dir] [-fsync always|group|off] [-snapshot-every n]
+//	     [-segment-bytes n] [-http addr] [-slow-ms n]
 //
 // The -ordering flag sets the engine's future semantics: wo (weakly ordered,
 // the paper's WTF-TM) or so (strongly ordered, the JTF baseline). No served
 // request submits a future, so the setting reaches no served transaction;
-// STATS echoes it. -stats periodically prints the server/engine/substrate counter
-// snapshot — the same document the STATS wire op returns — to stderr.
+// STATS echoes it.
 //
 // -data-dir enables durability (DESIGN.md §11): the store keeps one
 // write-ahead log (dir/wal, one record per commit unit, so a cross-shard
 // MULTI is durable whole or not at all) and each shard keeps rolling
 // snapshots (dir/shard-NNN); boot recovers the store from them, and writes
 // are acknowledged only once they satisfy the -fsync policy — group
-// (default) runs one fsync of the log per ack cycle (the ack daemon holds
-// it open 1 ms for more commits to join), always fsyncs every append, off
-// defers syncing to segment rotation and shutdown (a power cut may lose the
-// unsynced tail, a graceful shutdown loses nothing). A directory written
-// with one log per shard (shard-NNN/wal-*.seg) is refused. -snapshot-every
-// checkpoints a shard after that many log records carrying its writes
-// (0 = default 65536, negative = never); -segment-bytes sets the log
-// rotation threshold. The durability flags (-fsync, -snapshot-every,
-// -segment-bytes) are rejected without -data-dir: silently ignoring them
-// would let an operator believe a memory-only daemon was fsyncing.
+// (default) runs one fsync of the log per ack cycle, in the ack daemon,
+// which holds the cycle open up to 1 ms for more commits to join while
+// other requests are in flight, and sends every answer that reports a
+// logged write, a MULTI's and an exactly-once resend's included, once that
+// fsync is done; always fsyncs every append; off defers syncing to segment
+// rotation and shutdown (a power cut may lose the unsynced tail, a graceful
+// shutdown loses nothing). A directory written with one log per shard
+// (shard-NNN/wal-*.seg) is refused. -snapshot-every checkpoints a shard
+// after that many log records carrying its writes (0 = default 65536,
+// negative = never); -segment-bytes sets the log rotation threshold. The
+// durability flags (-fsync, -snapshot-every, -segment-bytes) are rejected
+// without -data-dir: silently ignoring them would let an operator believe a
+// memory-only daemon was fsyncing.
 //
 // Single-key GETs are served lock-free from the connection read loop — no
 // executor hop, no transaction — with a per-connection watermark preserving
@@ -49,7 +51,8 @@
 // of queueing (default 4096, negative = unbounded).
 //
 // -http serves the observability endpoints on the given address:
-// Prometheus-text /metrics, JSON /debug/wtfd/stats, the slow-request flight
+// Prometheus-text /metrics, JSON /debug/wtfd/stats (the document the STATS
+// wire op returns, WAL section included), the slow-request flight
 // recorder at /debug/wtfd/slow, and net/http/pprof under /debug/pprof/. The
 // listener is opened synchronously — a busy port is a startup error, not a
 // background log line. -slow-ms sets the flight recorder's slow-request
@@ -61,7 +64,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -70,7 +72,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"wtftm"
 	"wtftm/internal/server"
@@ -80,7 +81,6 @@ import (
 // runOpts is everything parseArgs produces that is not server configuration.
 type runOpts struct {
 	listen    string
-	stats     time.Duration
 	httpAddr  string // observability endpoints + pprof (-http)
 	ordering  string // echoed in the banner
 	fsyncName string
@@ -93,13 +93,12 @@ type runOpts struct {
 func parseArgs(fs *flag.FlagSet, args []string) (server.Config, runOpts, error) {
 	var (
 		listen      = fs.String("listen", "127.0.0.1:7070", "TCP listen address")
-		shards      = fs.Int("shards", 16, "store shard count (MULTI fan-out width)")
+		shards      = fs.Int("shards", 16, "store shard count (the commit-lock and snapshot unit)")
 		buckets     = fs.Int("buckets", 64, "hash buckets per shard")
 		executors   = fs.Int("executors", 0, "shard-affine executor count (0 = GOMAXPROCS, capped at shards)")
 		idleTimeout = fs.Duration("idle-timeout", 0, "reap connections silent this long (0 = default 2m, negative = never)")
 		maxInFlight = fs.Int("max-inflight", 0, "shed store requests with BUSY beyond this many in flight (0 = default 4096, negative = unbounded)")
 		ordering    = fs.String("ordering", "wo", "futures ordering semantics: wo|so")
-		stats       = fs.Duration("stats", 0, "print counter snapshots at this interval (0 = off)")
 		dataDir     = fs.String("data-dir", "", "durability directory: one WAL + per-shard snapshots, recovered on boot (empty = memory-only)")
 		fsync       = fs.String("fsync", "group", "when to fsync the WAL before acking writes: always|group|off")
 		snapEvery   = fs.Int64("snapshot-every", 0, "checkpoint a shard after this many WAL records (0 = default 65536, negative = never)")
@@ -122,9 +121,6 @@ func parseArgs(fs *flag.FlagSet, args []string) (server.Config, runOpts, error) 
 	}
 	if *executors < 0 {
 		return server.Config{}, runOpts{}, fmt.Errorf("-executors must be >= 0 (got %d)", *executors)
-	}
-	if *stats < 0 {
-		return server.Config{}, runOpts{}, fmt.Errorf("-stats must be >= 0 (got %v)", *stats)
 	}
 
 	// Durability flags without -data-dir describe a WAL that does not
@@ -169,7 +165,6 @@ func parseArgs(fs *flag.FlagSet, args []string) (server.Config, runOpts, error) 
 
 	opts := runOpts{
 		listen:    *listen,
-		stats:     *stats,
 		httpAddr:  *httpAddr,
 		ordering:  *ordering,
 		fsyncName: pol.String(),
@@ -223,14 +218,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "wtfd: serving on %s (shards=%d ordering=%s %s)\n",
 		s.Addr(), cfg.Shards, opts.ordering, durable)
 
-	if opts.stats > 0 {
-		go func() {
-			for range time.Tick(opts.stats) {
-				printStats(s)
-			}
-		}()
-	}
-
 	// SIGQUIT dumps the slow-request flight recorder without stopping the
 	// daemon — the "why was that request slow" question answered in the field.
 	sigq := make(chan os.Signal, 1)
@@ -249,17 +236,5 @@ func main() {
 	<-sig
 	fmt.Fprintln(os.Stderr, "wtfd: draining...")
 	s.Drain()
-	printStats(s)
 	fmt.Fprintln(os.Stderr, "wtfd: bye")
-}
-
-// printStats dumps the engine and substrate counters through the wtftm
-// facade snapshots — the process-local view of what the STATS op serves.
-func printStats(s *server.Server) {
-	var (
-		engine wtftm.StatsSnapshot    = s.System().Stats().Snapshot()
-		stm    wtftm.STMStatsSnapshot = s.STM().Stats().Snapshot()
-	)
-	out, _ := json.Marshal(map[string]any{"engine": engine, "stm": stm})
-	fmt.Fprintf(os.Stderr, "wtfd: stats %s\n", out)
 }

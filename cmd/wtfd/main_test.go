@@ -83,6 +83,7 @@ func TestParseArgs(t *testing.T) {
 		{name: "retired -flush-window", args: []string{"-flush-window", "50us"}, wantErr: "flag provided but not defined"},
 		{name: "retired -writer-queue", args: []string{"-writer-queue", "128"}, wantErr: "flag provided but not defined"},
 		{name: "retired -commit-delay", args: []string{"-data-dir", "d", "-commit-delay", "2ms"}, wantErr: "flag provided but not defined"},
+		{name: "retired -stats", args: []string{"-stats", "5s"}, wantErr: "flag provided but not defined"},
 		// wtfd has one configuration: the fast-read opt-out and the
 		// atomicity setting are retired as well.
 		{name: "fast reads opt-out", args: []string{"-fast-reads=false"}, wantErr: "flag provided but not defined"},
@@ -102,7 +103,6 @@ func TestParseArgs(t *testing.T) {
 		{name: "negative shards", args: []string{"-shards", "-4"}, wantErr: "-shards"},
 		{name: "zero buckets", args: []string{"-buckets", "0"}, wantErr: "-buckets"},
 		{name: "negative executors", args: []string{"-executors", "-1"}, wantErr: "-executors"},
-		{name: "negative stats", args: []string{"-stats", "-5s"}, wantErr: "-stats"},
 		{name: "unknown flag", args: []string{"-bogus"}, wantErr: "bogus"},
 		{name: "positional argument", args: []string{"extra"}, wantErr: "unexpected argument"},
 		{name: "fsync without data-dir", args: []string{"-fsync", "always"}, wantErr: "require -data-dir"},
@@ -143,10 +143,10 @@ type parsed struct {
 // which is where it has to be argued: an option earns its place when two
 // deployments or benchmark workloads need different values.
 func TestFlagSurface(t *testing.T) {
-	want := []string{ // 14
+	want := []string{ // 13
 		"buckets", "data-dir", "executors", "fsync", "http", "idle-timeout",
 		"listen", "max-inflight", "ordering", "segment-bytes", "shards",
-		"slow-ms", "snapshot-every", "stats",
+		"slow-ms", "snapshot-every",
 	}
 	fs := flag.NewFlagSet("wtfd", flag.ContinueOnError)
 	if _, _, err := parseArgs(fs, nil); err != nil {

@@ -28,7 +28,8 @@ import (
 
 const (
 	// workerIdleMax bounds the parked workers; one past it exits instead of
-	// parking. Twice the widest served fan-out per executor pair.
+	// parking. It caps only what a quiet System holds: a burst of more
+	// concurrent bodies still gets its workers, started fresh.
 	workerIdleMax = 32
 	// workerIdleTick is how long the set may sit unused before it is let
 	// go, so a System that went quiet (or was dropped) holds no goroutines.

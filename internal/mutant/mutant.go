@@ -19,6 +19,7 @@ const (
 	MergeDropsPathWrites
 	AbsorbDropsTargetReads
 	MergeNotesNoHiddenRead
+	ReplayBeforeBarrier
 )
 
 // Entry is one mutant: Pkg's TestMutantsCaught/<Name> must report it. Sweep
@@ -50,4 +51,6 @@ var Table = []Entry{
 		"a merge that takes over the chain's larger read set loses the target's own reads", false},
 	{MergeNotesNoHiddenRead, "MergeNotesNoHiddenRead", "core.(*topTx).mergeChain", "core",
 		"a merge into a main-flow vertex notes no snapshot read, not even one the fold hides from commit", false},
+	{ReplayBeforeBarrier, "ReplayBeforeBarrier", "server.acksAfterBarrier", "server",
+		"the executor acks an exactly-once replay before any barrier covers the original's record", false},
 }

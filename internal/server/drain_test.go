@@ -115,8 +115,8 @@ func TestDrain(t *testing.T) {
 	// The write committed before shutdown: visible on a fresh server sharing
 	// nothing is impossible here, so just assert post-conditions on state we
 	// can reach — the engine counted the commit.
-	if s.System().Stats().Snapshot().TopCommits < 2 {
-		t.Fatalf("engine commits = %d, want >= 2", s.System().Stats().Snapshot().TopCommits)
+	if s.sys.Stats().Snapshot().TopCommits < 2 {
+		t.Fatalf("engine commits = %d, want >= 2", s.sys.Stats().Snapshot().TopCommits)
 	}
 
 	// Further client calls fail (connection was closed by drain) and new

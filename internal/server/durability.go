@@ -7,10 +7,10 @@
 // order equals the STM's commit order per shard. The second half belongs to
 // the write pipeline (pipeline.go), which is the only code that takes the
 // per-shard commit locks and the only code that appends; this file owns the
-// first half — sync is the one fsync barrier, run by an executor for the
-// units that must settle on it and by the ack daemon for everything else —
-// plus what surrounds serving: opening the data directory, replaying it,
-// feeding checkpoints and reporting WAL statistics.
+// first half — acksAfterBarrier is the ack rule's predicate, and sync, the
+// one fsync barrier, runs only in the ack daemon — plus what surrounds
+// serving: opening the data directory, replaying it, feeding checkpoints
+// and reporting WAL statistics.
 package server
 
 import (
@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"wtftm"
+	"wtftm/internal/mutant"
 	"wtftm/internal/obs"
 	"wtftm/internal/persist"
 	"wtftm/internal/tstruct"
@@ -30,19 +31,17 @@ import (
 // memory-only server.
 //
 // Under SyncGroup the fsync barrier is asynchronous: an executor that
-// commits a unit appends its records, acks the unit's reads immediately
-// (they depend on the commit, not the disk) and hands the write responses
-// to the ack daemon instead of fsyncing inline — it never blocks on the
-// disk, so reads queued behind a write unit are not stalled for its
-// barrier (the exceptions are stated with the ack rule in run). The single
-// ack daemon drains everything enqueued, fsyncs the store's one log once,
-// releases all the acks at once, and immediately starts over on whatever
-// arrived meanwhile. The batch per fsync therefore grows with load — the
-// classic group-commit self-clock: while one fsync is in flight the next
-// batch accumulates — and one global daemon over one log keeps the arrival
-// stream undivided, so a cycle costs one fsync however many shards its
-// units wrote. No client is ever acked before its record is durable,
-// exactly as if the barrier were inline.
+// commits a unit appends its record, acks what needs no barrier at once
+// and hands the rest to the ack daemon instead of fsyncing itself — it
+// never blocks on the disk, so work queued behind a write unit is not
+// stalled for its barrier. The single ack daemon drains everything
+// enqueued, fsyncs the store's one log once, releases all the acks at once,
+// and immediately starts over on whatever arrived meanwhile. The batch per
+// fsync therefore grows with load — the classic group-commit self-clock:
+// while one fsync is in flight the next batch accumulates — and one global
+// daemon over one log keeps the arrival stream undivided, so a cycle costs
+// one fsync however many shards its units wrote. No client is ever acked
+// before its record is durable, exactly as if the barrier were inline.
 type durability struct {
 	mgr    *persist.Manager
 	policy wal.SyncPolicy
@@ -57,8 +56,8 @@ type durability struct {
 	ackPool sync.Pool // *ackBatch
 }
 
-// ackBatch is one committed unit's deferred write responses, which may go
-// out once the log is durable past the unit's record.
+// ackBatch is one unit's deferred responses, which may go out once the log
+// is durable past everything appended before the unit handed them over.
 type ackBatch struct {
 	tasks []task
 	// The unit's stage class and its exec span, so the daemon can account
@@ -68,30 +67,44 @@ type ackBatch struct {
 	start, execEnd int64
 }
 
-// deferAcks hands a committed, appended unit's effective-write responses to
-// the ack daemon and sends everything else (reads, writes that logged
-// nothing — a mismatched CAS, a missed delete) immediately.
-func (d *durability) deferAcks(tasks []task, opc int, start, execEnd int64) {
-	b := d.ackPool.Get().(*ackBatch)
-	for i := range tasks {
-		t := &tasks[i]
-		if effectiveWrite(&t.req.Cmd, t.resp.Result) {
-			b.tasks = append(b.tasks, *t)
-		} else {
-			d.srv.finish(t, start, execEnd, 0, execEnd)
+// acksAfterBarrier is the ack rule's one predicate: a settled response
+// waits for the barrier if it reports a write its unit logged (a PUT, a
+// matched CAS, a DEL that removed a key, an OK MULTI holding any of those),
+// or if it replays a stored outcome, which was stored at commit, before
+// the original's barrier. Reads depend on the commit, not the disk.
+func acksAfterBarrier(t *task, replayed bool) bool {
+	switch {
+	case replayed:
+		return mutant.Active != mutant.ReplayBeforeBarrier
+	case t.req.Op != wire.OpMulti:
+		return effectiveWrite(&t.req.Cmd, t.resp.Result)
+	case t.resp.Result.Status == wire.StatusOK:
+		for i := range t.req.Batch {
+			if effectiveWrite(&t.req.Batch[i], t.resp.Batch[i]) {
+				return true
+			}
 		}
 	}
-	b.opc, b.start, b.execEnd = opc, start, execEnd
-	d.ackCh <- b
+	return false
 }
 
 // commitDelay is how long the ack daemon waits after the first deferred
-// write ack for more commits to share its fsync cycle. The window is pure
-// added write latency traded for fsync amortization: on the ack path an
-// fsync costs real CPU, so at high write rates the window is what keeps the
-// disk barrier from eating the machine. Reads and the executors never wait
-// on it.
+// ack for more commits to share its fsync cycle, unless nothing can join it
+// (nothingCanJoin). The window is pure added write latency traded for fsync
+// amortization: on the ack path an fsync costs real CPU, so at high write
+// rates the window is what keeps the disk barrier from eating the machine.
+// Reads and the executors never wait on it.
 const commitDelay = time.Millisecond
+
+// nothingCanJoin reports that a cycle holding n acks gains nothing by
+// waiting: every admitted request is in it (Server.inflight) and every read
+// loop is parked on its socket (Server.reading), so no request the server
+// has read is on its way to an executor. A lone write, or a client whose
+// whole pipeline waits on these acks, is then fsynced at once.
+func (d *durability) nothingCanJoin(n int) bool {
+	s := d.srv
+	return s.inflight.Load() <= int64(n) && s.reading.Load() == 0
+}
 
 // maxAckOps caps how many deferred write acks one fsync cycle may cover:
 // under overload the daemon flushes at the cap instead of letting the
@@ -99,7 +112,8 @@ const commitDelay = time.Millisecond
 const maxAckOps = 256
 
 // ackLoop is the group-commit daemon: collect what the commit-delay window
-// accumulates, fsync the log, release the acks, repeat.
+// accumulates, fsync the log, release the acks, repeat. It is the only code
+// that waits on the barrier.
 func (d *durability) ackLoop() {
 	defer d.ackWG.Done()
 	timer := time.NewTimer(time.Hour)
@@ -109,10 +123,10 @@ func (d *durability) ackLoop() {
 		batch = append(batch[:0], first)
 		n := len(first.tasks)
 		// Hold the barrier open: commits landing inside the window share this
-		// cycle's fsyncs instead of paying for their own.
+		// cycle's fsync instead of paying for their own.
 		timer.Reset(commitDelay)
 	wait:
-		for n < maxAckOps {
+		for n < maxAckOps && !d.nothingCanJoin(n) {
 			select {
 			case b, ok := <-d.ackCh:
 				if !ok {
@@ -321,9 +335,10 @@ func (s *Server) snapshotSource(shard int, emit func(key string, val []byte) err
 	return nil
 }
 
-// sync is the one fsync barrier: every shard appends to the one log, so a
-// single coalescing Sync (wal.Log.Sync) makes every record appended before
-// it durable, whatever shards the records wrote.
+// sync is the one fsync barrier, run only by the ack daemon: every shard
+// appends to the one log, so a single coalescing Sync (wal.Log.Sync) makes
+// every record appended before it durable, whatever shards the records
+// wrote.
 func (d *durability) sync() error {
 	t0 := obs.Now()
 	err := d.mgr.Sync(0)

@@ -7,7 +7,7 @@
 // each other's STM validation — their transactions are naturally serialized
 // by the queue — and consecutive single-key commands can be coalesced into
 // one group-commit transaction, amortizing begin/validate/commit across the
-// group. Cross-shard work (MULTI fan-out futures, other executors) still
+// group. Cross-shard work (a MULTI, another executor's unit) still
 // conflicts only through the STM, which resolves it as before.
 package server
 

@@ -9,8 +9,8 @@
 //	decode  frame payload → wire.Request (read loop)
 //	queue   admission → executor dequeue (run-queue wait)
 //	exec    the STM transaction, including WAL appends
-//	sync    the durability barrier wait (fsync, or the ack daemon's
-//	        commit-delay window + fsync for deferred group acks)
+//	sync    the durability barrier wait of deferred group acks: hand-off
+//	        to the ack daemon until its fsync is done (window included)
 //	flush   handing the response to the write loop (writer-queue wait)
 //
 // decode and queue are recorded per request; exec, sync and flush once per
@@ -19,12 +19,11 @@
 // full per-stage clocking would double the cost of a 33ns path whose
 // stages it skips by design.
 //
-// Abort attribution answers "which shard/box and which validation
-// direction killed the transaction", per ordering mode: the
-// MV-STM conflict hook attributes backward (commit-time read-set)
-// validation failures to the store shard owning the stale box, and the
-// engine's counters attribute forward-validation kills (SO continuation
-// aborts, future and escape re-executions) at scrape time.
+// Abort attribution answers "which shard/box killed the transaction", per
+// ordering mode: a served transaction submits no future, so the one
+// direction that can abort it is backward, and the MV-STM conflict hook
+// attributes those (commit-time read-set) validation failures to the store
+// shard owning the stale box.
 package server
 
 import (
@@ -253,28 +252,13 @@ func boxShard(name string, shards int) int {
 	return n
 }
 
-// fnv32 is the store's key hash (FNV-1a), reused so flight-recorder key
-// hashes line up with shard assignment (shard = hash mod shards).
-func fnv32(key string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return h
-}
-
 // flightKey captures a request's flight-recorder identity (key hash +
-// shard) before the request object is recycled. MULTI and keyless ops
+// shard) before the request object is recycled. The hash is the store's
+// key hash, so it lines up with shard assignment. MULTI and keyless ops
 // report no key.
 func (s *Server) flightKey(req *wire.Request) (uint32, int) {
 	if singleKey(req.Op) {
-		h := fnv32(req.Cmd.Key)
-		return h, int(h % uint32(s.cfg.Shards))
+		return fnv1a(req.Cmd.Key), s.store.shardOf(req.Cmd.Key)
 	}
 	return 0, -1
 }

@@ -12,8 +12,8 @@ import (
 
 // TestMutantsCaught: with each of this package's ledger entries active, the
 // detector built for it reports it — a served-history violation from
-// TestServedHistoryConformance's workload, or what a committed unit still
-// pins.
+// TestServedHistoryConformance's workload, or a resend answered before its
+// original's barrier (TestAckRuleReplayWaitsForBarrier).
 func TestMutantsCaught(t *testing.T) {
 	served := func(t *testing.T) string {
 		for _, ord := range []wtftm.Ordering{wtftm.WO, wtftm.SO} {
@@ -26,6 +26,7 @@ func TestMutantsCaught(t *testing.T) {
 	detectors := map[mutant.ID]func(*testing.T) string{
 		mutant.UnlockBeforeLog:         served,
 		mutant.FastGetIgnoresWatermark: served,
+		mutant.ReplayBeforeBarrier:     replayBeforeBarrier,
 	}
 	for _, e := range mutant.Table {
 		if e.Pkg != "server" {

@@ -15,8 +15,10 @@
 //	log      append one record: a part per candidate shard with effective
 //	         writes, holding that shard's writes
 //	unlock
-//	barrier  fsync the log (policy group)
-//	ack      hand the responses to their connections' write loops
+//	ack      hand the responses to their connections' write loops; under
+//	         policy group a response that reports a logged write (or
+//	         replays a stored outcome) goes through the ack daemon, whose
+//	         one fsync of the log is the barrier (durability.go)
 //
 // Holding a shard's commit lock across the STM commit AND the WAL append is
 // what makes log order equal commit order per shard: no other commit for
@@ -29,16 +31,16 @@
 // because it is the only place that locks.
 //
 // A memory-only server runs the same sequence with no log: the plan finds no
-// shard that has one, so lock, log, unlock and barrier are loops over
-// nothing.
+// shard that has one, so lock, log and unlock are loops over nothing.
 //
 // Only *effective* writes are logged: a PUT or a matched CAS logs a put, a
 // DEL that removed a key logs a delete; reads, missed deletes and mismatched
 // CASes contribute nothing (they performed no store write, so replay without
-// them reproduces the committed state exactly). A failed append or sync
-// fails the whole unit — the in-memory commit may be ahead of the log at
-// that instant, but no client was acked, and the WAL's sticky error keeps
-// every later write failing until the operator replaces the disk.
+// them reproduces the committed state exactly). A failed append fails the
+// whole unit — the in-memory commit may be ahead of the log at that
+// instant, but no client was acked, and the WAL's sticky error keeps every
+// later write failing until the operator replaces the disk. A failed
+// barrier fails the acks of its cycle.
 package server
 
 import (
@@ -71,7 +73,6 @@ type unit struct {
 
 	groups [][]int // per candidate write shard: its commands that may write, in order
 	shards []int   // candidate write shards, ascending (the lock order)
-	logged bool    // the unit appended a WAL record
 	batch  []byte  // one shard's batch encode buffer
 	rec    []byte  // WAL record encode buffer: the unit's per-shard parts
 }
@@ -145,11 +146,10 @@ func appendOp(buf []byte, cmd *wire.Cmd) []byte {
 }
 
 // commit runs u.cmds through plan → lock → commit → log → unlock (see the
-// file comment) with body as the transaction, leaving the results in u.res
-// and setting u.logged when the unit's record now needs a barrier. err is the
-// transaction's outcome (nothing was written or logged when it is non-nil);
-// durErr is a failed append: committed in memory but not durable, so the
-// unit must never be acked.
+// file comment) with body as the transaction, leaving the results in u.res.
+// err is the transaction's outcome (nothing was written or logged when it is
+// non-nil); durErr is a failed append: committed in memory but not durable,
+// so the unit must never be acked.
 func (s *Server) commit(u *unit, body func(*wtftm.Tx) error) (err, durErr error) {
 	if n := len(u.cmds); cap(u.res) < n {
 		u.res = make([]wire.Result, n)
@@ -215,7 +215,6 @@ func (s *Server) commit(u *unit, body func(*wtftm.Tx) error) (err, durErr error)
 		u.rec = rec
 		if len(rec) > 0 {
 			_, durErr = d.mgr.AppendUnit(rec)
-			u.logged = durErr == nil
 		}
 	}
 	if mutant.Active != mutant.UnlockBeforeLog {
@@ -228,9 +227,9 @@ func (s *Server) commit(u *unit, body func(*wtftm.Tx) error) (err, durErr error)
 
 // run executes one unit: the tasks an executor dequeued together (coalesced
 // single-key commands, or exactly one request of any other kind). It
-// acquires the responses, commits, runs the durability barrier, hands the
-// responses to the write loops and recycles the requests. Stage accounting
-// is stated in metrics.go (unitClass).
+// acquires the responses, commits, stores an enveloped request's outcome
+// and hands the responses out (ack); it never waits on the disk. Stage
+// accounting is stated in metrics.go (unitClass).
 //
 // The response values are either immutable committed strings read at the
 // transaction's snapshot or freshly built server-side buffers, so handing
@@ -257,11 +256,10 @@ func (e *executor) run(tasks []task) {
 
 	// Exactly-once resend: answer a retried write from the table instead of
 	// applying it twice; a first execution records its outcome below, once
-	// it is settled. Dedup'd requests never coalesce (see coalescible), so
-	// the unit is this one request.
+	// it has committed and appended. Dedup'd requests never coalesce (see
+	// coalescible), so the unit is this one request.
 	replayed := first.Dedup && s.dedup.lookup(first.ClientID, first.Seq, resp)
 	var err, durErr error
-	u.logged = false // a unit that never reaches commit logged nothing
 	switch {
 	case replayed:
 		s.dedupHits.Add(1)
@@ -316,29 +314,6 @@ func (e *executor) run(tasks []task) {
 			tasks[i].resp.Result = wire.ErrResult(err.Error())
 		}
 	}
-	execEnd := obs.Now()
-	m.stage[stExec][opc].Observe(execEnd - start)
-
-	var syncNS int64
-	if durErr == nil && u.logged && s.dur.policy == wal.SyncGroup {
-		// The unit logged a record that must be fsynced before its writes
-		// are acked (always synced inside Append; off defers durability to
-		// rotation and shutdown by design). This is the one ack rule: the
-		// ack daemon takes the write acks, so the executor never blocks on
-		// the disk — unless the request must stay on its executor until its
-		// outcome is settled and stored. That holds for a dedup-enveloped
-		// request: its resend routes to this same executor and must find
-		// the stored outcome, not run beside the original. A MULTI, whose
-		// one response answers for every shard it logged to, waits for its
-		// own barrier the same way.
-		if !first.Dedup && first.Op != wire.OpMulti {
-			s.dur.deferAcks(tasks, opc, start, execEnd)
-			return
-		}
-		durErr = s.dur.sync()
-		syncNS = obs.Now() - execEnd
-		m.stage[stSync][opc].Observe(syncNS)
-	}
 	if durErr != nil {
 		// Committed in memory but not durable: never acked.
 		fail := s.dur.failResult(durErr)
@@ -347,13 +322,43 @@ func (e *executor) run(tasks []task) {
 		}
 	}
 	if first.Dedup && !replayed {
+		// The outcome settled when the unit committed and appended (the table
+		// keeps no failure, so an append failure is never stored). A resend
+		// queued behind this request on its executor finds it here; under
+		// group its answer waits for a barrier that covers this record.
 		s.dedup.store(first.ClientID, first.Seq, resp)
 	}
-	flushStart := execEnd + syncNS
+	execEnd := obs.Now()
+	m.stage[stExec][opc].Observe(execEnd - start)
+	s.ack(tasks, replayed, opc, start, execEnd)
+}
+
+// ack hands a settled unit's responses out under the ack rule (DESIGN.md
+// §10): under SyncGroup a response that acksAfterBarrier goes to the ack
+// daemon, which sends it once the log is durable past everything appended
+// before it; the executor sends everything else now. (Under always the
+// append synced; off defers durability to rotation and shutdown by design.)
+func (s *Server) ack(tasks []task, replayed bool, opc int, start, execEnd int64) {
+	d := s.dur
+	group := d != nil && d.policy == wal.SyncGroup
+	var b *ackBatch
 	for i := range tasks {
-		s.finish(&tasks[i], start, execEnd, syncNS, flushStart)
+		t := &tasks[i]
+		if !group || !acksAfterBarrier(t, replayed) {
+			s.finish(t, start, execEnd, 0, execEnd)
+			continue
+		}
+		if b == nil {
+			b = d.ackPool.Get().(*ackBatch)
+		}
+		b.tasks = append(b.tasks, *t)
 	}
-	m.stage[stFlush][opc].Observe(obs.Now() - flushStart)
+	if b == nil {
+		s.m.stage[stFlush][opc].Observe(obs.Now() - execEnd)
+		return
+	}
+	b.opc, b.start, b.execEnd = opc, start, execEnd
+	d.ackCh <- b
 }
 
 // finish hands one settled task's response to its connection's write loop,

@@ -11,7 +11,7 @@ import (
 
 // lane drives one executor's pipeline without a socket: decoded requests run
 // as one unit exactly as dequeued tasks would — stage accounting, commit,
-// barrier, hand-off — and the responses come back on the stub connection's
+// hand-off, through the ack daemon under group — and the responses come back on the stub connection's
 // writer queue instead of going to a write loop. The server need not be
 // listening; its own executors stay idle.
 type lane struct {
@@ -20,8 +20,8 @@ type lane struct {
 }
 
 func newLane(s *Server) *lane {
-	// The writer queue must hold a whole unit: inline acks are sent by the
-	// goroutine that then reads them.
+	// The writer queue must hold a whole unit: acks the executor sends are
+	// sent by the goroutine that then reads them.
 	return &lane{ex: newExecutor(s, 0), c: &conn{srv: s, out: make(chan *wire.Response, groupLimit)}}
 }
 
@@ -267,8 +267,9 @@ func TestPipelineEquivalence(t *testing.T) {
 					t.Fatalf("final store differs:\n got %v\nwant %v", st, sh.wantStore)
 				}
 
-				// Exactly-once across the barrier: the original commits, logs
-				// and settles before its outcome is stored; the resend is
+				// Exactly-once across the barrier: the original's outcome is
+				// stored once it has committed and logged, and under group
+				// the resend's answer waits for a barrier; the resend is
 				// answered from the table — a second application of this
 				// expect-absent CAS would mismatch — and logs nothing.
 				cas := &wire.Request{Op: wire.OpCAS, Cmd: wire.CAS("eq-once", nil, []byte("1")), Dedup: true, ClientID: 9, Seq: 1}

@@ -200,6 +200,7 @@ type Server struct {
 	writerQHWM   atomic.Int64
 	execQHWM     atomic.Int64
 	inflight     atomic.Int64
+	reading      atomic.Int64 // read loops not parked on their socket (nothingCanJoin)
 	shed         atomic.Int64
 	dedupHits    atomic.Int64
 	idleReaped   atomic.Int64
@@ -281,6 +282,11 @@ type conn struct {
 	// for a pipelining client.
 	pendW    []atomic.Int32
 	pendWAll atomic.Int32
+
+	// parked is set while the read loop waits on the socket, with nothing
+	// buffered that it has not admitted; Server.reading counts the loops
+	// where it is not.
+	parked bool
 }
 
 // New creates a server over a fresh STM and futures engine. With a DataDir
@@ -319,12 +325,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
-
-// System exposes the underlying futures engine (stats, options).
-func (s *Server) System() *wtftm.System { return s.sys }
-
-// STM exposes the underlying MV-STM instance.
-func (s *Server) STM() *wtftm.STM { return s.stm }
 
 // Listen binds addr (e.g. "127.0.0.1:0") and starts serving. It returns
 // once the listener is accepting; use Addr to discover the bound address.
@@ -395,9 +395,9 @@ func (s *Server) acceptLoop(ln net.Listener) {
 }
 
 // executorFor routes a request to the executor owning its key's shard.
-// MULTI batches go to the executor owning their first command's shard (the
-// batch still fans out over per-shard futures from there); keyless requests
-// (PING, STATS) are spread round-robin.
+// MULTI batches go to the executor owning their first command's shard, which
+// runs the whole batch as one transaction; keyless requests (PING, STATS)
+// are spread round-robin.
 func (s *Server) executorFor(req *wire.Request) *executor {
 	switch req.Op {
 	case wire.OpGet, wire.OpPut, wire.OpDel, wire.OpCAS:
@@ -436,11 +436,15 @@ func (c *conn) readLoop() {
 		// counters and — critically — releases the held write-buffer lock
 		// BEFORE pending.Wait: the write loop needs wmu to deliver the very
 		// responses pending waits for.
+		if !c.parked {
+			s.reading.Add(-1)
+		}
 		c.flushFast()
 		c.pending.Wait()
 		close(c.out)
 		s.connWG.Done()
 	}()
+	s.reading.Add(1)
 	br := bufio.NewReaderSize(c.nc, connBufSize)
 	var buf []byte
 	idle := s.cfg.IdleTimeout
@@ -465,7 +469,8 @@ func (c *conn) readLoop() {
 	}
 	// onStall runs whenever the loop is about to park on the socket: flush
 	// deferred fast-read responses (so a pipelined burst costs one response
-	// flush, not one per GET — fastread.go) and maintain the idle deadline.
+	// flush, not one per GET — fastread.go), maintain the idle deadline and
+	// mark the loop parked.
 	// Re-arming here instead of per frame keeps time.Now off the hot path:
 	// while frames are flowing the connection is by definition not idle, and
 	// the frame-counter check below covers a connection that streams
@@ -473,6 +478,10 @@ func (c *conn) readLoop() {
 	onStall := func() {
 		rearmIdle()
 		c.flushFast()
+		if !c.parked {
+			c.parked = true
+			s.reading.Add(-1)
+		}
 	}
 	var frames uint
 	for {
@@ -496,6 +505,10 @@ func (c *conn) readLoop() {
 			}
 		}
 		payload, err := wire.ReadFrameStalling(br, buf, onStall)
+		if c.parked {
+			c.parked = false
+			s.reading.Add(1)
+		}
 		if err != nil {
 			// EOF and deadline-induced errors are normal disconnect/drain;
 			// protocol violations are counted, idle reaps tallied.

@@ -517,7 +517,7 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatalf("server counters off: %+v", st.Server)
 	}
 	// Cross-check against the facade-level snapshots directly.
-	direct := s.STM().Stats().Snapshot()
+	direct := s.stm.Stats().Snapshot()
 	if direct.Commits < st.STM.Commits {
 		t.Fatalf("facade snapshot (%d) behind stats op (%d)", direct.Commits, st.STM.Commits)
 	}

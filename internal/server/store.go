@@ -10,8 +10,7 @@ import (
 
 // store is wtfd's keyspace: a fixed set of shard-partitioned transactional
 // maps over versioned boxes. Keys hash to one shard; a MULTI batch touching
-// k shards fans out as k transactional futures, one per shard, so the
-// per-shard work runs in parallel inside one atomic request.
+// k shards applies its commands on each of them inside one transaction.
 //
 // Values are stored as Go strings (immutable), so a committed value handed
 // to a response writer can never be mutated by a later transaction — new

@@ -12,7 +12,6 @@
 package spin
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,15 +45,6 @@ type Worker struct {
 // DefaultUnit approximates the per-iteration cost of the paper's spin loop
 // (a handful of nanoseconds).
 const DefaultUnit = 5 * time.Nanosecond
-
-// Auto returns a Worker matched to the host: Busy when several cores are
-// available, Latency otherwise.
-func Auto() Worker {
-	if runtime.GOMAXPROCS(0) >= 8 {
-		return Worker{Mode: Busy}
-	}
-	return Worker{Mode: Latency}
-}
 
 // sink defeats dead-code elimination of the busy loop.
 var sink atomic.Uint64

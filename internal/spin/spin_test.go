@@ -45,8 +45,3 @@ func TestModeString(t *testing.T) {
 		t.Fatal("bad mode names")
 	}
 }
-
-func TestAutoReturnsWorker(t *testing.T) {
-	w := Auto()
-	w.Do(1) // must be usable either way
-}

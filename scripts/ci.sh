@@ -100,8 +100,11 @@ echo "== tier-1.5: crash recovery under race (deterministic fault injection) =="
 # The durability acceptance property: for every injected crash point, the
 # recovered store equals a prefix of the acknowledged-op sequence — no acked
 # write lost under -fsync group/always — and every MULTI batch, acked or not,
-# recovers whole or not at all (it is one record of the one log).
-go test -race -run 'TestCrash|TestDrainFlushesWAL' -count=1 ./internal/server/
+# recovers whole or not at all (it is one record of the one log). The ack
+# rule rides along: under group only the ack daemon waits on the barrier, so
+# a held fsync stalls no executor, and an exactly-once resend is answered
+# only after a barrier that covers its original's record.
+go test -race -cpu 1,4 -run 'TestCrash|TestDrainFlushesWAL|TestAckRule' -count=1 ./internal/server/
 
 echo "== tier-1.5: coverage floors (core >= 80%, fsg >= 85%, wal >= 80%, persist >= 75%) =="
 check_cover() {
