@@ -212,6 +212,47 @@ func BenchmarkReadWide(b *testing.B) {
 	}
 }
 
+// BenchmarkCommitWide is BenchmarkReadWide's shape with one write on the
+// main flow after the evaluations, so the top-level commit is a read-write
+// commit that validates every snapshot read the merges folded into the main
+// chain (ReadWide's commits are read-only and validate nothing). ns/op and
+// allocs/op are per future.
+func BenchmarkCommitWide(b *testing.B) {
+	const width = 4
+	for _, reads := range []int{16, 1024} {
+		b.Run(fmt.Sprintf("reads=%d", reads), func(b *testing.B) {
+			sys, boxes := newCoreBench(reads + 1)
+			out, in := boxes[reads], boxes[:reads]
+			body := func(ftx *core.Tx) (any, error) {
+				for _, box := range in {
+					ftx.Read(box)
+				}
+				return nil, nil
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n += width {
+				err := sys.Atomic(func(tx *core.Tx) error {
+					var futs [width]*core.Future
+					for i := range futs {
+						futs[i] = tx.Submit(body)
+					}
+					for _, f := range futs {
+						if _, err := tx.Evaluate(f); err != nil {
+							return err
+						}
+					}
+					tx.Write(out, 1)
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // reportFutureMetrics prints, per submitted future, the share that
 // serialized at its submission (merged@sub), the share whose body the flow
 // evaluating it ran (claimed@eval) and the workers woken for it

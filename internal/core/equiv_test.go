@@ -45,7 +45,7 @@ func refChainReadBoxes(v *vertex, self int) (map[*mvstm.VBox]struct{}, uint64) {
 	var sum uint64
 	for _, c := range refChain(v) {
 		for b, obs := range c.reads.all() {
-			if obs.ver == nil && obs.flow == self {
+			if obs.ver == nil && int(obs.flow) == self {
 				continue
 			}
 			out[b] = struct{}{}
@@ -225,7 +225,9 @@ func (t *topTx) refPushMergePatch(patch map[*mvstm.VBox]writeEntry, target, eval
 		if len(patch) == 0 || !ftx.visBuilt || ftx.visDirty {
 			continue
 		}
-		ftx.pending = append(ftx.pending, patch)
+		for b, we := range patch {
+			ftx.pending = append(ftx.pending, isetEntry[writeEntry]{b, we})
+		}
 		ftx.visOK.Store(false)
 	}
 }
@@ -441,7 +443,7 @@ func (g *equivGraph) snapshot(t testing.TB) map[string]any {
 		// What the flow's next read of each box would resolve to.
 		g.refresh(fl)
 		vis := map[string]string{}
-		for b, we := range fl.tx.vis {
+		for b, we := range fl.tx.vis.all() {
 			vis[b.Name] = fmtWrite(we)
 		}
 		out[fmt.Sprintf("vis%02d", i)] = vis
@@ -670,5 +672,46 @@ func mergeNotesHiddenRead(t testing.TB) {
 	other.Release()
 	if err := g.top.commit(); !errors.Is(err, mvstm.ErrConflict) {
 		t.Errorf("commit returned %v after a concurrent commit to b: the merged chain's snapshot read of b, hidden by the fold, was not validated", err)
+	}
+}
+
+// TestCommitValidatesMergedReads: the top-level commit validates the
+// snapshot reads a merge folded into the main chain where they sit, in the
+// vertex the main flow has already left. A future reads x at the snapshot
+// and merges at its submission point, the root; another transaction then
+// commits x, so the attempt must fail validation and retry once.
+func TestCommitValidatesMergedReads(t *testing.T) { commitValidatesMergedReads(t) }
+
+func commitValidatesMergedReads(t testing.TB) {
+	sys, stm := newSys(WO, LAC)
+	x, y := stm.NewBoxNamed("x", 0), stm.NewBoxNamed("y", 0)
+	attempts := 0
+	err := sys.Atomic(func(tx *Tx) error {
+		attempts++
+		f := tx.Submit(func(ftx *Tx) (any, error) { return ftx.Read(x), nil })
+		if _, err := tx.Evaluate(f); err != nil {
+			return err
+		}
+		tx.Write(y, 1)
+		if attempts > 1 {
+			return nil
+		}
+		root := tx.top.root
+		if obs, ok := root.reads.get(x); root == tx.cur || !ok || obs.ver == nil {
+			t.Fatalf("the future's snapshot read of x is not in the root the main flow left (read %v %+v)", ok, obs)
+		}
+		other := stm.Begin()
+		other.Write(x, 7)
+		if err := other.Commit(); err != nil {
+			t.Fatalf("the concurrent commit to x failed: %v", err)
+		}
+		other.Release()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attempts != 2 {
+		t.Errorf("the transaction committed after %d attempts, want 2: the merged snapshot read of x was not validated", attempts)
 	}
 }

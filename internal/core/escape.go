@@ -56,7 +56,7 @@ func buildDetach(f *Future) *detachRec {
 			switch {
 			case obs.ver != nil:
 				rec.reads = append(rec.reads, detRead{box: b, ver: obs.ver, ok: true})
-			case obs.flow == f.flow:
+			case int(obs.flow) == f.flow:
 				// A read of the future's own chain is self-satisfied at any
 				// serialization point.
 			default:
@@ -209,7 +209,7 @@ func (tx *Tx) detachValid(det *detachRec) bool {
 		if wrote {
 			return false
 		}
-		if _, wrote := tx.vis[r.box]; wrote {
+		if _, wrote := tx.vis.get(r.box); wrote {
 			return false
 		}
 		if r.box.ReadAt(tx.top.snap) != r.ver {

@@ -218,7 +218,7 @@ func (f *Future) extraConflict(rsum uint64) bool {
 			continue
 		}
 		for b, obs := range c.reads.all() {
-			if obs.ver == nil && obs.flow == f.flow {
+			if obs.ver == nil && int(obs.flow) == f.flow {
 				continue
 			}
 			if _, ok := f.extraPathWrites[b]; ok {
@@ -564,7 +564,7 @@ func (tx *Tx) runInline(body func(*Tx) (any, error), label string) (any, error) 
 		// rebuild lazily if the sub-handle's index isn't current.
 		if sub.visOK.Load() {
 			// Swapped, not shared: both handles are arena memory and keep
-			// their map for the next attempt.
+			// their index storage for the next attempt.
 			tx.vis, sub.vis = sub.vis, tx.vis
 			sub.visBuilt = false
 			sub.visOK.Store(false)

@@ -130,9 +130,19 @@ func (m *isetModel) del(b *mvstm.VBox) {
 	}
 }
 
-// absorb is iset.absorb: the target's entries win; when the storage swaps,
-// the source's order comes first and the target's other entries follow.
+// fuzzKeep is FuzzIset's keep function for absorb: it folds both values
+// into one, so the model can tell which entry was kept and which dropped.
+func fuzzKeep(kept, dropped int) int { return kept*1000 + dropped%1000 }
+
+// absorb is iset.absorb: a box both hold keeps fuzzKeep(target's value,
+// source's); when the storage swaps, the source's order comes first and the
+// target's other entries follow.
 func (m *isetModel) absorb(src *isetModel, swap bool) {
+	for b, v := range src.val {
+		if old, ok := m.val[b]; ok {
+			m.val[b] = fuzzKeep(old, v)
+		}
+	}
 	if !swap {
 		for _, b := range src.order {
 			if _, ok := m.val[b]; !ok {
@@ -203,7 +213,7 @@ func checkIset(t *testing.T, step int, s *iset[int], m *isetModel, absent *mvstm
 // way, swapping storage or not) and reset against a Go-map model, across
 // several index doublings: a deleted box can be inserted again, all() never
 // yields a tombstone or a duplicate and follows insertion order, and absorb
-// keeps the target's entry. Each pair of tape bytes is one operation: the first
+// keeps keep(target's entry, source's entry) for a box both sets held. Each pair of tape bytes is one operation: the first
 // picks it (low 3 bits) and the set (top bit), the second a box or a
 // budget. Explore with `go test -run '^$' -fuzz FuzzIset ./internal/core/`.
 func FuzzIset(f *testing.F) {
@@ -254,7 +264,7 @@ func FuzzIset(f *testing.F) {
 			case 5: // absorb the other set, which is then reset
 				src, srcM := &sets[1-k], &models[1-k]
 				swap := src.n < 0 && src.size() > s.size()
-				s.absorb(src)
+				s.absorb(src, fuzzKeep)
 				m.absorb(srcM, swap)
 				budget := arenaMapBudget
 				src.reset(&budget)

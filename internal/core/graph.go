@@ -28,12 +28,14 @@ const (
 
 // readObs describes the source a read observed. Exactly one of ver (a
 // committed version, read from the top-level snapshot) or {flow, wid} (an
-// uncommitted write of a sub-transaction) identifies the origin.
+// uncommitted write of a sub-transaction) identifies the origin. hidden
+// marks one of the second kind that hides a snapshot read (keepRead).
 type readObs struct {
-	val  any
-	ver  *mvstm.Version // non-nil: observed a committed version
-	flow int            // origin flow of the observed sub-transaction write
-	wid  int64          // unique id of the observed sub-transaction write
+	val    any
+	ver    *mvstm.Version // non-nil: observed a committed version
+	flow   int32          // origin flow of the observed sub-transaction write
+	hidden bool
+	wid    int64 // unique id of the observed sub-transaction write
 }
 
 // writeEntry is one buffered write held by a vertex. Merges preserve the
@@ -204,7 +206,7 @@ func chainRead(head *vertex, b *mvstm.VBox, self int) bool {
 	bs := b.Summary()
 	for c := head; c != nil; c = c.next {
 		if c.readSum.Load()&bs == bs {
-			if obs, ok := c.reads.get(b); ok && (obs.ver != nil || obs.flow != self) {
+			if obs, ok := c.reads.get(b); ok && (obs.ver != nil || int(obs.flow) != self) {
 				return true
 			}
 		}
@@ -297,10 +299,10 @@ func backwardConflicts(from, until, head *vertex, rsum uint64, self int) (confli
 
 // mergeChain serializes the (completed) chain rooted at head into target:
 // the chain's writes fold into target's write set in chain order, its reads
-// fold into target's read set (preserving them for later validations) and
-// into the top-level validation set, its vertices are removed, and any
-// non-chain children (futures the chain spawned that are still pending) are
-// re-rooted onto target.
+// fold into target's read set (preserving them for later validations and
+// for the top-level commit, which validates the main chain's sets in place),
+// its vertices are removed, and any non-chain children (futures the chain
+// spawned that are still pending) are re-rooted onto target.
 //
 // Re-rooting relocates a pending child future in G: the writes that are
 // logically ordered between the child's observation point and its new
@@ -353,35 +355,18 @@ func (t *topTx) mergeChain(head, target *vertex, evalFrom *vertex) {
 	}
 
 	// Fold the chain into target in chain order (later writes win). The
-	// chain's snapshot reads go into the substrate transaction's read set —
-	// the top-level validation set — unless the main chain was already
-	// folded (or the attempt aborted), after which nothing consumes them and
-	// the substrate transaction is no longer ours to touch. A flow-0 target
-	// is never merged or discarded, so it stays on commit's pred walk and
-	// commit notes every snapshot read it holds; such a merge notes only the
-	// reads the fold hides (noteHidden). Any other target may yet be merged
-	// or discarded, so its merge notes all of the chain's snapshot reads.
-	note := !t.phaseAtLeast(phaseFolding)
+	// chain's reads go with it: the top-level commit validates the snapshot
+	// reads of whatever vertices form the main chain when it commits, where
+	// they sit (commitReads), and keepRead marks the ones a fold hides.
 	for _, c := range cs {
 		c.vmu.Lock()
 		target.vmu.Lock()
 		for b, we := range c.writes.all() {
 			target.writes.put(b, we)
 		}
-		switch {
-		case !note:
-		case target.flow != 0:
-			for b, obs := range c.reads.all() {
-				if obs.ver != nil {
-					t.txn.NoteRead(b)
-				}
-			}
-		case mutant.Active != mutant.MergeNotesNoHiddenRead:
-			t.noteHidden(target, c)
-		}
 		// c is removed below and its read set never read again, so target
 		// may take c's storage outright (iset.absorb).
-		target.reads.absorb(&c.reads)
+		target.reads.absorb(&c.reads, keepRead)
 		// The folded sets are supersets of nothing beyond the union, so the
 		// vertex summaries OR in directly.
 		target.readSum.Store(target.readSum.Load() | c.readSum.Load())
@@ -395,31 +380,16 @@ func (t *topTx) mergeChain(head, target *vertex, evalFrom *vertex) {
 	t.pushMergePatch(head, target, evalFrom)
 }
 
-// noteHidden notes the snapshot reads of c that folding c into target hides:
-// boxes for which target already holds a read that observed a
-// sub-transaction write, and which the fold (iset.absorb) keeps. Commit's
-// walk sees only target's entry and would not validate the box. It ranges
-// over the smaller of the two sets. Caller holds c.vmu and target.vmu.
-func (t *topTx) noteHidden(target, c *vertex) {
-	if c.reads.size() <= target.reads.size() {
-		for b, obs := range c.reads.all() {
-			if obs.ver == nil {
-				continue
-			}
-			if prev, ok := target.reads.get(b); ok && prev.ver == nil {
-				t.txn.NoteRead(b)
-			}
-		}
-		return
+// keepRead is the fold's rule for a box both the target and a chain vertex
+// read: the target's observation stays (iset.absorb). If it observed a
+// sub-transaction write while the chain's read was at the snapshot (or hid
+// one), commit's walk would not see the snapshot read, so the kept entry is
+// marked hidden and commit validates the box.
+func keepRead(kept, dropped readObs) readObs {
+	if kept.ver == nil && (dropped.ver != nil || dropped.hidden) && mutant.Active != mutant.MergeNotesNoHiddenRead {
+		kept.hidden = true
 	}
-	for b, prev := range target.reads.all() {
-		if prev.ver != nil {
-			continue
-		}
-		if obs, ok := c.reads.get(b); ok && obs.ver != nil {
-			t.txn.NoteRead(b)
-		}
-	}
+	return kept
 }
 
 // pushMergePatch propagates a merge to the visible-write indexes of the
@@ -434,13 +404,12 @@ func (t *topTx) noteHidden(target, c *vertex) {
 // evaluating flow's own vertex IS target (never a proper ancestor of
 // itself): it updates its index at its boundary via absorbWrites.
 //
-// The patch (the merged chain's writes, later chain vertices winning) is
-// only materialised for a flow that will fold it: one with a built, clean
-// index and no nearer write. head's chain still holds its sets after the
+// The patch (the merged chain's writes in chain order, so later ones win) is
+// only appended for a flow that will fold it: one with a built, clean index
+// and no nearer write. head's chain still holds its write sets after the
 // fold. Caller holds top.mu exclusively.
 func (t *topTx) pushMergePatch(head, target, evalFrom *vertex) {
 	_, wsum := chainSums(head)
-	var patch map[*mvstm.VBox]writeEntry
 	for _, ftx := range t.flows {
 		c := ftx.cur
 		if c == target {
@@ -475,15 +444,11 @@ func (t *topTx) pushMergePatch(head, target, evalFrom *vertex) {
 			// full rebuild: the next refreshVis covers it.
 			continue
 		}
-		if patch == nil {
-			patch = make(map[*mvstm.VBox]writeEntry)
-			for c := head; c != nil; c = c.next {
-				for b, we := range c.writes.all() {
-					patch[b] = we
-				}
+		for c := head; c != nil; c = c.next {
+			for b, we := range c.writes.all() {
+				ftx.pending = append(ftx.pending, isetEntry[writeEntry]{b, we})
 			}
 		}
-		ftx.pending = append(ftx.pending, patch)
 		ftx.visOK.Store(false)
 	}
 }

@@ -37,6 +37,7 @@ func TestMutantsCaught(t *testing.T) {
 		mutant.MergeDropsPathWrites:     {validationEquivalence, "differs"},
 		mutant.AbsorbDropsTargetReads:   {validationEquivalence, "differs"},
 		mutant.MergeNotesNoHiddenRead:   {mergeNotesHiddenRead, "was not validated"},
+		mutant.CommitSkipsMergedReads:   {commitValidatesMergedReads, "was not validated"},
 	}
 	for _, e := range mutant.Table {
 		if e.Pkg != "core" {

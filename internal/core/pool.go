@@ -58,20 +58,16 @@ const isetInline = 4
 // isetIndexMin is the smallest spilled index: 16 slots, room for 8 entries.
 const isetIndexMin = 4 * isetInline
 
-// isetRetain is the largest Tx visible-write index a recycled Tx handle
-// keeps (tx.go); larger ones are left to the garbage collector.
-const isetRetain = 32
-
 // arenaMapBudget bounds the spilled set storage one free arena keeps, summed
-// over its vertices by each set's high-water entry count (entry slices and
-// indexes never shrink, so that is the size they keep). Sets are kept in
-// vertex order, lowest first, which is the order the next attempt hands
-// vertices out in; a set whose storage would overrun the budget lets it go to
-// the garbage collector. Measured (go1.24, amd64), a spilled read set keeps
-// 512 bytes up to 8 entries, 1.1 KB up to 16 and 58 to 93 bytes per entry
-// beyond (a 48-byte entry, the slack append leaves, and 8 to 16 bytes of
-// index); a write set keeps about a fifth less. At worst 121 bytes per
-// high-water entry (9 entries), one free arena keeps at most about 4 MB.
+// over its Tx handles' indexes and patches (tx.go), then its vertices' sets
+// in vertex order, lowest first, which is the order the next attempt hands
+// vertices out in, by each one's high-water entry count (entry slices and
+// indexes never shrink, so that is the size they keep); storage that would
+// overrun the budget is let go to the garbage collector. Measured (go1.24,
+// amd64), a spilled read set keeps 512 bytes up to 8 entries, 1.1 KB up to
+// 16 and 58 to 93 bytes per entry beyond (a 48-byte entry, the slack append
+// leaves, 8 to 16 bytes of index); a write set or index about a fifth less.
+// At worst 121 bytes per high-water entry, a free arena keeps about 4 MB.
 const arenaMapBudget = 1 << 15
 
 // iset is a small-footprint box-keyed set. Up to isetInline entries are
@@ -277,34 +273,35 @@ func (s *iset[V]) all() iter.Seq2[*mvstm.VBox, V] {
 	}
 }
 
-// absorb adds src's entries to s, keeping s's entry for a box both hold.
-// When src is spilled and larger, the two swap storage and s's former
-// entries are put back on top, so the fold costs the smaller side. src is
-// left holding an unspecified part of the union: its owner must not read it
-// again before reset.
-func (s *iset[V]) absorb(src *iset[V]) {
+// absorb adds src's entries to s. For a box both hold s keeps
+// keep(s's entry, src's entry). When src is spilled and larger, the two
+// swap storage and s's former entries are put back on top, so the fold
+// costs the smaller side. src is left holding an unspecified part of the
+// union: its owner must not read it again before reset.
+func (s *iset[V]) absorb(src *iset[V], keep func(kept, dropped V) V) {
 	if src.n < 0 && src.d.live > s.size() {
 		*s, *src = *src, *s
 		if mutant.Active != mutant.AbsorbDropsTargetReads {
 			for b, v := range src.all() {
+				if old, ok := s.get(b); ok {
+					v = keep(v, old)
+				}
 				s.put(b, v)
 			}
 		}
 		return
 	}
 	for b, v := range src.all() {
-		if _, slot, ok := s.find(b); !ok {
+		if old, slot, ok := s.find(b); !ok {
 			s.insert(slot, b, v)
+		} else {
+			s.put(b, keep(old, v))
 		}
 	}
 }
 
-// reset empties the set for the vertex's next use, dropping every reference
-// it held. Spilled storage is kept for the next spill while its high-water
-// size fits in *budget, which it is charged; otherwise it is dropped. A set
-// that is already empty is charged for the storage it keeps. The kept index
-// is cleared, as far as the next spill uses it, by the rehash at that spill.
-func (s *iset[V]) reset(budget *int) {
+// empty removes every entry, keeping the storage.
+func (s *iset[V]) empty() {
 	if s.n < 0 {
 		d := s.d
 		s.hw = max(s.hw, len(d.ents))
@@ -316,6 +313,15 @@ func (s *iset[V]) reset(budget *int) {
 		clear(s.vals[:s.n])
 	}
 	s.n = 0
+}
+
+// reset empties the set for the vertex's next use, dropping every reference
+// it held. Spilled storage is kept for the next spill while its high-water
+// size fits in *budget, which it is charged; otherwise it is dropped. A set
+// that is already empty is charged for the storage it keeps. The kept index
+// is cleared, as far as the next spill uses it, by the rehash at that spill.
+func (s *iset[V]) reset(budget *int) {
+	s.empty()
 	switch {
 	case s.d == nil:
 	case s.hw > *budget:
@@ -326,11 +332,10 @@ func (s *iset[V]) reset(budget *int) {
 }
 
 // arenaFreeMax bounds the System's free list, and arenaKeep the vertices and
-// Tx handles a free arena holds on to: together with arenaMapBudget and
-// isetRetain they cap what recycling can keep resident at about 33 MB (32 MB
-// of it spilled set storage at the budget's worst case; a few hundred KB
-// when no vertex spills far), whatever the largest transaction ever run
-// looked like.
+// Tx handles a free arena holds on to: together with arenaMapBudget they
+// cap what recycling can keep resident at about 33 MB (32 MB of it spilled
+// set storage at the budget's worst case; a few hundred KB when no vertex
+// spills far), whatever the largest transaction ever run looked like.
 const (
 	arenaFreeMax = 8
 	arenaKeep    = 256
@@ -422,6 +427,9 @@ func (t *topTx) wipe() {
 	clear(t.futures)
 	t.futures = t.futures[:0]
 	budget := arenaMapBudget
+	for _, tx := range t.txs { // spares past ntxs are charged for what they kept
+		tx.reset(&budget)
+	}
 	for i, v := range t.verts {
 		if i < t.nverts {
 			v.reset(&budget)
@@ -430,9 +438,6 @@ func (t *topTx) wipe() {
 			v.reads.reset(&budget)
 			v.writes.reset(&budget)
 		}
-	}
-	for _, tx := range t.txs[:t.ntxs] {
-		tx.reset()
 	}
 	if len(t.verts) > arenaKeep {
 		clear(t.verts[arenaKeep:])

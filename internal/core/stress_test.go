@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -240,5 +241,65 @@ func TestMixedSemanticsSystemsShareSTM(t *testing.T) {
 	wg.Wait()
 	if got := readInt(t, stm, x); got != 40 {
 		t.Fatalf("x = %d, want 40", got)
+	}
+}
+
+// TestStragglerMergesWhileCommitValidates: under GAC a future still running
+// when its top-level transaction commits merges futures of its own while
+// the substrate commit validates the main chain's reads in place, without
+// the graph lock. Its merges target its own vertices, never the main
+// chain's, so the race detector sees no access shared with the validation
+// (run with -race and -cpu above 1 for the two to overlap: the straggler's
+// futures settle once the fold has begun, so they all merge at their
+// evaluation, while the main chain's thousands of reads are validated).
+func TestStragglerMergesWhileCommitValidates(t *testing.T) {
+	sys, stm := newSys(WO, GAC)
+	boxes := newBoxes(stm, 2048)
+	readAll := func(ftx *Tx) (any, error) {
+		for _, b := range boxes {
+			ftx.Read(b)
+		}
+		return nil, nil
+	}
+	var stragglers []*Future
+	for i := 0; i < 20; i++ {
+		err := sys.Atomic(func(tx *Tx) error {
+			top := tx.top
+			folding := func() {
+				for !top.phaseAtLeast(phaseFolding) {
+					runtime.Gosched()
+				}
+			}
+			stragglers = append(stragglers, tx.Submit(func(ftx *Tx) (any, error) {
+				var gs [8]*Future
+				for k := range gs {
+					gs[k] = ftx.Submit(func(gtx *Tx) (any, error) {
+						folding()
+						gtx.Write(boxes[k], k)
+						return nil, nil
+					})
+				}
+				folding()
+				for _, g := range gs {
+					if _, err := ftx.Evaluate(g); err != nil {
+						return nil, err
+					}
+				}
+				return nil, nil
+			}))
+			for k := 0; k < 8; k++ {
+				if _, err := tx.Evaluate(tx.Submit(readAll)); err != nil {
+					return err
+				}
+			}
+			tx.Write(boxes[i], i)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range stragglers {
+		<-f.Done()
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"wtftm/internal/history"
+	"wtftm/internal/mutant"
 	"wtftm/internal/mvstm"
 	"wtftm/internal/sched"
 )
@@ -200,7 +201,7 @@ func (t *topTx) run(fn func(tx *Tx) (any, error)) (val any, err error) {
 
 // commit drives the top-level commit protocol: resolve outstanding futures
 // per the configured semantics, fold the main chain's write set, and commit
-// through the MV-STM.
+// through the MV-STM, which validates the main chain's reads in place.
 func (t *topTx) commit() (err error) {
 	// Internal aborts signalled by concurrently failing futures unwind the
 	// resolution loop via retrySignal panics.
@@ -266,8 +267,9 @@ func (t *topTx) commit() (err error) {
 		return &retryError{cause: t.abortCause()}
 	}
 
-	// Fold the main chain into the MV-STM transaction, root first so later
-	// writes win.
+	// Fold the main chain's writes into the MV-STM transaction, root first
+	// so later writes win. Its reads stay where they are: the substrate
+	// commit validates them in place.
 	t.lockG()
 	t.phase.Store(phaseFolding)
 	escaped := 0
@@ -288,11 +290,6 @@ func (t *topTx) commit() (err error) {
 	for i := len(mainChain) - 1; i >= 0; i-- {
 		v := mainChain[i]
 		v.vmu.Lock()
-		for b, obs := range v.reads.all() {
-			if obs.ver != nil {
-				t.txn.NoteRead(b)
-			}
-		}
 		for b, we := range v.writes.all() {
 			t.txn.Write(b, we.val)
 			if t.finalWID != nil {
@@ -311,7 +308,7 @@ func (t *topTx) commit() (err error) {
 		t.unpin = t.txn.Pin()
 	}
 
-	if err := t.txn.Commit(); err != nil {
+	if err := t.txn.CommitValidating(t.commitReads); err != nil {
 		return err
 	}
 
@@ -342,19 +339,33 @@ func (t *topTx) commit() (err error) {
 	return nil
 }
 
+// commitReads yields the top-level validation set, possibly with repeats:
+// every snapshot read on the main chain, hidden ones included, where its
+// vertices hold it. The substrate commit walks it on each validation pass
+// without the graph lock: from the fold on, no merge targets a main-chain
+// vertex and no other flow records into one (DESIGN §9).
+func (t *topTx) commitReads(yield func(*mvstm.VBox) bool) {
+	cur := t.mainTx.cur
+	for v := cur; v != nil; v = v.pred {
+		if mutant.Active == mutant.CommitSkipsMergedReads && v.pred == nil && v != cur {
+			continue
+		}
+		for b, obs := range v.reads.all() {
+			if (obs.ver != nil || obs.hidden) && !yield(b) {
+				return
+			}
+		}
+	}
+}
+
 // abort discards this attempt: wake all waiters, release claimed escapes,
 // drop the MV-STM transaction and the main flow's reference on the arena.
 func (t *topTx) abort(cause error) {
 	t.requestAbort(cause)
 	t.phase.Store(phaseDone)
 	t.releaseClaims()
-	// A straggler's merge notes reads into the substrate transaction under
-	// the graph lock (mergeChain); take it away under the same lock.
-	t.lockG()
-	txn := t.txn
-	t.txn = nil
-	t.unlockG()
-	if txn != nil {
+	if txn := t.txn; txn != nil {
+		t.txn = nil
 		txn.Discard()
 		txn.Release()
 	}

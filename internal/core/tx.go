@@ -29,21 +29,21 @@ type Tx struct {
 
 	// Visible-write index: box -> the nearest iCommitted proper ancestor's
 	// write, i.e. what a first read of the box in cur resolves to before
-	// falling back to the top-level snapshot. The map is touched only by the
-	// owning flow's goroutine, so it needs no lock of its own; graph
+	// falling back to the top-level snapshot. The box set is touched only by
+	// the owning flow's goroutine, so it needs no lock of its own; graph
 	// mutations on other flows communicate through pending/visDirty (written
 	// under top.mu held exclusively, consumed by the owner under at least
 	// top.mu.RLock — the two can never overlap) and flip visOK, which the
 	// lock-free read path checks under the gver seqlock.
 	//
-	// The map outlives the attempt with the handle; visBuilt says whether it
+	// The set outlives the attempt with the handle; visBuilt says whether it
 	// currently holds this flow's index.
-	vis      map[*mvstm.VBox]writeEntry
+	vis      iset[writeEntry]
 	visBuilt bool
 	// pending holds merge patches (chain write sets folded into a proper
-	// ancestor with no intervening same-path writes) to fold into vis, in
-	// merge order.
-	pending []map[*mvstm.VBox]writeEntry
+	// ancestor with no intervening same-path writes) to put into vis, one
+	// entry after another, in merge order.
+	pending []isetEntry[writeEntry]
 	// visDirty forces a full rebuild: the ancestor path itself changed
 	// (discard, re-rooting at an evaluation point).
 	visDirty bool
@@ -54,16 +54,17 @@ type Tx struct {
 }
 
 // reset readies a handle for its arena's next attempt: every reference is
-// dropped, a modest index map is kept (emptied).
-func (tx *Tx) reset() {
+// dropped, the index's and patches' storage kept against *budget.
+func (tx *Tx) reset(budget *int) {
 	tx.cur, tx.lastFut = nil, nil
-	if len(tx.vis) > isetRetain {
-		tx.vis = nil
-	} else {
-		clear(tx.vis)
-	}
+	tx.vis.reset(budget)
 	clear(tx.pending)
-	tx.pending = tx.pending[:0]
+	if cap(tx.pending) > *budget {
+		tx.pending = nil
+	} else {
+		*budget -= cap(tx.pending)
+		tx.pending = tx.pending[:0]
+	}
 	tx.visBuilt, tx.visDirty = false, false
 	tx.visOK.Store(false)
 }
@@ -83,10 +84,8 @@ func (tx *Tx) refreshVis() {
 		return
 	}
 	if tx.visBuilt && !tx.visDirty {
-		for _, p := range tx.pending {
-			for b, we := range p {
-				tx.vis[b] = we
-			}
+		for _, e := range tx.pending {
+			tx.vis.put(e.b, e.v)
 		}
 		clear(tx.pending)
 		tx.pending = tx.pending[:0]
@@ -96,17 +95,13 @@ func (tx *Tx) refreshVis() {
 	tx.visBuilt, tx.visDirty = true, false
 	clear(tx.pending)
 	tx.pending = tx.pending[:0]
-	if tx.vis == nil {
-		tx.vis = make(map[*mvstm.VBox]writeEntry)
-	} else {
-		clear(tx.vis)
-	}
+	tx.vis.empty()
 	// Nearest ancestor wins: walk upward, keep the first write per box.
 	for v := tx.cur.pred; v != nil; v = v.pred {
 		v.vmu.Lock()
 		for b, we := range v.writes.all() {
-			if _, ok := tx.vis[b]; !ok {
-				tx.vis[b] = we
+			if _, slot, ok := tx.vis.find(b); !ok {
+				tx.vis.insert(slot, b, we)
 			}
 		}
 		v.vmu.Unlock()
@@ -122,19 +117,15 @@ func (tx *Tx) absorbWrites(v *vertex) {
 	switch {
 	case tx.visOK.Load():
 		for b, we := range v.writes.all() {
-			tx.vis[b] = we
+			tx.vis.put(b, we)
 		}
 	case tx.visBuilt && !tx.visDirty:
 		// Pending-mode: vis ⊕ pending must stay equal to the true visible
 		// set. v is nearer than any pending merge's target, so its writes
 		// fold last; copied because v's set can later mutate (v may itself
 		// become a merge target) while the patch waits.
-		if v.writes.size() > 0 {
-			cp := make(map[*mvstm.VBox]writeEntry, v.writes.size())
-			for b, we := range v.writes.all() {
-				cp[b] = we
-			}
-			tx.pending = append(tx.pending, cp)
+		for b, we := range v.writes.all() {
+			tx.pending = append(tx.pending, isetEntry[writeEntry]{b, we})
 		}
 		// Dirty or unbuilt: the next refreshVis rebuild covers v.
 	}
@@ -234,7 +225,7 @@ func (tx *Tx) Read(b *mvstm.VBox) any {
 
 	// Ancestor resolution, lock-free fast path: all proper ancestors are
 	// iCommitted and therefore frozen, so when the flow's visible-write
-	// index is current one map lookup (or a lock-free snapshot read)
+	// index is current one index probe (or a lock-free snapshot read)
 	// resolves the read. The gver seqlock validates the window: if no
 	// mutation epoch overlapped [s, recheck], the index was current and
 	// every later validator will observe the read we just recorded (it must
@@ -281,8 +272,8 @@ func (tx *Tx) Read(b *mvstm.VBox) any {
 // the nearest iCommitted ancestor's write (the visible-write index, which
 // must be current), or else the version at the top-level snapshot.
 func (tx *Tx) resolve(b *mvstm.VBox) readObs {
-	if we, ok := tx.vis[b]; ok {
-		return readObs{val: we.val, flow: we.flow, wid: we.wid}
+	if we, ok := tx.vis.get(b); ok {
+		return readObs{val: we.val, flow: int32(we.flow), wid: we.wid}
 	}
 	ver := b.ReadAt(tx.top.snap)
 	return readObs{val: ver.Value, ver: ver}

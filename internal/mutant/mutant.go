@@ -20,6 +20,7 @@ const (
 	AbsorbDropsTargetReads
 	MergeNotesNoHiddenRead
 	ReplayBeforeBarrier
+	CommitSkipsMergedReads
 )
 
 // Entry is one mutant: Pkg's TestMutantsCaught/<Name> must report it. Sweep
@@ -49,8 +50,10 @@ var Table = []Entry{
 		"a re-rooted child is not charged the writes before its new position (map-free merge)", false},
 	{AbsorbDropsTargetReads, "AbsorbDropsTargetReads", "core.(*iset).absorb", "core",
 		"a merge that takes over the chain's larger read set loses the target's own reads", false},
-	{MergeNotesNoHiddenRead, "MergeNotesNoHiddenRead", "core.(*topTx).mergeChain", "core",
-		"a merge into a main-flow vertex notes no snapshot read, not even one the fold hides from commit", false},
+	{MergeNotesNoHiddenRead, "MergeNotesNoHiddenRead", "core.keepRead", "core",
+		"a merge does not mark the kept read under which it folded a snapshot read, so commit's walk misses it", false},
 	{ReplayBeforeBarrier, "ReplayBeforeBarrier", "server.acksAfterBarrier", "server",
 		"the executor acks an exactly-once replay before any barrier covers the original's record", false},
+	{CommitSkipsMergedReads, "CommitSkipsMergedReads", "core.(*topTx).commitReads", "core",
+		"the commit's validation set skips the main chain's root once the main flow has moved past it", false},
 }

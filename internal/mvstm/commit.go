@@ -137,9 +137,9 @@ func (s *STM) complete(r *commitRequest) {
 }
 
 // commitWrites runs the enqueue/validate/help protocol for a read-write
-// transaction. On success t.installed is populated with the canonical
-// installed versions.
-func (s *STM) commitWrites(t *Txn) error {
+// transaction whose read set is t's own plus the boxes reads yields (nil:
+// none). On success t.entries holds the canonical installed versions.
+func (s *STM) commitWrites(t *Txn, reads func(yield func(*VBox) bool)) error {
 	var r *commitRequest
 	for {
 		last := s.lastRequest()
@@ -149,9 +149,13 @@ func (s *STM) commitWrites(t *Txn) error {
 		// newer than our snapshot committed before us". Blind writes (empty
 		// read set) skip both steps and enqueue straight behind any pending
 		// peers.
-		if t.hasReads() {
+		if t.hasReads() || reads != nil {
 			s.helpUpTo(last, nil)
-			if bad := t.validateReads(); bad != nil {
+			bad := t.validateReads()
+			if bad == nil && reads != nil {
+				bad = t.staleIn(reads)
+			}
+			if bad != nil {
 				if last.next.Load() != nil {
 					// A request enqueued after `last` may already be writing
 					// back; the newer version we saw might belong to it, in
@@ -196,11 +200,24 @@ func (s *STM) commitWrites(t *Txn) error {
 	}
 
 	s.helpUpTo(r, r)
-
-	installed := make(map[*VBox]*Version, len(r.entries))
-	for i := range r.entries {
-		installed[r.entries[i].box] = r.entries[i].ver
-	}
-	t.installed = installed
+	t.entries = r.entries
 	return nil
+}
+
+// staleIn returns the first box reads yields that carries a committed
+// version newer than the snapshot, or nil. It hands reads the Txn's own
+// yield function: a range loop's would be allocated on every pass.
+func (t *Txn) staleIn(reads func(yield func(*VBox) bool)) *VBox {
+	if t.fresh == nil {
+		t.fresh = func(b *VBox) bool {
+			if b.head.Load().TS > t.snap {
+				t.stale = b
+				return false
+			}
+			return true
+		}
+	}
+	t.stale = nil
+	reads(t.fresh)
+	return t.stale
 }

@@ -198,3 +198,109 @@ func TestReadSetSpillValidates(t *testing.T) {
 		t.Fatalf("spilled read not validated: err = %v", err)
 	}
 }
+
+// countedReads yields boxes as a supplied read set and counts how often the
+// commit consulted it; before, when set, runs at the start of the first
+// consultation.
+type countedReads struct {
+	boxes  []*VBox
+	calls  int
+	before func()
+}
+
+func (c *countedReads) seq(yield func(*VBox) bool) {
+	c.calls++
+	if c.calls == 1 && c.before != nil {
+		c.before()
+	}
+	for _, b := range c.boxes {
+		if !yield(b) {
+			return
+		}
+	}
+}
+
+// A box of the supplied read set that a commit after the snapshot overwrote
+// fails the commit, and the conflict hook names that box; an untouched one
+// does not.
+func TestCommitValidatingStaleBox(t *testing.T) {
+	s := New()
+	var hooked []*VBox
+	s.SetConflictHook(func(b *VBox) { hooked = append(hooked, b) })
+	fresh, stale, own := s.NewBoxNamed("fresh", 0), s.NewBoxNamed("stale", 0), s.NewBox(0)
+
+	tx := s.Begin()
+	peer := s.Begin()
+	peer.Write(stale, 1)
+	if err := peer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	peer.Release()
+	tx.Write(own, 1)
+	reads := &countedReads{boxes: []*VBox{fresh, fresh, stale}}
+	if err := tx.CommitValidating(reads.seq); !errors.Is(err, ErrConflict) {
+		t.Fatalf("commit err = %v, want ErrConflict", err)
+	}
+	tx.Release()
+	if len(hooked) != 1 || hooked[0] != stale {
+		t.Fatalf("conflict hook calls = %v, want exactly [stale]", hooked)
+	}
+
+	tx = s.Begin()
+	tx.Write(own, 2)
+	if err := tx.CommitValidating((&countedReads{boxes: []*VBox{fresh, stale}}).seq); err != nil {
+		t.Fatalf("commit after the snapshot moved past the peer: %v", err)
+	}
+	tx.Release()
+}
+
+// A supplied box that goes stale only through a request enqueued after the
+// list end the commit started from is not a conflict on sight: the commit
+// re-runs against the longer list, consulting the set again, and only that
+// pass decides. The peer's version is newer than the snapshot, so the
+// verdict is still a conflict, reported once.
+func TestCommitValidatingRevalidatesPastLast(t *testing.T) {
+	s := New()
+	var hooked []*VBox
+	s.SetConflictHook(func(b *VBox) { hooked = append(hooked, b) })
+	b, own := s.NewBoxNamed("b", 0), s.NewBox(0)
+
+	tx := s.Begin()
+	tx.Write(own, 1)
+	reads := &countedReads{boxes: []*VBox{b}}
+	// The peer enqueues behind the commit's `last` while the set is being
+	// validated, and its write-back lands before the box is checked.
+	reads.before = func() { s.complete(suspendedRequest(s, map[*VBox]any{b: 9})) }
+	if err := tx.CommitValidating(reads.seq); !errors.Is(err, ErrConflict) {
+		t.Fatalf("commit err = %v, want ErrConflict", err)
+	}
+	tx.Release()
+	if reads.calls != 2 {
+		t.Fatalf("the supplied set was consulted %d times, want 2 (the pass that saw the later request, then the revalidation)", reads.calls)
+	}
+	if len(hooked) != 1 || hooked[0] != b {
+		t.Fatalf("conflict hook calls = %v, want exactly [b] from the revalidation", hooked)
+	}
+}
+
+// A read-only commit never validates, so it does not consult the supplied
+// set at all, however stale its boxes are.
+func TestCommitValidatingReadOnly(t *testing.T) {
+	s := New()
+	b := s.NewBox(0)
+	tx := s.Begin()
+	peer := s.Begin()
+	peer.Write(b, 1)
+	if err := peer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	peer.Release()
+	reads := &countedReads{boxes: []*VBox{b}}
+	if err := tx.CommitValidating(reads.seq); err != nil {
+		t.Fatalf("read-only commit: %v", err)
+	}
+	tx.Release()
+	if reads.calls != 0 {
+		t.Fatalf("a read-only commit consulted the supplied set %d times", reads.calls)
+	}
+}

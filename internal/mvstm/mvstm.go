@@ -20,6 +20,7 @@ package mvstm
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sync"
 	"sync/atomic"
 
@@ -220,8 +221,9 @@ type Txn struct {
 	shard int32 // activeShards stripe this transaction registers in
 	done  bool
 
-	// Read set: inline array spilling to a map past readInlineCap distinct
-	// boxes (see pool.go). The two representations never overlap.
+	// Read's read set (reads made outside the Txn are validated in place,
+	// CommitValidating): inline array spilling to a map past readInlineCap
+	// distinct boxes (see pool.go). The two representations never overlap.
 	readsN      int
 	readsInline [readInlineCap]*VBox
 	readsMap    map[*VBox]struct{}
@@ -232,7 +234,13 @@ type Txn struct {
 	writes     map[*VBox]any
 	writeOrder []*VBox
 
-	installed map[*VBox]*Version
+	// entries are the committed request's writes and installed versions,
+	// immutable once published; Installed builds its map from them.
+	entries []commitEntry
+	// fresh is staleIn's yield function, made once per Txn; it keeps the
+	// first box that is not current at snap in stale.
+	fresh func(*VBox) bool
+	stale *VBox
 }
 
 // Begin starts a transaction reading the snapshot identified by the current
@@ -279,20 +287,6 @@ func (t *Txn) Write(b *VBox, v any) {
 	t.writes[b] = v
 }
 
-// NoteRead adds b to the read set without reading it. The futures engine
-// uses this to fold the snapshot reads performed by sub-transactions (which
-// read boxes directly via ReadAt) into the top-level validation set.
-func (t *Txn) NoteRead(b *VBox) {
-	if t.done {
-		panic(ErrDone)
-	}
-	t.noteRead(b)
-}
-
-// NoteWrite is Write; it exists for symmetry with NoteRead at engine
-// boundaries.
-func (t *Txn) NoteWrite(b *VBox, v any) { t.Write(b, v) }
-
 // HasWrites reports whether the transaction buffered any write.
 func (t *Txn) HasWrites() bool { return len(t.writeOrder) > 0 }
 
@@ -300,7 +294,14 @@ func (t *Txn) HasWrites() bool { return len(t.writeOrder) > 0 }
 // Read-only transactions always succeed without synchronization. Read-write
 // transactions go through the parallel commit pipeline (commit.go); on
 // ErrConflict the transaction is discarded and must be re-run from Begin.
-func (t *Txn) Commit() error {
+func (t *Txn) Commit() error { return t.CommitValidating(nil) }
+
+// CommitValidating is Commit for a transaction that also read boxes at its
+// snapshot outside the Txn (VBox.ReadAt): a read-write commit validates the
+// boxes reads yields, which may repeat, on every pass it validates its own
+// read set. A read-only commit does not consult reads. The futures engine
+// passes its main chain's snapshot reads, kept in its own sets.
+func (t *Txn) CommitValidating(reads iter.Seq[*VBox]) error {
 	if t.done {
 		return ErrDone
 	}
@@ -313,7 +314,7 @@ func (t *Txn) Commit() error {
 	if h := s.hook; h != nil {
 		h.Yield(sched.PointSTMCommit, "")
 	}
-	err := s.commitWrites(t)
+	err := s.commitWrites(t, reads)
 	t.finish()
 	if err != nil {
 		s.stats.Conflicts.Add(1)
@@ -326,8 +327,18 @@ func (t *Txn) Commit() error {
 // Installed returns, after a successful read-write commit, the map from
 // written boxes to the versions this transaction installed. The WTF-TM
 // engine uses it to resolve the reads of escaping futures under GAC
-// semantics. It returns nil before commit or for read-only transactions.
-func (t *Txn) Installed() map[*VBox]*Version { return t.installed }
+// semantics. It returns nil before commit or for read-only transactions;
+// each call builds a new map.
+func (t *Txn) Installed() map[*VBox]*Version {
+	if t.entries == nil {
+		return nil
+	}
+	m := make(map[*VBox]*Version, len(t.entries))
+	for _, e := range t.entries {
+		m[e.box] = e.ver
+	}
+	return m
+}
 
 // Discard abandons the transaction without committing.
 func (t *Txn) Discard() {

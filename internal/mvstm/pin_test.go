@@ -124,16 +124,16 @@ func TestInstalledExposedAfterCommit(t *testing.T) {
 	}
 }
 
-func TestHasWritesAndNoteWrite(t *testing.T) {
+func TestHasWrites(t *testing.T) {
 	s := New()
 	b := s.NewBox(0)
 	tx := s.Begin()
 	if tx.HasWrites() {
 		t.Fatal("fresh txn has writes")
 	}
-	tx.NoteWrite(b, 5)
+	tx.Write(b, 5)
 	if !tx.HasWrites() {
-		t.Fatal("NoteWrite did not register")
+		t.Fatal("Write did not register")
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)

@@ -5,8 +5,9 @@ package mvstm
 // The seed implementation allocated two maps per Begin and another per
 // commit; at millions of transactions per second that allocation churn
 // dominated the Begin/finish path. Transactions are now recycled through a
-// sync.Pool: the read set starts as a small inline array that spills to a
-// map only past readInlineCap distinct boxes, and the write set keeps the
+// sync.Pool: the read set, which is only Read's (CommitValidating checks
+// reads kept elsewhere in place), starts as a small inline array that spills
+// to a map only past readInlineCap distinct boxes, and the write set keeps the
 // ordered-slice+map hybrid but reuses both containers across transactions.
 
 // readInlineCap is the number of distinct boxes a read set holds before
@@ -68,7 +69,6 @@ func (t *Txn) hasReads() bool { return t.readsN > 0 || len(t.readsMap) > 0 }
 func (s *STM) getTxn() *Txn {
 	t := s.txnPool.Get().(*Txn)
 	t.done = false
-	t.installed = nil
 	return t
 }
 
@@ -92,6 +92,6 @@ func (t *Txn) Release() {
 	clear(t.writes)
 	clear(t.writeOrder)
 	t.writeOrder = t.writeOrder[:0]
-	t.installed = nil
+	t.entries = nil
 	t.stm.txnPool.Put(t)
 }

@@ -155,7 +155,7 @@ type Log struct {
 	segs    []segment  // all live segments, ascending firstSeq
 	nextSeq uint64
 	closed  bool
-	sticky  error // first unrecoverable append-path error; all later ops fail
+	sticky  error // first unrecoverable append or fsync error; all later ops fail
 
 	syncMu sync.Mutex // serializes fsyncs (group coalescing point)
 
@@ -493,7 +493,8 @@ func (l *Log) rotateLocked() error {
 // Sync is the group-commit durability barrier: on return, every record whose
 // Append completed before the call is durable. Concurrent barriers coalesce:
 // if another Sync already covered this caller's frontier, it returns without
-// an fsync of its own.
+// an fsync of its own. A failed fsync that no rotation covered is sticky, as
+// in Append: every later Append and Sync returns it.
 func (l *Log) Sync() error {
 	target := l.appended.Load()
 	if l.synced.Load() >= target {
@@ -509,6 +510,11 @@ func (l *Log) Sync() error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
+	if l.sticky != nil {
+		err := l.sticky
+		l.mu.Unlock()
+		return err
+	}
 	f := l.f
 	cur := l.appended.Load()
 	l.mu.Unlock()
@@ -518,7 +524,16 @@ func (l *Log) Sync() error {
 		if l.synced.Load() >= target {
 			return nil
 		}
-		return fmt.Errorf("wal: fsync: %w", err)
+		// Otherwise the kernel may have dropped the pages the fsync failed
+		// to write, and a later fsync that succeeds would not bring them
+		// back: no barrier may claim them durable again.
+		l.mu.Lock()
+		if l.sticky == nil {
+			l.sticky = fmt.Errorf("wal: fsync: %w", err)
+		}
+		err = l.sticky
+		l.mu.Unlock()
+		return err
 	}
 	l.fsyncs.Add(1)
 	// cur was captured while f was current, so f's fsync covers cur. Lift

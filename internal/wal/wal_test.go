@@ -346,3 +346,70 @@ func TestOSFS(t *testing.T) {
 	}
 	l3.Close()
 }
+
+// syncOnceFS is a MemFS whose files' next fsync fails once armed: a
+// transient barrier failure, after which the disk would accept fsyncs again.
+type syncOnceFS struct {
+	*MemFS
+	armed bool
+}
+
+type syncOnceFile struct {
+	File
+	fs *syncOnceFS
+}
+
+func (s *syncOnceFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := s.MemFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncOnceFile{File: f, fs: s}, nil
+}
+
+func (f syncOnceFile) Sync() error {
+	if f.fs.armed {
+		f.fs.armed = false
+		return fmt.Errorf("injected fsync failure")
+	}
+	return f.File.Sync()
+}
+
+// TestSyncFailureIsSticky: a group barrier whose fsync fails once keeps the
+// log failing. The pages that fsync did not write may be gone, so a later
+// barrier that succeeds must not advance the synced position past them, and
+// no later append may be acknowledged either.
+func TestSyncFailureIsSticky(t *testing.T) {
+	fs := &syncOnceFS{MemFS: NewMemFS()}
+	l, err := Open(Options{FS: fs, Dir: "d", Sync: SyncGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, err := l.Append([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]byte("second")); err != nil {
+		t.Fatal(err)
+	}
+	synced := l.synced.Load()
+	fs.armed = true
+	if err := l.Sync(); err == nil {
+		t.Fatal("the barrier whose fsync failed returned nil")
+	}
+	if fs.armed {
+		t.Fatal("the barrier did not fsync")
+	}
+	if err := l.Sync(); err == nil {
+		t.Fatal("the barrier after a failed fsync succeeded: the failure is not sticky")
+	}
+	if _, err := l.Append([]byte("third")); err == nil {
+		t.Fatal("an append after a failed fsync succeeded: the failure is not sticky")
+	}
+	if got := l.synced.Load(); got != synced {
+		t.Fatalf("the synced position moved from %d to %d after the failed fsync", synced, got)
+	}
+}
