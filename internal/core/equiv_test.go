@@ -715,3 +715,114 @@ func commitValidatesMergedReads(t testing.TB) {
 		t.Errorf("the transaction committed after %d attempts, want 2: the merged snapshot read of x was not validated", attempts)
 	}
 }
+
+// TestCommitValidatesErrorReads: a future's error reaches its evaluator and
+// can steer what the transaction commits, so the snapshot reads the error
+// was computed from are validated at commit although the future's chain is
+// discarded. f evaluates g, which reads x and merges into f's chain; f
+// returns an error because x is 0, and the main flow writes y on that
+// error. A commit to x before the main flow's commits must make it retry.
+func TestCommitValidatesErrorReads(t *testing.T) { commitValidatesErrorReads(t) }
+
+func commitValidatesErrorReads(t testing.TB) {
+	sys, stm := newSys(WO, LAC)
+	x, y := stm.NewBoxNamed("x", 0), stm.NewBoxNamed("y", 0)
+	errZero := errors.New("x is 0")
+	attempts := 0
+	err := sys.Atomic(func(tx *Tx) error {
+		attempts++
+		f := tx.Submit(func(ftx *Tx) (any, error) {
+			g := ftx.Submit(func(gtx *Tx) (any, error) { return gtx.Read(x), nil })
+			v, err := ftx.Evaluate(g)
+			if err != nil {
+				return nil, err
+			}
+			if v.(int) == 0 {
+				return nil, errZero
+			}
+			return v, nil
+		})
+		if _, err := tx.Evaluate(f); !errors.Is(err, errZero) {
+			return nil
+		}
+		tx.Write(y, 1)
+		if attempts == 1 {
+			commitBox(t, stm, x, 7)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attempts != 2 {
+		t.Errorf("the transaction committed after %d attempts, want 2: the read of x behind f's error was not validated", attempts)
+	}
+}
+
+// TestCommitValidatesInlineErrorReads is the same rule on the other path
+// that discards a chain whose error reaches the evaluator: a re-execution
+// at the evaluation point. f's first run reads a at the snapshot and writes
+// w. After f's submission the main flow reads w and writes a, so f can
+// serialize neither at its submission nor at its evaluation, which re-runs
+// it inline. That run sees the write of a, reads z and returns an error
+// because z is 0; a commit to z must make the transaction retry.
+func TestCommitValidatesInlineErrorReads(t *testing.T) {
+	sys, stm := newSys(WO, LAC)
+	a, w, z, y := stm.NewBoxNamed("a", 0), stm.NewBoxNamed("w", 0), stm.NewBoxNamed("z", 0), stm.NewBoxNamed("y", 0)
+	errZero := errors.New("z is 0")
+	attempts := 0
+	err := sys.Atomic(func(tx *Tx) error {
+		attempts++
+		if attempts > 1 {
+			return nil
+		}
+		started, proceed := make(chan struct{}), make(chan struct{})
+		runs := 0
+		f := tx.Submit(func(ftx *Tx) (any, error) {
+			if runs++; runs == 1 {
+				close(started)
+				<-proceed
+			}
+			if ftx.Read(a).(int) == 0 {
+				ftx.Write(w, 1)
+				return nil, nil
+			}
+			if ftx.Read(z).(int) == 0 {
+				return nil, errZero
+			}
+			return nil, nil
+		})
+		<-started
+		tx.Read(w)
+		tx.Write(a, 1)
+		tx.Submit(func(*Tx) (any, error) { return nil, nil }) // the sub-transaction ends
+		close(proceed)
+		<-f.settled.wait()
+		before := sys.stats.FutureReexecutions.Load()
+		if _, err := tx.Evaluate(f); !errors.Is(err, errZero) {
+			t.Fatalf("the evaluation returned %v, want the re-execution's error", err)
+		}
+		if sys.stats.FutureReexecutions.Load() != before+1 {
+			t.Fatalf("f was not re-executed at its evaluation")
+		}
+		tx.Write(y, 1)
+		commitBox(t, stm, z, 7)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attempts != 2 {
+		t.Errorf("the transaction committed after %d attempts, want 2: the re-execution's read of z was not validated", attempts)
+	}
+}
+
+// commitBox commits b = v in a transaction of its own.
+func commitBox(t testing.TB, stm *mvstm.STM, b *mvstm.VBox, v int) {
+	other := stm.Begin()
+	other.Write(b, v)
+	if err := other.Commit(); err != nil {
+		t.Fatalf("the concurrent commit to %s failed: %v", b.Name, err)
+	}
+	other.Release()
+}

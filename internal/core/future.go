@@ -289,6 +289,7 @@ func (f *Future) run() {
 	if err != nil {
 		top.lockG()
 		top.unregister(tx)
+		top.keepErrorReads(f.vertex)
 		top.discardChain(f.vertex)
 		f.err = err
 		f.setState(fUserAborted)
@@ -551,6 +552,7 @@ func (tx *Tx) runInline(body func(*Tx) (any, error), label string) (any, error) 
 	top.lockG()
 	top.unregister(sub)
 	if err != nil {
+		top.keepErrorReads(rv)
 		top.discardChain(rv)
 		tx.cur = top.newVertex(cur.flow, cur) // also re-points cur.next
 	} else {

@@ -453,6 +453,26 @@ func (t *topTx) pushMergePatch(head, target, evalFrom *vertex) {
 	}
 }
 
+// keepErrorReads appends the snapshot reads of the chain rooted at head,
+// which is discarded next, to errReads: its body's error reaches an
+// evaluator and may steer what the main chain commits (DESIGN §9). From the
+// fold on commit walks errReads and nothing is added. Caller holds top.mu
+// exclusively.
+func (t *topTx) keepErrorReads(head *vertex) {
+	if t.phaseAtLeast(phaseFolding) || mutant.Active == mutant.ErrorDropsChainReads {
+		return
+	}
+	for c := head; c != nil; c = c.next {
+		c.vmu.Lock()
+		for b, obs := range c.reads.all() {
+			if obs.ver != nil || obs.hidden {
+				t.errReads = append(t.errReads, b)
+			}
+		}
+		c.vmu.Unlock()
+	}
+}
+
 // discardChain removes the chain rooted at head without folding its writes
 // (used for user-aborted futures and for stale executions about to be
 // re-run). Pending child futures spawned by the chain are invalidated: they

@@ -38,6 +38,7 @@ func TestMutantsCaught(t *testing.T) {
 		mutant.AbsorbDropsTargetReads:   {validationEquivalence, "differs"},
 		mutant.MergeNotesNoHiddenRead:   {mergeNotesHiddenRead, "was not validated"},
 		mutant.CommitSkipsMergedReads:   {commitValidatesMergedReads, "was not validated"},
+		mutant.ErrorDropsChainReads:     {commitValidatesErrorReads, "was not validated"},
 	}
 	for _, e := range mutant.Table {
 		if e.Pkg != "core" {

@@ -331,8 +331,8 @@ func (s *iset[V]) reset(budget *int) {
 	}
 }
 
-// arenaFreeMax bounds the System's free list, and arenaKeep the vertices and
-// Tx handles a free arena holds on to: together with arenaMapBudget they
+// arenaFreeMax bounds the System's free list, and arenaKeep the vertices,
+// Tx handles and errReads slots a free arena holds on to: together with arenaMapBudget they
 // cap what recycling can keep resident at about 33 MB (32 MB of it spilled
 // set storage at the budget's worst case; a few hundred KB when no vertex
 // spills far), whatever the largest transaction ever run looked like.
@@ -426,6 +426,11 @@ func (t *topTx) wipe() {
 	}
 	clear(t.futures)
 	t.futures = t.futures[:0]
+	if cap(t.errReads) > arenaKeep {
+		t.errReads = nil
+	}
+	clear(t.errReads[:cap(t.errReads)])
+	t.errReads = t.errReads[:0]
 	budget := arenaMapBudget
 	for _, tx := range t.txs { // spares past ntxs are charged for what they kept
 		tx.reset(&budget)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"iter"
 	"sync"
 	"sync/atomic"
 
@@ -52,6 +53,10 @@ type topTx struct {
 	stack    []*vertex
 	chainBuf []*vertex
 	epoch    uint64
+
+	// errReads: snapshot reads of discarded chains whose body returned an
+	// error (keepErrorReads), validated at commit with the main chain's.
+	errReads []*mvstm.VBox
 
 	topState
 }
@@ -287,9 +292,13 @@ func (t *topTx) commit() (err error) {
 		mainChain = append(mainChain, v)
 	}
 	t.chainBuf = mainChain
+	hasReads := len(t.errReads) > 0
 	for i := len(mainChain) - 1; i >= 0; i-- {
 		v := mainChain[i]
 		v.vmu.Lock()
+		if v.reads.size() > 0 {
+			hasReads = true
+		}
 		for b, we := range v.writes.all() {
 			t.txn.Write(b, we.val)
 			if t.finalWID != nil {
@@ -308,7 +317,11 @@ func (t *topTx) commit() (err error) {
 		t.unpin = t.txn.Pin()
 	}
 
-	if err := t.txn.CommitValidating(t.commitReads); err != nil {
+	var reads iter.Seq[*mvstm.VBox] // nil: a blind commit skips validation
+	if hasReads {
+		reads = t.commitReads
+	}
+	if err := t.txn.CommitValidating(reads); err != nil {
 		return err
 	}
 
@@ -341,9 +354,10 @@ func (t *topTx) commit() (err error) {
 
 // commitReads yields the top-level validation set, possibly with repeats:
 // every snapshot read on the main chain, hidden ones included, where its
-// vertices hold it. The substrate commit walks it on each validation pass
-// without the graph lock: from the fold on, no merge targets a main-chain
-// vertex and no other flow records into one (DESIGN §9).
+// vertices hold it, then errReads. The substrate commit walks it on each
+// validation pass without the graph lock: from the fold on, no merge
+// targets a main-chain vertex, no other flow records into one and nothing
+// appends to errReads (DESIGN §9).
 func (t *topTx) commitReads(yield func(*mvstm.VBox) bool) {
 	cur := t.mainTx.cur
 	for v := cur; v != nil; v = v.pred {
@@ -354,6 +368,11 @@ func (t *topTx) commitReads(yield func(*mvstm.VBox) bool) {
 			if (obs.ver != nil || obs.hidden) && !yield(b) {
 				return
 			}
+		}
+	}
+	for _, b := range t.errReads {
+		if !yield(b) {
+			return
 		}
 	}
 }

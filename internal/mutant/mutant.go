@@ -21,6 +21,7 @@ const (
 	MergeNotesNoHiddenRead
 	ReplayBeforeBarrier
 	CommitSkipsMergedReads
+	ErrorDropsChainReads
 )
 
 // Entry is one mutant: Pkg's TestMutantsCaught/<Name> must report it. Sweep
@@ -56,4 +57,6 @@ var Table = []Entry{
 		"the executor acks an exactly-once replay before any barrier covers the original's record", false},
 	{CommitSkipsMergedReads, "CommitSkipsMergedReads", "core.(*topTx).commitReads", "core",
 		"the commit's validation set skips the main chain's root once the main flow has moved past it", false},
+	{ErrorDropsChainReads, "ErrorDropsChainReads", "core.(*topTx).keepErrorReads", "core",
+		"a future whose body returned an error is discarded without its chain's snapshot reads joining the commit's validation set", false},
 }

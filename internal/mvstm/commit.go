@@ -147,8 +147,8 @@ func (s *STM) commitWrites(t *Txn, reads func(yield func(*VBox) bool)) error {
 		// against box heads: with everything <= last.ticket written back and
 		// no later request enqueued, head.TS > snap is exactly "a version
 		// newer than our snapshot committed before us". Blind writes (empty
-		// read set) skip both steps and enqueue straight behind any pending
-		// peers.
+		// read set, nil reads) skip both steps and enqueue straight behind
+		// any pending peers.
 		if t.hasReads() || reads != nil {
 			s.helpUpTo(last, nil)
 			bad := t.validateReads()
@@ -206,7 +206,8 @@ func (s *STM) commitWrites(t *Txn, reads func(yield func(*VBox) bool)) error {
 
 // staleIn returns the first box reads yields that carries a committed
 // version newer than the snapshot, or nil. It hands reads the Txn's own
-// yield function: a range loop's would be allocated on every pass.
+// yield function: a range loop's would be allocated on every pass. The box
+// is not kept in t.stale past the call, so a pooled Txn holds no VBox.
 func (t *Txn) staleIn(reads func(yield func(*VBox) bool)) *VBox {
 	if t.fresh == nil {
 		t.fresh = func(b *VBox) bool {
@@ -217,7 +218,8 @@ func (t *Txn) staleIn(reads func(yield func(*VBox) bool)) *VBox {
 			return true
 		}
 	}
-	t.stale = nil
 	reads(t.fresh)
-	return t.stale
+	bad := t.stale
+	t.stale = nil
+	return bad
 }

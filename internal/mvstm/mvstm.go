@@ -238,7 +238,8 @@ type Txn struct {
 	// immutable once published; Installed builds its map from them.
 	entries []commitEntry
 	// fresh is staleIn's yield function, made once per Txn; it keeps the
-	// first box that is not current at snap in stale.
+	// first box that is not current at snap in stale, which staleIn clears
+	// before it returns.
 	fresh func(*VBox) bool
 	stale *VBox
 }
@@ -299,7 +300,8 @@ func (t *Txn) Commit() error { return t.CommitValidating(nil) }
 // CommitValidating is Commit for a transaction that also read boxes at its
 // snapshot outside the Txn (VBox.ReadAt): a read-write commit validates the
 // boxes reads yields, which may repeat, on every pass it validates its own
-// read set. A read-only commit does not consult reads. The futures engine
+// read set. A read-only commit does not consult reads; nor does a blind
+// write, whose own read set is empty and reads nil. The futures engine
 // passes its main chain's snapshot reads, kept in its own sets.
 func (t *Txn) CommitValidating(reads iter.Seq[*VBox]) error {
 	if t.done {
