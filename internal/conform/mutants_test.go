@@ -81,20 +81,28 @@ func TestMutantsSweep(t *testing.T) {
 }
 
 // ciSweeps runs scripts/ci.sh's wtfconform -mode dfs -budget 300 sweeps —
-// the smoke sweep over seeds 1-8, the nested one at depth 2 and 3 over seeds
-// 1-16, each under every ordering and atomicity — and returns the first
-// violation.
+// the smoke sweep over seeds 1-8 and the nested one at depth 2 and 3 over
+// seeds 1-16, each under every ordering and atomicity, and the sweep of two
+// drivers running two top-level transactions each over seeds 1-16, under
+// every ordering and LAC — and returns the first violation.
 func ciSweeps() *Violation {
+	both := []core.Atomicity{core.LAC, core.GAC}
 	for _, sw := range []struct {
-		ops, futures, depth int
-		seeds               int64
-	}{{6, 2, 1, 8}, {8, 3, 2, 16}, {8, 3, 3, 16}} {
+		ops, futures, depth, threads, txns int
+		seeds                              int64
+		atoms                              []core.Atomicity
+	}{
+		{6, 2, 1, 1, 1, 8, both},
+		{8, 3, 2, 1, 1, 16, both},
+		{8, 3, 3, 1, 1, 16, both},
+		{6, 2, 1, 2, 2, 16, []core.Atomicity{core.LAC}},
+	} {
 		for _, ord := range []core.Ordering{core.WO, core.SO} {
-			for _, atom := range []core.Atomicity{core.LAC, core.GAC} {
+			for _, atom := range sw.atoms {
 				for seed := int64(1); seed <= sw.seeds; seed++ {
 					p := Params{
 						Ordering: ord, Atomicity: atom,
-						Threads: 1, TxPerThread: 1, OpsPerTx: sw.ops, Boxes: 2, MaxFutures: sw.futures, Depth: sw.depth,
+						Threads: sw.threads, TxPerThread: sw.txns, OpsPerTx: sw.ops, Boxes: 2, MaxFutures: sw.futures, Depth: sw.depth,
 						Seed: seed,
 					}
 					if v, _ := ExploreDFS(p, 300, testTimeout); v != nil {

@@ -26,9 +26,12 @@
 //   - LAC (locally atomic continuation): a top-level transaction implicitly
 //     evaluates all of its unevaluated futures right before committing.
 //   - GAC (globally atomic continuation): the spawner commits without
-//     waiting; the future detaches carrying its observed read versions and
-//     is validated — and if stale, re-executed — inside the top-level
-//     transaction that eventually evaluates it.
+//     waiting, keeping its arena. The top-level transaction that eventually
+//     evaluates an escaped future walks the future's chain where it lies
+//     and judges each read, the reads behind a body's error included, by
+//     one rule against its own snapshot (escape.go): if all hold, the chain
+//     folds into the evaluation point, and if one is stale, the body
+//     re-executes there.
 package core
 
 import (
@@ -69,7 +72,7 @@ const (
 	// top-level commit implicitly evaluates every outstanding future.
 	LAC Atomicity = iota
 	// GAC lets continuations span top-level transactions: escaping futures
-	// detach at the spawner's commit and serialize at their eventual
+	// outlive the spawner's commit and serialize at their eventual
 	// evaluation point in another top-level transaction.
 	GAC
 )
@@ -118,8 +121,8 @@ type Stats struct {
 	MergedAtEvaluation  atomic.Int64 // futures serialized at their evaluation point
 	FutureReexecutions  atomic.Int64 // internal aborts: future re-ran at evaluation
 	ImplicitEvaluations atomic.Int64 // LAC implicit evaluations at top commit
-	EscapedFutures      atomic.Int64 // GAC futures that detached at top commit
-	EscapeReexecutions  atomic.Int64 // detached futures re-run in the evaluator
+	EscapedFutures      atomic.Int64 // GAC futures still unserialized at top commit
+	EscapeReexecutions  atomic.Int64 // escaped futures re-run in the evaluator
 	ClaimedAtEvaluation atomic.Int64 // bodies run by the flow evaluating them, not a worker
 	WorkerWakes         atomic.Int64 // future workers woken or started (worker.go)
 }
@@ -151,7 +154,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 }
 
 // InternalAborts is the total number of sub-transaction-level aborts: future
-// re-executions (WO) plus SO continuation conflicts plus detached-future
+// re-executions (WO) plus SO continuation conflicts plus escaped-future
 // re-executions.
 func (s StatsSnapshot) InternalAborts() int64 {
 	return s.FutureReexecutions + s.TopInternal + s.EscapeReexecs

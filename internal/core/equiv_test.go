@@ -675,6 +675,48 @@ func mergeNotesHiddenRead(t testing.TB) {
 	}
 }
 
+// TestEscapeValidatesHiddenRead: a foreign evaluation judges an escaped
+// chain's hidden entry by the snapshot read the fold hid under it, not only
+// by the kept read of the chain's own write. The escapee's first vertex is
+// given such an entry by hand after it settled (the validators keep the
+// fold from arising, see TestMergeNotesHiddenRead); another transaction then
+// commits the box, so the evaluation must re-execute the body.
+func TestEscapeValidatesHiddenRead(t *testing.T) { escapeValidatesHiddenRead(t) }
+
+func escapeValidatesHiddenRead(t testing.TB) {
+	sys, stm := newSys(WO, GAC)
+	b := stm.NewBoxNamed("b", 0)
+	committed := make(chan struct{})
+	var f *Future
+	if err := sys.Atomic(func(tx *Tx) error {
+		f = tx.Submit(func(*Tx) (any, error) {
+			<-committed // still running when the spawner commits: it escapes
+			return nil, nil
+		})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	close(committed)
+	<-f.settled.wait()
+	v := f.vertex
+	v.vmu.Lock()
+	_, slot, _ := v.reads.find(b)
+	v.addRead(slot, b, readObs{val: 1, flow: int32(f.flow), wid: sys.nextWID(), hidden: true})
+	v.vmu.Unlock()
+
+	commitBox(t, stm, b, 2)
+	if err := sys.Atomic(func(tx *Tx) error {
+		_, err := tx.Evaluate(f)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := sys.Stats().EscapeReexecutions.Load(); n != 1 {
+		t.Errorf("%d re-executions after a concurrent commit to b, want 1: the escapee's hidden read of b was not validated", n)
+	}
+}
+
 // TestCommitValidatesMergedReads: the top-level commit validates the
 // snapshot reads a merge folded into the main chain where they sit, in the
 // vertex the main flow has already left. A future reads x at the snapshot

@@ -2,85 +2,116 @@ package core
 
 import (
 	"wtftm/internal/history"
+	"wtftm/internal/mutant"
 	"wtftm/internal/mvstm"
 )
 
-// detachRec captures what an escaped future observed and produced, expressed
-// against committed state, so that a different top-level transaction can
-// decide whether the execution is still serializable at its evaluation point
-// (§4.2, Globally Atomic Continuations).
-type detachRec struct {
-	reads  []detRead
-	writes []detWrite
+// An escaped (GAC) future is serialized at its evaluation point in a later
+// top-level transaction (§3.4, Globally Atomic Continuations). Its chain is
+// judged where it lies, in its spawner's arena, which is never recycled once
+// the spawner commits with an escapee; the chain and the spawner's main
+// chain are frozen from that commit and the future's settling on (DESIGN
+// §9).
+
+// atSnapshot reports whether a read entry stands for a read of the
+// top-level snapshot: its own (ver), or one a fold hid under it (hidden,
+// keepRead). Such a read holds at a later point only while no newer version
+// of the box has committed; it is what the top-level commit validates
+// (commitReads), what a failing body leaves behind (keepErrorReads), and
+// half of readHolds.
+func (o readObs) atSnapshot() bool { return o.ver != nil || o.hidden }
+
+// readHolds is the read rule for an entry of an execution of flow self in
+// the committed attempt t, judged where the box's visible version is vis
+// and no ancestor of the evaluation point wrote b:
+//   - a snapshot read, or a hidden one, holds iff vis is not newer than t's
+//     snapshot (for a snapshot read: vis is obs.ver);
+//   - a read of another flow's sub-transaction write holds iff that write is
+//     t's final main-chain write of b and vis is the version t's commit
+//     installed;
+//   - a read of the chain's own write always holds.
+//
+// At t's own commit the last two hold by its graph's validations and the
+// first is the substrate's check of the boxes commitReads yields. Caller
+// holds t.mu shared.
+func (t *topTx) readHolds(b *mvstm.VBox, obs readObs, self int, vis *mvstm.Version) bool {
+	if obs.ver == nil && int(obs.flow) != self && (vis.TS != t.commitTS || t.finalWrite(b) != obs.wid) {
+		return false
+	}
+	if obs.ver == nil && mutant.Active == mutant.EscapeIgnoresHidden {
+		return true
+	}
+	return !obs.atSnapshot() || vis.TS <= t.snap
 }
 
-// detRead is one read of an escaped future. ver is the committed version the
-// read is equivalent to: the version the future actually read (top-snapshot
-// reads) or the version its spawning transaction installed (reads of
-// sub-transaction state that became the spawner's final committed value).
-// ok is false when the observation cannot be expressed against committed
-// state — the future read an intermediate value its spawner overwrote before
-// committing, or the uncommitted write of another escaped future — in which
-// case no later evaluation point can accept the execution as-is.
-type detRead struct {
-	box *mvstm.VBox
-	ver *mvstm.Version
-	ok  bool
+// finalWrite returns the write id of the committed main chain's last write
+// of b, the one its commit installed, or 0 (write ids start at 1). Caller
+// holds t.mu shared.
+func (t *topTx) finalWrite(b *mvstm.VBox) int64 {
+	bs := b.Summary()
+	for v := t.mainTx.cur; v != nil; v = v.pred {
+		if v.writeSum.Load()&bs == bs {
+			if we, ok := v.writes.get(b); ok {
+				return we.wid
+			}
+		}
+	}
+	return 0
 }
 
-// detWrite is one write of an escaped future, in chain order. The original
-// write id is preserved so recorded histories stay resolvable.
-type detWrite struct {
-	box *mvstm.VBox
-	val any
-	wid int64
-}
-
-// buildDetach resolves the future's read/write sets against its (committed)
-// spawning transaction. Caller holds f.mu; f.top must have committed and f
-// must be parked.
-func buildDetach(f *Future) *detachRec {
-	t := f.top
-	rec := &detachRec{}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	seenR := make(map[*mvstm.VBox]bool)
-	seenW := make(map[*mvstm.VBox]int)
+// escapeHolds reports whether every read of f's escaped chain holds at the
+// caller's evaluation point (readHolds). Ancestor writes resolve through the
+// flow's visible-write index, which the caller refreshed; the current
+// vertex is checked separately since the index excludes it. Caller holds
+// top.mu exclusively, then f.top.mu shared.
+func (tx *Tx) escapeHolds(f *Future) bool {
+	cur := tx.cur
+	cur.vmu.Lock()
+	defer cur.vmu.Unlock()
 	for c := f.vertex; c != nil; c = c.next {
-		c.vmu.Lock()
 		for b, obs := range c.reads.all() {
-			if seenR[b] {
+			if _, wrote := cur.writes.get(b); wrote {
+				return false
+			}
+			if _, wrote := tx.vis.get(b); wrote {
+				return false
+			}
+			if !f.top.readHolds(b, obs, f.flow, b.ReadAt(tx.top.snap)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// foldEscapee serializes f's escaped chain, whose reads hold, into the
+// caller's current vertex: every read other than of the chain's own writes
+// becomes a read of the version visible at the caller's snapshot, which the
+// caller's commit validates, and, unless the body failed, the writes follow
+// in chain order, later ones winning. Caller holds top.mu exclusively, then
+// f.top.mu shared.
+func (tx *Tx) foldEscapee(f *Future) {
+	cur := tx.cur
+	failed := f.getState() == fUserAborted
+	cur.vmu.Lock()
+	for c := f.vertex; c != nil; c = c.next {
+		for b, obs := range c.reads.all() {
+			if !obs.atSnapshot() && int(obs.flow) == f.flow {
 				continue
 			}
-			seenR[b] = true
-			switch {
-			case obs.ver != nil:
-				rec.reads = append(rec.reads, detRead{box: b, ver: obs.ver, ok: true})
-			case int(obs.flow) == f.flow:
-				// A read of the future's own chain is self-satisfied at any
-				// serialization point.
-			default:
-				// The future observed an uncommitted sub-transaction write of
-				// its spawning transaction: it is equivalent to the committed
-				// version iff that write was the spawner's final write to the
-				// box.
-				ver, installed := t.installed[b]
-				ok := installed && t.finalWID[b] == obs.wid
-				rec.reads = append(rec.reads, detRead{box: b, ver: ver, ok: ok})
+			if _, slot, ok := cur.reads.find(b); !ok {
+				ver := b.ReadAt(tx.top.snap)
+				cur.addRead(slot, b, readObs{val: ver.Value, ver: ver})
 			}
+		}
+		if failed {
+			continue
 		}
 		for b, we := range c.writes.all() {
-			if i, dup := seenW[b]; dup {
-				rec.writes[i].val = we.val
-				rec.writes[i].wid = we.wid
-				continue
-			}
-			seenW[b] = len(rec.writes)
-			rec.writes = append(rec.writes, detWrite{box: b, val: we.val, wid: we.wid})
+			cur.addWrite(b, writeEntry{val: we.val, wid: we.wid, flow: cur.flow})
 		}
-		c.vmu.Unlock()
 	}
-	return rec
+	cur.vmu.Unlock()
 }
 
 // evaluateForeign evaluates a future spawned by a different top-level
@@ -113,7 +144,12 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 		// evaluation: hand back the committed result.
 		return f.result, nil
 	case fUserAborted:
-		return nil, f.err
+		if f.vertex == nil || mutant.Active == mutant.ForeignErrorUnchecked {
+			// It failed before its spawner's fold, whose commit validated
+			// the reads behind the error (keepErrorReads).
+			return nil, f.err
+		}
+		// It failed after the fold: an escapee like any other.
 	case fStale, fFailed:
 		return nil, ErrStaleFuture
 	}
@@ -138,45 +174,37 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 		}
 		f.mu.Lock()
 	}
-	if f.detach == nil {
-		f.detach = buildDetach(f)
-	}
-	det := f.detach
 	f.mu.Unlock()
 	top.addClaim(f)
 
 	top.lockG()
-	if t := top; t.aborted.Load() {
-		t.unlockG()
-		panic(&retrySignal{cause: t.abortCause()})
+	if top.aborted.Load() {
+		top.unlockG()
+		panic(&retrySignal{cause: top.abortCause()})
 	}
-	if tx.detachValid(det) {
-		// The escaped execution is still current: serialize it here by
-		// folding its effects into the evaluating sub-transaction.
-		cur := tx.cur
-		cur.vmu.Lock()
-		for _, r := range det.reads {
-			if _, slot, ok := cur.reads.find(r.box); !ok {
-				cur.addRead(slot, r.box, readObs{val: r.ver.Value, ver: r.ver})
-			}
-		}
-		for _, w := range det.writes {
-			cur.addWrite(w.box, writeEntry{val: w.val, wid: w.wid, flow: cur.flow})
-		}
-		cur.vmu.Unlock()
+	tx.refreshVis()
+	f.top.mu.RLock()
+	holds := tx.escapeHolds(f)
+	if holds {
+		tx.foldEscapee(f)
+	}
+	f.top.mu.RUnlock()
+	if holds {
+		// The escaped execution is still current: it is serialized here.
 		tx.boundaryLocked()
 		top.unlockG()
 		top.sys.stats.MergedAtEvaluation.Add(1)
 		top.sys.record(history.Op{Top: top.id, Flow: tx.cur.flow, Kind: history.FutureMerge, Arg: "evaluation/escaped " + f.name()})
 		f.mu.Lock()
-		res := f.result
+		res, err := f.result, f.err
 		f.mu.Unlock()
-		return res, nil
+		return res, err
 	}
 	top.unlockG()
 
 	// Stale: re-execute the body at this evaluation point, inside the
-	// evaluating transaction.
+	// evaluating transaction. Its outcome replaces the escaped execution's
+	// only if this transaction commits (finalizeClaims).
 	top.sys.stats.EscapeReexecutions.Add(1)
 	top.sys.record(history.Op{Top: top.id, Flow: tx.cur.flow, Kind: history.FutureAbort, Arg: f.name()})
 	res, err := tx.runInline(f.body, f.name())
@@ -184,37 +212,7 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 		top.sys.record(history.Op{Top: top.id, Flow: tx.cur.flow, Kind: history.FutureAbort, Arg: f.name()})
 	}
 	f.mu.Lock()
-	f.result, f.err = res, err
+	f.rerun = &outcome{res, err}
 	f.mu.Unlock()
 	return res, err
-}
-
-// detachValid reports whether every read of the detached execution is still
-// current at the caller's evaluation point: no ancestor sub-transaction
-// wrote the box, and the version visible at the caller's snapshot is the one
-// the future observed. Ancestor writes resolve through the flow's
-// visible-write index (one lookup per read instead of a chain walk); the
-// current vertex is checked separately since the index excludes it. Caller
-// holds top.mu exclusively.
-func (tx *Tx) detachValid(det *detachRec) bool {
-	tx.refreshVis()
-	cur := tx.cur
-	for _, r := range det.reads {
-		if !r.ok {
-			return false
-		}
-		cur.vmu.Lock()
-		_, wrote := cur.writes.get(r.box)
-		cur.vmu.Unlock()
-		if wrote {
-			return false
-		}
-		if _, wrote := tx.vis.get(r.box); wrote {
-			return false
-		}
-		if r.box.ReadAt(tx.top.snap) != r.ver {
-			return false
-		}
-	}
-	return true
 }

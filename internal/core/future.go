@@ -157,12 +157,20 @@ type Future struct {
 	// re-execution finished. Guarded by top.mu.
 	reexecCh chan struct{}
 
-	// Cross-top (GAC) evaluation coordination. Guarded by mu.
+	// Cross-top (GAC) evaluation coordination. Guarded by mu. rerun is the
+	// claimant's re-execution outcome, which becomes result and err only if
+	// the claimant commits.
 	mu       sync.Mutex
-	detach   *detachRec
 	claimant *topTx
 	claimCh  chan struct{}
+	rerun    *outcome
 	final    bool
+}
+
+// outcome is what one execution of a future's body returned.
+type outcome struct {
+	res any
+	err error
 }
 
 // name is the display name ("T<top>.F<id>") history records and scheduler
@@ -293,7 +301,11 @@ func (f *Future) run() {
 		top.discardChain(f.vertex)
 		f.err = err
 		f.setState(fUserAborted)
-		f.dropGraph()
+		if !top.phaseAtLeast(phaseFolding) {
+			// Past the fold the future escaped: a foreign evaluator judges
+			// the reads behind its error on the chain (evaluateForeign).
+			f.dropGraph()
+		}
 		top.unlockG()
 		sys.record(history.Op{Top: top.id, Flow: f.flow, Kind: history.FutureAbort, Arg: f.name()})
 		return

@@ -39,8 +39,10 @@ type readObs struct {
 }
 
 // writeEntry is one buffered write held by a vertex. Merges preserve the
-// origin flow and write id so GAC detach records can resolve what a
-// detached future actually observed.
+// origin flow and write id, so a foreign evaluation can tell an escaped
+// future's read of its own chain's write from one of its spawner's, and
+// match the latter with the main chain's final write of the box
+// (readHolds).
 type writeEntry struct {
 	val  any
 	wid  int64
@@ -465,7 +467,7 @@ func (t *topTx) keepErrorReads(head *vertex) {
 	for c := head; c != nil; c = c.next {
 		c.vmu.Lock()
 		for b, obs := range c.reads.all() {
-			if obs.ver != nil || obs.hidden {
+			if obs.atSnapshot() {
 				t.errReads = append(t.errReads, b)
 			}
 		}

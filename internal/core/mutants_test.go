@@ -39,6 +39,8 @@ func TestMutantsCaught(t *testing.T) {
 		mutant.MergeNotesNoHiddenRead:   {mergeNotesHiddenRead, "was not validated"},
 		mutant.CommitSkipsMergedReads:   {commitValidatesMergedReads, "was not validated"},
 		mutant.ErrorDropsChainReads:     {commitValidatesErrorReads, "was not validated"},
+		mutant.EscapeIgnoresHidden:      {escapeValidatesHiddenRead, "was not validated"},
+		mutant.ForeignErrorUnchecked:    {foreignEvaluationRevalidatesError, "was not revalidated"},
 	}
 	for _, e := range mutant.Table {
 		if e.Pkg != "core" {

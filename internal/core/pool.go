@@ -28,8 +28,8 @@ import (
 //     which the next newTop takes it.
 //   - An attempt whose commit left a future unserialized (escaped > 0: a GAC
 //     escapee, or a cancelled future) does not recycle. Another transaction
-//     may evaluate that future at any later time and buildDetach then reads
-//     the spawner's vertices and commit record; nothing bounds how long the
+//     may evaluate that future at any later time and then walks its chain
+//     and the spawner's main chain in place; nothing bounds how long the
 //     handle is kept, so the arena is left to the garbage collector, exactly
 //     as before recycling existed. The rule is observed at commit, not
 //     configured: LAC transactions and GAC transactions whose futures all

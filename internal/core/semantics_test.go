@@ -261,6 +261,142 @@ func TestGACEvaluatorAbortReleasesClaim(t *testing.T) {
 	}
 }
 
+// TestForeignEvaluationRevalidatesError: an escapee's body error is judged
+// like its result. F reads x, is still running when its spawner T1 commits,
+// and then fails because x is 0; T2 commits x = 7; T3's evaluation must
+// re-execute F against the new x rather than hand over the error computed
+// from the old one.
+func TestForeignEvaluationRevalidatesError(t *testing.T) { foreignEvaluationRevalidatesError(t) }
+
+func foreignEvaluationRevalidatesError(t testing.TB) {
+	sys, stm := newSys(WO, GAC)
+	x := stm.NewBoxNamed("x", 0)
+	errZero := errors.New("x is 0")
+	committed := make(chan struct{})
+	var f *Future
+	if err := sys.Atomic(func(tx *Tx) error {
+		f = tx.Submit(func(ftx *Tx) (any, error) {
+			v := ftx.Read(x).(int)
+			<-committed // still running when the spawner commits: it escapes
+			if v == 0 {
+				return nil, errZero
+			}
+			return v, nil
+		})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	close(committed)
+	<-f.settled.wait()
+	commitBox(t, stm, x, 7)
+
+	v, err := sys.AtomicResult(func(tx *Tx) (any, error) { return tx.Evaluate(f) })
+	if err != nil || v != 7 {
+		t.Errorf("T3 evaluated F to (%v, %v), want (7, nil): the stale error, computed from x = 0, was not revalidated", v, err)
+	}
+	if n := sys.Stats().EscapeReexecutions.Load(); n != 1 {
+		t.Errorf("EscapeReexecutions = %d, want 1", n)
+	}
+	// The re-execution committed with T3: a later evaluation returns it.
+	if v, err := sys.AtomicResult(func(tx *Tx) (any, error) { return tx.Evaluate(f) }); err != nil || v != 7 {
+		t.Errorf("a later evaluation returned (%v, %v), want (7, nil)", v, err)
+	}
+}
+
+// TestForeignEvaluationKeepsValidError: an escapee that failed on reads
+// nobody overwrote hands its error to a foreign evaluator without running
+// again, and the reads behind the error join the evaluator's commit. The
+// evaluator writes z on the error; a commit to x before its own makes it
+// retry, and the retry re-executes the escapee against the new x.
+func TestForeignEvaluationKeepsValidError(t *testing.T) {
+	sys, stm := newSys(WO, GAC)
+	x, y, z := stm.NewBoxNamed("x", 0), stm.NewBoxNamed("y", 0), stm.NewBoxNamed("z", 0)
+	errZero := errors.New("x is 0")
+	committed := make(chan struct{})
+	var f *Future
+	if err := sys.Atomic(func(tx *Tx) error {
+		f = tx.Submit(func(ftx *Tx) (any, error) {
+			v := ftx.Read(x).(int)
+			<-committed
+			ftx.Write(y, 1) // discarded with a failed execution
+			if v == 0 {
+				return nil, errZero
+			}
+			return v, nil
+		})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	close(committed)
+	<-f.settled.wait()
+
+	attempts := 0
+	err := sys.Atomic(func(tx *Tx) error {
+		attempts++
+		_, err := tx.Evaluate(f)
+		if attempts == 1 {
+			if !errors.Is(err, errZero) {
+				return fmt.Errorf("the first evaluation returned %v, want the escapee's error", err)
+			}
+			if n := sys.Stats().EscapeReexecutions.Load(); n != 0 {
+				return fmt.Errorf("the escapee's valid error was re-executed %d times", n)
+			}
+			commitBox(t, stm, x, 7)
+		}
+		if err != nil {
+			tx.Write(z, 1)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attempts != 2 {
+		t.Errorf("the evaluator committed after %d attempts, want 2: the read behind the error was not validated", attempts)
+	}
+	if gy, gz := readInt(t, stm, y), readInt(t, stm, z); gy != 1 || gz != 0 {
+		t.Errorf("y, z = %d, %d; want 1, 0 (the retry re-executes the escapee, which succeeds)", gy, gz)
+	}
+}
+
+// TestGACAbortedReexecutionIsNotKept: a claimant that re-executes an escapee
+// and then aborts leaves the escaped execution's outcome in place. T2
+// writes a itself, so the escapee's read of a does not hold there and T2
+// re-runs it to 7, then aborts; T3, where a is still 5, must get 5.
+func TestGACAbortedReexecutionIsNotKept(t *testing.T) {
+	sys, stm := newSys(WO, GAC)
+	a := stm.NewBoxNamed("a", 5)
+	gate := make(chan struct{})
+	var f *Future
+	if err := sys.Atomic(func(tx *Tx) error {
+		f = tx.Submit(func(ftx *Tx) (any, error) {
+			<-gate
+			return ftx.Read(a), nil
+		})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	stop := errors.New("stop")
+	err := sys.Atomic(func(tx *Tx) error {
+		tx.Write(a, 7)
+		if v, err := tx.Evaluate(f); err != nil || v != 7 {
+			return fmt.Errorf("T2 evaluated (%v, %v), want the re-execution's 7", v, err)
+		}
+		tx.Abort(stop)
+		return nil
+	})
+	if !errors.Is(err, stop) {
+		t.Fatal(err)
+	}
+	if v, err := sys.AtomicResult(func(tx *Tx) (any, error) { return tx.Evaluate(f) }); err != nil || v != 5 {
+		t.Fatalf("T3 evaluated (%v, %v), want the escaped execution's 5", v, err)
+	}
+}
+
 func TestWriteSkewPreventedAcrossFutures(t *testing.T) {
 	// Two futures of *different* top-level transactions each read both boxes
 	// and write one: classic write skew. MV-STM read-set validation must

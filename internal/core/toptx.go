@@ -103,10 +103,10 @@ type topState struct {
 	unpin func()
 	keep  bool
 
-	// Commit record, kept only for an attempt that committed with escaped
-	// futures; they resolve their observed sub-transaction reads against it.
-	installed map[*mvstm.VBox]*mvstm.Version
-	finalWID  map[*mvstm.VBox]int64
+	// commitTS is the timestamp the attempt's commit installed its writes
+	// at (0 if it wrote nothing); escapees judge their reads of its
+	// sub-transaction writes by it (readHolds).
+	commitTS int64
 
 	// Escaped futures of *other* transactions claimed by this one; they are
 	// finalized on commit and released on abort. Guarded by claimMu.
@@ -283,10 +283,6 @@ func (t *topTx) commit() (err error) {
 			escaped++
 		}
 	}
-	if escaped > 0 {
-		// The commit record the escapees resolve their reads against.
-		t.finalWID = make(map[*mvstm.VBox]int64)
-	}
 	mainChain := t.chainBuf[:0]
 	for v := t.mainTx.cur; v != nil; v = v.pred {
 		mainChain = append(mainChain, v)
@@ -301,9 +297,6 @@ func (t *topTx) commit() (err error) {
 		}
 		for b, we := range v.writes.all() {
 			t.txn.Write(b, we.val)
-			if t.finalWID != nil {
-				t.finalWID[b] = we.wid
-			}
 		}
 		v.vmu.Unlock()
 	}
@@ -325,20 +318,13 @@ func (t *topTx) commit() (err error) {
 		return err
 	}
 
-	var commitTS int64
-	if escaped > 0 || sys.opts.Recorder != nil {
-		t.installed = t.txn.Installed()
-		for _, v := range t.installed {
-			commitTS = v.TS
-			break
-		}
-	}
-	t.txn.Release() // recycled; t.installed is ours, the Txn is dead
+	t.commitTS = t.txn.CommitTS()
+	t.txn.Release()
 	t.txn = nil
 	t.phase.Store(phaseDone)
 	if escaped > 0 {
 		// Someone may evaluate the escapees out of this arena at any later
-		// time (buildDetach): it is never recycled.
+		// time, walking their chains where they lie: it is never recycled.
 		t.keep = true
 		sys.stats.EscapedFutures.Add(int64(escaped))
 	}
@@ -347,7 +333,7 @@ func (t *topTx) commit() (err error) {
 		t.att.committed.fire()
 	}
 	sys.stats.TopCommits.Add(1)
-	sys.record(history.Op{Top: t.id, Flow: 0, Kind: history.TopCommit, WID: commitTS})
+	sys.record(history.Op{Top: t.id, Flow: 0, Kind: history.TopCommit, WID: t.commitTS})
 	t.unref()
 	return nil
 }
@@ -365,7 +351,7 @@ func (t *topTx) commitReads(yield func(*mvstm.VBox) bool) {
 			continue
 		}
 		for b, obs := range v.reads.all() {
-			if (obs.ver != nil || obs.hidden) && !yield(b) {
+			if obs.atSnapshot() && !yield(b) {
 				return
 			}
 		}
@@ -408,6 +394,9 @@ func (t *topTx) finalizeClaims() {
 		f.mu.Lock()
 		if f.claimant == t {
 			f.final = true
+			if r := f.rerun; r != nil {
+				f.result, f.err, f.rerun = r.res, r.err, nil
+			}
 			f.claimant = nil // t is arena memory: keep no identity past it
 			if f.claimCh != nil {
 				close(f.claimCh)
@@ -426,7 +415,7 @@ func (t *topTx) releaseClaims() {
 	for _, f := range claims {
 		f.mu.Lock()
 		if f.claimant == t && !f.final {
-			f.claimant = nil
+			f.claimant, f.rerun = nil, nil
 			if f.claimCh != nil {
 				close(f.claimCh)
 				f.claimCh = nil

@@ -22,6 +22,8 @@ const (
 	ReplayBeforeBarrier
 	CommitSkipsMergedReads
 	ErrorDropsChainReads
+	EscapeIgnoresHidden
+	ForeignErrorUnchecked
 )
 
 // Entry is one mutant: Pkg's TestMutantsCaught/<Name> must report it. Sweep
@@ -56,7 +58,11 @@ var Table = []Entry{
 	{ReplayBeforeBarrier, "ReplayBeforeBarrier", "server.acksAfterBarrier", "server",
 		"the executor acks an exactly-once replay before any barrier covers the original's record", false},
 	{CommitSkipsMergedReads, "CommitSkipsMergedReads", "core.(*topTx).commitReads", "core",
-		"the commit's validation set skips the main chain's root once the main flow has moved past it", false},
+		"the commit's validation set skips the main chain's root once the main flow has moved past it", true},
 	{ErrorDropsChainReads, "ErrorDropsChainReads", "core.(*topTx).keepErrorReads", "core",
 		"a future whose body returned an error is discarded without its chain's snapshot reads joining the commit's validation set", false},
+	{EscapeIgnoresHidden, "EscapeIgnoresHidden", "core.(*topTx).readHolds", "core",
+		"a foreign evaluation accepts an escaped chain's hidden read without checking the snapshot read the fold hid under it", false},
+	{ForeignErrorUnchecked, "ForeignErrorUnchecked", "core.(*Tx).evaluateForeign", "core",
+		"a foreign evaluation hands over an escapee's body error without checking the reads the error was computed from", false},
 }

@@ -30,8 +30,7 @@ import "sync/atomic"
 
 // commitEntry is one write of a commit request. The Version object is built
 // before the request is published and installed (possibly by several helpers,
-// idempotently) during completion; it is the canonical version, so Installed
-// can expose it without re-walking the box's chain.
+// idempotently) during completion; it is the canonical version.
 type commitEntry struct {
 	box *VBox
 	ver *Version
@@ -138,7 +137,7 @@ func (s *STM) complete(r *commitRequest) {
 
 // commitWrites runs the enqueue/validate/help protocol for a read-write
 // transaction whose read set is t's own plus the boxes reads yields (nil:
-// none). On success t.entries holds the canonical installed versions.
+// none). On success t.ts is the commit timestamp.
 func (s *STM) commitWrites(t *Txn, reads func(yield func(*VBox) bool)) error {
 	var r *commitRequest
 	for {
@@ -200,7 +199,7 @@ func (s *STM) commitWrites(t *Txn, reads func(yield func(*VBox) bool)) error {
 	}
 
 	s.helpUpTo(r, r)
-	t.entries = r.entries
+	t.ts = r.ticket
 	return nil
 }
 

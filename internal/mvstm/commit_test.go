@@ -136,7 +136,7 @@ func TestPipelineCountersConsistentUnderLoad(t *testing.T) {
 }
 
 // Recycled transactions must come back clean: no read set, write set, or
-// installed map leaking between pool generations.
+// commit timestamp leaking between pool generations.
 func TestTxnPoolRecyclingIsolation(t *testing.T) {
 	s := New()
 	a, b := s.NewBox(1), s.NewBox(2)
@@ -155,8 +155,8 @@ func TestTxnPoolRecyclingIsolation(t *testing.T) {
 	if tx2.hasReads() {
 		t.Fatal("recycled txn carries a read set")
 	}
-	if tx2.Installed() != nil {
-		t.Fatal("recycled txn carries an installed map")
+	if tx2.CommitTS() != 0 {
+		t.Fatal("recycled txn carries a commit timestamp")
 	}
 	// A spilled read set must also come back clean and deduplicated.
 	boxes := make([]*VBox, 3*readInlineCap)

@@ -234,9 +234,9 @@ type Txn struct {
 	writes     map[*VBox]any
 	writeOrder []*VBox
 
-	// entries are the committed request's writes and installed versions,
-	// immutable once published; Installed builds its map from them.
-	entries []commitEntry
+	// ts is the commit timestamp of a successful read-write commit, 0
+	// otherwise.
+	ts int64
 	// fresh is staleIn's yield function, made once per Txn; it keeps the
 	// first box that is not current at snap in stale, which staleIn clears
 	// before it returns.
@@ -326,21 +326,11 @@ func (t *Txn) CommitValidating(reads iter.Seq[*VBox]) error {
 	return nil
 }
 
-// Installed returns, after a successful read-write commit, the map from
-// written boxes to the versions this transaction installed. The WTF-TM
-// engine uses it to resolve the reads of escaping futures under GAC
-// semantics. It returns nil before commit or for read-only transactions;
-// each call builds a new map.
-func (t *Txn) Installed() map[*VBox]*Version {
-	if t.entries == nil {
-		return nil
-	}
-	m := make(map[*VBox]*Version, len(t.entries))
-	for _, e := range t.entries {
-		m[e.box] = e.ver
-	}
-	return m
-}
+// CommitTS returns the timestamp a successful read-write commit installed
+// its versions at, and 0 before commit or for a read-only transaction. The
+// futures engine compares it with the version an escaped future's read
+// sees at its evaluation.
+func (t *Txn) CommitTS() int64 { return t.ts }
 
 // Discard abandons the transaction without committing.
 func (t *Txn) Discard() {

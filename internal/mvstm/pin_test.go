@@ -99,28 +99,33 @@ func TestReadAtPanicsBelowHorizon(t *testing.T) {
 	b.ReadAt(tail.TS - 1)
 }
 
-func TestInstalledExposedAfterCommit(t *testing.T) {
+// TestCommitTSExposedAfterCommit: a read-write commit reports the
+// timestamp it installed its versions at, the heads' TS; before it, and for a
+// read-only commit, CommitTS is 0.
+func TestCommitTSExposedAfterCommit(t *testing.T) {
 	s := New()
 	b1 := s.NewBox(0)
 	b2 := s.NewBox(0)
 	tx := s.Begin()
 	tx.Write(b1, 10)
 	tx.Write(b2, 20)
-	if tx.Installed() != nil {
-		t.Fatal("Installed non-nil before commit")
+	if ts := tx.CommitTS(); ts != 0 {
+		t.Fatalf("CommitTS = %d before commit, want 0", ts)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	inst := tx.Installed()
-	if len(inst) != 2 || inst[b1].Value != 10 || inst[b2].Value != 20 {
-		t.Fatalf("Installed = %v", inst)
+	ts := tx.CommitTS()
+	if ts == 0 || b1.Head().TS != ts || b2.Head().TS != ts {
+		t.Fatalf("CommitTS = %d, heads' TS %d and %d", ts, b1.Head().TS, b2.Head().TS)
 	}
-	if inst[b1].TS != inst[b2].TS {
-		t.Fatal("versions of one commit carry different timestamps")
+	if b1.Head().Value != 10 || b2.Head().Value != 20 {
+		t.Fatal("the heads are not the committed versions")
 	}
-	if b1.Head() != inst[b1] {
-		t.Fatal("installed version is not the head")
+	ro := s.Begin()
+	ro.Read(b1)
+	if err := ro.Commit(); err != nil || ro.CommitTS() != 0 {
+		t.Fatalf("read-only commit: %v, CommitTS = %d, want 0", err, ro.CommitTS())
 	}
 }
 

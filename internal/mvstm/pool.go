@@ -75,7 +75,7 @@ func (s *STM) getTxn() *Txn {
 // Release returns the transaction object to its STM's pool for reuse. It is
 // optional: transactions that are never released are simply collected by the
 // garbage collector. Callers that do release must not touch the Txn again
-// afterwards — not even Installed; copy what you need first. A transaction
+// afterwards — not even CommitTS; copy what you need first. A transaction
 // that is still running is discarded.
 //
 // Atomic releases the transactions it creates; long-lived engines (the WTF-TM
@@ -92,6 +92,6 @@ func (t *Txn) Release() {
 	clear(t.writes)
 	clear(t.writeOrder)
 	t.writeOrder = t.writeOrder[:0]
-	t.entries = nil
+	t.ts = 0
 	t.stm.txnPool.Put(t)
 }

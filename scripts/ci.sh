@@ -93,10 +93,12 @@ echo "== tier-1.5: claim-to-run contract and lifetimes under race at GOMAXPROCS 
 # claimed body of an aborted attempt keeps its arena, a worker that loses
 # the claim reads no arena, TryEvaluate never claims, Done-only
 # continuations and bodies that wait for each other complete, SO
-# evaluation out of submission order stays SO-serializable, and a GAC
+# evaluation out of submission order stays SO-serializable, a GAC
 # straggler's merges share nothing with the commit validating the main
-# chain's reads in place.
-go test -race -cpu 1,4 -count=1 -run 'TestEvaluatorClaimedBodyOfAbortedAttempt|TestLosingWorkerReadsNoArena|TestTryEvaluateNeverClaims|TestDoneWithoutEvaluateCompletes|TestRendezvousBodiesComplete|TestSOEvaluateOutOfOrder|TestBlockedBodiesDoNotStarveWorkers|TestStragglerMergesWhileCommitValidates' ./internal/core/
+# chain's reads in place, and a foreign evaluation walks an escapee's chain
+# in its spawner's kept arena while other flows are live (the chain must be
+# frozen by then).
+go test -race -cpu 1,4 -count=1 -run 'TestEvaluatorClaimedBodyOfAbortedAttempt|TestLosingWorkerReadsNoArena|TestTryEvaluateNeverClaims|TestDoneWithoutEvaluateCompletes|TestRendezvousBodiesComplete|TestSOEvaluateOutOfOrder|TestBlockedBodiesDoNotStarveWorkers|TestStragglerMergesWhileCommitValidates|TestGACConcurrentForeignEvaluators|TestEscapedAttemptIsNeverRecycled|TestGACChainOfEscapes|TestEscapeValidatesHiddenRead|TestForeignEvaluationRevalidatesError' ./internal/core/
 
 echo "== tier-1.5: crash recovery under race (deterministic fault injection) =="
 # The durability acceptance property: for every injected crash point, the
@@ -164,6 +166,13 @@ echo "== tier-1.5: wtfconform nested-futures sweep (depth 2 and 3, clean engine:
 for depth in 2 3; do
 	go run ./cmd/wtfconform -mode dfs -seed 1 -seeds 16 -budget 300 -futures 3 -depth $depth -ops 8
 done
+
+echo "== tier-1.5: wtfconform two-top-level sweep (2 drivers x 2 transactions, LAC, clean engine: expect 0 violations) =="
+# Concurrent top-level transactions over the same boxes, so a commit can
+# conflict with another's: the commit's read validation is exercised, which
+# the one-transaction sweeps above cannot do. WO/GAC stays out until the
+# oracle's seam for escaped futures is settled (ROADMAP 15(a)).
+go run ./cmd/wtfconform -mode dfs -seed 1 -seeds 16 -budget 300 -threads 2 -txns 2 -atomicity lac
 
 echo "== tier-1.5: engine box-set fuzz (10 s past the seed corpus) =="
 # FuzzIset drives a vertex's read/write set (put, add, del, absorb both
