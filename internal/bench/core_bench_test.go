@@ -253,6 +253,58 @@ func BenchmarkCommitWide(b *testing.B) {
 	}
 }
 
+// BenchmarkEscapeWalk measures a GAC foreign evaluation: the timed
+// transaction evaluates an escaped future that read, after its spawner
+// committed, each of `reads` boxes the spawner's main flow wrote one
+// sub-transaction apart, so every read is judged against the spawner's
+// final main-chain write of its box and the evaluator's commit validates
+// it. The untimed setup commits the spawner and lets the body finish.
+func BenchmarkEscapeWalk(b *testing.B) {
+	for _, reads := range []int{4, 64} {
+		b.Run(fmt.Sprintf("reads=%d", reads), func(b *testing.B) {
+			stm := mvstm.New()
+			sys := core.New(stm, core.Options{Ordering: core.WO, Atomicity: core.GAC})
+			boxes := make([]*mvstm.VBox, reads)
+			for i := range boxes {
+				boxes[i] = stm.NewBox(0)
+			}
+			noop := func(*core.Tx) (any, error) { return nil, nil }
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				b.StopTimer()
+				gate := make(chan struct{})
+				var f *core.Future
+				err := sys.Atomic(func(tx *core.Tx) error {
+					for _, box := range boxes {
+						tx.Write(box, n)
+						tx.Submit(noop) // a sub-transaction boundary
+					}
+					f = tx.Submit(func(ftx *core.Tx) (any, error) {
+						<-gate // still running when the spawner commits: it escapes
+						for _, box := range boxes {
+							ftx.Read(box)
+						}
+						return nil, nil
+					})
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				close(gate)
+				<-f.Done()
+				b.StartTimer()
+				if err := sys.Atomic(func(tx *core.Tx) error { _, err := tx.Evaluate(f); return err }); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if r := sys.Stats().EscapeReexecutions.Load(); r != 0 {
+				b.Fatalf("%d escapees re-executed, want 0", r)
+			}
+		})
+	}
+}
+
 // reportFutureMetrics prints, per submitted future, the share that
 // serialized at its submission (merged@sub), the share whose body the flow
 // evaluating it ran (claimed@eval) and the workers woken for it

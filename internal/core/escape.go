@@ -15,33 +15,36 @@ import (
 
 // atSnapshot reports whether a read entry stands for a read of the
 // top-level snapshot: its own (ver), or one a fold hid under it (hidden,
-// keepRead). Such a read holds at a later point only while no newer version
-// of the box has committed; it is what the top-level commit validates
-// (commitReads), what a failing body leaves behind (keepErrorReads), and
-// half of readHolds.
+// keepRead). Such a read holds at another point only where the box's
+// visible version is the one it read; it is what the top-level commit
+// validates (commitReads), what a failing body leaves behind
+// (keepErrorReads), and half of readHolds.
 func (o readObs) atSnapshot() bool { return o.ver != nil || o.hidden }
 
 // readHolds is the read rule for an entry of an execution of flow self in
-// the committed attempt t, judged where the box's visible version is vis
-// and no ancestor of the evaluation point wrote b:
-//   - a snapshot read, or a hidden one, holds iff vis is not newer than t's
-//     snapshot (for a snapshot read: vis is obs.ver);
-//   - a read of another flow's sub-transaction write holds iff that write is
-//     t's final main-chain write of b and vis is the version t's commit
-//     installed;
-//   - a read of the chain's own write always holds.
+// the committed attempt t, judged at snapshot snap where no ancestor of the
+// evaluation point wrote b. With vis b's version at snap:
+//   - a snapshot read holds iff vis is obs.ver;
+//   - a hidden entry's snapshot read iff vis is the version at t's snapshot
+//     (the fold kept no version: snap must not be older, vis not newer);
+//   - a read of another flow's sub-transaction write iff that write is t's
+//     final main-chain write of b and vis is the one t's commit installed;
+//   - a read of the chain's own write always.
 //
 // At t's own commit the last two hold by its graph's validations and the
-// first is the substrate's check of the boxes commitReads yields. Caller
-// holds t.mu shared.
-func (t *topTx) readHolds(b *mvstm.VBox, obs readObs, self int, vis *mvstm.Version) bool {
-	if obs.ver == nil && int(obs.flow) != self && (vis.TS != t.commitTS || t.finalWrite(b) != obs.wid) {
+// first two are the substrate's check of commitReads. Caller holds t.mu
+// shared.
+func (t *topTx) readHolds(b *mvstm.VBox, obs readObs, self int, snap int64) bool {
+	vis := b.ReadAt(snap)
+	switch {
+	case obs.ver != nil:
+		return vis == obs.ver
+	case int(obs.flow) != self && (vis.TS != t.commitTS || t.finalWrite(b) != obs.wid):
 		return false
-	}
-	if obs.ver == nil && mutant.Active == mutant.EscapeIgnoresHidden {
+	case !obs.hidden || mutant.Active == mutant.EscapeIgnoresHidden:
 		return true
 	}
-	return !obs.atSnapshot() || vis.TS <= t.snap
+	return snap >= t.snap && vis.TS <= t.snap
 }
 
 // finalWrite returns the write id of the committed main chain's last write
@@ -59,59 +62,45 @@ func (t *topTx) finalWrite(b *mvstm.VBox) int64 {
 	return 0
 }
 
-// escapeHolds reports whether every read of f's escaped chain holds at the
-// caller's evaluation point (readHolds). Ancestor writes resolve through the
-// flow's visible-write index, which the caller refreshed; the current
-// vertex is checked separately since the index excludes it. Caller holds
-// top.mu exclusively, then f.top.mu shared.
-func (tx *Tx) escapeHolds(f *Future) bool {
-	cur := tx.cur
+// foldEscapee serializes f's escaped chain into the caller's current
+// vertex if every read of it holds there (readHolds), and reports whether
+// it did. Reads of the chain's own writes hold wherever it folds, over the
+// caller's writes too; ancestor writes resolve through the flow's
+// visible-write index, which the caller refreshed, and cur's separately.
+// Every other read becomes a read of the version visible at the caller's
+// snapshot, which the caller's commit validates; unless the body failed,
+// the writes follow in chain order, later ones winning. Caller holds top.mu
+// exclusively, then f.top.mu shared.
+func (tx *Tx) foldEscapee(f *Future) bool {
+	cur, snap := tx.cur, tx.top.snap
 	cur.vmu.Lock()
 	defer cur.vmu.Unlock()
-	for c := f.vertex; c != nil; c = c.next {
-		for b, obs := range c.reads.all() {
-			if _, wrote := cur.writes.get(b); wrote {
-				return false
+	for fold := range 2 {
+		for c := f.vertex; c != nil; c = c.next {
+			for b, obs := range c.reads.all() {
+				switch {
+				case !obs.atSnapshot() && int(obs.flow) == f.flow:
+				case fold == 0:
+					_, wroteCur := cur.writes.get(b)
+					_, wroteAnc := tx.vis.get(b)
+					if wroteCur || wroteAnc || !f.top.readHolds(b, obs, f.flow, snap) {
+						return false
+					}
+				default:
+					if _, slot, ok := cur.reads.find(b); !ok {
+						ver := b.ReadAt(snap)
+						cur.addRead(slot, b, readObs{val: ver.Value, ver: ver})
+					}
+				}
 			}
-			if _, wrote := tx.vis.get(b); wrote {
-				return false
-			}
-			if !f.top.readHolds(b, obs, f.flow, b.ReadAt(tx.top.snap)) {
-				return false
+			if fold == 1 && f.getState() != fUserAborted {
+				for b, we := range c.writes.all() {
+					cur.addWrite(b, writeEntry{val: we.val, wid: we.wid, flow: cur.flow})
+				}
 			}
 		}
 	}
 	return true
-}
-
-// foldEscapee serializes f's escaped chain, whose reads hold, into the
-// caller's current vertex: every read other than of the chain's own writes
-// becomes a read of the version visible at the caller's snapshot, which the
-// caller's commit validates, and, unless the body failed, the writes follow
-// in chain order, later ones winning. Caller holds top.mu exclusively, then
-// f.top.mu shared.
-func (tx *Tx) foldEscapee(f *Future) {
-	cur := tx.cur
-	failed := f.getState() == fUserAborted
-	cur.vmu.Lock()
-	for c := f.vertex; c != nil; c = c.next {
-		for b, obs := range c.reads.all() {
-			if !obs.atSnapshot() && int(obs.flow) == f.flow {
-				continue
-			}
-			if _, slot, ok := cur.reads.find(b); !ok {
-				ver := b.ReadAt(tx.top.snap)
-				cur.addRead(slot, b, readObs{val: ver.Value, ver: ver})
-			}
-		}
-		if failed {
-			continue
-		}
-		for b, we := range c.writes.all() {
-			cur.addWrite(b, writeEntry{val: we.val, wid: we.wid, flow: cur.flow})
-		}
-	}
-	cur.vmu.Unlock()
 }
 
 // evaluateForeign evaluates a future spawned by a different top-level
@@ -144,12 +133,13 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 		// evaluation: hand back the committed result.
 		return f.result, nil
 	case fUserAborted:
-		if f.vertex == nil || mutant.Active == mutant.ForeignErrorUnchecked {
-			// It failed before its spawner's fold, whose commit validated
-			// the reads behind the error (keepErrorReads).
+		if f.top == nil || mutant.Active == mutant.ForeignErrorUnchecked {
+			// It failed before its spawner's fold, which dropped its graph
+			// and validated the reads behind the error (keepErrorReads).
 			return nil, f.err
 		}
-		// It failed after the fold: an escapee like any other.
+		// It failed after the fold: an escapee like any other, whose chain
+		// is nil if it failed re-executed in a sibling (reexecuteLocked).
 	case fStale, fFailed:
 		return nil, ErrStaleFuture
 	}
@@ -175,20 +165,25 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 		f.mu.Lock()
 	}
 	f.mu.Unlock()
-	top.addClaim(f)
+	top.claimMu.Lock()
+	top.claims = append(top.claims, f)
+	top.claimMu.Unlock()
 
 	top.lockG()
 	if top.aborted.Load() {
 		top.unlockG()
 		panic(&retrySignal{cause: top.abortCause()})
 	}
-	tx.refreshVis()
-	f.top.mu.RLock()
-	holds := tx.escapeHolds(f)
-	if holds {
-		tx.foldEscapee(f)
+	holds := false
+	if !top.phaseAtLeast(phaseFolding) {
+		// Only an evaluator before its own fold walks the chain, so no flow
+		// holding a committed transaction's graph lock waits for another's
+		// (DESIGN §9); one past it re-executes.
+		tx.refreshVis()
+		f.top.mu.RLock()
+		holds = f.vertex != nil && tx.foldEscapee(f)
+		f.top.mu.RUnlock()
 	}
-	f.top.mu.RUnlock()
 	if holds {
 		// The escaped execution is still current: it is serialized here.
 		tx.boundaryLocked()
@@ -204,7 +199,7 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 
 	// Stale: re-execute the body at this evaluation point, inside the
 	// evaluating transaction. Its outcome replaces the escaped execution's
-	// only if this transaction commits (finalizeClaims).
+	// only if this transaction commits (endClaims).
 	top.sys.stats.EscapeReexecutions.Add(1)
 	top.sys.record(history.Op{Top: top.id, Flow: tx.cur.flow, Kind: history.FutureAbort, Arg: f.name()})
 	res, err := tx.runInline(f.body, f.name())

@@ -297,13 +297,13 @@ func (f *Future) run() {
 	if err != nil {
 		top.lockG()
 		top.unregister(tx)
-		top.keepErrorReads(f.vertex)
+		top.keepErrorReads(f.vertex, f.flow, nil)
 		top.discardChain(f.vertex)
 		f.err = err
 		f.setState(fUserAborted)
 		if !top.phaseAtLeast(phaseFolding) {
-			// Past the fold the future escaped: a foreign evaluator judges
-			// the reads behind its error on the chain (evaluateForeign).
+			// Past the fold the future escaped: its evaluators judge the
+			// reads behind its error on the chain.
 			f.dropGraph()
 		}
 		top.unlockG()
@@ -410,6 +410,16 @@ func (tx *Tx) evaluateLocal(f *Future) (any, error) {
 		}
 		switch f.getState() {
 		case fUserAborted:
+			if f.top != nil {
+				// A sibling escapee that failed after the fold: the reads
+				// behind the error join this flow; with no chain left it
+				// runs again here.
+				if f.vertex == nil {
+					return tx.reexecuteLocked(f)
+				}
+				top.keepErrorReads(f.vertex, f.flow, tx.cur)
+				tx.boundaryLocked()
+			}
 			top.unlockG()
 			return nil, f.err
 
@@ -482,7 +492,9 @@ func (tx *Tx) reexecuteLocked(f *Future) (any, error) {
 	top := tx.top
 	f.setState(fReexecuting)
 	f.reexecCh = make(chan struct{})
-	top.discardChain(f.vertex)
+	if f.vertex != nil {
+		top.discardChain(f.vertex)
+	}
 	top.unlockG()
 
 	f.sys.stats.FutureReexecutions.Add(1)
@@ -490,7 +502,13 @@ func (tx *Tx) reexecuteLocked(f *Future) (any, error) {
 	res, err := tx.runInline(f.body, f.name())
 
 	top.lockG()
-	f.dropGraph()
+	if top.phaseAtLeast(phaseFolding) {
+		// An escapee re-executed in a sibling, whose chain now holds the
+		// reads behind the outcome: a later evaluator runs it again.
+		f.vertex, f.cont = nil, nil
+	} else {
+		f.dropGraph()
+	}
 	if err != nil {
 		f.err = err
 		f.setState(fUserAborted)
@@ -564,7 +582,7 @@ func (tx *Tx) runInline(body func(*Tx) (any, error), label string) (any, error) 
 	top.lockG()
 	top.unregister(sub)
 	if err != nil {
-		top.keepErrorReads(rv)
+		top.keepErrorReads(rv, rv.flow, cur)
 		top.discardChain(rv)
 		tx.cur = top.newVertex(cur.flow, cur) // also re-points cur.next
 	} else {

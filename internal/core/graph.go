@@ -455,20 +455,30 @@ func (t *topTx) pushMergePatch(head, target, evalFrom *vertex) {
 	}
 }
 
-// keepErrorReads appends the snapshot reads of the chain rooted at head,
-// which is discarded next, to errReads: its body's error reaches an
-// evaluator and may steer what the main chain commits (DESIGN §9). From the
-// fold on commit walks errReads and nothing is added. Caller holds top.mu
+// keepErrorReads keeps the reads behind the error of flow's failed chain
+// rooted at head, which is discarded next: the error reaches an evaluator
+// and may steer what it commits (DESIGN §9). Before the fold the snapshot
+// reads go to errReads, for the top-level commit. From the fold on the
+// chain escaped, and its reads other than of its own writes join into, the
+// evaluating flow's vertex, to be judged with its chain (readHolds); with
+// into nil the chain itself is kept (Future.run). Caller holds top.mu
 // exclusively.
-func (t *topTx) keepErrorReads(head *vertex) {
-	if t.phaseAtLeast(phaseFolding) || mutant.Active == mutant.ErrorDropsChainReads {
+func (t *topTx) keepErrorReads(head *vertex, flow int, into *vertex) {
+	folded := t.phaseAtLeast(phaseFolding)
+	if (folded && into == nil) || mutant.Active == mutant.ErrorDropsChainReads {
 		return
 	}
 	for c := head; c != nil; c = c.next {
 		c.vmu.Lock()
 		for b, obs := range c.reads.all() {
-			if obs.atSnapshot() {
+			if !folded && obs.atSnapshot() {
 				t.errReads = append(t.errReads, b)
+			} else if folded && (obs.atSnapshot() || int(obs.flow) != flow) {
+				into.vmu.Lock() // vertex locks nest only under top.mu held exclusively
+				if _, slot, ok := into.reads.find(b); !ok {
+					into.addRead(slot, b, obs)
+				}
+				into.vmu.Unlock()
 			}
 		}
 		c.vmu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"wtftm/internal/mvstm"
 	"wtftm/internal/workload"
@@ -394,6 +395,224 @@ func TestGACAbortedReexecutionIsNotKept(t *testing.T) {
 	}
 	if v, err := sys.AtomicResult(func(tx *Tx) (any, error) { return tx.Evaluate(f) }); err != nil || v != 5 {
 		t.Fatalf("T3 evaluated (%v, %v), want the escaped execution's 5", v, err)
+	}
+}
+
+// TestForeignEvaluationOlderSnapshotReexecutes: an evaluator whose snapshot
+// is older than the escapee's spawner's cannot take the escapee's snapshot
+// reads as they are. T2 begins before a commit sets x = 1; T1 begins after
+// it and spawns F, which reads x and escapes; T2 gets F out of band. Its
+// evaluation must re-execute F at its own snapshot, so that F's result and
+// T2's own read of x agree.
+func TestForeignEvaluationOlderSnapshotReexecutes(t *testing.T) {
+	sys, stm := newSys(WO, GAC)
+	x, y := stm.NewBoxNamed("x", 0), stm.NewBoxNamed("y", 0)
+	begun, handed := make(chan struct{}), make(chan *Future, 1)
+	var got, gotX any
+	done := make(chan error, 1)
+	go func() {
+		once := sync.Once{}
+		done <- sys.Atomic(func(tx *Tx) error {
+			tx.Read(y) // T2's snapshot is taken here, before x = 1
+			once.Do(func() { close(begun) })
+			f := <-handed
+			handed <- f
+			v, err := tx.Evaluate(f)
+			got, gotX = v, tx.Read(x)
+			return err
+		})
+	}()
+	<-begun
+	commitBox(t, stm, x, 1)
+	gate := make(chan struct{})
+	var f *Future
+	if err := sys.Atomic(func(tx *Tx) error {
+		f = tx.Submit(func(ftx *Tx) (any, error) {
+			v := ftx.Read(x)
+			<-gate // still running when the spawner commits: it escapes
+			return v, nil
+		})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	handed <- f
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got != gotX {
+		t.Errorf("T2 evaluated F to %v but read x = %v: F's read of x at its spawner's newer snapshot was taken as current", got, gotX)
+	}
+	if n := sys.Stats().EscapeReexecutions.Load(); n != 1 {
+		t.Errorf("EscapeReexecutions = %d, want 1", n)
+	}
+}
+
+// TestEscapeeReadOfOwnWriteFoldsOverEvaluator: an escapee's read of its own
+// chain's write holds wherever it folds, over the evaluator's own write of
+// the box too. F writes b, submits a future (a new vertex) and reads b
+// back; T2 writes b and evaluates F, which must fold without running again,
+// its write winning.
+func TestEscapeeReadOfOwnWriteFoldsOverEvaluator(t *testing.T) {
+	sys, stm := newSys(WO, GAC)
+	b := stm.NewBoxNamed("b", 0)
+	gate := make(chan struct{})
+	var f *Future
+	if err := sys.Atomic(func(tx *Tx) error {
+		f = tx.Submit(func(ftx *Tx) (any, error) {
+			<-gate
+			ftx.Write(b, 1)
+			ftx.Submit(func(*Tx) (any, error) { return nil, nil })
+			return ftx.Read(b), nil
+		})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	<-f.settled.wait()
+	if err := sys.Atomic(func(tx *Tx) error {
+		tx.Write(b, 5)
+		if v, err := tx.Evaluate(f); err != nil || v != 1 {
+			return fmt.Errorf("T2 evaluated F to (%v, %v), want (1, nil)", v, err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := sys.Stats().EscapeReexecutions.Load(); n != 0 {
+		t.Errorf("EscapeReexecutions = %d, want 0: F's read of its own write of b was judged against T2's write", n)
+	}
+	if got := readInt(t, stm, b); got != 1 {
+		t.Errorf("b = %d, want F's 1", got)
+	}
+}
+
+// TestSiblingErrorReadsJoinEvaluator: an escapee that evaluates a sibling
+// escapee which failed after their spawner's commit takes on the reads
+// behind the error. S fails because x is 0; E evaluates S and returns what
+// it saw; after a commit sets x = 7, a foreign evaluation of E must run E
+// again rather than hand over a result drawn from S's stale error.
+func TestSiblingErrorReadsJoinEvaluator(t *testing.T) {
+	sys, stm := newSys(WO, GAC)
+	x := stm.NewBoxNamed("x", 0)
+	errZero := errors.New("x is 0")
+	gateS, gateE := make(chan struct{}), make(chan struct{})
+	var s, e *Future
+	if err := sys.Atomic(func(tx *Tx) error {
+		s = tx.Submit(func(ftx *Tx) (any, error) {
+			<-gateS
+			if ftx.Read(x).(int) == 0 {
+				return nil, errZero
+			}
+			return "ok", nil
+		})
+		e = tx.Submit(func(ftx *Tx) (any, error) {
+			<-gateE
+			if _, err := ftx.Evaluate(s); err != nil {
+				return "failed", nil
+			}
+			return "ok", nil
+		})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	close(gateS)
+	<-s.settled.wait()
+	close(gateE)
+	<-e.settled.wait()
+	commitBox(t, stm, x, 7)
+	if v, err := sys.AtomicResult(func(tx *Tx) (any, error) { return tx.Evaluate(e) }); err != nil || v != "ok" {
+		t.Errorf("E evaluated to (%v, %v), want (ok, nil): the read of x behind S's error was not validated", v, err)
+	}
+}
+
+// TestSiblingReexecutionErrorReadsJoinEvaluator: a sibling escapee that
+// fails when re-executed in its evaluator's flow leaves the reads behind
+// the error there, and a foreign evaluation of it that has no chain to
+// judge runs it again. E writes x = 5 and evaluates S, whose read of x is
+// then stale, so S runs again in E's flow and fails on x = 5 and y = 0.
+// After a commit sets y = 1, neither S's error nor E's result drawn from it
+// may be handed over as they are.
+func TestSiblingReexecutionErrorReadsJoinEvaluator(t *testing.T) {
+	sys, stm := newSys(WO, GAC)
+	x, y := stm.NewBoxNamed("x", 0), stm.NewBoxNamed("y", 0)
+	errBoth := errors.New("x is 5 and y is 0")
+	gateS, gateE := make(chan struct{}), make(chan struct{})
+	var s, e *Future
+	if err := sys.Atomic(func(tx *Tx) error {
+		s = tx.Submit(func(ftx *Tx) (any, error) {
+			<-gateS
+			if ftx.Read(x).(int) == 5 && ftx.Read(y).(int) == 0 {
+				return nil, errBoth
+			}
+			return "ok", nil
+		})
+		e = tx.Submit(func(ftx *Tx) (any, error) {
+			<-gateE
+			ftx.Write(x, 5)
+			if _, err := ftx.Evaluate(s); err != nil {
+				return "failed", nil
+			}
+			return "ok", nil
+		})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	close(gateS)
+	<-s.settled.wait()
+	close(gateE)
+	<-e.settled.wait()
+	if n := sys.Stats().FutureReexecutions.Load(); n != 1 {
+		t.Fatalf("FutureReexecutions = %d, want 1: E did not re-execute S", n)
+	}
+	commitBox(t, stm, y, 1)
+	if v, err := sys.AtomicResult(func(tx *Tx) (any, error) { return tx.Evaluate(s) }); err != nil || v != "ok" {
+		t.Errorf("S evaluated to (%v, %v), want (ok, nil): its error, computed from y = 0, was not revalidated", v, err)
+	}
+	if v, err := sys.AtomicResult(func(tx *Tx) (any, error) { return tx.Evaluate(e) }); err != nil || v != "ok" {
+		t.Errorf("E evaluated to (%v, %v), want (ok, nil): the read of y behind S's error was not validated", v, err)
+	}
+}
+
+// TestEscapeesEvaluateEachOthersSpawners: an escapee of a committed
+// transaction that evaluates another transaction's escapee re-executes it
+// rather than walk its chain, so two such flows never hold one committed
+// transaction's graph lock while waiting for the other's. E1 (of T1) and
+// E2 (of T2) each evaluate an escapee of the other's spawner at once.
+func TestEscapeesEvaluateEachOthersSpawners(t *testing.T) {
+	sys, _ := newSys(WO, GAC)
+	gate, start := make(chan struct{}), make(chan struct{})
+	var a [2]*Future
+	var e [2]*Future
+	for i := range 2 {
+		if err := sys.Atomic(func(tx *Tx) error {
+			a[i] = tx.Submit(func(*Tx) (any, error) { <-gate; return i, nil })
+			e[i] = tx.Submit(func(ftx *Tx) (any, error) {
+				<-start
+				return ftx.Evaluate(a[1-i])
+			})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(gate)
+	<-a[0].settled.wait()
+	<-a[1].settled.wait()
+	close(start)
+	for i := range 2 {
+		select {
+		case <-e[i].settled.wait():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("E%d did not settle", i+1)
+		}
+	}
+	if n := sys.Stats().EscapeReexecutions.Load(); n != 2 {
+		t.Errorf("EscapeReexecutions = %d, want 2", n)
 	}
 }
 

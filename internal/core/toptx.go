@@ -328,7 +328,7 @@ func (t *topTx) commit() (err error) {
 		t.keep = true
 		sys.stats.EscapedFutures.Add(int64(escaped))
 	}
-	t.finalizeClaims()
+	t.endClaims(true)
 	if t.att != nil {
 		t.att.committed.fire()
 	}
@@ -368,7 +368,7 @@ func (t *topTx) commitReads(yield func(*mvstm.VBox) bool) {
 func (t *topTx) abort(cause error) {
 	t.requestAbort(cause)
 	t.phase.Store(phaseDone)
-	t.releaseClaims()
+	t.endClaims(false)
 	if txn := t.txn; txn != nil {
 		t.txn = nil
 		txn.Discard()
@@ -378,44 +378,23 @@ func (t *topTx) abort(cause error) {
 	t.unref()
 }
 
-// addClaim registers an escaped future of another transaction that this one
-// is evaluating; its result becomes final iff this transaction commits.
-func (t *topTx) addClaim(f *Future) {
-	t.claimMu.Lock()
-	t.claims = append(t.claims, f)
-	t.claimMu.Unlock()
-}
-
-func (t *topTx) finalizeClaims() {
-	t.claimMu.Lock()
-	claims := t.claims
-	t.claimMu.Unlock()
-	for _, f := range claims {
-		f.mu.Lock()
-		if f.claimant == t {
-			f.final = true
-			if r := f.rerun; r != nil {
-				f.result, f.err, f.rerun = r.res, r.err, nil
-			}
-			f.claimant = nil // t is arena memory: keep no identity past it
-			if f.claimCh != nil {
-				close(f.claimCh)
-				f.claimCh = nil
-			}
-		}
-		f.mu.Unlock()
-	}
-}
-
-func (t *topTx) releaseClaims() {
+// endClaims ends this attempt's claims on escaped futures of other
+// transactions (evaluateForeign): if it committed, their outcome, a
+// re-execution's if it ran one, becomes final; otherwise the next
+// evaluator may claim them.
+func (t *topTx) endClaims(committed bool) {
 	t.claimMu.Lock()
 	claims := t.claims
 	t.claims = nil
 	t.claimMu.Unlock()
 	for _, f := range claims {
 		f.mu.Lock()
-		if f.claimant == t && !f.final {
-			f.claimant, f.rerun = nil, nil
+		if f.claimant == t {
+			if r := f.rerun; committed && r != nil {
+				f.result, f.err = r.res, r.err
+			}
+			f.final = committed
+			f.claimant, f.rerun = nil, nil // t is arena memory: keep no identity past it
 			if f.claimCh != nil {
 				close(f.claimCh)
 				f.claimCh = nil

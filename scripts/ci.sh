@@ -97,8 +97,9 @@ echo "== tier-1.5: claim-to-run contract and lifetimes under race at GOMAXPROCS 
 # straggler's merges share nothing with the commit validating the main
 # chain's reads in place, and a foreign evaluation walks an escapee's chain
 # in its spawner's kept arena while other flows are live (the chain must be
-# frozen by then).
-go test -race -cpu 1,4 -count=1 -run 'TestEvaluatorClaimedBodyOfAbortedAttempt|TestLosingWorkerReadsNoArena|TestTryEvaluateNeverClaims|TestDoneWithoutEvaluateCompletes|TestRendezvousBodiesComplete|TestSOEvaluateOutOfOrder|TestBlockedBodiesDoNotStarveWorkers|TestStragglerMergesWhileCommitValidates|TestGACConcurrentForeignEvaluators|TestEscapedAttemptIsNeverRecycled|TestGACChainOfEscapes|TestEscapeValidatesHiddenRead|TestForeignEvaluationRevalidatesError' ./internal/core/
+# frozen by then), sibling escapees included, and escapees of two committed
+# transactions that evaluate each other's spawners' escapees finish.
+go test -race -cpu 1,4 -count=1 -run 'TestEvaluatorClaimedBodyOfAbortedAttempt|TestLosingWorkerReadsNoArena|TestTryEvaluateNeverClaims|TestDoneWithoutEvaluateCompletes|TestRendezvousBodiesComplete|TestSOEvaluateOutOfOrder|TestBlockedBodiesDoNotStarveWorkers|TestStragglerMergesWhileCommitValidates|TestGACConcurrentForeignEvaluators|TestEscapedAttemptIsNeverRecycled|TestGACChainOfEscapes|TestEscapeValidatesHiddenRead|TestForeignEvaluationRevalidatesError|TestSiblingErrorReadsJoinEvaluator|TestSiblingReexecutionErrorReadsJoinEvaluator|TestEscapeesEvaluateEachOthersSpawners' ./internal/core/
 
 echo "== tier-1.5: crash recovery under race (deterministic fault injection) =="
 # The durability acceptance property: for every injected crash point, the
