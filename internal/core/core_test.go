@@ -15,7 +15,7 @@ func newSys(ord Ordering, at Atomicity) (*System, *mvstm.STM) {
 	return New(stm, Options{Ordering: ord, Atomicity: at}), stm
 }
 
-func readInt(t *testing.T, stm *mvstm.STM, b *mvstm.VBox) int {
+func readInt(t testing.TB, stm *mvstm.STM, b *mvstm.VBox) int {
 	t.Helper()
 	tx := stm.Begin()
 	defer tx.Discard()
@@ -161,8 +161,13 @@ func TestFig2WOSparesContinuation(t *testing.T) {
 }
 
 // TestFig2SOAbortsContinuation runs the same history under SO: the
-// continuation must abort (modeled as an internal top-level retry).
-func TestFig2SOAbortsContinuation(t *testing.T) {
+// continuation must abort (modeled as an internal top-level retry). The
+// future validates while the continuation's vertex is still active, so the
+// continuation's read of z reaches the validation only through that
+// vertex's read log (the ledger's ReadUnpublished).
+func TestFig2SOAbortsContinuation(t *testing.T) { fig2SOAbortsContinuation(t) }
+
+func fig2SOAbortsContinuation(t testing.TB) {
 	sys, stm := newSys(SO, LAC)
 	x := stm.NewBoxNamed("x", 0)
 	y := stm.NewBoxNamed("y", 0)

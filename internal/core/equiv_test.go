@@ -700,10 +700,8 @@ func escapeValidatesHiddenRead(t testing.TB) {
 	close(committed)
 	<-f.settled.wait()
 	v := f.vertex
-	v.vmu.Lock()
 	_, slot, _ := v.reads.find(b)
 	v.addRead(slot, b, readObs{val: 1, flow: int32(f.flow), wid: sys.nextWID(), hidden: true})
-	v.vmu.Unlock()
 
 	commitBox(t, stm, b, 2)
 	if err := sys.Atomic(func(tx *Tx) error {

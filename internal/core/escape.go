@@ -73,8 +73,6 @@ func (t *topTx) finalWrite(b *mvstm.VBox) int64 {
 // exclusively, then f.top.mu shared.
 func (tx *Tx) foldEscapee(f *Future) bool {
 	cur, snap := tx.cur, tx.top.snap
-	cur.vmu.Lock()
-	defer cur.vmu.Unlock()
 	for fold := range 2 {
 		for c := f.vertex; c != nil; c = c.next {
 			for b, obs := range c.reads.all() {
@@ -144,13 +142,21 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 		return nil, ErrStaleFuture
 	}
 
-	// GAC escapee: claim it, then serialize it at this evaluation point.
+	// GAC escapee: claim it, then serialize it at this evaluation point; a
+	// repeat evaluation by the claiming attempt returns what it decided.
 	f.mu.Lock()
 	for {
 		if f.final {
 			res, err := f.result, f.err
 			f.mu.Unlock()
 			return res, err
+		}
+		if d := f.decided; d != nil && f.claimant == top {
+			f.mu.Unlock()
+			top.lockG()
+			tx.boundaryLocked()
+			top.unlockG()
+			return d.res, d.err
 		}
 		if f.claimant == nil {
 			f.claimant = top
@@ -192,6 +198,7 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 		top.sys.record(history.Op{Top: top.id, Flow: tx.cur.flow, Kind: history.FutureMerge, Arg: "evaluation/escaped " + f.name()})
 		f.mu.Lock()
 		res, err := f.result, f.err
+		f.decide(top, res, err)
 		f.mu.Unlock()
 		return res, err
 	}
@@ -207,7 +214,7 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 		top.sys.record(history.Op{Top: top.id, Flow: tx.cur.flow, Kind: history.FutureAbort, Arg: f.name()})
 	}
 	f.mu.Lock()
-	f.rerun = &outcome{res, err}
+	f.decide(top, res, err)
 	f.mu.Unlock()
 	return res, err
 }

@@ -157,14 +157,27 @@ type Future struct {
 	// re-execution finished. Guarded by top.mu.
 	reexecCh chan struct{}
 
-	// Cross-top (GAC) evaluation coordination. Guarded by mu. rerun is the
-	// claimant's re-execution outcome, which becomes result and err only if
+	// Cross-top (GAC) evaluation coordination. Guarded by mu. decided is the
+	// claimant's outcome once it has one (the escaped execution's if it
+	// folded, a re-execution's if not), which becomes result and err only if
 	// the claimant commits.
 	mu       sync.Mutex
 	claimant *topTx
 	claimCh  chan struct{}
-	rerun    *outcome
+	decided  *outcome
 	final    bool
+}
+
+// decide records t's outcome as the claimant's, unless t's claim already
+// ended (t aborted while a flow of it evaluated), and wakes every flow on
+// claimCh; other attempts' flows wait on a fresh one. Caller holds f.mu.
+func (f *Future) decide(t *topTx, res any, err error) {
+	if f.claimant != t {
+		return
+	}
+	f.decided = &outcome{res, err}
+	close(f.claimCh)
+	f.claimCh = make(chan struct{})
 }
 
 // outcome is what one execution of a future's body returned.
@@ -203,7 +216,6 @@ func (f *Future) dropGraph() {
 // addExtraPathWrites accumulates v's writes as relocation writes. Caller
 // holds top.mu exclusively.
 func (f *Future) addExtraPathWrites(v *vertex) {
-	v.vmu.Lock()
 	for b := range v.writes.all() {
 		if f.extraPathWrites == nil {
 			f.extraPathWrites = make(map[*mvstm.VBox]struct{})
@@ -211,7 +223,6 @@ func (f *Future) addExtraPathWrites(v *vertex) {
 		f.extraPathWrites[b] = struct{}{}
 		f.extraSum |= b.Summary()
 	}
-	v.vmu.Unlock()
 }
 
 // extraConflict reports whether the future's chain (read summary rsum) read

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"wtftm/internal/history"
@@ -9,8 +8,9 @@ import (
 	"wtftm/internal/mvstm"
 )
 
-// vstatus is the lifecycle state of a sub-transaction vertex in G.
-type vstatus int
+// vstatus is the lifecycle state of a sub-transaction vertex in G. It is an
+// int32 so that it shares a word with vertex.logN.
+type vstatus int32
 
 const (
 	// vActive: the owning flow is still executing inside this vertex.
@@ -65,26 +65,26 @@ type vertex struct {
 	next   *vertex
 	succs  []*vertex
 	status vstatus
+	logN   atomic.Int32 // the published length of log, below
 
 	// mark is the traversal epoch that last visited the vertex (see
 	// topTx.nextEpoch): "seen" in the forward scan, "in this chain" in merge
 	// and discard. Guarded by top.mu held exclusively.
 	mark uint64
 
-	// Data sets, guarded by vmu (they are read by validators while the
-	// owning flow appends). readSum/writeSum are Bloom summaries of the box
-	// fingerprints in the corresponding set: bits are only ever added (the
-	// read fast path's retraction leaves its bit set — a false positive at
-	// worst), so a zero AND against a query summary proves the set disjoint
-	// and lets validators skip the vertex without taking vmu. They are
-	// written under vmu and loaded atomically: a lock-free reader publishes
-	// its bit before it re-checks the graph epoch and a validator bumps the
-	// epoch before it loads, so one of the two always notices the other.
-	vmu      sync.Mutex
+	// Data sets. While the vertex is vActive only its owning flow touches
+	// them; after that they change only under top.mu held exclusively
+	// (DESIGN §9). Forward validation, the one other reader of an active
+	// vertex, scans the boxes publish appended to log[:logN]. readSum and
+	// writeSum are Bloom summaries of the sets' boxes, only ever added to,
+	// loaded atomically: a lock-free reader publishes its bit before it
+	// re-checks the graph epoch and a validator bumps the epoch before it
+	// loads, so one of the two always notices the other.
 	reads    iset[readObs]
 	writes   iset[writeEntry]
 	readSum  atomic.Uint64
 	writeSum atomic.Uint64
+	log      atomic.Pointer[[]*mvstm.VBox]
 
 	// fut is non-nil on the first vertex of a future body.
 	fut *Future
@@ -92,16 +92,61 @@ type vertex struct {
 
 func (v *vertex) removed() bool { return v.status == vRemoved }
 
-// addRead records a first read of b, which v.reads.find just missed at
-// slot. Caller holds v.vmu.
-func (v *vertex) addRead(slot int, b *mvstm.VBox, obs readObs) {
-	v.reads.insert(slot, b, obs)
+// publish makes a first read of b visible to forward validation on another
+// flow: b goes into log, then its length into logN, then its bits into
+// readSum. Entries do not change until the arena retires and a grown log is
+// republished whole, so a scan that loads logN, then log, sees every box up
+// to that length. The root (top.root: pred is topology, which merges change)
+// publishes nothing, as no validator exists before the first Submit, which
+// iCommits it. Called by v's owner or under top.mu.Lock.
+func (v *vertex) publish(b *mvstm.VBox) {
+	if v != v.top.root && mutant.Active != mutant.ReadUnpublished {
+		n := int(v.logN.Load())
+		l := v.log.Load()
+		if l == nil || n == len(*l) {
+			grown := make([]*mvstm.VBox, max(2*n, isetIndexMin))
+			if l != nil {
+				copy(grown, *l)
+			}
+			l = &grown
+			v.log.Store(l)
+		}
+		(*l)[n] = b
+		v.logN.Store(int32(n + 1))
+	}
 	if s := v.readSum.Load(); s|b.Summary() != s {
 		v.readSum.Store(s | b.Summary())
 	}
 }
 
-// addWrite buffers a write of b. Caller holds v.vmu.
+// addRead records a first read of b, which v.reads.find just missed at
+// slot: published first, then inserted.
+func (v *vertex) addRead(slot int, b *mvstm.VBox, obs readObs) {
+	v.publish(b)
+	v.reads.insert(slot, b, obs)
+}
+
+// readBoxes yields the boxes v read, possibly with repeats: those in the log
+// while v is active (its owner may be appending to its sets), those of its
+// read set otherwise. Caller holds top.mu exclusively.
+func (v *vertex) readBoxes(yield func(*mvstm.VBox) bool) {
+	if v.status != vActive {
+		for b := range v.reads.all() {
+			if !yield(b) {
+				return
+			}
+		}
+	} else if n := v.logN.Load(); n > 0 {
+		for _, b := range (*v.log.Load())[:n] {
+			if !yield(b) {
+				return
+			}
+		}
+	}
+}
+
+// addWrite buffers a write of b. Only v's owner calls it, or a holder of
+// top.mu held exclusively.
 func (v *vertex) addWrite(b *mvstm.VBox, we writeEntry) {
 	v.writes.put(b, we)
 	if s := v.writeSum.Load(); s|b.Summary() != s {
@@ -109,9 +154,10 @@ func (v *vertex) addWrite(b *mvstm.VBox, we writeEntry) {
 	}
 }
 
-// reset readies a vertex for its arena's next attempt; its set maps are
-// kept against *budget (iset.reset).
-func (v *vertex) reset(budget *int) {
+// reset readies a vertex for its arena's next attempt; the storage of its
+// sets is kept against *budget (iset.reset), that of its log against
+// *logBudget, charged a slot per box.
+func (v *vertex) reset(budget, logBudget *int) {
 	v.id, v.flow = 0, 0
 	v.pred, v.next, v.fut = nil, nil, nil
 	v.dropSuccs()
@@ -121,6 +167,15 @@ func (v *vertex) reset(budget *int) {
 	v.writes.reset(budget)
 	v.readSum.Store(0)
 	v.writeSum.Store(0)
+	if l := v.log.Load(); l != nil {
+		clear((*l)[:v.logN.Load()])
+		if len(*l) > *logBudget {
+			v.log.Store(nil)
+		} else {
+			*logBudget -= len(*l)
+		}
+	}
+	v.logN.Store(0)
 }
 
 // dropSuccs empties the successor list, keeping its storage.
@@ -186,8 +241,8 @@ func chainSums(head *vertex) (rsum, wsum uint64) {
 }
 
 // chainWrote reports whether the chain rooted at head wrote b. The chain is
-// complete (its flow finished, and merges into it happen under top.mu), so
-// its sets are read without vmu. Caller holds top.mu exclusively.
+// complete (its flow finished, and merges into it happen under top.mu).
+// Caller holds top.mu exclusively.
 func chainWrote(head *vertex, b *mvstm.VBox) bool {
 	bs := b.Summary()
 	for c := head; c != nil; c = c.next {
@@ -226,7 +281,7 @@ func chainRead(head *vertex, b *mvstm.VBox, self int) bool {
 // is about to overwrite.
 //
 // Summaries come first: a visited vertex whose read summary shares no bit
-// with wsum is passed without taking its lock or touching a set, so a scan
+// with wsum is passed without touching a set or log, so a scan
 // in which nothing overlaps (futures over disjoint boxes, the
 // BenchmarkValidateWide shape) materialises nothing. Caller holds top.mu exclusively.
 func (t *topTx) forwardConflicts(start, head *vertex, wsum uint64, skip *vertex) bool {
@@ -246,14 +301,12 @@ func (t *topTx) forwardConflicts(start, head *vertex, wsum uint64, skip *vertex)
 		// Disjoint summaries prove the vertex read none of the boxes; only
 		// scan on a (possibly false-positive) overlap.
 		if v.readSum.Load()&wsum != 0 {
-			v.vmu.Lock()
-			for b := range v.reads.all() {
+			for b := range v.readBoxes {
 				if chainWrote(head, b) {
 					hit = true
 					break
 				}
 			}
-			v.vmu.Unlock()
 		}
 		for _, s := range v.succs {
 			if s.mark != ep && (mutant.Active != mutant.ForwardSkipsFutureChains || s.fut == nil) {
@@ -283,17 +336,10 @@ func backwardConflicts(from, until, head *vertex, rsum uint64, self int) (confli
 		if v.writeSum.Load()&rsum == 0 {
 			continue
 		}
-		v.vmu.Lock()
-		hit := false
 		for b := range v.writes.all() {
 			if chainRead(head, b, self) {
-				hit = true
-				break
+				return true, true
 			}
-		}
-		v.vmu.Unlock()
-		if hit {
-			return true, true
 		}
 	}
 	return false, false
@@ -361,8 +407,6 @@ func (t *topTx) mergeChain(head, target *vertex, evalFrom *vertex) {
 	// reads of whatever vertices form the main chain when it commits, where
 	// they sit (commitReads), and keepRead marks the ones a fold hides.
 	for _, c := range cs {
-		c.vmu.Lock()
-		target.vmu.Lock()
 		for b, we := range c.writes.all() {
 			target.writes.put(b, we)
 		}
@@ -373,8 +417,6 @@ func (t *topTx) mergeChain(head, target *vertex, evalFrom *vertex) {
 		// vertex summaries OR in directly.
 		target.readSum.Store(target.readSum.Load() | c.readSum.Load())
 		target.writeSum.Store(target.writeSum.Load() | c.writeSum.Load())
-		target.vmu.Unlock()
-		c.vmu.Unlock()
 		c.status = vRemoved
 		c.dropSuccs()
 	}
@@ -424,14 +466,12 @@ func (t *topTx) pushMergePatch(head, target, evalFrom *vertex) {
 				break
 			}
 			if !blocked && v.writeSum.Load()&wsum != 0 {
-				v.vmu.Lock()
 				for b := range v.writes.all() {
 					if chainWrote(head, b) {
 						blocked = true
 						break
 					}
 				}
-				v.vmu.Unlock()
 			}
 		}
 		if !anc {
@@ -469,19 +509,15 @@ func (t *topTx) keepErrorReads(head *vertex, flow int, into *vertex) {
 		return
 	}
 	for c := head; c != nil; c = c.next {
-		c.vmu.Lock()
 		for b, obs := range c.reads.all() {
 			if !folded && obs.atSnapshot() {
 				t.errReads = append(t.errReads, b)
 			} else if folded && (obs.atSnapshot() || int(obs.flow) != flow) {
-				into.vmu.Lock() // vertex locks nest only under top.mu held exclusively
 				if _, slot, ok := into.reads.find(b); !ok {
 					into.addRead(slot, b, obs)
 				}
-				into.vmu.Unlock()
 			}
 		}
-		c.vmu.Unlock()
 	}
 }
 

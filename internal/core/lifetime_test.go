@@ -459,11 +459,9 @@ func TestArenaMapBudget(t *testing.T) {
 			top.mu.RLock()
 			defer top.mu.RUnlock()
 			for _, v := range top.verts[:top.nverts] {
-				v.vmu.Lock()
 				if d := v.reads.d; d != nil {
 					seen[d] = max(seen[d], len(d.ents))
 				}
-				v.vmu.Unlock()
 			}
 			return nil
 		})
@@ -492,5 +490,59 @@ func TestArenaMapBudget(t *testing.T) {
 			}
 		}
 		sys.arenas.mu.Unlock()
+	}
+}
+
+// TestAbortedStragglerReadsItsSnapshot: a future of an aborted attempt
+// that is still running reads at the attempt's snapshot, so the abort must
+// keep that snapshot's versions until the future settles. Unpinned, later
+// commits trim them; a straggler whose read began before the abort then
+// panics in ReadAt, inside the graph's read lock on its slow path, and the
+// next attempt on the recycled arena waits for that lock forever (seen
+// under -race in internal/bench's TestRunAborts).
+func TestAbortedStragglerReadsItsSnapshot(t *testing.T) {
+	sys, stm := newSys(WO, LAC)
+	x := stm.NewBoxNamed("x", 0)
+	gate := make(chan struct{})
+	var f *Future
+	errStop := errors.New("stop")
+	if err := sys.Atomic(func(tx *Tx) error {
+		f = tx.Submit(func(ftx *Tx) (any, error) {
+			<-gate // still running when its attempt aborts
+			return ftx.Read(x), nil
+		})
+		return errStop
+	}); err != errStop {
+		t.Fatalf("Atomic returned %v, want %v", err, errStop)
+	}
+	snap := f.top.snap
+	for v := 1; v <= 4; v++ {
+		commitBox(t, stm, x, v)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("commits after the abort trimmed the running straggler's snapshot: %v", r)
+			}
+		}()
+		x.ReadAt(snap)
+	}()
+	close(gate)
+	<-f.settled.wait()
+	awaitRetired(t, sys)
+	done := make(chan error, 1)
+	go func() {
+		done <- sys.Atomic(func(tx *Tx) error {
+			_, err := tx.Evaluate(tx.Submit(func(*Tx) (any, error) { return nil, nil }))
+			return err
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the attempt after an aborted one with a straggler did not finish within 2 s")
 	}
 }

@@ -41,6 +41,7 @@ func TestMutantsCaught(t *testing.T) {
 		mutant.ErrorDropsChainReads:     {commitValidatesErrorReads, "was not validated"},
 		mutant.EscapeIgnoresHidden:      {escapeValidatesHiddenRead, "was not validated"},
 		mutant.ForeignErrorUnchecked:    {foreignEvaluationRevalidatesError, "was not revalidated"},
+		mutant.ReadUnpublished:          {fig2SOAbortsContinuation, "SO continuation conflict"},
 	}
 	for _, e := range mutant.Table {
 		if e.Pkg != "core" {

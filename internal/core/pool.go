@@ -70,6 +70,11 @@ const isetIndexMin = 4 * isetInline
 // At worst 121 bytes per high-water entry, a free arena keeps about 4 MB.
 const arenaMapBudget = 1 << 15
 
+// arenaLogBudget bounds the read logs (graph.go) one free arena keeps, in
+// 8-byte slots (512 KB). The bank replay's sets nearly fill arenaMapBudget:
+// logs charged to it pushed sets out, to regrow on every attempt.
+const arenaLogBudget = 1 << 16
+
 // iset is a small-footprint box-keyed set. Up to isetInline entries are
 // stored inline in the struct; past that the set spills to dense storage
 // (isetDense): the entries in insertion order, and an open-addressed index
@@ -79,8 +84,9 @@ const arenaMapBudget = 1 << 15
 // the used prefix of the entries (the next spill clears the part of the
 // index it uses), not a hash table. The dense storage hangs off one pointer, so a vertex, which
 // holds two sets, is no larger than when a spilled set was a Go map. The
-// zero value is an empty set. Not safe for concurrent use; callers
-// synchronize with vertex.vmu.
+// zero value is an empty set. Entries are never removed one at a time. Not
+// safe for concurrent use: a vertex's sets belong to its owning flow while
+// it is active and to holders of its graph lock after (DESIGN §9).
 type iset[V any] struct {
 	n    int // inline entries; -1 once the set lives in d
 	keys [isetInline]*mvstm.VBox
@@ -90,14 +96,12 @@ type iset[V any] struct {
 }
 
 // isetDense is a spilled iset's storage. ents holds the entries in insertion
-// order; a deleted one stays as a tombstone (a nil box) until the next
-// rehash. Each idx slot is 0 (free) or 1 + a position in ents; a box's probe
+// order. Each idx slot is 0 (free) or 1 + a position in ents; a box's probe
 // sequence starts at Hash() >> shift.
 type isetDense[V any] struct {
 	ents  []isetEntry[V]
 	idx   []int32
 	shift uint8
-	live  int // entries in ents that are not tombstones
 }
 
 type isetEntry[V any] struct {
@@ -108,7 +112,7 @@ type isetEntry[V any] struct {
 // size returns the number of entries.
 func (s *iset[V]) size() int {
 	if s.n < 0 {
-		return s.d.live
+		return len(s.d.ents)
 	}
 	return s.n
 }
@@ -153,36 +157,23 @@ func (s *iset[V]) insert(slot int, b *mvstm.VBox, v V) {
 			s.d.ents = append(s.d.ents, isetEntry[V]{s.keys[i], s.vals[i]})
 			s.keys[i], s.vals[i] = nil, zero
 		}
-		s.d.live, s.n = isetInline, -1
+		s.n = -1
 		s.d.rehash(isetInline + 1)
 		_, slot, _ = s.find(b)
 	} else if 2*(len(s.d.ents)+1) > len(s.d.idx) {
-		s.d.rehash(s.d.live + 1)
+		s.d.rehash(len(s.d.ents) + 1)
 		_, slot, _ = s.find(b)
 	}
 	d := s.d
 	d.ents = append(d.ents, isetEntry[V]{b, v})
 	d.idx[slot] = int32(len(d.ents))
-	d.live++
 }
 
-// rehash drops the tombstones from ents, keeping the order of the rest, and
-// rebuilds the index with room for want entries at load at most 1/2. The
-// index is sized by want, not by the capacity it kept: a set that once held
-// thousands of entries and now spills with a few clears and probes a few
-// hundred bytes, not its widest use's index.
+// rehash rebuilds the index with room for want entries at load at most
+// 1/2. The index is sized by want, not by the capacity it kept: a set that
+// once held thousands of entries and now spills with a few clears and probes
+// a few hundred bytes, not its widest use's index.
 func (d *isetDense[V]) rehash(want int) {
-	if d.live < len(d.ents) {
-		k := 0
-		for _, e := range d.ents {
-			if e.b != nil {
-				d.ents[k] = e
-				k++
-			}
-		}
-		clear(d.ents[k:])
-		d.ents = d.ents[:k]
-	}
 	size := isetIndexMin
 	for size < 2*want {
 		size *= 2
@@ -235,31 +226,13 @@ func (s *iset[V]) put(b *mvstm.VBox, v V) {
 	}
 }
 
-// del removes the entry for b, if present. A spilled entry becomes a
-// tombstone; its index slot stays taken so that no probe sequence breaks.
-func (s *iset[V]) del(b *mvstm.VBox) {
-	_, slot, ok := s.find(b)
-	switch {
-	case !ok:
-	case s.n >= 0:
-		copy(s.keys[slot:s.n], s.keys[slot+1:s.n])
-		copy(s.vals[slot:s.n], s.vals[slot+1:s.n])
-		s.n--
-		var zero V
-		s.keys[s.n], s.vals[s.n] = nil, zero
-	default:
-		s.d.ents[s.d.idx[slot]-1] = isetEntry[V]{}
-		s.d.live--
-	}
-}
-
 // all iterates the entries in insertion order.
 func (s *iset[V]) all() iter.Seq2[*mvstm.VBox, V] {
 	return func(yield func(*mvstm.VBox, V) bool) {
 		if s.n < 0 {
 			ents := s.d.ents
 			for i := range ents {
-				if e := &ents[i]; e.b != nil && !yield(e.b, e.v) {
+				if !yield(ents[i].b, ents[i].v) {
 					return
 				}
 			}
@@ -279,7 +252,7 @@ func (s *iset[V]) all() iter.Seq2[*mvstm.VBox, V] {
 // costs the smaller side. src is left holding an unspecified part of the
 // union: its owner must not read it again before reset.
 func (s *iset[V]) absorb(src *iset[V], keep func(kept, dropped V) V) {
-	if src.n < 0 && src.d.live > s.size() {
+	if src.n < 0 && len(src.d.ents) > s.size() {
 		*s, *src = *src, *s
 		if mutant.Active != mutant.AbsorbDropsTargetReads {
 			for b, v := range src.all() {
@@ -307,7 +280,6 @@ func (s *iset[V]) empty() {
 		s.hw = max(s.hw, len(d.ents))
 		clear(d.ents)
 		d.ents = d.ents[:0]
-		d.live = 0
 	} else {
 		clear(s.keys[:s.n])
 		clear(s.vals[:s.n])
@@ -332,10 +304,11 @@ func (s *iset[V]) reset(budget *int) {
 }
 
 // arenaFreeMax bounds the System's free list, and arenaKeep the vertices,
-// Tx handles and errReads slots a free arena holds on to: together with arenaMapBudget they
-// cap what recycling can keep resident at about 33 MB (32 MB of it spilled
-// set storage at the budget's worst case; a few hundred KB when no vertex
-// spills far), whatever the largest transaction ever run looked like.
+// Tx handles and errReads slots a free arena holds on to: together with the
+// two budgets above they cap what recycling can keep resident at about 37 MB
+// (32 MB of it spilled set storage at the budget's worst case, 4 MB read
+// logs; a few hundred KB when no vertex spills far), whatever the largest
+// transaction ever run looked like.
 const (
 	arenaFreeMax = 8
 	arenaKeep    = 256
@@ -431,18 +404,12 @@ func (t *topTx) wipe() {
 	}
 	clear(t.errReads[:cap(t.errReads)])
 	t.errReads = t.errReads[:0]
-	budget := arenaMapBudget
+	budget, logBudget := arenaMapBudget, arenaLogBudget
 	for _, tx := range t.txs { // spares past ntxs are charged for what they kept
 		tx.reset(&budget)
 	}
-	for i, v := range t.verts {
-		if i < t.nverts {
-			v.reset(&budget)
-		} else {
-			// Reset by an earlier wipe; its kept maps count all the same.
-			v.reads.reset(&budget)
-			v.writes.reset(&budget)
-		}
+	for _, v := range t.verts { // so are spares: reset by an earlier wipe, charged again
+		v.reset(&budget, &logBudget)
 	}
 	if len(t.verts) > arenaKeep {
 		clear(t.verts[arenaKeep:])

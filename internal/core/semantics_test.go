@@ -804,3 +804,81 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("InternalAborts = %d", got)
 	}
 }
+
+// TestForeignRepeatedEvaluation: a transaction that evaluates one escaped
+// future twice gets the same outcome both times, whether its first
+// evaluation folded the escaped execution or re-executed the body (stale),
+// and commits the body's effect once. The second evaluation finds its own
+// attempt holding the claim, and must not wait for that attempt to end.
+func TestForeignRepeatedEvaluation(t *testing.T) {
+	for _, stale := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stale=%v", stale), func(t *testing.T) {
+			sys, stm := newSys(WO, GAC)
+			a := stm.NewBoxNamed("a", 5)
+			b := stm.NewBoxNamed("b", 0)
+			gate := make(chan struct{})
+			var f *Future
+			if err := sys.Atomic(func(tx *Tx) error {
+				f = tx.Submit(func(ftx *Tx) (any, error) {
+					v := ftx.Read(a).(int)
+					<-gate // still running when the spawner commits: it escapes
+					ftx.Write(b, ftx.Read(b).(int)+v)
+					return v, nil
+				})
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			close(gate)
+			want := 5
+			if stale {
+				<-f.settled.wait()
+				commitBox(t, stm, a, 7)
+				want = 7
+			}
+			done := make(chan error, 1)
+			go func() {
+				done <- sys.Atomic(func(tx *Tx) error {
+					for i := 0; i < 2; i++ {
+						if v, err := tx.Evaluate(f); err != nil || v != want {
+							return fmt.Errorf("evaluation %d returned %v, %v; want %d", i+1, v, err, want)
+						}
+					}
+					return nil
+				})
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("a second evaluation of an escaped future in one transaction did not return within 2 s")
+			}
+			if got := readInt(t, stm, b); got != want {
+				t.Fatalf("b = %d, want %d: the body's write did not commit exactly once", got, want)
+			}
+		})
+	}
+}
+
+// TestDecideAfterClaimEnded: an attempt can abort, ending its claim on an
+// escapee, while one of its flows is still evaluating that escapee. The
+// outcome that flow reaches afterwards must not be recorded: the next
+// claimant would take it for its own.
+func TestDecideAfterClaimEnded(t *testing.T) {
+	f := &Future{}
+	t1, t2 := &topTx{}, &topTx{}
+	f.claimant, f.claimCh = t1, make(chan struct{})
+	t1.claims = []*Future{f}
+	t1.endClaims(false)
+	f.claimant, f.claimCh = t2, make(chan struct{})
+	f.decide(t1, 1, nil)
+	if f.decided != nil {
+		t.Fatalf("an ended claim recorded %v as the outcome of the next claimant", *f.decided)
+	}
+	f.decide(t2, 2, nil)
+	if d := f.decided; d == nil || d.res != 2 {
+		t.Fatalf("the claimant's own outcome was not recorded: %v", d)
+	}
+}

@@ -303,3 +303,49 @@ func TestStragglerMergesWhileCommitValidates(t *testing.T) {
 		<-f.Done()
 	}
 }
+
+// TestForwardScanOfActiveReader: a forward validation scans the read log of
+// a vertex whose flow is still reading into it. F1 writes x and finishes
+// once F2, submitted after it, has read x; F2 goes on to read 1023 more
+// boxes, so its log grows while F1's validation may scan it (run with -race
+// and -cpu above 1 for the two to overlap). Under WO F1 must not merge at
+// its submission: F2, ordered after it, read the x it overwrites.
+func TestForwardScanOfActiveReader(t *testing.T) {
+	sys, stm := newSys(WO, LAC)
+	boxes := newBoxes(stm, 1024)
+	x := boxes[0]
+	for attempt := 0; attempt < 20; attempt++ {
+		err := sys.Atomic(func(tx *Tx) error {
+			readX := make(chan struct{})
+			f1 := tx.Submit(func(ftx *Tx) (any, error) {
+				ftx.Write(x, attempt+1)
+				<-readX
+				return nil, nil
+			})
+			f2 := tx.Submit(func(ftx *Tx) (any, error) {
+				seen := ftx.Read(x)
+				close(readX)
+				for _, b := range boxes[1:] {
+					ftx.Read(b)
+				}
+				return seen, nil
+			})
+			<-f1.settled.wait()
+			if st := f1.getState(); st != fParked {
+				return fmt.Errorf("F1 settled in state %d, want parked (%d): it merged at its submission although F2 read x", st, fParked)
+			}
+			seen, err := tx.Evaluate(f2)
+			if err != nil {
+				return err
+			}
+			if seen != attempt {
+				return fmt.Errorf("F2 read x = %v, want %d", seen, attempt)
+			}
+			_, err = tx.Evaluate(f1)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -291,14 +291,12 @@ func (t *topTx) commit() (err error) {
 	hasReads := len(t.errReads) > 0
 	for i := len(mainChain) - 1; i >= 0; i-- {
 		v := mainChain[i]
-		v.vmu.Lock()
 		if v.reads.size() > 0 {
 			hasReads = true
 		}
 		for b, we := range v.writes.all() {
 			t.txn.Write(b, we.val)
 		}
-		v.vmu.Unlock()
 	}
 	t.unlockG()
 
@@ -371,6 +369,9 @@ func (t *topTx) abort(cause error) {
 	t.endClaims(false)
 	if txn := t.txn; txn != nil {
 		t.txn = nil
+		if t.unpin == nil && t.refs.Load() > 1 { // futures still running read at the snapshot
+			t.unpin = txn.Pin()
+		}
 		txn.Discard()
 		txn.Release()
 	}
@@ -390,11 +391,11 @@ func (t *topTx) endClaims(committed bool) {
 	for _, f := range claims {
 		f.mu.Lock()
 		if f.claimant == t {
-			if r := f.rerun; committed && r != nil {
+			if r := f.decided; committed && r != nil {
 				f.result, f.err = r.res, r.err
 			}
 			f.final = committed
-			f.claimant, f.rerun = nil, nil // t is arena memory: keep no identity past it
+			f.claimant, f.decided = nil, nil // t is arena memory: keep no identity past it
 			if f.claimCh != nil {
 				close(f.claimCh)
 				f.claimCh = nil

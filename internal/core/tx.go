@@ -98,13 +98,11 @@ func (tx *Tx) refreshVis() {
 	tx.vis.empty()
 	// Nearest ancestor wins: walk upward, keep the first write per box.
 	for v := tx.cur.pred; v != nil; v = v.pred {
-		v.vmu.Lock()
 		for b, we := range v.writes.all() {
 			if _, slot, ok := tx.vis.find(b); !ok {
 				tx.vis.insert(slot, b, we)
 			}
 		}
-		v.vmu.Unlock()
 	}
 	tx.visOK.Store(true)
 }
@@ -209,61 +207,43 @@ func (tx *Tx) Read(b *mvstm.VBox) any {
 	top := tx.top
 	cur := tx.cur
 
-	// Own-vertex hits need no graph lock at all: cur's data maps are only
-	// mutated by this flow (merges target either iCommitted ancestors or the
-	// evaluator's own vertex, never another flow's active vertex).
-	cur.vmu.Lock()
+	// cur's sets are touched only by this flow while cur is active, so the
+	// own-vertex probes take no lock, and the slot a miss leaves stays valid
+	// until this flow inserts at it (DESIGN §9).
 	if we, ok := cur.writes.get(b); ok {
-		cur.vmu.Unlock()
 		return we.val
 	}
 	obs, slot, ok := cur.reads.find(b)
 	if ok {
-		cur.vmu.Unlock()
 		return obs.val
 	}
 
 	// Ancestor resolution, lock-free fast path: all proper ancestors are
 	// iCommitted and therefore frozen, so when the flow's visible-write
 	// index is current one index probe (or a lock-free snapshot read)
-	// resolves the read. The gver seqlock validates the window: if no
-	// mutation epoch overlapped [s, recheck], the index was current and
-	// every later validator will observe the read we just recorded (it must
-	// bump gver before scanning). The lookups, the resolution, the record
-	// and the recheck share one vmu hold, and nothing taken under it is a
-	// lock (ReadAt is lock-free; it panics only on an engine bug), so the
-	// top.mu → vmu order stands. On a race the tentative read is retracted
-	// under the same hold: a validator that bumped gver takes vmu to scan
-	// cur's reads and so never sees a read that is later retracted. The
-	// summary bit stays set — summaries only ever over-approximate.
+	// resolves the read. The read is published (vertex.publish) before the
+	// gver recheck: if no mutation epoch overlapped [s, recheck], the index
+	// was current, and every later validator, which bumps gver before it
+	// scans, sees the published box. On a race the box stays published: a
+	// validator that saw it counted a read that did happen before it, so at
+	// most it refuses a merge that read would contradict. The slow path
+	// then resolves afresh and publishes the box again.
 	if s := top.gver.Load(); s&1 == 0 && tx.visOK.Load() {
 		obs = tx.resolve(b)
-		cur.addRead(slot, b, obs)
+		cur.publish(b)
 		if top.gver.Load() == s {
-			cur.vmu.Unlock()
+			cur.reads.insert(slot, b, obs)
 			tx.recordRead(cur, b, obs)
 			return obs.val
 		}
-		// Only this flow inserts into cur.reads, so the retraction removes
-		// exactly the tentative entry.
-		cur.reads.del(b)
 	}
-	cur.vmu.Unlock()
 
 	top.mu.RLock()
 	tx.refreshVis()
 	obs = tx.resolve(b)
-	cur.vmu.Lock()
-	// Keep the first observation if one was registered in the meantime (a
-	// merge may have folded a read into cur while we resolved).
-	if prev, slot, ok := cur.reads.find(b); ok {
-		obs = prev
-	} else {
-		cur.addRead(slot, b, obs)
-	}
-	cur.vmu.Unlock()
+	cur.publish(b)
 	top.mu.RUnlock()
-
+	cur.reads.insert(slot, b, obs)
 	tx.recordRead(cur, b, obs)
 	return obs.val
 }
@@ -310,9 +290,7 @@ func (tx *Tx) Write(b *mvstm.VBox, v any) {
 	tx.top.sys.yield(sched.PointWrite, b.Name)
 	tx.checkAlive()
 	wid := tx.top.sys.nextWID()
-	tx.cur.vmu.Lock()
 	tx.cur.addWrite(b, writeEntry{val: v, wid: wid, flow: tx.cur.flow})
-	tx.cur.vmu.Unlock()
 	if tx.top.sys.opts.Recorder != nil {
 		tx.top.sys.record(history.Op{
 			Top: tx.top.id, Flow: tx.cur.flow, Kind: history.Write, Var: b.Name, WID: wid,

@@ -24,6 +24,7 @@ const (
 	ErrorDropsChainReads
 	EscapeIgnoresHidden
 	ForeignErrorUnchecked
+	ReadUnpublished
 )
 
 // Entry is one mutant: Pkg's TestMutantsCaught/<Name> must report it. Sweep
@@ -65,4 +66,6 @@ var Table = []Entry{
 		"a foreign evaluation accepts an escaped chain's hidden read without checking the snapshot read the fold hid under it", false},
 	{ForeignErrorUnchecked, "ForeignErrorUnchecked", "core.(*Tx).evaluateForeign", "core",
 		"a foreign evaluation hands over an escapee's body error without checking the reads the error was computed from", false},
+	{ReadUnpublished, "ReadUnpublished", "core.(*vertex).publish", "core",
+		"a first read in an active vertex is not appended to its log, so a forward validation on another flow misses it", true},
 }

@@ -114,3 +114,23 @@ func BenchmarkReadOnly(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSubstrateSingleWrite runs internal/bench's
+// BenchmarkAtomicSingleWrite body on the substrate alone: STM.Atomic doing
+// one read-modify-write of one box. The ratio of the two prices what the
+// engine adds around a transaction that submits no future.
+func BenchmarkSubstrateSingleWrite(b *testing.B) {
+	s := New()
+	box := s.NewBox(0)
+	body := func(tx *Txn) error {
+		tx.Write(box, tx.Read(box).(int)+1)
+		return nil
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if err := s.Atomic(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
