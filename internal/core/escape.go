@@ -101,6 +101,32 @@ func (tx *Tx) foldEscapee(f *Future) bool {
 	return true
 }
 
+// onPath reports whether v is tx's current vertex or one of its ancestors,
+// whose effects it sees. Caller holds top.mu.
+func (tx *Tx) onPath(v *vertex) bool {
+	for c := tx.cur; c != nil; c = c.pred {
+		if c == v {
+			return true
+		}
+	}
+	return false
+}
+
+// moveDecisions follows the decisions of this attempt's claims (Future.at)
+// held by the chain marked ep: into target, which a merge folded the chain
+// into, or nowhere if it was discarded, which voids them. Flows waiting for
+// a decision to reach their path wake. Caller holds top.mu exclusively.
+func (t *topTx) moveDecisions(ep uint64, target *vertex) {
+	for _, f := range t.claims {
+		if f.at != nil && f.at.mark == ep {
+			f.mu.Lock()
+			f.at = target
+			f.wake()
+			f.mu.Unlock()
+		}
+	}
+}
+
 // evaluateForeign evaluates a future spawned by a different top-level
 // transaction than the caller's.
 func (tx *Tx) evaluateForeign(f *Future) (any, error) {
@@ -142,44 +168,46 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 		return nil, ErrStaleFuture
 	}
 
-	// GAC escapee: claim it, then serialize it at this evaluation point; a
-	// repeat evaluation by the claiming attempt returns what it decided.
-	f.mu.Lock()
+	// GAC escapee: claim it, then serialize it at this evaluation point. A
+	// repeat evaluation by the claiming attempt returns what the attempt
+	// decided once the vertex holding it lies on this flow's path; until a
+	// merge brings it there, the flow waits. A decision whose chain was
+	// discarded is made again.
 	for {
-		if f.final {
-			res, err := f.result, f.err
+		top.lockG()
+		if top.aborted.Load() {
+			top.unlockG()
+			panic(&retrySignal{cause: top.abortCause()})
+		}
+		f.mu.Lock()
+		d, mine := f.decided, f.claimant == top
+		res, err, done := f.result, f.err, f.final
+		if mine && d != nil && (tx.onPath(f.at) || mutant.Active == mutant.DecisionAnywhere) {
+			tx.boundaryLocked() // a boundary, like the first evaluation
+			res, err, done = d.res, d.err, true
+		}
+		if done {
 			f.mu.Unlock()
+			top.unlockG()
 			return res, err
 		}
-		if d := f.decided; d != nil && f.claimant == top {
+		if f.claimant == nil || mine && d != nil && f.at == nil {
+			if !mine {
+				f.claimant, f.claimCh = top, make(chan struct{})
+				top.claims = append(top.claims, f)
+			}
+			f.decided = nil
 			f.mu.Unlock()
-			top.lockG()
-			tx.boundaryLocked()
-			top.unlockG()
-			return d.res, d.err
-		}
-		if f.claimant == nil {
-			f.claimant = top
-			f.claimCh = make(chan struct{})
 			break
 		}
 		ch := f.claimCh
 		f.mu.Unlock()
+		top.unlockG()
 		if waitAny2(hook, ch, top.abortChan()) == 1 {
 			panic(&retrySignal{cause: top.abortCause()})
 		}
-		f.mu.Lock()
 	}
-	f.mu.Unlock()
-	top.claimMu.Lock()
-	top.claims = append(top.claims, f)
-	top.claimMu.Unlock()
 
-	top.lockG()
-	if top.aborted.Load() {
-		top.unlockG()
-		panic(&retrySignal{cause: top.abortCause()})
-	}
 	holds := false
 	if !top.phaseAtLeast(phaseFolding) {
 		// Only an evaluator before its own fold walks the chain, so no flow
@@ -193,13 +221,13 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 	if holds {
 		// The escaped execution is still current: it is serialized here.
 		tx.boundaryLocked()
+		f.mu.Lock()
+		res, err := f.result, f.err
+		f.decide(top, tx.cur.pred, res, err)
+		f.mu.Unlock()
 		top.unlockG()
 		top.sys.stats.MergedAtEvaluation.Add(1)
 		top.sys.record(history.Op{Top: top.id, Flow: tx.cur.flow, Kind: history.FutureMerge, Arg: "evaluation/escaped " + f.name()})
-		f.mu.Lock()
-		res, err := f.result, f.err
-		f.decide(top, res, err)
-		f.mu.Unlock()
 		return res, err
 	}
 	top.unlockG()
@@ -213,8 +241,10 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 	if err != nil {
 		top.sys.record(history.Op{Top: top.id, Flow: tx.cur.flow, Kind: history.FutureAbort, Arg: f.name()})
 	}
+	top.lockG()
 	f.mu.Lock()
-	f.decide(top, res, err)
+	f.decide(top, tx.cur.pred, res, err)
 	f.mu.Unlock()
+	top.unlockG()
 	return res, err
 }

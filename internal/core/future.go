@@ -160,22 +160,35 @@ type Future struct {
 	// Cross-top (GAC) evaluation coordination. Guarded by mu. decided is the
 	// claimant's outcome once it has one (the escaped execution's if it
 	// folded, a re-execution's if not), which becomes result and err only if
-	// the claimant commits.
+	// the claimant commits. at is the claimant's vertex that holds it (the
+	// evaluating vertex it folded into, or the inline re-execution's last):
+	// moved along by merges, nil once discarded (topTx.moveDecisions); also
+	// guarded by the claimant's top.mu.
 	mu       sync.Mutex
 	claimant *topTx
 	claimCh  chan struct{}
 	decided  *outcome
+	at       *vertex
 	final    bool
 }
 
-// decide records t's outcome as the claimant's, unless t's claim already
-// ended (t aborted while a flow of it evaluated), and wakes every flow on
-// claimCh; other attempts' flows wait on a fresh one. Caller holds f.mu.
-func (f *Future) decide(t *topTx, res any, err error) {
-	if f.claimant != t {
-		return
+// decide records t's outcome, held by at, as the claimant's, unless t's
+// claim already ended (t aborted while a flow of it evaluated). What a flow
+// decides after its chain was discarded under it is void (at nil). Caller
+// holds t.mu exclusively, then f.mu.
+func (f *Future) decide(t *topTx, at *vertex, res any, err error) {
+	if f.claimant == t {
+		if !attached(at) {
+			at = nil
+		}
+		f.decided, f.at = &outcome{res, err}, at
+		f.wake()
 	}
-	f.decided = &outcome{res, err}
+}
+
+// wake wakes every flow waiting on claimCh; later ones wait on a fresh one.
+// Caller holds f.mu.
+func (f *Future) wake() {
 	close(f.claimCh)
 	f.claimCh = make(chan struct{})
 }

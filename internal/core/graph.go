@@ -92,6 +92,19 @@ type vertex struct {
 
 func (v *vertex) removed() bool { return v.status == vRemoved }
 
+// attached reports whether no vertex from v back to the root was removed.
+// A flow discarded while it runs (discardSubtree) goes on iCommitting its
+// own vertices, but the finished chain that was discarded above it stays
+// removed, so its vertices are not attached. Caller holds top.mu.
+func attached(v *vertex) bool {
+	for ; v != nil; v = v.pred {
+		if v.removed() {
+			return false
+		}
+	}
+	return true
+}
+
 // publish makes a first read of b visible to forward validation on another
 // flow: b goes into log, then its length into logN, then its bits into
 // readSum. Entries do not change until the arena retires and a grown log is
@@ -420,6 +433,7 @@ func (t *topTx) mergeChain(head, target *vertex, evalFrom *vertex) {
 		c.status = vRemoved
 		c.dropSuccs()
 	}
+	t.moveDecisions(ep, target)
 	head.unlink()
 	t.pushMergePatch(head, target, evalFrom)
 }
@@ -562,4 +576,5 @@ func (t *topTx) discardSubtree(head *vertex) {
 		c.status = vRemoved
 		c.dropSuccs()
 	}
+	t.moveDecisions(ep, nil)
 }

@@ -42,6 +42,8 @@ func TestMutantsCaught(t *testing.T) {
 		mutant.EscapeIgnoresHidden:      {escapeValidatesHiddenRead, "was not validated"},
 		mutant.ForeignErrorUnchecked:    {foreignEvaluationRevalidatesError, "was not revalidated"},
 		mutant.ReadUnpublished:          {fig2SOAbortsContinuation, "SO continuation conflict"},
+		mutant.DecisionAnywhere: {func(t testing.TB) { foreignDecisionDiscardedWithItsChain(t, false) },
+			"did not commit exactly once"},
 	}
 	for _, e := range mutant.Table {
 		if e.Pkg != "core" {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -813,52 +814,191 @@ func TestStatsAccounting(t *testing.T) {
 func TestForeignRepeatedEvaluation(t *testing.T) {
 	for _, stale := range []bool{false, true} {
 		t.Run(fmt.Sprintf("stale=%v", stale), func(t *testing.T) {
-			sys, stm := newSys(WO, GAC)
-			a := stm.NewBoxNamed("a", 5)
-			b := stm.NewBoxNamed("b", 0)
-			gate := make(chan struct{})
-			var f *Future
-			if err := sys.Atomic(func(tx *Tx) error {
-				f = tx.Submit(func(ftx *Tx) (any, error) {
-					v := ftx.Read(a).(int)
-					<-gate // still running when the spawner commits: it escapes
-					ftx.Write(b, ftx.Read(b).(int)+v)
-					return v, nil
-				})
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			close(gate)
-			want := 5
-			if stale {
-				<-f.settled.wait()
-				commitBox(t, stm, a, 7)
-				want = 7
-			}
-			done := make(chan error, 1)
-			go func() {
-				done <- sys.Atomic(func(tx *Tx) error {
-					for i := 0; i < 2; i++ {
-						if v, err := tx.Evaluate(f); err != nil || v != want {
-							return fmt.Errorf("evaluation %d returned %v, %v; want %d", i+1, v, err, want)
-						}
+			sys, stm, f, b, want := escapedAdder(t, stale)
+			within(t, sys, "a second evaluation of an escaped future in one transaction", func(tx *Tx) error {
+				for i := 0; i < 2; i++ {
+					if v, err := tx.Evaluate(f); err != nil || v != want {
+						return fmt.Errorf("evaluation %d returned %v, %v; want %d", i+1, v, err, want)
 					}
-					return nil
-				})
-			}()
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatal(err)
 				}
-			case <-time.After(2 * time.Second):
-				t.Fatal("a second evaluation of an escaped future in one transaction did not return within 2 s")
-			}
+				return nil
+			})
 			if got := readInt(t, stm, b); got != want {
 				t.Fatalf("b = %d, want %d: the body's write did not commit exactly once", got, want)
 			}
 		})
+	}
+}
+
+// TestForeignDecisionDiscardedWithItsChain: a local future g evaluates an
+// escapee, which serializes in g's chain, and is then re-executed (it
+// parks on a forward conflict and fails backward validation), which
+// discards that chain with the escapee's effect. g's re-execution must
+// serialize the escapee again, not return the discarded outcome, so that
+// the escapee's write commits exactly once.
+func TestForeignDecisionDiscardedWithItsChain(t *testing.T) {
+	for _, stale := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stale=%v", stale), func(t *testing.T) { foreignDecisionDiscardedWithItsChain(t, stale) })
+	}
+}
+
+func foreignDecisionDiscardedWithItsChain(t testing.TB, stale bool) {
+	sys, stm, f, b, want := escapedAdder(t, stale)
+	c := stm.NewBoxNamed("c", 0)
+	d := stm.NewBoxNamed("d", 0)
+	within(t, sys, "a re-executed future's evaluation of an escapee", func(tx *Tx) error {
+		start := make(chan struct{})
+		g := tx.Submit(func(gtx *Tx) (any, error) {
+			<-start
+			v, err := gtx.Evaluate(f)
+			if err != nil {
+				return nil, err
+			}
+			gtx.Read(c)
+			gtx.Write(d, 1)
+			return v, nil
+		})
+		tx.Read(d)     // g's write of d conflicts forward: g parks
+		tx.Write(c, 1) // and g's read of c backward: g re-executes
+		close(start)
+		if v, err := tx.Evaluate(g); err != nil || v != want {
+			return fmt.Errorf("g returned %v, %v; want %d", v, err, want)
+		}
+		return nil
+	})
+	if n := sys.Stats().Snapshot().FutureReexecutions; n == 0 {
+		t.Fatal("g was not re-executed: the test did not build its shape")
+	}
+	if got := readInt(t, stm, b); got != want {
+		t.Fatalf("b = %d, want %d: the escapee's write did not commit exactly once", got, want)
+	}
+}
+
+// TestForeignRepeatAwaitsItsDecision: a flow that evaluates an escapee
+// which another flow of its attempt already serialized gets the outcome
+// only once that serialization lies on its path, and then reads the
+// escapee's write. Here the main flow evaluates while the deciding future
+// still runs, and is answered when the future merges at its submission.
+func TestForeignRepeatAwaitsItsDecision(t *testing.T) {
+	sys, stm, f, b, want := escapedAdder(t, false)
+	within(t, sys, "an evaluation of an escapee another flow serialized", func(tx *Tx) error {
+		decided, release := make(chan struct{}), make(chan struct{})
+		g := tx.Submit(func(gtx *Tx) (any, error) {
+			v, err := gtx.Evaluate(f)
+			close(decided)
+			<-release
+			return v, err
+		})
+		<-decided
+		time.AfterFunc(20*time.Millisecond, func() { close(release) })
+		if v, err := tx.Evaluate(f); err != nil || v != want {
+			return fmt.Errorf("evaluation returned %v, %v; want %d", v, err, want)
+		}
+		if got := tx.Read(b).(int); got != want {
+			return fmt.Errorf("b = %d after the evaluation returned %d: the escapee's write is not on the evaluator's path", got, want)
+		}
+		_, err := tx.Evaluate(g)
+		return err
+	})
+	if got := readInt(t, stm, b); got != want {
+		t.Fatalf("b = %d, want %d", got, want)
+	}
+}
+
+// TestForeignDecisionOfACancelledFlow: a future whose spawning chain was
+// discarded keeps running, and what it decides for an escapee it evaluates
+// cannot commit. The re-executed spawner's new future must serialize the
+// escapee itself, neither waiting for nor returning that decision.
+func TestForeignDecisionOfACancelledFlow(t *testing.T) {
+	sys, stm, f, b, want := escapedAdder(t, false)
+	c := stm.NewBoxNamed("c", 0)
+	d := stm.NewBoxNamed("d", 0)
+	within(t, sys, "an escapee's evaluation after a cancelled one", func(tx *Tx) error {
+		var runs atomic.Int32
+		start, gate, cancelled := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		s := tx.Submit(func(stx *Tx) (any, error) {
+			<-start
+			first := runs.Add(1) == 1
+			if !first {
+				close(gate) // the first execution's chain is discarded by now
+			}
+			g := stx.Submit(func(gtx *Tx) (any, error) {
+				if first {
+					<-gate
+					defer close(cancelled)
+				} else {
+					<-cancelled
+				}
+				return gtx.Evaluate(f)
+			})
+			stx.Read(c)
+			stx.Write(d, 1)
+			if first {
+				return nil, nil
+			}
+			return stx.Evaluate(g)
+		})
+		tx.Read(d)     // s's write of d conflicts forward: s parks
+		tx.Write(c, 1) // and its read of c backward: s re-executes
+		close(start)
+		if v, err := tx.Evaluate(s); err != nil || v != want {
+			return fmt.Errorf("s returned %v, %v; want %d", v, err, want)
+		}
+		if got := tx.Read(b).(int); got != want {
+			return fmt.Errorf("b = %d after s returned %d", got, want)
+		}
+		return nil
+	})
+	if got := readInt(t, stm, b); got != want {
+		t.Fatalf("b = %d, want %d", got, want)
+	}
+}
+
+// escapedAdder commits a transaction whose future, still running at its
+// spawner's commit, escapes: it reads a (5) and adds it to b (0). With
+// stale, a commit of 7 to a after the future settled makes its escaped
+// execution stale, so an evaluator re-executes it. want is the result (and
+// b's value) of the execution an evaluator serializes.
+func escapedAdder(t testing.TB, stale bool) (sys *System, stm *mvstm.STM, f *Future, b *mvstm.VBox, want int) {
+	t.Helper()
+	sys, stm = newSys(WO, GAC)
+	a := stm.NewBoxNamed("a", 5)
+	b = stm.NewBoxNamed("b", 0)
+	gate := make(chan struct{})
+	if err := sys.Atomic(func(tx *Tx) error {
+		f = tx.Submit(func(ftx *Tx) (any, error) {
+			v := ftx.Read(a).(int)
+			<-gate // still running when the spawner commits: it escapes
+			ftx.Write(b, ftx.Read(b).(int)+v)
+			return v, nil
+		})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	<-f.settled.wait()
+	want = 5
+	if stale {
+		commitBox(t, stm, a, 7)
+		want = 7
+	}
+	return sys, stm, f, b, want
+}
+
+// within runs body as a transaction of sys and fails t if it errs or does
+// not return within 2 s.
+func within(t testing.TB, sys *System, what string, body func(*Tx) error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- sys.Atomic(body) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatalf("%s did not return within 2 s", what)
 	}
 }
 
@@ -873,12 +1013,13 @@ func TestDecideAfterClaimEnded(t *testing.T) {
 	t1.claims = []*Future{f}
 	t1.endClaims(false)
 	f.claimant, f.claimCh = t2, make(chan struct{})
-	f.decide(t1, 1, nil)
-	if f.decided != nil {
-		t.Fatalf("an ended claim recorded %v as the outcome of the next claimant", *f.decided)
+	v1, v2 := &vertex{}, &vertex{}
+	f.decide(t1, v1, 1, nil)
+	if f.decided != nil || f.at != nil {
+		t.Fatalf("an ended claim recorded an outcome (%v, at %p) for the next claimant", f.decided, f.at)
 	}
-	f.decide(t2, 2, nil)
-	if d := f.decided; d == nil || d.res != 2 {
+	f.decide(t2, v2, 2, nil)
+	if d := f.decided; d == nil || d.res != 2 || f.at != v2 {
 		t.Fatalf("the claimant's own outcome was not recorded: %v", d)
 	}
 }

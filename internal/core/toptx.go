@@ -109,9 +109,8 @@ type topState struct {
 	commitTS int64
 
 	// Escaped futures of *other* transactions claimed by this one; they are
-	// finalized on commit and released on abort. Guarded by claimMu.
-	claimMu sync.Mutex
-	claims  []*Future
+	// finalized on commit and released on abort. Guarded by mu.
+	claims []*Future
 }
 
 func (s *System) newTop() *topTx {
@@ -380,27 +379,21 @@ func (t *topTx) abort(cause error) {
 }
 
 // endClaims ends this attempt's claims on escaped futures of other
-// transactions (evaluateForeign): if it committed, their outcome, a
-// re-execution's if it ran one, becomes final; otherwise the next
-// evaluator may claim them.
+// transactions (evaluateForeign): if it committed, the outcome it decided
+// for each, a re-execution's if it ran one, becomes final unless the chain
+// that held it was discarded; otherwise the next evaluator may claim them.
 func (t *topTx) endClaims(committed bool) {
-	t.claimMu.Lock()
-	claims := t.claims
-	t.claims = nil
-	t.claimMu.Unlock()
-	for _, f := range claims {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, f := range t.claims {
 		f.mu.Lock()
-		if f.claimant == t {
-			if r := f.decided; committed && r != nil {
-				f.result, f.err = r.res, r.err
-			}
-			f.final = committed
-			f.claimant, f.decided = nil, nil // t is arena memory: keep no identity past it
-			if f.claimCh != nil {
-				close(f.claimCh)
-				f.claimCh = nil
-			}
+		d := f.decided
+		if f.final = committed && d != nil && f.at != nil; f.final {
+			f.result, f.err = d.res, d.err
 		}
+		close(f.claimCh)
+		f.claimant, f.claimCh, f.decided, f.at = nil, nil, nil, nil // t is arena memory: keep no identity past it
 		f.mu.Unlock()
 	}
+	t.claims = nil
 }

@@ -25,6 +25,7 @@ const (
 	EscapeIgnoresHidden
 	ForeignErrorUnchecked
 	ReadUnpublished
+	DecisionAnywhere
 )
 
 // Entry is one mutant: Pkg's TestMutantsCaught/<Name> must report it. Sweep
@@ -68,4 +69,6 @@ var Table = []Entry{
 		"a foreign evaluation hands over an escapee's body error without checking the reads the error was computed from", false},
 	{ReadUnpublished, "ReadUnpublished", "core.(*vertex).publish", "core",
 		"a first read in an active vertex is not appended to its log, so a forward validation on another flow misses it", true},
+	{DecisionAnywhere, "DecisionAnywhere", "core.(*Tx).evaluateForeign", "core",
+		"a repeat evaluation returns its attempt's decision for an escapee wherever the decision lies, discarded or off the evaluator's path", false},
 }

@@ -102,7 +102,7 @@ echo "== tier-1.5: claim-to-run contract and lifetimes under race at GOMAXPROCS 
 # transaction that evaluates one escapee twice gets one outcome, and a
 # forward validation scans the read log of a vertex whose flow is still
 # reading into it (a vertex has no lock: DESIGN §9).
-go test -race -cpu 1,4 -count=1 -run 'TestEvaluatorClaimedBodyOfAbortedAttempt|TestLosingWorkerReadsNoArena|TestTryEvaluateNeverClaims|TestDoneWithoutEvaluateCompletes|TestRendezvousBodiesComplete|TestSOEvaluateOutOfOrder|TestBlockedBodiesDoNotStarveWorkers|TestStragglerMergesWhileCommitValidates|TestGACConcurrentForeignEvaluators|TestEscapedAttemptIsNeverRecycled|TestGACChainOfEscapes|TestEscapeValidatesHiddenRead|TestForeignEvaluationRevalidatesError|TestSiblingErrorReadsJoinEvaluator|TestSiblingReexecutionErrorReadsJoinEvaluator|TestEscapeesEvaluateEachOthersSpawners|TestForeignRepeatedEvaluation|TestForwardScanOfActiveReader' ./internal/core/
+go test -race -cpu 1,4 -count=1 -run 'TestEvaluatorClaimedBodyOfAbortedAttempt|TestLosingWorkerReadsNoArena|TestTryEvaluateNeverClaims|TestDoneWithoutEvaluateCompletes|TestRendezvousBodiesComplete|TestSOEvaluateOutOfOrder|TestBlockedBodiesDoNotStarveWorkers|TestStragglerMergesWhileCommitValidates|TestGACConcurrentForeignEvaluators|TestEscapedAttemptIsNeverRecycled|TestGACChainOfEscapes|TestEscapeValidatesHiddenRead|TestForeignEvaluationRevalidatesError|TestSiblingErrorReadsJoinEvaluator|TestSiblingReexecutionErrorReadsJoinEvaluator|TestEscapeesEvaluateEachOthersSpawners|TestForeignRepeatedEvaluation|TestForeignDecisionDiscardedWithItsChain|TestForeignRepeatAwaitsItsDecision|TestForeignDecisionOfACancelledFlow|TestForwardScanOfActiveReader' ./internal/core/
 
 echo "== tier-1.5: crash recovery under race (deterministic fault injection) =="
 # The durability acceptance property: for every injected crash point, the
