@@ -166,7 +166,11 @@ type System struct {
 	opts   Options
 	stats  Stats
 	topSeq atomic.Int64
-	widSeq atomic.Int64 // unique ids for uncommitted writes (GAC resolution)
+	// widSeq numbers sub-transaction writes (nextWID): a write's id names it
+	// in history records and read observations and survives merges, so
+	// readHolds can match an escapee's read with the main chain's final
+	// write of the box.
+	widSeq atomic.Int64
 
 	// observed is true when a recorder or a scheduler hook is installed:
 	// only they read the display names of futures.

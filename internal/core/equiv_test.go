@@ -15,8 +15,9 @@ import (
 // vertex summaries first. Their predecessors materialised every set as a map.
 // The map-based versions are kept below as reference code, and a seeded
 // generator of small graphs checks that both agree on every conflict
-// verdict, every folded read/write set, every relocated child and every
-// flow's visible-write index.
+// verdict, every folded read/write set and every relocated child, and that
+// every flow's visible-write index that counts as current equals its
+// definition, a fresh walk of the flow's ancestor path.
 
 // --- reference: validation and merge over materialised sets ----------------
 
@@ -167,11 +168,9 @@ func (t *topTx) refMergeChain(head, target *vertex, evalFrom *vertex) {
 			acc[b] = struct{}{}
 		}
 	}
-	patch := make(map[*mvstm.VBox]writeEntry, len(acc))
 	for _, c := range cs {
 		for b, we := range c.writes.all() {
 			target.writes.put(b, we)
-			patch[b] = we
 		}
 		for b, obs := range c.reads.all() {
 			if _, ok := target.reads.get(b); !ok {
@@ -191,45 +190,21 @@ func (t *topTx) refMergeChain(head, target *vertex, evalFrom *vertex) {
 			}
 		}
 	}
-	t.refPushMergePatch(patch, target, evalFrom)
+	t.pathGen.Add(1) // the paths below target changed
 }
 
-func (t *topTx) refPushMergePatch(patch map[*mvstm.VBox]writeEntry, target, evalFrom *vertex) {
-	for _, ftx := range t.flows {
-		c := ftx.cur
-		if c == nil || c == target {
-			continue
-		}
-		anc, blocked := false, false
-		for v := c.pred; v != nil; v = v.pred {
-			if v == target {
-				anc = true
-				break
-			}
-			if !blocked {
-				for b := range v.writes.all() {
-					if _, in := patch[b]; in {
-						blocked = true
-						break
-					}
-				}
+// refVisible is the definition of the flow's visible-write index: for each
+// box, the write of the nearest proper ancestor of cur that wrote it.
+func refVisible(cur *vertex) map[*mvstm.VBox]writeEntry {
+	out := map[*mvstm.VBox]writeEntry{}
+	for v := cur.pred; v != nil; v = v.pred {
+		for b, we := range v.writes.all() {
+			if _, ok := out[b]; !ok {
+				out[b] = we
 			}
 		}
-		if !anc {
-			continue
-		}
-		if evalFrom != nil || blocked {
-			ftx.markDirtyLocked()
-			continue
-		}
-		if len(patch) == 0 || !ftx.visBuilt || ftx.visDirty {
-			continue
-		}
-		for b, we := range patch {
-			ftx.pending = append(ftx.pending, isetEntry[writeEntry]{b, we})
-		}
-		ftx.visOK.Store(false)
 	}
+	return out
 }
 
 // --- generator ---------------------------------------------------------------
@@ -244,6 +219,7 @@ type equivGraph struct {
 	boxes   []*mvstm.VBox
 	flows   []*equivFlow // every flow ever opened, index-aligned across copies
 	swapped int          // merges whose target took over a chain vertex's read set
+	absorbs int          // boundaries that folded a vertex into a current index
 }
 
 type equivFlow struct {
@@ -267,6 +243,7 @@ func newEquivGraph(fresh bool, nboxes int) *equivGraph {
 
 func (g *equivGraph) submit(fl *equivFlow) {
 	g.top.lockG()
+	g.noteAbsorb(fl)
 	f := fl.tx.spawnLocked(nil)
 	g.top.unlockG()
 	g.flows = append(g.flows, &equivFlow{tx: f.ftx, fut: f, parent: fl})
@@ -274,8 +251,52 @@ func (g *equivGraph) submit(fl *equivFlow) {
 
 func (g *equivGraph) boundary(fl *equivFlow) {
 	g.top.lockG()
+	g.noteAbsorb(fl)
 	fl.tx.boundaryLocked()
 	g.top.unlockG()
+}
+
+// current reports whether fl's index counts as current: built at the
+// attempt's present path generation.
+func (g *equivGraph) current(fl *equivFlow) bool {
+	return fl.tx.visGen == g.top.pathGen.Load()
+}
+
+// noteAbsorb counts a boundary of fl that folds the vertex it leaves into a
+// current index (absorbWrites) rather than leaving it to a rebuild.
+func (g *equivGraph) noteAbsorb(fl *equivFlow) {
+	if g.current(fl) {
+		g.absorbs++
+	}
+}
+
+// indexFault compares the index of every live flow whose index counts as
+// current with its definition (refVisible) and describes the first that
+// differs, or returns "".
+func (g *equivGraph) indexFault() string {
+	for i, fl := range g.flows {
+		if fl.done || fl.gone || !g.current(fl) {
+			continue
+		}
+		want := refVisible(fl.tx.cur)
+		got := map[*mvstm.VBox]writeEntry{}
+		for b, we := range fl.tx.vis.all() {
+			got[b] = we
+		}
+		if !reflect.DeepEqual(got, want) {
+			return fmt.Sprintf("flow %d's current index differs from its definition:\n  index      %v\n  definition %v",
+				i, fmtVis(got), fmtVis(want))
+		}
+	}
+	return ""
+}
+
+func fmtVis(m map[*mvstm.VBox]writeEntry) map[string]string {
+	out := make(map[string]string, len(m))
+	for b, we := range m {
+		out[b.Name] = fmtWrite(we)
+	}
+	return out
 }
 
 func (g *equivGraph) refresh(fl *equivFlow) {
@@ -448,6 +469,9 @@ func (g *equivGraph) snapshot(t testing.TB) map[string]any {
 		}
 		out[fmt.Sprintf("vis%02d", i)] = vis
 	}
+	if e := g.indexFault(); e != "" {
+		t.Fatalf("after the snapshot's refresh, %s", e)
+	}
 	return out
 }
 
@@ -461,7 +485,7 @@ func validationEquivalence(t testing.TB) {
 		nboxes   = 10
 		maxVerts = 12
 	)
-	var merges, evalMerges, conflicts, relocated, spilled, patched, swapped int
+	var merges, evalMerges, conflicts, relocated, spilled, current, absorbs, swapped int
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := newEquivGraph(true, nboxes), newEquivGraph(false, nboxes)
@@ -505,19 +529,13 @@ func validationEquivalence(t testing.TB) {
 			case r < 80 && room: // a sub-transaction boundary
 				i := open[rng.Intn(len(open))]
 				both(func(g *equivGraph) { g.boundary(g.flows[i]) })
-			case r < 85: // build a flow's index, so a merge has something to patch
+			case r < 85: // build a flow's index, so a merge has one to invalidate
 				i := open[rng.Intn(len(open))]
 				both(func(g *equivGraph) { g.refresh(g.flows[i]) })
 			case r < 92: // a future's body ends
 				if len(open) > 1 {
 					i := open[1+rng.Intn(len(open)-1)]
-					both(func(g *equivGraph) {
-						fl := g.flows[i]
-						g.top.lockG()
-						g.top.unregister(fl.tx)
-						g.top.unlockG()
-						fl.done = true
-					})
+					both(func(g *equivGraph) { g.flows[i].done = true })
 				}
 			default: // a finished future settles
 				if len(finished) == 0 {
@@ -525,8 +543,8 @@ func validationEquivalence(t testing.TB) {
 				}
 				i := finished[rng.Intn(len(finished))]
 				for _, fl := range a.flows {
-					if !fl.done && !fl.gone && fl.tx.visBuilt && !fl.tx.visDirty {
-						patched++
+					if !fl.done && !fl.gone && a.current(fl) {
+						current++
 					}
 				}
 				va, vb := a.settle(a.flows[i]), b.settle(b.flows[i])
@@ -551,6 +569,13 @@ func validationEquivalence(t testing.TB) {
 					t.FailNow()
 				}
 			}
+			// Boundaries fold into current indexes incrementally: check them
+			// after every step, not only once a merge made them stale.
+			for _, g := range [...]*equivGraph{a, b} {
+				if e := g.indexFault(); e != "" {
+					t.Fatalf("seed %d step %d: %s", seed, step, e)
+				}
+			}
 		}
 		for _, fl := range a.flows {
 			if fl.fut != nil && len(fl.fut.extraPathWrites) > 0 {
@@ -558,6 +583,7 @@ func validationEquivalence(t testing.TB) {
 			}
 		}
 		swapped += a.swapped
+		absorbs += a.absorbs
 		for _, v := range a.top.verts[:a.top.nverts] {
 			if v.reads.n < 0 || v.writes.n < 0 {
 				spilled++
@@ -567,11 +593,11 @@ func validationEquivalence(t testing.TB) {
 			t.Fatalf("seed %d: final graphs differ", seed)
 		}
 	}
-	t.Logf("%d seeds: %d submission merges, %d evaluation merges, %d conflicts; %d relocated children, %d spilled sets, %d built indexes at a merge, %d merges that swapped read sets",
-		seeds, merges, evalMerges, conflicts, relocated, spilled, patched, swapped)
+	t.Logf("%d seeds: %d submission merges, %d evaluation merges, %d conflicts; %d relocated children, %d spilled sets, %d current indexes at a merge, %d boundaries into a current index, %d merges that swapped read sets",
+		seeds, merges, evalMerges, conflicts, relocated, spilled, current, absorbs, swapped)
 	for name, n := range map[string]int{"submission merges": merges, "evaluation merges": evalMerges, "conflicts": conflicts,
-		"relocated children": relocated, "spilled sets": spilled, "built indexes at a merge": patched,
-		"merges that swapped read sets": swapped} {
+		"relocated children": relocated, "spilled sets": spilled, "current indexes at a merge": current,
+		"boundaries into a current index": absorbs, "merges that swapped read sets": swapped} {
 		if n == 0 {
 			t.Errorf("the generator never produced %s", name)
 		}
@@ -593,9 +619,6 @@ func discardReachesEveryPendingChild(t testing.TB) {
 	}
 	// G's body ends and G serializes into F's vertex: its three pending
 	// children are re-rooted there.
-	g.top.lockG()
-	g.top.unregister(g.flows[2].tx)
-	g.top.unlockG()
 	g.flows[2].done = true
 	if v := g.settle(g.flows[2]); v[4] {
 		t.Fatalf("G did not merge at submission: %v", v)
@@ -641,10 +664,6 @@ func mergeNotesHiddenRead(t testing.TB) {
 	g.submit(main)   // S = flows[2], off the main flow's continuation
 	sib := g.flows[2]
 	sib.tx.Write(b, 1)
-	g.top.lockG()
-	g.top.unregister(sib.tx)
-	g.top.unregister(chain.tx)
-	g.top.unlockG()
 	sib.done, chain.done = true, true
 	if v := g.settle(sib); v[4] {
 		t.Fatalf("the sibling did not merge at submission: %v", v)

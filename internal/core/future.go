@@ -113,9 +113,8 @@ type Future struct {
 	// The handle's view into its attempt's arena, dropped by dropGraph once
 	// no evaluation can need it. top is the spawning attempt; vertex is the
 	// first vertex of the body's chain and cont the continuation vertex
-	// created alongside it; ftx is the body's Tx handle, created at Submit
-	// (under top.mu) so the flow's visible-write index is registered before
-	// the body runs. vertex and cont are guarded by top.mu.
+	// created alongside it; ftx is the body's Tx handle, handed out by the
+	// arena at Submit, under top.mu. vertex and cont are guarded by top.mu.
 	top    *topTx
 	body   func(*Tx) (any, error)
 	vertex *vertex
@@ -320,7 +319,6 @@ func (f *Future) run() {
 	}
 	if err != nil {
 		top.lockG()
-		top.unregister(tx)
 		top.keepErrorReads(f.vertex, f.flow, nil)
 		top.discardChain(f.vertex)
 		f.err = err
@@ -349,9 +347,6 @@ func (f *Future) run() {
 
 	top.lockG()
 	defer top.unlockG()
-	// The body finished: its Tx resolves no further reads, so its index no
-	// longer needs invalidations.
-	top.unregister(tx)
 	if top.aborted.Load() {
 		f.setState(fStale)
 		return
@@ -565,7 +560,6 @@ func (tx *Tx) shortcutAtEvaluation(f *Future) {
 	// like a WO future that re-executes at its evaluation.
 	f.sys.record(history.Op{Top: top.id, Flow: f.flow, Kind: history.FutureBegin, Arg: f.name()})
 	top.lockG()
-	top.unregister(f.ftx)
 	tx.reexecuteLocked(f)
 }
 
@@ -604,7 +598,6 @@ func (tx *Tx) runInline(body func(*Tx) (any, error), label string) (any, error) 
 	}
 
 	top.lockG()
-	top.unregister(sub)
 	if err != nil {
 		top.keepErrorReads(rv, rv.flow, cur)
 		top.discardChain(rv)
@@ -615,24 +608,13 @@ func (tx *Tx) runInline(body func(*Tx) (any, error), label string) (any, error) 
 		next := top.newVertex(cur.flow, tail)
 		tail.next = next // cross-flow chain splice (see above)
 		tx.cur = next
-		// The inline chain now sits on this flow's ancestor path; adopt the
-		// sub-handle's index (visible-at-tail) plus tail's own writes, or
-		// rebuild lazily if the sub-handle's index isn't current.
-		if sub.visOK.Load() {
-			// Swapped, not shared: both handles are arena memory and keep
-			// their index storage for the next attempt.
-			tx.vis, sub.vis = sub.vis, tx.vis
-			sub.visBuilt = false
-			sub.visOK.Store(false)
-			tx.visBuilt = true
-			clear(tx.pending)
-			tx.pending = tx.pending[:0]
-			tx.visDirty = false
-			tx.visOK.Store(true)
-			tx.absorbWrites(tail)
-		} else {
-			tx.markDirtyLocked()
-		}
+		// The inline chain now sits on this flow's ancestor path: adopt the
+		// sub-handle's index (visible at tail) with its stamp, plus tail's
+		// own writes if it is current. Swapped, not shared: both handles are
+		// arena memory and keep their index storage for the next attempt.
+		tx.vis, sub.vis = sub.vis, tx.vis
+		tx.visGen, sub.visGen = sub.visGen, -1
+		tx.absorbWrites(tail)
 	}
 	top.unlockG()
 	return res, err

@@ -435,7 +435,11 @@ func (t *topTx) mergeChain(head, target *vertex, evalFrom *vertex) {
 	}
 	t.moveDecisions(ep, target)
 	head.unlink()
-	t.pushMergePatch(head, target, evalFrom)
+	// Flows below target now see the chain's writes, and re-rooted children
+	// a different path: every visible-write index goes stale.
+	if mutant.Active != mutant.MergeKeepsGeneration {
+		t.pathGen.Add(1)
+	}
 }
 
 // keepRead is the fold's rule for a box both the target and a chain vertex
@@ -448,65 +452,6 @@ func keepRead(kept, dropped readObs) readObs {
 		kept.hidden = true
 	}
 	return kept
-}
-
-// pushMergePatch propagates a merge to the visible-write indexes of the
-// flows it affects: those whose current vertex has target as a proper
-// ancestor. A submission-point merge leaves the graph's shape around the
-// chain unchanged (target is the chain's old predecessor), so affected flows
-// receive the write patch directly — unless a vertex strictly between their
-// current vertex and target wrote one of the patched boxes, in which case
-// the nearer write must keep precedence and the index is rebuilt instead.
-// An evaluation-point merge relocates re-rooted children onto a genuinely
-// different ancestor path, so every affected flow is invalidated. The
-// evaluating flow's own vertex IS target (never a proper ancestor of
-// itself): it updates its index at its boundary via absorbWrites.
-//
-// The patch (the merged chain's writes in chain order, so later ones win) is
-// only appended for a flow that will fold it: one with a built, clean index
-// and no nearer write. head's chain still holds its write sets after the
-// fold. Caller holds top.mu exclusively.
-func (t *topTx) pushMergePatch(head, target, evalFrom *vertex) {
-	_, wsum := chainSums(head)
-	for _, ftx := range t.flows {
-		c := ftx.cur
-		if c == target {
-			continue
-		}
-		anc, blocked := false, false
-		for v := c.pred; v != nil; v = v.pred {
-			if v == target {
-				anc = true
-				break
-			}
-			if !blocked && v.writeSum.Load()&wsum != 0 {
-				for b := range v.writes.all() {
-					if chainWrote(head, b) {
-						blocked = true
-						break
-					}
-				}
-			}
-		}
-		if !anc {
-			continue
-		}
-		if evalFrom != nil || blocked {
-			ftx.markDirtyLocked()
-			continue
-		}
-		if wsum == 0 || !ftx.visBuilt || ftx.visDirty {
-			// Nothing to fold, or the index is unbuilt / already awaiting a
-			// full rebuild: the next refreshVis covers it.
-			continue
-		}
-		for c := head; c != nil; c = c.next {
-			for b, we := range c.writes.all() {
-				ftx.pending = append(ftx.pending, isetEntry[writeEntry]{b, we})
-			}
-		}
-		ftx.visOK.Store(false)
-	}
 }
 
 // keepErrorReads keeps the reads behind the error of flow's failed chain
@@ -544,11 +489,8 @@ func (t *topTx) discardChain(head *vertex) {
 	head.unlink()
 	t.discardSubtree(head)
 	// Removed vertices may still be index sources for flows that descended
-	// them, and the discarded writes vanish without a fold: invalidate every
-	// flow's visible-write index.
-	for _, ftx := range t.flows {
-		ftx.markDirtyLocked()
-	}
+	// them: every visible-write index goes stale.
+	t.pathGen.Add(1)
 }
 
 // discardSubtree removes the chain rooted at head and, recursively, every

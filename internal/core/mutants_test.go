@@ -44,6 +44,7 @@ func TestMutantsCaught(t *testing.T) {
 		mutant.ReadUnpublished:          {fig2SOAbortsContinuation, "SO continuation conflict"},
 		mutant.DecisionAnywhere: {func(t testing.TB) { foreignDecisionDiscardedWithItsChain(t, false) },
 			"did not commit exactly once"},
+		mutant.MergeKeepsGeneration: {validationEquivalence, "differs from its definition"},
 	}
 	for _, e := range mutant.Table {
 		if e.Pkg != "core" {

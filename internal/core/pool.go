@@ -14,9 +14,8 @@ import (
 // attempt's graph arena.
 //
 // The arena of an attempt is its topTx value together with everything hung
-// off it — the vertices of G, the Tx handles of its flows, the flow and
-// future registries and the validation/merge scratch. Who owns it, until
-// when:
+// off it — the vertices of G, the Tx handles of its flows, the future
+// registry and the validation/merge scratch. Who owns it, until when:
 //
 //   - An attempt owns its arena from newTop until it is quiescent: the main
 //     flow has left commit or abort and every future it submitted has
@@ -59,7 +58,7 @@ const isetInline = 4
 const isetIndexMin = 4 * isetInline
 
 // arenaMapBudget bounds the spilled set storage one free arena keeps, summed
-// over its Tx handles' indexes and patches (tx.go), then its vertices' sets
+// over its Tx handles' visible-write indexes (tx.go), then its vertices' sets
 // in vertex order, lowest first, which is the order the next attempt hands
 // vertices out in, by each one's high-water entry count (entry slices and
 // indexes never shrink, so that is the size they keep); storage that would
@@ -359,33 +358,16 @@ func (t *topTx) allocVertex() *vertex {
 	return v
 }
 
-// newTx hands out the arena's next Tx handle, bound to cur and registered as
-// a live flow. Caller holds top.mu (or is pre-concurrency).
+// newTx hands out the arena's next Tx handle, bound to cur, its index
+// unbuilt. Caller holds top.mu (or is pre-concurrency).
 func (t *topTx) newTx(cur *vertex) *Tx {
 	if t.ntxs == len(t.txs) {
 		t.txs = append(t.txs, &Tx{top: t})
 	}
 	tx := t.txs[t.ntxs]
 	t.ntxs++
-	tx.cur = cur
-	tx.slot = len(t.flows)
-	t.flows = append(t.flows, tx)
+	tx.cur, tx.visGen = cur, -1
 	return tx
-}
-
-// unregister removes a flow whose body finished from the live registry: its
-// Tx resolves no further reads, so its index needs no more invalidations.
-// Caller holds top.mu exclusively.
-func (t *topTx) unregister(tx *Tx) {
-	if tx.slot < 0 {
-		return
-	}
-	last := len(t.flows) - 1
-	t.flows[tx.slot] = t.flows[last]
-	t.flows[tx.slot].slot = tx.slot
-	t.flows[last] = nil
-	t.flows = t.flows[:last]
-	tx.slot = -1
 }
 
 // wipe returns the arena to its initial state, keeping only reusable
@@ -420,8 +402,6 @@ func (t *topTx) wipe() {
 		t.txs = t.txs[:arenaKeep]
 	}
 	t.nverts, t.ntxs = 0, 0
-	clear(t.flows)
-	t.flows = t.flows[:0]
 	clear(t.stack[:cap(t.stack)])
 	clear(t.chainBuf[:cap(t.chainBuf)])
 	t.topState = topState{}

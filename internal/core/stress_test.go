@@ -310,7 +310,12 @@ func TestStragglerMergesWhileCommitValidates(t *testing.T) {
 // boxes, so its log grows while F1's validation may scan it (run with -race
 // and -cpu above 1 for the two to overlap). Under WO F1 must not merge at
 // its submission: F2, ordered after it, read the x it overwrites.
+//
+// Then the opposite case: F1's merge lands while F2 reads F1's boxes
+// through the lock-free path (mergeUnderReader).
 func TestForwardScanOfActiveReader(t *testing.T) {
+	defer mergeUnderReader(t)
+
 	sys, stm := newSys(WO, LAC)
 	boxes := newBoxes(stm, 1024)
 	x := boxes[0]
@@ -348,4 +353,66 @@ func TestForwardScanOfActiveReader(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// mergeUnderReader: F1 writes 64 boxes and finishes as soon as F2,
+// submitted after it, has built its visible-write index; F2 then reads 512
+// other boxes and F1's, through the lock-free path while its index is
+// current, as F1 validates and merges at its submission. F2 must see all
+// of F1's writes, and then F1 merged at its submission, or none of them,
+// and then F1 did not: a read resolved through an index the merge made
+// stale, or one the forward scan missed, shows as a mix or a mismatch.
+func mergeUnderReader(t *testing.T) {
+	sys, stm := newSys(WO, LAC)
+	boxes := newBoxes(stm, 64+512)
+	written, other := boxes[:64], boxes[64:]
+	merges := 0
+	for attempt := 0; attempt < 50; attempt++ {
+		err := sys.Atomic(func(tx *Tx) error {
+			ready := make(chan struct{})
+			f1 := tx.Submit(func(ftx *Tx) (any, error) {
+				for _, b := range written {
+					ftx.Write(b, attempt+1)
+				}
+				<-ready
+				return nil, nil
+			})
+			f2 := tx.Submit(func(ftx *Tx) (any, error) {
+				ftx.Read(other[0]) // the first read builds the index
+				close(ready)
+				for _, b := range other[1:] {
+					ftx.Read(b)
+				}
+				seen := make([]any, len(written))
+				for i, b := range written {
+					seen[i] = ftx.Read(b)
+				}
+				return seen, nil
+			})
+			<-f1.settled.wait()
+			merged := f1.getState() == fMerged
+			if merged {
+				merges++
+			}
+			res, err := tx.Evaluate(f2)
+			if err != nil {
+				return err
+			}
+			fresh := 0
+			for _, v := range res.([]any) {
+				if v == attempt+1 {
+					fresh++
+				}
+			}
+			if fresh != 0 && fresh != len(written) || (fresh != 0) != merged {
+				return fmt.Errorf("F2 saw %d of F1's %d writes; F1 merged at its submission: %v", fresh, len(written), merged)
+			}
+			_, err = tx.Evaluate(f1)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("F1 merged at its submission in %d of 50 attempts", merges)
 }

@@ -31,7 +31,7 @@ const (
 type topTx struct {
 	sys *System
 
-	// mu guards the graph G (topology, statuses, flow/future registries).
+	// mu guards the graph G (topology, statuses, the future registry).
 	mu sync.RWMutex
 
 	// verts[:nverts] and txs[:ntxs] are the vertices and Tx handles handed
@@ -41,10 +41,6 @@ type topTx struct {
 	txs    []*Tx
 	ntxs   int
 
-	// flows registers the live Tx handle of each flow (under mu), so graph
-	// mutations can push visible-write-index patches and invalidations to
-	// the flows they affect (see tx.go). A flow leaves when its body ends.
-	flows   []*Tx
 	futures []*Future
 
 	// Scratch of the validators and merges, which run under mu held
@@ -71,7 +67,12 @@ type topState struct {
 	// lock-free reader that observes the same even value before and after
 	// its lookups has seen a quiescent graph (the counter is monotonic
 	// within an attempt, so there is no ABA).
-	gver    atomic.Int64
+	gver atomic.Int64
+	// pathGen is the attempt's path generation: mergeChain and discardChain,
+	// the only mutations that change what some flow's ancestors wrote, bump
+	// it inside their lockG section. A flow's visible-write index is current
+	// iff it was built at the present generation (Tx.visGen, DESIGN §9).
+	pathGen atomic.Int64
 	root    *vertex
 	flowSeq int
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"sync/atomic"
 
 	"wtftm/internal/history"
 	"wtftm/internal/mvstm"
@@ -20,81 +19,40 @@ type Tx struct {
 	top *topTx
 	cur *vertex
 
-	// slot is the handle's position in top.flows while its flow is live (-1
-	// once the body finished); lastFut is the future this flow submitted
-	// last, which an SO sibling submitted next must wait for. Both guarded
-	// by top.mu.
-	slot    int
+	// lastFut is the future this flow submitted last, which an SO sibling
+	// submitted next must wait for. Guarded by top.mu.
 	lastFut *Future
 
 	// Visible-write index: box -> the nearest iCommitted proper ancestor's
 	// write, i.e. what a first read of the box in cur resolves to before
-	// falling back to the top-level snapshot. The box set is touched only by
-	// the owning flow's goroutine, so it needs no lock of its own; graph
-	// mutations on other flows communicate through pending/visDirty (written
-	// under top.mu held exclusively, consumed by the owner under at least
-	// top.mu.RLock — the two can never overlap) and flip visOK, which the
-	// lock-free read path checks under the gver seqlock.
-	//
-	// The set outlives the attempt with the handle; visBuilt says whether it
-	// currently holds this flow's index.
-	vis      iset[writeEntry]
-	visBuilt bool
-	// pending holds merge patches (chain write sets folded into a proper
-	// ancestor with no intervening same-path writes) to put into vis, one
-	// entry after another, in merge order.
-	pending []isetEntry[writeEntry]
-	// visDirty forces a full rebuild: the ancestor path itself changed
-	// (discard, re-rooting at an evaluation point).
-	visDirty bool
-	// visOK is true iff vis is built, pending is empty and visDirty is
-	// unset. Owner stores true under (R)Lock; mutators store false under
-	// Lock; the lock-free fast path loads it.
-	visOK atomic.Bool
+	// falling back to the top-level snapshot. Only the owning flow touches
+	// it, so it needs no lock. visGen, also owner-only, is the path
+	// generation (topState.pathGen) the index was built at, -1 while
+	// unbuilt: the index is current iff visGen equals pathGen. Other flows
+	// never touch either; a merge or a discard, the only mutations that
+	// change what a flow's ancestors wrote, bumps pathGen, and the owner
+	// rebuilds on its next slow-path read (DESIGN §9). The set's storage
+	// outlives the attempt with the handle.
+	vis    iset[writeEntry]
+	visGen int64
 }
 
 // reset readies a handle for its arena's next attempt: every reference is
-// dropped, the index's and patches' storage kept against *budget.
+// dropped, the index's storage kept against *budget.
 func (tx *Tx) reset(budget *int) {
 	tx.cur, tx.lastFut = nil, nil
 	tx.vis.reset(budget)
-	clear(tx.pending)
-	if cap(tx.pending) > *budget {
-		tx.pending = nil
-	} else {
-		*budget -= cap(tx.pending)
-		tx.pending = tx.pending[:0]
-	}
-	tx.visBuilt, tx.visDirty = false, false
-	tx.visOK.Store(false)
 }
 
-// markDirtyLocked invalidates the flow's index. Caller holds top.mu
-// exclusively (or is the owner before any concurrency).
-func (tx *Tx) markDirtyLocked() {
-	tx.visDirty = true
-	tx.visOK.Store(false)
-}
-
-// refreshVis brings the index up to date: fold pending merge patches in
-// order, or rebuild from the ancestor chain when the path itself changed.
-// Only the owning flow calls it, holding at least top.mu.RLock.
+// refreshVis makes the index current: one built at an older path
+// generation, or never built, is rebuilt from the ancestor chain. Only the
+// owning flow calls it, holding at least top.mu.RLock, so no bump lands
+// during the walk.
 func (tx *Tx) refreshVis() {
-	if tx.visOK.Load() {
+	gen := tx.top.pathGen.Load()
+	if tx.visGen == gen {
 		return
 	}
-	if tx.visBuilt && !tx.visDirty {
-		for _, e := range tx.pending {
-			tx.vis.put(e.b, e.v)
-		}
-		clear(tx.pending)
-		tx.pending = tx.pending[:0]
-		tx.visOK.Store(true)
-		return
-	}
-	tx.visBuilt, tx.visDirty = true, false
-	clear(tx.pending)
-	tx.pending = tx.pending[:0]
 	tx.vis.empty()
 	// Nearest ancestor wins: walk upward, keep the first write per box.
 	for v := tx.cur.pred; v != nil; v = v.pred {
@@ -104,28 +62,20 @@ func (tx *Tx) refreshVis() {
 			}
 		}
 	}
-	tx.visOK.Store(true)
+	tx.visGen = gen
 }
 
 // absorbWrites folds a just-iCommitted vertex's write set into the index
-// (the vertex becomes a proper ancestor of the flow's next vertex). Called
+// (the vertex becomes a proper ancestor of the flow's next vertex), if the
+// index is current; otherwise the next refreshVis rebuild covers v. Called
 // by the owner at sub-transaction boundaries, holding top.mu exclusively;
 // v's writes are frozen at that point so reading them unlocked is safe.
 func (tx *Tx) absorbWrites(v *vertex) {
-	switch {
-	case tx.visOK.Load():
-		for b, we := range v.writes.all() {
-			tx.vis.put(b, we)
-		}
-	case tx.visBuilt && !tx.visDirty:
-		// Pending-mode: vis ⊕ pending must stay equal to the true visible
-		// set. v is nearer than any pending merge's target, so its writes
-		// fold last; copied because v's set can later mutate (v may itself
-		// become a merge target) while the patch waits.
-		for b, we := range v.writes.all() {
-			tx.pending = append(tx.pending, isetEntry[writeEntry]{b, we})
-		}
-		// Dirty or unbuilt: the next refreshVis rebuild covers v.
+	if tx.visGen != tx.top.pathGen.Load() {
+		return
+	}
+	for b, we := range v.writes.all() {
+		tx.vis.put(b, we)
 	}
 }
 
@@ -220,15 +170,16 @@ func (tx *Tx) Read(b *mvstm.VBox) any {
 
 	// Ancestor resolution, lock-free fast path: all proper ancestors are
 	// iCommitted and therefore frozen, so when the flow's visible-write
-	// index is current one index probe (or a lock-free snapshot read)
-	// resolves the read. The read is published (vertex.publish) before the
-	// gver recheck: if no mutation epoch overlapped [s, recheck], the index
-	// was current, and every later validator, which bumps gver before it
-	// scans, sees the published box. On a race the box stays published: a
+	// index is current (built at the present path generation) one index
+	// probe (or a lock-free snapshot read) resolves the read. The read is
+	// published (vertex.publish) before the gver recheck: if no mutation
+	// epoch overlapped [s, recheck], no bump of pathGen did either (every
+	// bump is inside one), so the index was current, and every later
+	// validator, which bumps gver before it scans, sees the published box. On a race the box stays published: a
 	// validator that saw it counted a read that did happen before it, so at
 	// most it refuses a merge that read would contradict. The slow path
 	// then resolves afresh and publishes the box again.
-	if s := top.gver.Load(); s&1 == 0 && tx.visOK.Load() {
+	if s := top.gver.Load(); s&1 == 0 && tx.visGen == top.pathGen.Load() {
 		obs = tx.resolve(b)
 		cur.publish(b)
 		if top.gver.Load() == s {
@@ -329,7 +280,7 @@ func (tx *Tx) Submit(body func(*Tx) (any, error)) *Future {
 
 // spawnLocked is Submit's graph mutation: the caller's vertex iCommits, the
 // future's first vertex and the continuation vertex hang off it, and the
-// future and its body's Tx handle are registered. Caller holds top.mu
+// future is registered with its body's Tx handle. Caller holds top.mu
 // exclusively.
 func (tx *Tx) spawnLocked(body func(*Tx) (any, error)) *Future {
 	top, sys := tx.top, tx.top.sys
@@ -356,9 +307,9 @@ func (tx *Tx) spawnLocked(body func(*Tx) (any, error)) *Future {
 		prevInFlow: tx.lastFut,
 	}
 	fv.fut = f
-	// The body's Tx is created here (not in run) so invalidations reach its
-	// visible-write index from the first instant; its index itself builds
-	// lazily on the body's first ancestor-resolving read.
+	// The arena hands out the body's Tx here, under the graph lock; its
+	// visible-write index builds lazily on the body's first
+	// ancestor-resolving read.
 	f.ftx = top.newTx(fv)
 	tx.lastFut = f
 	top.futures = append(top.futures, f)

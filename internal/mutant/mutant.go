@@ -26,6 +26,7 @@ const (
 	ForeignErrorUnchecked
 	ReadUnpublished
 	DecisionAnywhere
+	MergeKeepsGeneration
 )
 
 // Entry is one mutant: Pkg's TestMutantsCaught/<Name> must report it. Sweep
@@ -71,4 +72,6 @@ var Table = []Entry{
 		"a first read in an active vertex is not appended to its log, so a forward validation on another flow misses it", true},
 	{DecisionAnywhere, "DecisionAnywhere", "core.(*Tx).evaluateForeign", "core",
 		"a repeat evaluation returns its attempt's decision for an escapee wherever the decision lies, discarded or off the evaluator's path", false},
+	{MergeKeepsGeneration, "MergeKeepsGeneration", "core.(*topTx).mergeChain", "core",
+		"a merge leaves the path generation alone, so a flow below its target keeps an index without the merged writes", true},
 }
