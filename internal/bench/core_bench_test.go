@@ -98,6 +98,26 @@ func BenchmarkAtomicSingleWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkAtomicMultiWrite is BenchmarkAtomicSingleWrite over 8 boxes, the
+// shape of a served 8-PUT MULTI: the commit folds a write set past the
+// substrate set's inline capacity.
+func BenchmarkAtomicMultiWrite(b *testing.B) {
+	sys, boxes := newCoreBench(8)
+	body := func(tx *core.Tx) error {
+		for _, box := range boxes {
+			tx.Write(box, tx.Read(box).(int)+1)
+		}
+		return nil
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if err := sys.Atomic(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSubmitEvaluate measures one submit+merge+evaluate round trip at
 // varying chain depths (the chain grows across the transaction, so deeper
 // configurations stress merge bookkeeping and ancestor updates). Its extra

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -33,7 +34,7 @@ func refChainWriteBoxes(v *vertex) (map[*mvstm.VBox]struct{}, uint64) {
 	out := make(map[*mvstm.VBox]struct{})
 	var sum uint64
 	for _, c := range refChain(v) {
-		for b := range c.writes.all() {
+		for b := range c.writes.All() {
 			out[b] = struct{}{}
 			sum |= b.Summary()
 		}
@@ -45,7 +46,7 @@ func refChainReadBoxes(v *vertex, self int) (map[*mvstm.VBox]struct{}, uint64) {
 	out := make(map[*mvstm.VBox]struct{})
 	var sum uint64
 	for _, c := range refChain(v) {
-		for b, obs := range c.reads.all() {
+		for b, obs := range c.reads.All() {
 			if obs.ver == nil && int(obs.flow) == self {
 				continue
 			}
@@ -78,7 +79,7 @@ func refForwardConflicts(start *vertex, writes map[*mvstm.VBox]struct{}, wsum ui
 			continue
 		}
 		if v.readSum.Load()&wsum != 0 {
-			for b := range v.reads.all() {
+			for b := range v.reads.All() {
 				if _, ok := writes[b]; ok {
 					return true
 				}
@@ -100,7 +101,7 @@ func refBackwardConflicts(from, until *vertex, reads map[*mvstm.VBox]struct{}, r
 			return false, true
 		}
 		if v.writeSum.Load()&rsum != 0 {
-			for b := range v.writes.all() {
+			for b := range v.writes.All() {
 				if _, in := reads[b]; in {
 					return true, true
 				}
@@ -113,7 +114,7 @@ func refBackwardConflicts(from, until *vertex, reads map[*mvstm.VBox]struct{}, r
 func refPathWriteBoxes(from, until *vertex) map[*mvstm.VBox]struct{} {
 	out := make(map[*mvstm.VBox]struct{})
 	for v := from; v != nil && v != until; v = v.pred {
-		for b := range v.writes.all() {
+		for b := range v.writes.All() {
 			out[b] = struct{}{}
 		}
 	}
@@ -124,17 +125,22 @@ func refAddExtraPathWrites(f *Future, boxes map[*mvstm.VBox]struct{}) {
 	if len(boxes) == 0 {
 		return
 	}
-	if f.extraPathWrites == nil {
-		f.extraPathWrites = make(map[*mvstm.VBox]struct{}, len(boxes))
-	}
 	for b := range boxes {
-		f.extraPathWrites[b] = struct{}{}
+		f.extraPathWrites.Put(b, struct{}{})
 		f.extraSum |= b.Summary()
 	}
 }
 
 func refExtraConflict(f *Future, reads map[*mvstm.VBox]struct{}, rsum uint64) bool {
-	return rsum&f.extraSum != 0 && refIntersects(reads, f.extraPathWrites)
+	if rsum&f.extraSum == 0 {
+		return false
+	}
+	for b := range reads {
+		if _, ok := f.extraPathWrites.Get(b); ok {
+			return true
+		}
+	}
+	return false
 }
 
 func (t *topTx) refMergeChain(head, target *vertex, evalFrom *vertex) {
@@ -164,17 +170,17 @@ func (t *topTx) refMergeChain(head, target *vertex, evalFrom *vertex) {
 				}
 			}
 		}
-		for b := range c.writes.all() {
+		for b := range c.writes.All() {
 			acc[b] = struct{}{}
 		}
 	}
 	for _, c := range cs {
-		for b, we := range c.writes.all() {
-			target.writes.put(b, we)
+		for b, we := range c.writes.All() {
+			target.writes.Put(b, we)
 		}
-		for b, obs := range c.reads.all() {
-			if _, ok := target.reads.get(b); !ok {
-				target.reads.put(b, obs)
+		for b, obs := range c.reads.All() {
+			if _, ok := target.reads.Get(b); !ok {
+				target.reads.Put(b, obs)
 			}
 		}
 		target.readSum.Store(target.readSum.Load() | c.readSum.Load())
@@ -198,7 +204,7 @@ func (t *topTx) refMergeChain(head, target *vertex, evalFrom *vertex) {
 func refVisible(cur *vertex) map[*mvstm.VBox]writeEntry {
 	out := map[*mvstm.VBox]writeEntry{}
 	for v := cur.pred; v != nil; v = v.pred {
-		for b, we := range v.writes.all() {
+		for b, we := range v.writes.All() {
 			if _, ok := out[b]; !ok {
 				out[b] = we
 			}
@@ -280,7 +286,7 @@ func (g *equivGraph) indexFault() string {
 		}
 		want := refVisible(fl.tx.cur)
 		got := map[*mvstm.VBox]writeEntry{}
-		for b, we := range fl.tx.vis.all() {
+		for b, we := range fl.tx.vis.All() {
 			got[b] = we
 		}
 		if !reflect.DeepEqual(got, want) {
@@ -373,14 +379,14 @@ func (g *equivGraph) settle(fl *equivFlow) (verdicts [5]bool) {
 // and counts it in g.swapped if target's read set ends up in the dense
 // storage one of the chain's vertices held.
 func (g *equivGraph) noteSwap(head, target *vertex, merge func()) {
-	chainStore := map[*isetDense[readObs]]bool{}
+	chainStore := map[any]bool{}
 	for c := head; c != nil; c = c.next {
-		if c.reads.n < 0 {
-			chainStore[c.reads.d] = true
+		if id, held, _ := c.reads.Storage(); held > 0 {
+			chainStore[id] = true
 		}
 	}
 	merge()
-	if target.reads.n < 0 && chainStore[target.reads.d] {
+	if id, held, _ := target.reads.Storage(); held > 0 && chainStore[id] {
 		g.swapped++
 	}
 }
@@ -402,9 +408,9 @@ func vid(v *vertex) int {
 	return v.id
 }
 
-func boxNames[V any](m map[*mvstm.VBox]V) []string {
-	out := make([]string, 0, len(m))
-	for b := range m {
+func boxNames[V any](all iter.Seq2[*mvstm.VBox, V]) []string {
+	var out []string
+	for b := range all {
 		out = append(out, b.Name)
 	}
 	sort.Strings(out)
@@ -423,7 +429,7 @@ func fmtWrite(we writeEntry) string { return fmt.Sprintf("%v@f%d.w%d", we.val, w
 // snapshot renders everything the merge and the validators can change, in a
 // form two graphs over different boxes can be compared in. A removed
 // vertex's reads are not rendered: a merge may hand its read set to the
-// target and leave it the target's former entries (iset.absorb), and
+// target and leave it the target's former entries (mvstm.BoxSet.Absorb), and
 // nothing reads the set of a removed vertex again.
 func (g *equivGraph) snapshot(t testing.TB) map[string]any {
 	out := make(map[string]any)
@@ -435,16 +441,16 @@ func (g *equivGraph) snapshot(t testing.TB) map[string]any {
 		}
 		var rsum, wsum uint64
 		if !v.removed() {
-			for b, obs := range v.reads.all() {
+			for b, obs := range v.reads.All() {
 				ev.Reads[b.Name] = fmtRead(obs)
 				rsum |= b.Summary()
 			}
 		}
-		for b, we := range v.writes.all() {
+		for b, we := range v.writes.All() {
 			ev.Writes[b.Name] = fmtWrite(we)
 			wsum |= b.Summary()
 		}
-		if (!v.removed() && v.reads.size() != len(ev.Reads)) || v.writes.size() != len(ev.Writes) {
+		if (!v.removed() && v.reads.Size() != len(ev.Reads)) || v.writes.Size() != len(ev.Writes) {
 			t.Fatalf("vertex %d: set size disagrees with its iteration", v.id)
 		}
 		// Summaries may over-approximate, never miss a member.
@@ -456,7 +462,7 @@ func (g *equivGraph) snapshot(t testing.TB) map[string]any {
 	for i, fl := range g.flows {
 		if f := fl.fut; f != nil {
 			out[fmt.Sprintf("f%02d", i)] = fmt.Sprintf("cont=%d invalid=%v extra=%v",
-				vid(f.cont), f.isInvalidated(), boxNames(f.extraPathWrites))
+				vid(f.cont), f.isInvalidated(), boxNames(f.extraPathWrites.All()))
 		}
 		if fl.done || fl.gone {
 			continue
@@ -464,7 +470,7 @@ func (g *equivGraph) snapshot(t testing.TB) map[string]any {
 		// What the flow's next read of each box would resolve to.
 		g.refresh(fl)
 		vis := map[string]string{}
-		for b, we := range fl.tx.vis.all() {
+		for b, we := range fl.tx.vis.All() {
 			vis[b.Name] = fmtWrite(we)
 		}
 		out[fmt.Sprintf("vis%02d", i)] = vis
@@ -515,7 +521,7 @@ func validationEquivalence(t testing.TB) {
 			case r < 60: // a burst past the inline capacity
 				i, wr := open[rng.Intn(len(open))], rng.Intn(2) == 0
 				both(func(g *equivGraph) {
-					for bx := 0; bx <= isetInline+1; bx++ {
+					for bx := 0; bx <= mvstm.BoxSetInline+1; bx++ {
 						if wr {
 							g.flows[i].tx.Write(g.boxes[bx], step)
 						} else {
@@ -578,14 +584,14 @@ func validationEquivalence(t testing.TB) {
 			}
 		}
 		for _, fl := range a.flows {
-			if fl.fut != nil && len(fl.fut.extraPathWrites) > 0 {
+			if fl.fut != nil && fl.fut.extraPathWrites.Size() > 0 {
 				relocated++
 			}
 		}
 		swapped += a.swapped
 		absorbs += a.absorbs
 		for _, v := range a.top.verts[:a.top.nverts] {
-			if v.reads.n < 0 || v.writes.n < 0 {
+			if v.reads.Size() > mvstm.BoxSetInline || v.writes.Size() > mvstm.BoxSetInline {
 				spilled++
 			}
 		}
@@ -642,7 +648,7 @@ func discardReachesEveryPendingChild(t testing.TB) {
 // TestMergeNotesHiddenRead: a merge into a main-flow vertex notes the
 // snapshot reads the fold hides from commit. The main flow's vertex reads b
 // through a sibling future's write; the merged chain read b at the
-// snapshot. The fold keeps the target's entry (iset.absorb), and commit
+// snapshot. The fold keeps the target's entry (mvstm.BoxSet.Absorb), and commit
 // notes only the snapshot reads on the main chain, so unless the merge
 // noted b, a commit to b by another transaction after the snapshot would go
 // unseen and the attempt would not retry. The validators keep such a fold
@@ -672,7 +678,7 @@ func mergeNotesHiddenRead(t testing.TB) {
 		t.Fatalf("the main flow read %v, want the sibling's write 1", got)
 	}
 	target := main.tx.cur
-	if obs, ok := target.reads.get(b); !ok || obs.ver != nil {
+	if obs, ok := target.reads.Get(b); !ok || obs.ver != nil {
 		t.Fatalf("the target's read of b is %+v, want one that observed a sub-transaction write", obs)
 	}
 
@@ -719,7 +725,7 @@ func escapeValidatesHiddenRead(t testing.TB) {
 	close(committed)
 	<-f.settled.wait()
 	v := f.vertex
-	_, slot, _ := v.reads.find(b)
+	_, slot, _ := v.reads.Find(b)
 	v.addRead(slot, b, readObs{val: 1, flow: int32(f.flow), wid: sys.nextWID(), hidden: true})
 
 	commitBox(t, stm, b, 2)
@@ -756,7 +762,7 @@ func commitValidatesMergedReads(t testing.TB) {
 			return nil
 		}
 		root := tx.top.root
-		if obs, ok := root.reads.get(x); root == tx.cur || !ok || obs.ver == nil {
+		if obs, ok := root.reads.Get(x); root == tx.cur || !ok || obs.ver == nil {
 			t.Fatalf("the future's snapshot read of x is not in the root the main flow left (read %v %+v)", ok, obs)
 		}
 		other := stm.Begin()

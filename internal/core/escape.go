@@ -54,7 +54,7 @@ func (t *topTx) finalWrite(b *mvstm.VBox) int64 {
 	bs := b.Summary()
 	for v := t.mainTx.cur; v != nil; v = v.pred {
 		if v.writeSum.Load()&bs == bs {
-			if we, ok := v.writes.get(b); ok {
+			if we, ok := v.writes.Get(b); ok {
 				return we.wid
 			}
 		}
@@ -75,24 +75,24 @@ func (tx *Tx) foldEscapee(f *Future) bool {
 	cur, snap := tx.cur, tx.top.snap
 	for fold := range 2 {
 		for c := f.vertex; c != nil; c = c.next {
-			for b, obs := range c.reads.all() {
+			for b, obs := range c.reads.All() {
 				switch {
 				case !obs.atSnapshot() && int(obs.flow) == f.flow:
 				case fold == 0:
-					_, wroteCur := cur.writes.get(b)
-					_, wroteAnc := tx.vis.get(b)
+					_, wroteCur := cur.writes.Get(b)
+					_, wroteAnc := tx.vis.Get(b)
 					if wroteCur || wroteAnc || !f.top.readHolds(b, obs, f.flow, snap) {
 						return false
 					}
 				default:
-					if _, slot, ok := cur.reads.find(b); !ok {
+					if _, slot, ok := cur.reads.Find(b); !ok {
 						ver := b.ReadAt(snap)
 						cur.addRead(slot, b, readObs{val: ver.Value, ver: ver})
 					}
 				}
 			}
 			if fold == 1 && f.getState() != fUserAborted {
-				for b, we := range c.writes.all() {
+				for b, we := range c.writes.All() {
 					cur.addWrite(b, writeEntry{val: we.val, wid: we.wid, flow: cur.flow})
 				}
 			}

@@ -145,7 +145,7 @@ type Future struct {
 	// position in G (they arise when the spawning chain merges away and the
 	// future is re-rooted). Both validations treat them as concurrent
 	// writes. extraSum is the set's Bloom summary. Guarded by top.mu.
-	extraPathWrites map[*mvstm.VBox]struct{}
+	extraPathWrites mvstm.BoxSet[struct{}]
 	extraSum        uint64
 
 	state  atomic.Int32
@@ -222,17 +222,14 @@ func (f *Future) Done() <-chan struct{} { return f.execDone.wait() }
 // Caller holds top.mu exclusively, or holds the attempt's last reference.
 func (f *Future) dropGraph() {
 	f.top, f.body, f.vertex, f.cont, f.ftx = nil, nil, nil, nil, nil
-	f.extraPathWrites = nil
+	f.extraPathWrites = mvstm.BoxSet[struct{}]{}
 }
 
 // addExtraPathWrites accumulates v's writes as relocation writes. Caller
 // holds top.mu exclusively.
 func (f *Future) addExtraPathWrites(v *vertex) {
-	for b := range v.writes.all() {
-		if f.extraPathWrites == nil {
-			f.extraPathWrites = make(map[*mvstm.VBox]struct{})
-		}
-		f.extraPathWrites[b] = struct{}{}
+	for b := range v.writes.All() {
+		f.extraPathWrites.Put(b, struct{}{})
 		f.extraSum |= b.Summary()
 	}
 }
@@ -248,11 +245,11 @@ func (f *Future) extraConflict(rsum uint64) bool {
 		if c.readSum.Load()&f.extraSum == 0 {
 			continue
 		}
-		for b, obs := range c.reads.all() {
+		for b, obs := range c.reads.All() {
 			if obs.ver == nil && int(obs.flow) == f.flow {
 				continue
 			}
-			if _, ok := f.extraPathWrites[b]; ok {
+			if _, ok := f.extraPathWrites.Get(b); ok {
 				return true
 			}
 		}

@@ -80,8 +80,8 @@ type vertex struct {
 	// loaded atomically: a lock-free reader publishes its bit before it
 	// re-checks the graph epoch and a validator bumps the epoch before it
 	// loads, so one of the two always notices the other.
-	reads    iset[readObs]
-	writes   iset[writeEntry]
+	reads    mvstm.BoxSet[readObs]
+	writes   mvstm.BoxSet[writeEntry]
 	readSum  atomic.Uint64
 	writeSum atomic.Uint64
 	log      atomic.Pointer[[]*mvstm.VBox]
@@ -105,6 +105,9 @@ func attached(v *vertex) bool {
 	return true
 }
 
+// logMin is the length of a vertex's first read log.
+const logMin = 16
+
 // publish makes a first read of b visible to forward validation on another
 // flow: b goes into log, then its length into logN, then its bits into
 // readSum. Entries do not change until the arena retires and a grown log is
@@ -117,7 +120,7 @@ func (v *vertex) publish(b *mvstm.VBox) {
 		n := int(v.logN.Load())
 		l := v.log.Load()
 		if l == nil || n == len(*l) {
-			grown := make([]*mvstm.VBox, max(2*n, isetIndexMin))
+			grown := make([]*mvstm.VBox, max(2*n, logMin))
 			if l != nil {
 				copy(grown, *l)
 			}
@@ -136,7 +139,7 @@ func (v *vertex) publish(b *mvstm.VBox) {
 // slot: published first, then inserted.
 func (v *vertex) addRead(slot int, b *mvstm.VBox, obs readObs) {
 	v.publish(b)
-	v.reads.insert(slot, b, obs)
+	v.reads.Insert(slot, b, obs)
 }
 
 // readBoxes yields the boxes v read, possibly with repeats: those in the log
@@ -144,7 +147,7 @@ func (v *vertex) addRead(slot int, b *mvstm.VBox, obs readObs) {
 // read set otherwise. Caller holds top.mu exclusively.
 func (v *vertex) readBoxes(yield func(*mvstm.VBox) bool) {
 	if v.status != vActive {
-		for b := range v.reads.all() {
+		for b := range v.reads.All() {
 			if !yield(b) {
 				return
 			}
@@ -161,14 +164,14 @@ func (v *vertex) readBoxes(yield func(*mvstm.VBox) bool) {
 // addWrite buffers a write of b. Only v's owner calls it, or a holder of
 // top.mu held exclusively.
 func (v *vertex) addWrite(b *mvstm.VBox, we writeEntry) {
-	v.writes.put(b, we)
+	v.writes.Put(b, we)
 	if s := v.writeSum.Load(); s|b.Summary() != s {
 		v.writeSum.Store(s | b.Summary())
 	}
 }
 
 // reset readies a vertex for its arena's next attempt; the storage of its
-// sets is kept against *budget (iset.reset), that of its log against
+// sets is kept against *budget (mvstm.BoxSet.Reset), that of its log against
 // *logBudget, charged a slot per box.
 func (v *vertex) reset(budget, logBudget *int) {
 	v.id, v.flow = 0, 0
@@ -176,8 +179,8 @@ func (v *vertex) reset(budget, logBudget *int) {
 	v.dropSuccs()
 	v.status = vActive
 	v.mark = 0
-	v.reads.reset(budget)
-	v.writes.reset(budget)
+	v.reads.Reset(budget)
+	v.writes.Reset(budget)
 	v.readSum.Store(0)
 	v.writeSum.Store(0)
 	if l := v.log.Load(); l != nil {
@@ -260,7 +263,7 @@ func chainWrote(head *vertex, b *mvstm.VBox) bool {
 	bs := b.Summary()
 	for c := head; c != nil; c = c.next {
 		if c.writeSum.Load()&bs == bs {
-			if _, ok := c.writes.get(b); ok {
+			if _, ok := c.writes.Get(b); ok {
 				return true
 			}
 		}
@@ -276,7 +279,7 @@ func chainRead(head *vertex, b *mvstm.VBox, self int) bool {
 	bs := b.Summary()
 	for c := head; c != nil; c = c.next {
 		if c.readSum.Load()&bs == bs {
-			if obs, ok := c.reads.get(b); ok && (obs.ver != nil || int(obs.flow) != self) {
+			if obs, ok := c.reads.Get(b); ok && (obs.ver != nil || int(obs.flow) != self) {
 				return true
 			}
 		}
@@ -349,7 +352,7 @@ func backwardConflicts(from, until, head *vertex, rsum uint64, self int) (confli
 		if v.writeSum.Load()&rsum == 0 {
 			continue
 		}
-		for b := range v.writes.all() {
+		for b := range v.writes.All() {
 			if chainRead(head, b, self) {
 				return true, true
 			}
@@ -420,12 +423,12 @@ func (t *topTx) mergeChain(head, target *vertex, evalFrom *vertex) {
 	// reads of whatever vertices form the main chain when it commits, where
 	// they sit (commitReads), and keepRead marks the ones a fold hides.
 	for _, c := range cs {
-		for b, we := range c.writes.all() {
-			target.writes.put(b, we)
+		for b, we := range c.writes.All() {
+			target.writes.Put(b, we)
 		}
 		// c is removed below and its read set never read again, so target
-		// may take c's storage outright (iset.absorb).
-		target.reads.absorb(&c.reads, keepRead)
+		// may take c's storage outright (mvstm.BoxSet.Absorb).
+		target.reads.Absorb(&c.reads, keepRead)
 		// The folded sets are supersets of nothing beyond the union, so the
 		// vertex summaries OR in directly.
 		target.readSum.Store(target.readSum.Load() | c.readSum.Load())
@@ -443,7 +446,7 @@ func (t *topTx) mergeChain(head, target *vertex, evalFrom *vertex) {
 }
 
 // keepRead is the fold's rule for a box both the target and a chain vertex
-// read: the target's observation stays (iset.absorb). If it observed a
+// read: the target's observation stays (mvstm.BoxSet.Absorb). If it observed a
 // sub-transaction write while the chain's read was at the snapshot (or hid
 // one), commit's walk would not see the snapshot read, so the kept entry is
 // marked hidden and commit validates the box.
@@ -468,11 +471,11 @@ func (t *topTx) keepErrorReads(head *vertex, flow int, into *vertex) {
 		return
 	}
 	for c := head; c != nil; c = c.next {
-		for b, obs := range c.reads.all() {
+		for b, obs := range c.reads.All() {
 			if !folded && obs.atSnapshot() {
 				t.errReads = append(t.errReads, b)
 			} else if folded && (obs.atSnapshot() || int(obs.flow) != flow) {
-				if _, slot, ok := into.reads.find(b); !ok {
+				if _, slot, ok := into.reads.Find(b); !ok {
 					into.addRead(slot, b, obs)
 				}
 			}

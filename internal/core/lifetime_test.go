@@ -429,10 +429,10 @@ func TestBlockedBodiesDoNotStarveWorkers(t *testing.T) {
 // test tracks that size itself, as the largest number of entries it saw
 // each set's dense storage hold.
 func TestArenaMapBudget(t *testing.T) {
-	const w, n = 20000, isetInline + 2
+	const w, n = 20000, mvstm.BoxSetInline + 2
 	sys, stm := newSys(WO, LAC)
 	boxes := newBoxes(stm, w)
-	seen := map[*isetDense[readObs]]int{} // storage -> largest length observed
+	seen := map[any]int{} // storage -> largest length observed
 	for attempt, widths := range [][]int{
 		{n, n, n, n, n, n, n, w}, // the last continuation vertex keeps a big set
 		{w},                      // the root takes one too; the tail must pay for its own
@@ -459,8 +459,8 @@ func TestArenaMapBudget(t *testing.T) {
 			top.mu.RLock()
 			defer top.mu.RUnlock()
 			for _, v := range top.verts[:top.nverts] {
-				if d := v.reads.d; d != nil {
-					seen[d] = max(seen[d], len(d.ents))
+				if id, held, _ := v.reads.Storage(); id != nil {
+					seen[id] = max(seen[id], held)
 				}
 			}
 			return nil
@@ -473,11 +473,11 @@ func TestArenaMapBudget(t *testing.T) {
 		for _, a := range sys.arenas.free {
 			kept, charged := 0, 0
 			for _, v := range a.verts {
-				if v.reads.d != nil {
-					kept += seen[v.reads.d]
-					charged += v.reads.hw
+				if id, _, hw := v.reads.Storage(); id != nil {
+					kept += seen[id]
+					charged += hw
 				}
-				if v.writes.d != nil {
+				if id, _, _ := v.writes.Storage(); id != nil {
 					t.Errorf("attempt %d: a vertex kept write-set storage, but no future wrote", attempt)
 				}
 			}

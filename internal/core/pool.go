@@ -1,17 +1,8 @@
 package core
 
-import (
-	"iter"
-	"math/bits"
-	"sync"
+import "sync"
 
-	"wtftm/internal/mutant"
-	"wtftm/internal/mvstm"
-)
-
-// This file holds the engine's memory plumbing: the box sets of a vertex
-// (inline while small, dense past that), and the recycling of a top-level
-// attempt's graph arena.
+// This file holds the recycling of a top-level attempt's graph arena.
 //
 // The arena of an attempt is its topTx value together with everything hung
 // off it — the vertices of G, the Tx handles of its flows, the future
@@ -46,23 +37,13 @@ import (
 // Tx handles are arena memory: using one after its transaction or future
 // body returned was always a bug and now may observe another attempt.
 
-// isetInline is the inline capacity of an iset. A sub-transaction of the
-// served workloads touches one or two boxes (a tstruct bucket, sometimes the
-// size counter); sets past the inline capacity spill to an entry slice and
-// an index that the vertex keeps across arena reuse, so a vertex whose role
-// always spills (the root of a coalesced write group, a future that reads a
-// thousand accounts) stops allocating after its first use.
-const isetInline = 4
-
-// isetIndexMin is the smallest spilled index: 16 slots, room for 8 entries.
-const isetIndexMin = 4 * isetInline
-
-// arenaMapBudget bounds the spilled set storage one free arena keeps, summed
-// over its Tx handles' visible-write indexes (tx.go), then its vertices' sets
-// in vertex order, lowest first, which is the order the next attempt hands
-// vertices out in, by each one's high-water entry count (entry slices and
-// indexes never shrink, so that is the size they keep); storage that would
-// overrun the budget is let go to the garbage collector. Measured (go1.24,
+// arenaMapBudget bounds the spilled set storage (mvstm.BoxSet.Reset) one
+// free arena keeps, summed over its Tx handles' visible-write indexes
+// (tx.go), then its vertices' sets in vertex order, lowest first, which is
+// the order the next attempt hands vertices out in, by each one's
+// high-water entry count (entry slices and indexes never shrink, so that is
+// the size they keep); storage that would overrun the budget is let go to
+// the garbage collector. Measured (go1.24,
 // amd64), a spilled read set keeps 512 bytes up to 8 entries, 1.1 KB up to
 // 16 and 58 to 93 bytes per entry beyond (a 48-byte entry, the slack append
 // leaves, 8 to 16 bytes of index); a write set or index about a fifth less.
@@ -73,234 +54,6 @@ const arenaMapBudget = 1 << 15
 // 8-byte slots (512 KB). The bank replay's sets nearly fill arenaMapBudget:
 // logs charged to it pushed sets out, to regrow on every attempt.
 const arenaLogBudget = 1 << 16
-
-// iset is a small-footprint box-keyed set. Up to isetInline entries are
-// stored inline in the struct; past that the set spills to dense storage
-// (isetDense): the entries in insertion order, and an open-addressed index
-// over them (linear probing on the box's Hash, a power-of-two number of
-// slots, at most half of them used). A lookup is one probe sequence over
-// int32 slots, iteration ranges over a slice, and emptying the set clears
-// the used prefix of the entries (the next spill clears the part of the
-// index it uses), not a hash table. The dense storage hangs off one pointer, so a vertex, which
-// holds two sets, is no larger than when a spilled set was a Go map. The
-// zero value is an empty set. Entries are never removed one at a time. Not
-// safe for concurrent use: a vertex's sets belong to its owning flow while
-// it is active and to holders of its graph lock after (DESIGN §9).
-type iset[V any] struct {
-	n    int // inline entries; -1 once the set lives in d
-	keys [isetInline]*mvstm.VBox
-	vals [isetInline]V
-	d    *isetDense[V] // may be non-nil and empty while n >= 0 (kept by reset)
-	hw   int           // d's high-water entry count, as of its last reset
-}
-
-// isetDense is a spilled iset's storage. ents holds the entries in insertion
-// order. Each idx slot is 0 (free) or 1 + a position in ents; a box's probe
-// sequence starts at Hash() >> shift.
-type isetDense[V any] struct {
-	ents  []isetEntry[V]
-	idx   []int32
-	shift uint8
-}
-
-type isetEntry[V any] struct {
-	b *mvstm.VBox
-	v V
-}
-
-// size returns the number of entries.
-func (s *iset[V]) size() int {
-	if s.n < 0 {
-		return len(s.d.ents)
-	}
-	return s.n
-}
-
-// find looks b up. On a miss, slot is where insert places b; it stays valid
-// until the set next changes.
-func (s *iset[V]) find(b *mvstm.VBox) (v V, slot int, ok bool) {
-	if s.n >= 0 {
-		for i := 0; i < s.n; i++ {
-			if s.keys[i] == b {
-				return s.vals[i], i, true
-			}
-		}
-		return v, s.n, false
-	}
-	d := s.d
-	mask := len(d.idx) - 1
-	for i := int(b.Hash() >> d.shift); ; i = (i + 1) & mask {
-		p := d.idx[i]
-		if p == 0 {
-			return v, i, false
-		}
-		if e := &d.ents[p-1]; e.b == b {
-			return e.v, i, true
-		}
-	}
-}
-
-// insert adds an entry for b, which find just missed at slot.
-func (s *iset[V]) insert(slot int, b *mvstm.VBox, v V) {
-	if s.n >= 0 {
-		if s.n < isetInline {
-			s.keys[s.n], s.vals[s.n] = b, v
-			s.n++
-			return
-		}
-		if s.d == nil {
-			s.d = new(isetDense[V])
-		}
-		var zero V
-		for i := 0; i < s.n; i++ {
-			s.d.ents = append(s.d.ents, isetEntry[V]{s.keys[i], s.vals[i]})
-			s.keys[i], s.vals[i] = nil, zero
-		}
-		s.n = -1
-		s.d.rehash(isetInline + 1)
-		_, slot, _ = s.find(b)
-	} else if 2*(len(s.d.ents)+1) > len(s.d.idx) {
-		s.d.rehash(len(s.d.ents) + 1)
-		_, slot, _ = s.find(b)
-	}
-	d := s.d
-	d.ents = append(d.ents, isetEntry[V]{b, v})
-	d.idx[slot] = int32(len(d.ents))
-}
-
-// rehash rebuilds the index with room for want entries at load at most
-// 1/2. The index is sized by want, not by the capacity it kept: a set that
-// once held thousands of entries and now spills with a few clears and probes
-// a few hundred bytes, not its widest use's index.
-func (d *isetDense[V]) rehash(want int) {
-	size := isetIndexMin
-	for size < 2*want {
-		size *= 2
-	}
-	if size <= cap(d.idx) {
-		d.idx = d.idx[:size]
-		clear(d.idx)
-	} else {
-		d.idx = make([]int32, size)
-	}
-	d.shift = uint8(32 - bits.TrailingZeros(uint(size)))
-	mask := size - 1
-	for p := range d.ents {
-		i := int(d.ents[p].b.Hash() >> d.shift)
-		for d.idx[i] != 0 {
-			i = (i + 1) & mask
-		}
-		d.idx[i] = int32(p + 1)
-	}
-}
-
-// get returns the value stored for b.
-func (s *iset[V]) get(b *mvstm.VBox) (V, bool) {
-	v, _, ok := s.find(b)
-	return v, ok
-}
-
-// put inserts or overwrites the entry for b. An overwritten entry keeps its
-// place in the iteration order. An inline set is handled here without find
-// and insert: a served sub-transaction's writes all take this path, and the
-// two calls cost it about a third more.
-func (s *iset[V]) put(b *mvstm.VBox, v V) {
-	if s.n >= 0 {
-		for i := 0; i < s.n; i++ {
-			if s.keys[i] == b {
-				s.vals[i] = v
-				return
-			}
-		}
-		if s.n < isetInline {
-			s.keys[s.n], s.vals[s.n] = b, v
-			s.n++
-			return
-		}
-	}
-	if _, slot, ok := s.find(b); ok {
-		s.d.ents[s.d.idx[slot]-1].v = v
-	} else {
-		s.insert(slot, b, v)
-	}
-}
-
-// all iterates the entries in insertion order.
-func (s *iset[V]) all() iter.Seq2[*mvstm.VBox, V] {
-	return func(yield func(*mvstm.VBox, V) bool) {
-		if s.n < 0 {
-			ents := s.d.ents
-			for i := range ents {
-				if !yield(ents[i].b, ents[i].v) {
-					return
-				}
-			}
-			return
-		}
-		for i := 0; i < s.n; i++ {
-			if !yield(s.keys[i], s.vals[i]) {
-				return
-			}
-		}
-	}
-}
-
-// absorb adds src's entries to s. For a box both hold s keeps
-// keep(s's entry, src's entry). When src is spilled and larger, the two
-// swap storage and s's former entries are put back on top, so the fold
-// costs the smaller side. src is left holding an unspecified part of the
-// union: its owner must not read it again before reset.
-func (s *iset[V]) absorb(src *iset[V], keep func(kept, dropped V) V) {
-	if src.n < 0 && len(src.d.ents) > s.size() {
-		*s, *src = *src, *s
-		if mutant.Active != mutant.AbsorbDropsTargetReads {
-			for b, v := range src.all() {
-				if old, ok := s.get(b); ok {
-					v = keep(v, old)
-				}
-				s.put(b, v)
-			}
-		}
-		return
-	}
-	for b, v := range src.all() {
-		if old, slot, ok := s.find(b); !ok {
-			s.insert(slot, b, v)
-		} else {
-			s.put(b, keep(old, v))
-		}
-	}
-}
-
-// empty removes every entry, keeping the storage.
-func (s *iset[V]) empty() {
-	if s.n < 0 {
-		d := s.d
-		s.hw = max(s.hw, len(d.ents))
-		clear(d.ents)
-		d.ents = d.ents[:0]
-	} else {
-		clear(s.keys[:s.n])
-		clear(s.vals[:s.n])
-	}
-	s.n = 0
-}
-
-// reset empties the set for the vertex's next use, dropping every reference
-// it held. Spilled storage is kept for the next spill while its high-water
-// size fits in *budget, which it is charged; otherwise it is dropped. A set
-// that is already empty is charged for the storage it keeps. The kept index
-// is cleared, as far as the next spill uses it, by the rehash at that spill.
-func (s *iset[V]) reset(budget *int) {
-	s.empty()
-	switch {
-	case s.d == nil:
-	case s.hw > *budget:
-		s.d, s.hw = nil, 0
-	default:
-		*budget -= s.hw
-	}
-}
 
 // arenaFreeMax bounds the System's free list, and arenaKeep the vertices,
 // Tx handles and errReads slots a free arena holds on to: together with the

@@ -291,10 +291,10 @@ func (t *topTx) commit() (err error) {
 	hasReads := len(t.errReads) > 0
 	for i := len(mainChain) - 1; i >= 0; i-- {
 		v := mainChain[i]
-		if v.reads.size() > 0 {
+		if v.reads.Size() > 0 {
 			hasReads = true
 		}
-		for b, we := range v.writes.all() {
+		for b, we := range v.writes.All() {
 			t.txn.Write(b, we.val)
 		}
 	}
@@ -348,7 +348,7 @@ func (t *topTx) commitReads(yield func(*mvstm.VBox) bool) {
 		if mutant.Active == mutant.CommitSkipsMergedReads && v.pred == nil && v != cur {
 			continue
 		}
-		for b, obs := range v.reads.all() {
+		for b, obs := range v.reads.All() {
 			if obs.atSnapshot() && !yield(b) {
 				return
 			}

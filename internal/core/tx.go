@@ -33,7 +33,7 @@ type Tx struct {
 	// change what a flow's ancestors wrote, bumps pathGen, and the owner
 	// rebuilds on its next slow-path read (DESIGN §9). The set's storage
 	// outlives the attempt with the handle.
-	vis    iset[writeEntry]
+	vis    mvstm.BoxSet[writeEntry]
 	visGen int64
 }
 
@@ -41,7 +41,7 @@ type Tx struct {
 // dropped, the index's storage kept against *budget.
 func (tx *Tx) reset(budget *int) {
 	tx.cur, tx.lastFut = nil, nil
-	tx.vis.reset(budget)
+	tx.vis.Reset(budget)
 }
 
 // refreshVis makes the index current: one built at an older path
@@ -53,12 +53,12 @@ func (tx *Tx) refreshVis() {
 	if tx.visGen == gen {
 		return
 	}
-	tx.vis.empty()
+	tx.vis.Empty()
 	// Nearest ancestor wins: walk upward, keep the first write per box.
 	for v := tx.cur.pred; v != nil; v = v.pred {
-		for b, we := range v.writes.all() {
-			if _, slot, ok := tx.vis.find(b); !ok {
-				tx.vis.insert(slot, b, we)
+		for b, we := range v.writes.All() {
+			if _, slot, ok := tx.vis.Find(b); !ok {
+				tx.vis.Insert(slot, b, we)
 			}
 		}
 	}
@@ -74,8 +74,8 @@ func (tx *Tx) absorbWrites(v *vertex) {
 	if tx.visGen != tx.top.pathGen.Load() {
 		return
 	}
-	for b, we := range v.writes.all() {
-		tx.vis.put(b, we)
+	for b, we := range v.writes.All() {
+		tx.vis.Put(b, we)
 	}
 }
 
@@ -160,10 +160,10 @@ func (tx *Tx) Read(b *mvstm.VBox) any {
 	// cur's sets are touched only by this flow while cur is active, so the
 	// own-vertex probes take no lock, and the slot a miss leaves stays valid
 	// until this flow inserts at it (DESIGN §9).
-	if we, ok := cur.writes.get(b); ok {
+	if we, ok := cur.writes.Get(b); ok {
 		return we.val
 	}
-	obs, slot, ok := cur.reads.find(b)
+	obs, slot, ok := cur.reads.Find(b)
 	if ok {
 		return obs.val
 	}
@@ -183,7 +183,7 @@ func (tx *Tx) Read(b *mvstm.VBox) any {
 		obs = tx.resolve(b)
 		cur.publish(b)
 		if top.gver.Load() == s {
-			cur.reads.insert(slot, b, obs)
+			cur.reads.Insert(slot, b, obs)
 			tx.recordRead(cur, b, obs)
 			return obs.val
 		}
@@ -194,7 +194,7 @@ func (tx *Tx) Read(b *mvstm.VBox) any {
 	obs = tx.resolve(b)
 	cur.publish(b)
 	top.mu.RUnlock()
-	cur.reads.insert(slot, b, obs)
+	cur.reads.Insert(slot, b, obs)
 	tx.recordRead(cur, b, obs)
 	return obs.val
 }
@@ -203,7 +203,7 @@ func (tx *Tx) Read(b *mvstm.VBox) any {
 // the nearest iCommitted ancestor's write (the visible-write index, which
 // must be current), or else the version at the top-level snapshot.
 func (tx *Tx) resolve(b *mvstm.VBox) readObs {
-	if we, ok := tx.vis.get(b); ok {
+	if we, ok := tx.vis.Get(b); ok {
 		return readObs{val: we.val, flow: int32(we.flow), wid: we.wid}
 	}
 	ver := b.ReadAt(tx.top.snap)

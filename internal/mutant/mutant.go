@@ -54,7 +54,7 @@ var Table = []Entry{
 		"forward validation skips futures hanging off the continuation (map-free validators)", false},
 	{MergeDropsPathWrites, "MergeDropsPathWrites", "core.(*topTx).mergeChain", "core",
 		"a re-rooted child is not charged the writes before its new position (map-free merge)", false},
-	{AbsorbDropsTargetReads, "AbsorbDropsTargetReads", "core.(*iset).absorb", "core",
+	{AbsorbDropsTargetReads, "AbsorbDropsTargetReads", "mvstm.(*BoxSet).Absorb", "core",
 		"a merge that takes over the chain's larger read set loses the target's own reads", false},
 	{MergeNotesNoHiddenRead, "MergeNotesNoHiddenRead", "core.keepRead", "core",
 		"a merge does not mark the kept read under which it folded a snapshot read, so commit's walk misses it", false},

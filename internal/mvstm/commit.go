@@ -148,7 +148,7 @@ func (s *STM) commitWrites(t *Txn, reads func(yield func(*VBox) bool)) error {
 		// newer than our snapshot committed before us". Blind writes (empty
 		// read set, nil reads) skip both steps and enqueue straight behind
 		// any pending peers.
-		if t.hasReads() || reads != nil {
+		if t.reads.Size() > 0 || reads != nil {
 			s.helpUpTo(last, nil)
 			bad := t.validateReads()
 			if bad == nil && reads != nil {
@@ -170,9 +170,9 @@ func (s *STM) commitWrites(t *Txn, reads func(yield func(*VBox) bool)) error {
 		}
 		ticket := last.ticket + 1
 		if r == nil {
-			r = &commitRequest{entries: make([]commitEntry, len(t.writeOrder))}
-			for i, b := range t.writeOrder {
-				r.entries[i] = commitEntry{box: b, ver: &Version{Value: t.writes[b]}}
+			r = &commitRequest{entries: make([]commitEntry, 0, t.writes.Size())}
+			for b, v := range t.writes.All() {
+				r.entries = append(r.entries, commitEntry{box: b, ver: &Version{Value: v}})
 			}
 		}
 		// r is unpublished until the CAS below succeeds, so re-stamping the
@@ -200,6 +200,20 @@ func (s *STM) commitWrites(t *Txn, reads func(yield func(*VBox) bool)) error {
 
 	s.helpUpTo(r, r)
 	t.ts = r.ticket
+	return nil
+}
+
+// validateReads checks that every box in the read set is still current at
+// the transaction's snapshot: no box may carry a committed version newer
+// than snap (first committer wins). It returns nil when the read set is
+// valid, or the first stale box in read order — the box whose newer
+// committed version kills this transaction — for abort attribution.
+func (t *Txn) validateReads() *VBox {
+	for b := range t.reads.All() {
+		if b.head.Load().TS > t.snap {
+			return b
+		}
+	}
 	return nil
 }
 

@@ -136,7 +136,8 @@ func TestPipelineCountersConsistentUnderLoad(t *testing.T) {
 }
 
 // Recycled transactions must come back clean: no read set, write set, or
-// commit timestamp leaking between pool generations.
+// commit timestamp leaking between pool generations, also when the sets
+// spilled and the next user finds their storage kept.
 func TestTxnPoolRecyclingIsolation(t *testing.T) {
 	s := New()
 	a, b := s.NewBox(1), s.NewBox(2)
@@ -152,14 +153,14 @@ func TestTxnPoolRecyclingIsolation(t *testing.T) {
 	if tx2.HasWrites() {
 		t.Fatal("recycled txn carries a write set")
 	}
-	if tx2.hasReads() {
+	if tx2.reads.Size() > 0 {
 		t.Fatal("recycled txn carries a read set")
 	}
 	if tx2.CommitTS() != 0 {
 		t.Fatal("recycled txn carries a commit timestamp")
 	}
 	// A spilled read set must also come back clean and deduplicated.
-	boxes := make([]*VBox, 3*readInlineCap)
+	boxes := make([]*VBox, 3*BoxSetInline)
 	for i := range boxes {
 		boxes[i] = s.NewBox(i)
 	}
@@ -171,17 +172,48 @@ func TestTxnPoolRecyclingIsolation(t *testing.T) {
 	}
 	tx2.Release()
 	tx3 := s.Begin()
-	defer func() { tx3.Discard(); tx3.Release() }()
-	if tx3.hasReads() {
+	if tx3.reads.Size() > 0 {
 		t.Fatal("recycled txn carries a spilled read set")
+	}
+	// So must a spilled write set: the next user reads the committed values
+	// and its commit installs only its own box.
+	for i, bx := range boxes {
+		tx3.Write(bx, 100+i)
+	}
+	if err := tx3.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx3.Release()
+	tx4 := s.Begin()
+	if tx4.HasWrites() {
+		t.Fatal("recycled txn carries a spilled write set")
+	}
+	for i, bx := range boxes {
+		if v := tx4.Read(bx); v != 100+i {
+			t.Fatalf("box %d reads %v after a recycled spilled write set, want %d", i, v, 100+i)
+		}
+	}
+	tx4.Write(a, 7)
+	if err := tx4.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ts := tx4.CommitTS()
+	tx4.Release()
+	if h := a.Head(); h.TS != ts || h.Value != 7 {
+		t.Fatalf("own write: head %v@%d, want 7@%d", h.Value, h.TS, ts)
+	}
+	for i, bx := range boxes {
+		if bx.Head().TS == ts {
+			t.Fatalf("box %d got a version from a commit that did not write it", i)
+		}
 	}
 }
 
-// The inline->map read-set spill must preserve validation behavior across
-// the threshold.
+// A read set that spilled past its inline capacity must still be validated
+// whole, the reads after the spill included.
 func TestReadSetSpillValidates(t *testing.T) {
 	s := New()
-	boxes := make([]*VBox, 2*readInlineCap)
+	boxes := make([]*VBox, 2*BoxSetInline)
 	for i := range boxes {
 		boxes[i] = s.NewBox(0)
 	}

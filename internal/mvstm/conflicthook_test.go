@@ -45,4 +45,27 @@ func TestConflictHookAttribution(t *testing.T) {
 	if got[0].Name != "shard3.b7" {
 		t.Fatalf("attributed box name = %q", got[0].Name)
 	}
+
+	// A read set past its inline capacity, two of its boxes overwritten by
+	// a peer: the hook gets the one read first, whatever the boxes' hashes.
+	wide := make([]*VBox, 16*BoxSetInline)
+	for i := range wide {
+		wide[i] = s.NewBox(0)
+	}
+	first, second := wide[BoxSetInline+2], wide[3]
+	tx3 := s.Begin()
+	for i := len(wide) - 1; i >= 0; i-- {
+		tx3.Read(wide[i])
+	}
+	if err := s.Atomic(func(p *Txn) error { p.Write(second, 1); p.Write(first, 1); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	got = nil
+	tx3.Write(other, 3)
+	if err := tx3.Commit(); !errors.Is(err, ErrConflict) {
+		t.Fatalf("commit err = %v, want ErrConflict", err)
+	}
+	if len(got) != 1 || got[0] != first {
+		t.Fatalf("hook calls = %v, want exactly [first=%p] (second=%p)", got, first, second)
+	}
 }

@@ -9,8 +9,9 @@
 // (see commit.go) instead of a global lock: disjoint-footprint commits do
 // not wait on each other and no committer blocks on a suspended peer.
 // Active-snapshot tracking for version GC is striped across shards (see
-// active.go), and transaction objects are recycled through a sync.Pool with
-// allocation-free read/write set representations (see pool.go).
+// active.go), and transaction objects are recycled through a sync.Pool,
+// keeping the storage of their read and write sets (BoxSet, see set.go and
+// pool.go).
 //
 // The package is the substrate the WTF-TM engine (internal/core) builds on;
 // it deliberately supports no intra-transaction parallelism of its own, as
@@ -222,17 +223,10 @@ type Txn struct {
 	done  bool
 
 	// Read's read set (reads made outside the Txn are validated in place,
-	// CommitValidating): inline array spilling to a map past readInlineCap
-	// distinct boxes (see pool.go). The two representations never overlap.
-	readsN      int
-	readsInline [readInlineCap]*VBox
-	readsMap    map[*VBox]struct{}
-
-	// Write set: writeOrder preserves insertion order so deterministic
-	// iteration is possible; the map gives O(1) lookup. Both containers are
-	// reused across pool generations.
-	writes     map[*VBox]any
-	writeOrder []*VBox
+	// CommitValidating) and the write set, each in insertion order. Their
+	// storage is kept across pool generations (Release).
+	reads  BoxSet[struct{}]
+	writes BoxSet[any]
 
 	// ts is the commit timestamp of a successful read-write commit, 0
 	// otherwise.
@@ -266,10 +260,10 @@ func (t *Txn) Read(b *VBox) any {
 	if t.done {
 		panic(ErrDone)
 	}
-	if v, ok := t.writes[b]; ok {
+	if v, ok := t.writes.Get(b); ok {
 		return v
 	}
-	t.noteRead(b)
+	t.reads.Put(b, struct{}{})
 	return b.ReadAt(t.snap).Value
 }
 
@@ -279,17 +273,11 @@ func (t *Txn) Write(b *VBox, v any) {
 	if t.done {
 		panic(ErrDone)
 	}
-	if t.writes == nil {
-		t.writes = make(map[*VBox]any, 8)
-	}
-	if _, ok := t.writes[b]; !ok {
-		t.writeOrder = append(t.writeOrder, b)
-	}
-	t.writes[b] = v
+	t.writes.Put(b, v)
 }
 
 // HasWrites reports whether the transaction buffered any write.
-func (t *Txn) HasWrites() bool { return len(t.writeOrder) > 0 }
+func (t *Txn) HasWrites() bool { return t.writes.Size() > 0 }
 
 // Commit attempts to make the transaction's writes visible atomically.
 // Read-only transactions always succeed without synchronization. Read-write
@@ -308,7 +296,7 @@ func (t *Txn) CommitValidating(reads iter.Seq[*VBox]) error {
 		return ErrDone
 	}
 	s := t.stm
-	if len(t.writeOrder) == 0 {
+	if t.writes.Size() == 0 {
 		t.finish()
 		s.stats.ReadOnlyCommits.Add(1)
 		return nil

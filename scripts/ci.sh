@@ -178,11 +178,12 @@ echo "== tier-1.5: wtfconform two-top-level sweep (2 drivers x 2 transactions, L
 # oracle's seam for escaped futures is settled (ROADMAP 15(a)).
 go run ./cmd/wtfconform -mode dfs -seed 1 -seeds 16 -budget 300 -threads 2 -txns 2 -atomicity lac
 
-echo "== tier-1.5: engine box-set fuzz (10 s past the seed corpus) =="
-# FuzzIset drives a vertex's read/write set (put, add, absorb both ways,
-# reset against a budget) against a Go-map model across index
-# doublings; its seeds run with the plain tests, this explores beyond them.
-go test -run '^$' -fuzz FuzzIset -fuzztime 10s ./internal/core/
+echo "== tier-1.5: box-set fuzz (10 s past the seed corpus) =="
+# FuzzBoxSet drives the box set of engine and substrate (put, insert,
+# absorb both ways, reset against a budget) against a Go-map model across
+# index doublings; its seeds run with the plain tests, this explores beyond
+# them.
+go test -run '^$' -fuzz FuzzBoxSet -fuzztime 10s ./internal/mvstm/
 
 echo "== tier-1.5: guard benchmarks (smoke run: hot paths must still complete) =="
 go test -run '^$' -bench 'ReadDepth|BeginFinish' -benchtime 200ms ./internal/bench/ ./internal/mvstm/
