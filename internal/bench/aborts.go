@@ -109,15 +109,9 @@ func runAbortsPoint(cfg Config, p AbortsParams, ord core.Ordering, atom core.Ato
 	chunk := 3 * p.Window
 	chunks, _, err := measure(p.TopLevels, cfg.Duration, func(_ int, rng *workload.RNG) (int, error) {
 		entries := bank.GenerateLog(rng, chunk, p.UpdatePct, p.Pairs, p.Accounts)
+		task, check := bankReplay(cfg, b, entries, p.Iter)
 		err := sys.Atomic(func(tx *core.Tx) error {
-			return replayInOrder(tx, b, entries, p.Window, func(e bank.LogEntry) *core.Future {
-				return tx.Submit(func(ftx *core.Tx) (any, error) {
-					m := cfg.Worker.Meter()
-					total := b.Apply(ftx, e, m.Func(p.Iter))
-					m.Flush()
-					return total, nil
-				})
-			})
+			return windowInOrder(tx, len(entries), p.Window, task, check)
 		})
 		return 1, err
 	})

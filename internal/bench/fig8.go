@@ -143,19 +143,15 @@ func fig8Futures(cfg Config, p Fig8Params, pct, window int, v Fig8Variant) (floa
 	chunk := p.ChunkFactor * window
 	ops, el, err := measure(p.TopLevels, cfg.Duration, func(_ int, rng *workload.RNG) (int, error) {
 		entries := bank.GenerateLog(rng, chunk, pct, p.PairsPerTransfer, p.Accounts)
+		task, check := bankReplay(cfg, b, entries, p.Iter)
 		err := sys.Atomic(func(tx *core.Tx) error {
-			submit := func(e bank.LogEntry) *core.Future {
-				return tx.Submit(func(ftx *core.Tx) (any, error) {
-					m := cfg.Worker.Meter()
-					total := b.Apply(ftx, e, m.Func(p.Iter))
-					m.Flush()
-					return total, nil
-				})
-			}
+			// WTF-TM-OutOfOrder evaluates whichever future completes first,
+			// so a slow getTotalAmount cannot straggle the transfers behind
+			// it; the in-order variants evaluate the oldest.
 			if v == WTFOutOfOrder {
-				return replayOutOfOrder(tx, b, entries, window, submit)
+				return windowOutOfOrder(tx, len(entries), window, task, check)
 			}
-			return replayInOrder(tx, b, entries, window, submit)
+			return windowInOrder(tx, len(entries), window, task, check)
 		})
 		return chunk, err
 	})
@@ -168,62 +164,24 @@ func fig8Futures(cfg Config, p Fig8Params, pct, window int, v Fig8Variant) (floa
 	return Throughput(ops, el), Rate(internal, internal+serialized), nil
 }
 
-// replayInOrder keeps a FIFO window of futures: evaluate the oldest, spawn
-// the next (the JTF activation policy and WTF-TM-InOrder).
-func replayInOrder(tx *core.Tx, b *bank.Bank, entries []bank.LogEntry, window int, submit func(bank.LogEntry) *core.Future) error {
-	var fifo []*core.Future
-	next := 0
-	for next < len(entries) && len(fifo) < window {
-		fifo = append(fifo, submit(entries[next]))
-		next++
-	}
-	for len(fifo) > 0 {
-		v, err := tx.Evaluate(fifo[0])
-		if err != nil {
-			return err
+// bankReplay returns the window helpers' task and onResult for replaying
+// entries against b: task(i) is the future body applying entries[i] with
+// iter units of emulated work per account access, and the check is
+// checkTotal on its result.
+func bankReplay(cfg Config, b *bank.Bank, entries []bank.LogEntry, iter int) (func(int) func(*core.Tx) (any, error), func(any) error) {
+	task := func(i int) func(*core.Tx) (any, error) {
+		return func(ftx *core.Tx) (any, error) {
+			m := cfg.Worker.Meter()
+			total := b.Apply(ftx, entries[i], m.Func(iter))
+			m.Flush()
+			return total, nil
 		}
+	}
+	check := func(v any) error {
 		checkTotal(b, v.(int))
-		fifo = fifo[1:]
-		if next < len(entries) {
-			fifo = append(fifo, submit(entries[next]))
-			next++
-		}
+		return nil
 	}
-	return nil
-}
-
-// replayOutOfOrder evaluates whichever future completes first, so a slow
-// getTotalAmount cannot straggle the transfers behind it (WTF-TM-OutOfOrder).
-func replayOutOfOrder(tx *core.Tx, b *bank.Bank, entries []bank.LogEntry, window int, submit func(bank.LogEntry) *core.Future) error {
-	completions := make(chan *core.Future, len(entries))
-	launch := func(e bank.LogEntry) {
-		f := submit(e)
-		go func() {
-			<-f.Done()
-			completions <- f
-		}()
-	}
-	next, inFlight := 0, 0
-	for next < len(entries) && inFlight < window {
-		launch(entries[next])
-		next++
-		inFlight++
-	}
-	for inFlight > 0 {
-		done := <-completions
-		v, err := tx.Evaluate(done)
-		if err != nil {
-			return err
-		}
-		checkTotal(b, v.(int))
-		inFlight--
-		if next < len(entries) {
-			launch(entries[next])
-			next++
-			inFlight++
-		}
-	}
-	return nil
+	return task, check
 }
 
 // checkTotal panics when the benchmark's sanity check fails: every

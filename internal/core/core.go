@@ -225,31 +225,12 @@ func closedNow(ch <-chan struct{}) bool {
 	}
 }
 
-// waitAny2 blocks until a or b is closed and returns 0 or 1 (preferring a
-// when both are ready). With a hook installed the wait is delegated to the
-// scheduler so a paused sibling task cannot deadlock the wait.
-func waitAny2(h sched.Hook, a, b <-chan struct{}) int {
-	if h == nil {
-		select {
-		case <-a:
-			return 0
-		case <-b:
-			return 1
-		}
-	}
-	for {
-		if closedNow(a) {
-			return 0
-		}
-		if closedNow(b) {
-			return 1
-		}
-		h.Park(func() bool { return closedNow(a) || closedNow(b) })
-	}
-}
-
-// waitAny3 is waitAny2 over three channels.
-func waitAny3(h sched.Hook, a, b, c <-chan struct{}) int {
+// waitAny blocks until a, b or c is closed and returns 0, 1 or 2. A nil
+// channel is never ready, so a two-way wait passes nil for c. With a hook
+// installed the wait is delegated to the scheduler so a paused sibling task
+// cannot deadlock the wait, and a is preferred over b over c when several
+// are ready.
+func waitAny(h sched.Hook, a, b, c <-chan struct{}) int {
 	if h == nil {
 		select {
 		case <-a:

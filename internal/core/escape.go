@@ -137,7 +137,7 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 	// out-of-band channel): wait for the spawning transaction's outcome. A
 	// retained handle is usually long past both waits.
 	if hook != nil || !f.att.committed.isSet() {
-		switch waitAny3(hook, f.att.committed.wait(), f.att.aborted.wait(), top.abortChan()) {
+		switch waitAny(hook, f.att.committed.wait(), f.att.aborted.wait(), top.abortChan()) {
 		case 1:
 			return nil, ErrStaleFuture
 		case 2:
@@ -145,7 +145,7 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 		}
 	}
 	if hook != nil || !f.settled.isSet() {
-		if waitAny2(hook, f.settled.wait(), top.abortChan()) == 1 {
+		if waitAny(hook, f.settled.wait(), top.abortChan(), nil) == 1 {
 			panic(&retrySignal{cause: top.abortCause()})
 		}
 	}
@@ -203,7 +203,7 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 		ch := f.claimCh
 		f.mu.Unlock()
 		top.unlockG()
-		if waitAny2(hook, ch, top.abortChan()) == 1 {
+		if waitAny(hook, ch, top.abortChan(), nil) == 1 {
 			panic(&retrySignal{cause: top.abortCause()})
 		}
 	}

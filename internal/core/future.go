@@ -335,7 +335,7 @@ func (f *Future) run() {
 	// straggler stalls its successors, exactly as in JTF.
 	if sys.opts.Ordering == SO {
 		if p := f.prevInFlow; p != nil {
-			if waitAny2(sys.opts.Hook, p.settled.wait(), top.abortChan()) == 1 {
+			if waitAny(sys.opts.Hook, p.settled.wait(), top.abortChan(), nil) == 1 {
 				f.setState(fStale)
 				return
 			}

@@ -244,7 +244,7 @@ func (t *topTx) commit() (err error) {
 			f := fs[i]
 
 			if sys.opts.Hook != nil || !f.settled.isSet() {
-				if waitAny2(sys.opts.Hook, f.settled.wait(), t.abortChan()) == 1 {
+				if waitAny(sys.opts.Hook, f.settled.wait(), t.abortChan(), nil) == 1 {
 					return &retryError{cause: t.abortCause()}
 				}
 			}
@@ -302,8 +302,9 @@ func (t *topTx) commit() (err error) {
 
 	// Futures still running past this point (GAC) keep reading at the
 	// snapshot: pin it until the last of them settles. Pinning through the
-	// live Txn (rather than STM.Pin by value) is race-free against concurrent
-	// commits' version GC: the pin shares the registration's shard entry.
+	// live Txn is race-free against concurrent commits' version GC: the pin
+	// is linked behind the registration in its shard before the commit
+	// unlinks it.
 	if t.refs.Load() > 1 {
 		t.unpin = t.txn.Pin()
 	}

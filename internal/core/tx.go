@@ -107,32 +107,12 @@ func (tx *Tx) awaitSettled(f *Future) {
 	tx.await(f.settled.wait())
 }
 
-// await blocks on ch, unwinding on a transaction abort.
+// await blocks on ch, unwinding on a transaction abort. Under a scheduler
+// hook the abort is checked first.
 func (tx *Tx) await(ch <-chan struct{}) {
 	top := tx.top
-	if h := top.sys.opts.Hook; h != nil {
-		tx.awaitHook(h, ch)
-		return
-	}
-	select {
-	case <-ch:
-	case <-top.abortChan():
+	if waitAny(top.sys.opts.Hook, top.abortChan(), ch, nil) == 0 {
 		panic(&retrySignal{cause: top.abortCause()})
-	}
-}
-
-// awaitHook is await under a scheduler hook: the wait is delegated to the
-// harness so a paused sibling cannot wedge it, with the same unwind rules.
-func (tx *Tx) awaitHook(h sched.Hook, ch <-chan struct{}) {
-	top := tx.top
-	for {
-		if top.aborted.Load() {
-			panic(&retrySignal{cause: top.abortCause()})
-		}
-		if closedNow(ch) {
-			return
-		}
-		h.Park(func() bool { return closedNow(ch) || top.aborted.Load() })
 	}
 }
 

@@ -6,31 +6,39 @@ import (
 	"sync/atomic"
 )
 
-// activeShards tracks the snapshots of live transactions (and explicit pins)
-// so version GC never trims a version some active snapshot can still read.
+// activeShards tracks the snapshots of live transactions and their pins so
+// version GC never trims a version some active snapshot can still read.
 //
 // The table is striped: every transaction is assigned one shard for its whole
 // lifetime (the assignment is made when the Txn object is allocated, so
 // sync.Pool reuse gives natural per-P affinity), and register/unregister/pin
-// for that transaction all go through that one shard. Striping removes the
-// single global mutex the seed implementation took on every Begin/finish.
+// for that transaction all go through that one shard.
 //
-// Safety argument for the striped minimum (used as the GC horizon):
+// Each shard is one intrusive doubly-linked list of snapNodes kept sorted by
+// snapshot, oldest at the head:
 //
-//   - A snapshot that must stay protected is continuously present in exactly
-//     one shard: the registration holds count[snap] >= 1 in the transaction's
-//     shard from Begin to finish, and Txn.Pin adds to the *same* shard entry
-//     before the registration is released. min scans each shard under its
-//     lock, so it either sees the entry or scanned the shard before the snap
-//     existed — and in the latter case the snap was taken from the clock
-//     *after* the scan began, hence snap >= clock >= fallback >= the value
-//     min can return (the fallback passed by the commit pipeline is always
-//     <= the clock at the time min is called).
-//   - STM.Pin (pin by bare snapshot value, no transaction) routes by a hash
-//     of the snapshot value, so repeated pins of one snapshot serialize on
-//     one shard. Like the seed's implementation it is only guaranteed safe
-//     while the pinned snapshot is otherwise protected (current clock or a
-//     registered transaction); see the method's doc.
+//   - register reads the clock under the shard's lock and links the Txn's
+//     own node at the tail. The clock only rises, and every node already in
+//     the list was linked under the same lock at an earlier clock reading,
+//     so the tail is the newest.
+//   - pin links a node with its transaction's snapshot directly behind that
+//     transaction's node, which is still linked (Txn.Pin requires a live
+//     transaction): its neighbours are no newer before it and no older after.
+//   - unregister unlinks a node, which keeps the rest in order.
+//
+// So a shard's smallest snapshot is its head, and min reads one node per
+// shard.
+//
+// Safety argument for the striped minimum (used as the GC horizon): a
+// snapshot that must stay protected is continuously linked in exactly one
+// shard. The registration is linked from Begin to finish, and Txn.Pin links
+// its node in the same shard before the registration unlinks. min reads each
+// shard's head under its lock, so it either sees the snapshot (or an older
+// one) or read the shard before the snapshot was registered — and in the
+// latter case the snapshot was taken from the clock *after* the read began,
+// hence snap >= clock >= fallback >= the value min can return (the fallback
+// passed by the commit pipeline is always <= the clock at the time min is
+// called).
 type activeShards struct {
 	shards []activeShard
 	mask   int32
@@ -39,11 +47,18 @@ type activeShards struct {
 }
 
 type activeShard struct {
-	mu     sync.Mutex
-	count  map[int64]int
-	minVal int64
-	valid  bool // is minVal an accurate cache?
-	_      [40]byte
+	mu sync.Mutex
+	// root is the list's sentinel: root.next is the oldest snapshot,
+	// root.prev the newest, and root.next == &root when nothing is tracked.
+	root snapNode
+	_    [32]byte
+}
+
+// snapNode is one tracked snapshot: a Txn's registration (its node field)
+// or a pin. next is nil while the node is not linked.
+type snapNode struct {
+	prev, next *snapNode
+	snap       int64
 }
 
 // nextPow2 rounds n up to a power of two (n >= 1).
@@ -66,7 +81,8 @@ func (a *activeShards) init(n int) {
 	a.shards = make([]activeShard, n)
 	a.mask = int32(n - 1)
 	for i := range a.shards {
-		a.shards[i].count = make(map[int64]int)
+		r := &a.shards[i].root
+		r.prev, r.next = r, r
 	}
 }
 
@@ -75,71 +91,45 @@ func (a *activeShards) assign() int32 {
 	return a.seq.Add(1) & a.mask
 }
 
-// snapShard routes a bare snapshot value (STM.Pin) to a fixed shard.
-func (a *activeShards) snapShard(snap int64) int32 {
-	h := uint64(snap) * 0x9E3779B97F4A7C15
-	return int32(h>>56) & a.mask
-}
-
-// register records a new transaction in the given shard and returns its
-// snapshot. Reading the clock and registering happen under the shard's lock
-// so a concurrent min scan of this shard cannot miss a snapshot older than
-// the horizon it computes.
-func (a *activeShards) register(shard int32, clock *atomic.Int64) int64 {
+// register sets n's snapshot to the clock and links n at the tail of the
+// given shard. Reading the clock and linking happen under the shard's lock,
+// which keeps the list sorted and means a concurrent min cannot miss a
+// snapshot older than the horizon it computes.
+func (a *activeShards) register(shard int32, n *snapNode, clock *atomic.Int64) {
 	sh := &a.shards[shard]
 	sh.mu.Lock()
-	snap := clock.Load()
-	sh.add(snap)
-	sh.mu.Unlock()
-	return snap
-}
-
-// pin records one extra reference to snap in the given shard.
-func (a *activeShards) pin(shard int32, snap int64) {
-	sh := &a.shards[shard]
-	sh.mu.Lock()
-	sh.add(snap)
+	n.snap = clock.Load()
+	n.linkAfter(sh.root.prev)
 	sh.mu.Unlock()
 }
 
-func (sh *activeShard) add(snap int64) {
-	sh.count[snap]++
-	if sh.valid && snap < sh.minVal {
-		sh.minVal = snap
-	}
-}
-
-func (a *activeShards) unregister(shard int32, snap int64) {
+// pin links n, with owner's snapshot, directly behind owner, which must be
+// linked in the given shard.
+func (a *activeShards) pin(shard int32, owner, n *snapNode) {
 	sh := &a.shards[shard]
 	sh.mu.Lock()
-	if n := sh.count[snap]; n <= 1 {
-		delete(sh.count, snap)
-		if sh.valid && snap == sh.minVal {
-			sh.valid = false
-		}
-	} else {
-		sh.count[snap] = n - 1
+	n.snap = owner.snap
+	n.linkAfter(owner)
+	sh.mu.Unlock()
+}
+
+// unregister unlinks n from the given shard; a node that is not linked is
+// left alone, so a repeated release is harmless.
+func (a *activeShards) unregister(shard int32, n *snapNode) {
+	sh := &a.shards[shard]
+	sh.mu.Lock()
+	if n.next != nil {
+		n.prev.next, n.next.prev = n.next, n.prev
+		n.prev, n.next = nil, nil
 	}
 	sh.mu.Unlock()
 }
 
-// shardMin returns this shard's smallest tracked snapshot, recomputing the
-// lazily-maintained cache if an unregister invalidated it. Must be called
-// with sh.mu held.
-func (sh *activeShard) shardMin() (int64, bool) {
-	if len(sh.count) == 0 {
-		return 0, false
-	}
-	if !sh.valid {
-		first := true
-		for s := range sh.count {
-			if first || s < sh.minVal {
-				sh.minVal, first = s, false
-			}
-		}
-		sh.valid = true
-	}
-	return sh.minVal, true
+// linkAfter inserts n between p and p.next. The caller holds the shard lock.
+func (n *snapNode) linkAfter(p *snapNode) {
+	n.prev, n.next = p, p.next
+	p.next.prev = n
+	p.next = n
 }
 
 // min returns the smallest active snapshot across all shards, or fallback
@@ -149,8 +139,8 @@ func (a *activeShards) min(fallback int64) int64 {
 	for i := range a.shards {
 		sh := &a.shards[i]
 		sh.mu.Lock()
-		if sm, ok := sh.shardMin(); ok && sm < m {
-			m = sm
+		if h := sh.root.next; h != &sh.root && h.snap < m {
+			m = h.snap
 		}
 		sh.mu.Unlock()
 	}

@@ -1,41 +1,46 @@
 package mvstm
 
 import (
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// The per-shard min cache must invalidate when the minimum unregisters and
-// recompute lazily on the next query.
-func TestActiveShardsMinCacheInvalidation(t *testing.T) {
+// min must follow removals from each shard's list, at its head and in its
+// middle, across shards.
+func TestActiveShardsMinFollowsRemovals(t *testing.T) {
 	var a activeShards
 	a.init(4)
 	var clock atomic.Int64
-
-	clock.Store(5)
-	s5 := a.register(0, &clock)
-	clock.Store(9)
-	s9 := a.register(1, &clock)
-	if s5 != 5 || s9 != 9 {
-		t.Fatalf("registered snaps %d,%d", s5, s9)
+	var n5, n6, n7, n9 snapNode
+	for _, r := range []struct {
+		shard int32
+		n     *snapNode
+		snap  int64
+	}{{0, &n5, 5}, {1, &n6, 6}, {0, &n7, 7}, {0, &n9, 9}} {
+		clock.Store(r.snap)
+		a.register(r.shard, r.n, &clock)
+		if r.n.snap != r.snap {
+			t.Fatalf("registered snap %d, want %d", r.n.snap, r.snap)
+		}
 	}
 	if got := a.min(100); got != 5 {
 		t.Fatalf("min = %d, want 5", got)
 	}
-	// Unregistering the minimum must invalidate the cache, not leave 5.
-	a.unregister(0, 5)
+	a.unregister(0, &n7) // middle of shard 0
+	if got := a.min(100); got != 5 {
+		t.Fatalf("min after removing 7 = %d, want 5", got)
+	}
+	a.unregister(0, &n5) // head of shard 0
+	if got := a.min(100); got != 6 {
+		t.Fatalf("min after removing 5 = %d, want 6", got)
+	}
+	a.unregister(1, &n6)
 	if got := a.min(100); got != 9 {
-		t.Fatalf("min after unregister = %d, want 9", got)
+		t.Fatalf("min after removing 6 = %d, want 9", got)
 	}
-	// Re-registering something smaller updates the cache downward.
-	clock.Store(3)
-	a.register(2, &clock)
-	if got := a.min(100); got != 3 {
-		t.Fatalf("min = %d, want 3", got)
-	}
-	a.unregister(2, 3)
-	a.unregister(1, 9)
+	a.unregister(0, &n9)
 	if got := a.min(42); got != 42 {
 		t.Fatalf("min of empty set = %d, want fallback", got)
 	}
@@ -49,27 +54,120 @@ func TestActiveShardsMinCappedByFallback(t *testing.T) {
 	a.init(2)
 	var clock atomic.Int64
 	clock.Store(50)
-	a.register(0, &clock)
+	var n snapNode
+	a.register(0, &n, &clock)
 	if got := a.min(10); got != 10 {
 		t.Fatalf("min = %d, want fallback 10 (tracked snap 50 is newer)", got)
 	}
 }
 
-// Duplicate registrations of one snapshot in one shard must be refcounted.
-func TestActiveShardsRefcount(t *testing.T) {
+// A pin keeps its snapshot tracked after its registration unlinks, in front
+// of the newer registrations linked after it, and releasing it twice is
+// harmless.
+func TestActiveShardsPinOutlivesRegistration(t *testing.T) {
 	var a activeShards
 	a.init(2)
 	var clock atomic.Int64
+	var owner, pin, later snapNode
 	clock.Store(7)
-	a.register(1, &clock)
-	a.pin(1, 7)
-	a.unregister(1, 7)
+	a.register(1, &owner, &clock)
+	a.pin(1, &owner, &pin)
+	clock.Store(8)
+	a.register(1, &later, &clock)
+	a.unregister(1, &owner)
 	if got := a.min(100); got != 7 {
 		t.Fatalf("min = %d, want 7 (pin still holds)", got)
 	}
-	a.unregister(1, 7)
+	a.unregister(1, &pin)
+	if got := a.min(100); got != 8 {
+		t.Fatalf("min = %d, want 8 after the pin's release", got)
+	}
+	a.unregister(1, &pin) // repeated release
+	if got := a.min(100); got != 8 {
+		t.Fatalf("min = %d, want 8 after a repeated release", got)
+	}
+	a.unregister(1, &later)
 	if got := a.min(100); got != 100 {
 		t.Fatalf("min = %d, want fallback after last release", got)
+	}
+}
+
+// TestActiveShardsModel drives random register, pin and unregister steps
+// over several shards with a clock that only rises, and after every step
+// compares min with the minimum of a multiset of the tracked snapshots.
+func TestActiveShardsModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 45))
+	var a activeShards
+	a.init(4)
+	var clock atomic.Int64
+	type tracked struct {
+		shard int32
+		n     *snapNode
+		reg   bool // a registration, which a pin may sit behind
+	}
+	var live []tracked
+	ref := map[int64]int{}
+	check := func(step int, what string) {
+		t.Helper()
+		fallback := clock.Load() - rng.Int64N(3)
+		want := fallback
+		for s := range ref {
+			want = min(want, s)
+		}
+		if got := a.min(fallback); got != want {
+			t.Fatalf("step %d (%s): min(%d) = %d, want %d (%d snapshots tracked)", step, what, fallback, got, want, len(ref))
+		}
+	}
+	for step := 0; step < 20000; step++ {
+		var what string
+		switch r := rng.IntN(10); {
+		case r < 2:
+			clock.Add(rng.Int64N(3))
+			what = "tick"
+		case r < 5:
+			sh := rng.Int32N(4)
+			n := &snapNode{}
+			a.register(sh, n, &clock)
+			ref[n.snap]++
+			live = append(live, tracked{sh, n, true})
+			what = "register"
+		case r < 6:
+			i := rng.IntN(len(live) + 1)
+			if i == len(live) || !live[i].reg {
+				continue
+			}
+			o := live[i]
+			n := &snapNode{}
+			a.pin(o.shard, o.n, n)
+			ref[n.snap]++
+			live = append(live, tracked{o.shard, n, false})
+			what = "pin"
+		default:
+			if len(live) == 0 {
+				continue
+			}
+			i := rng.IntN(len(live))
+			o := live[i]
+			a.unregister(o.shard, o.n)
+			if rng.IntN(4) == 0 {
+				a.unregister(o.shard, o.n) // a repeated release
+			}
+			if ref[o.n.snap]--; ref[o.n.snap] == 0 {
+				delete(ref, o.n.snap)
+			}
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			what = "unregister"
+		}
+		check(step, what)
+	}
+	for _, o := range live {
+		a.unregister(o.shard, o.n)
+	}
+	for i := range a.shards {
+		if r := &a.shards[i].root; r.next != r || r.prev != r {
+			t.Fatalf("shard %d not empty after every node unlinked", i)
+		}
 	}
 }
 

@@ -150,11 +150,7 @@ func (s *STM) commitWrites(t *Txn, reads func(yield func(*VBox) bool)) error {
 		// any pending peers.
 		if t.reads.Size() > 0 || reads != nil {
 			s.helpUpTo(last, nil)
-			bad := t.validateReads()
-			if bad == nil && reads != nil {
-				bad = t.staleIn(reads)
-			}
-			if bad != nil {
+			if bad := t.staleIn(reads); bad != nil {
 				if last.next.Load() != nil {
 					// A request enqueued after `last` may already be writing
 					// back; the newer version we saw might belong to it, in
@@ -203,28 +199,26 @@ func (s *STM) commitWrites(t *Txn, reads func(yield func(*VBox) bool)) error {
 	return nil
 }
 
-// validateReads checks that every box in the read set is still current at
-// the transaction's snapshot: no box may carry a committed version newer
-// than snap (first committer wins). It returns nil when the read set is
-// valid, or the first stale box in read order — the box whose newer
-// committed version kills this transaction — for abort attribution.
-func (t *Txn) validateReads() *VBox {
+// staleIn checks that every box read is still current at the transaction's
+// snapshot: no box may carry a committed version newer than it (first
+// committer wins). It walks the Txn's own read set, then the boxes reads
+// yields (nil: none), and returns the first stale box in that order — the
+// box whose newer committed version kills this transaction, for abort
+// attribution — or nil. It hands reads the Txn's own yield function: a range
+// loop's would be allocated on every pass. The box is not kept in t.stale
+// past the call, so a pooled Txn holds no VBox.
+func (t *Txn) staleIn(reads func(yield func(*VBox) bool)) *VBox {
 	for b := range t.reads.All() {
-		if b.head.Load().TS > t.snap {
+		if b.head.Load().TS > t.node.snap {
 			return b
 		}
 	}
-	return nil
-}
-
-// staleIn returns the first box reads yields that carries a committed
-// version newer than the snapshot, or nil. It hands reads the Txn's own
-// yield function: a range loop's would be allocated on every pass. The box
-// is not kept in t.stale past the call, so a pooled Txn holds no VBox.
-func (t *Txn) staleIn(reads func(yield func(*VBox) bool)) *VBox {
+	if reads == nil {
+		return nil
+	}
 	if t.fresh == nil {
 		t.fresh = func(b *VBox) bool {
-			if b.head.Load().TS > t.snap {
+			if b.head.Load().TS > t.node.snap {
 				t.stale = b
 				return false
 			}

@@ -150,7 +150,7 @@ func TestTxnPoolRecyclingIsolation(t *testing.T) {
 	tx.Release()
 
 	tx2 := s.Begin() // may be the same object
-	if tx2.HasWrites() {
+	if tx2.writes.Size() > 0 {
 		t.Fatal("recycled txn carries a write set")
 	}
 	if tx2.reads.Size() > 0 {
@@ -185,7 +185,7 @@ func TestTxnPoolRecyclingIsolation(t *testing.T) {
 	}
 	tx3.Release()
 	tx4 := s.Begin()
-	if tx4.HasWrites() {
+	if tx4.writes.Size() > 0 {
 		t.Fatal("recycled txn carries a spilled write set")
 	}
 	for i, bx := range boxes {

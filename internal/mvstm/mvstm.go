@@ -8,7 +8,8 @@
 // Read-write commits go through a parallel, helping-based commit pipeline
 // (see commit.go) instead of a global lock: disjoint-footprint commits do
 // not wait on each other and no committer blocks on a suspended peer.
-// Active-snapshot tracking for version GC is striped across shards (see
+// Active-snapshot tracking for version GC is striped across shards, each a
+// list of snapshots in registration order whose head is its oldest (see
 // active.go), and transaction objects are recycled through a sync.Pool,
 // keeping the storage of their read and write sets (BoxSet, see set.go and
 // pool.go).
@@ -217,8 +218,10 @@ func (s *STM) NewBoxNamed(name string, init any) *VBox {
 //
 // Txn objects are recycled through the STM's pool; see Release.
 type Txn struct {
-	stm   *STM
-	snap  int64
+	stm *STM
+	// node is the transaction's registration in its activeShards stripe;
+	// node.snap is the snapshot it reads at.
+	node  snapNode
 	shard int32 // activeShards stripe this transaction registers in
 	done  bool
 
@@ -232,8 +235,8 @@ type Txn struct {
 	// otherwise.
 	ts int64
 	// fresh is staleIn's yield function, made once per Txn; it keeps the
-	// first box that is not current at snap in stale, which staleIn clears
-	// before it returns.
+	// first box that is not current at the snapshot in stale, which staleIn
+	// clears before it returns.
 	fresh func(*VBox) bool
 	stale *VBox
 }
@@ -246,12 +249,12 @@ func (s *STM) Begin() *Txn {
 	}
 	s.stats.Begins.Add(1)
 	t := s.getTxn()
-	t.snap = s.active.register(t.shard, &s.clock)
+	s.active.register(t.shard, &t.node, &s.clock)
 	return t
 }
 
 // Snapshot returns the clock value this transaction reads at.
-func (t *Txn) Snapshot() int64 { return t.snap }
+func (t *Txn) Snapshot() int64 { return t.node.snap }
 
 // Read returns the transaction-local view of b: the pending write if any,
 // otherwise the newest version visible at the transaction's snapshot. The
@@ -264,7 +267,7 @@ func (t *Txn) Read(b *VBox) any {
 		return v
 	}
 	t.reads.Put(b, struct{}{})
-	return b.ReadAt(t.snap).Value
+	return b.ReadAt(t.node.snap).Value
 }
 
 // Write buffers a write of v to b; it becomes visible to other transactions
@@ -275,9 +278,6 @@ func (t *Txn) Write(b *VBox, v any) {
 	}
 	t.writes.Put(b, v)
 }
-
-// HasWrites reports whether the transaction buffered any write.
-func (t *Txn) HasWrites() bool { return t.writes.Size() > 0 }
 
 // Commit attempts to make the transaction's writes visible atomically.
 // Read-only transactions always succeed without synchronization. Read-write
@@ -328,7 +328,7 @@ func (t *Txn) Discard() {
 }
 
 func (t *Txn) finish() {
-	t.stm.active.unregister(t.shard, t.snap)
+	t.stm.active.unregister(t.shard, &t.node)
 	t.done = true
 }
 
@@ -337,31 +337,18 @@ func (t *Txn) finish() {
 // itself. It must be called while the transaction is still live (before
 // Commit/Discard); the pin then survives the transaction. The futures engine
 // pins a top-level transaction's snapshot while detached (escaping) futures
-// spawned by it are still executing.
+// spawned by it are still executing. Calling release again does nothing.
 //
-// Unlike STM.Pin, Txn.Pin is always safe with respect to concurrent version
-// GC: the pin is recorded in the same shard — the same count entry — as the
-// transaction's own registration, so there is no instant at which the
-// snapshot is untracked.
+// The pin is linked in the transaction's own shard directly behind the
+// transaction's registration, so there is no instant at which the snapshot
+// is untracked and the shard stays sorted (see activeShards).
 func (t *Txn) Pin() (release func()) {
 	if t.done {
 		panic(ErrDone)
 	}
-	s, shard, snap := t.stm, t.shard, t.snap
-	s.active.pin(shard, snap)
-	var once sync.Once
-	return func() { once.Do(func() { s.active.unregister(shard, snap) }) }
-}
-
-// Pin keeps every version visible at snap alive until the returned release
-// function is called. snap must be protected when Pin is called: either the
-// current clock value or the snapshot of some live transaction or pin (use
-// Txn.Pin to pin a live transaction's snapshot race-free).
-func (s *STM) Pin(snap int64) (release func()) {
-	shard := s.active.snapShard(snap)
-	s.active.pin(shard, snap)
-	var once sync.Once
-	return func() { once.Do(func() { s.active.unregister(shard, snap) }) }
+	a, shard, n := &t.stm.active, t.shard, &snapNode{}
+	a.pin(shard, &t.node, n)
+	return func() { a.unregister(shard, n) }
 }
 
 // Atomic runs fn in a transaction, retrying automatically on commit

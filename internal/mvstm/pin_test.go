@@ -5,11 +5,17 @@ import (
 	"testing"
 )
 
+// A pin taken by a live transaction keeps the versions visible at its
+// snapshot after the transaction is gone, until it is released; releasing
+// it again does nothing.
 func TestPinKeepsVersionsReadable(t *testing.T) {
 	s := New()
 	b := s.NewBox(0)
-	release := s.Pin(s.Clock())
-	pinned := s.Clock()
+	tx := s.Begin()
+	pinned := tx.Snapshot()
+	release := tx.Pin()
+	tx.Discard()
+	tx.Release()
 	for i := 1; i <= 50; i++ {
 		if err := s.Atomic(func(tx *Txn) error { tx.Write(b, i); return nil }); err != nil {
 			t.Fatal(err)
@@ -38,6 +44,9 @@ func TestPinKeepsVersionsReadable(t *testing.T) {
 	}
 }
 
+// A pin released while its transaction is still live leaves the
+// transaction's own registration protecting the snapshot against
+// concurrent commits and their GC.
 func TestPinConcurrentWithCommits(t *testing.T) {
 	s := New()
 	boxes := make([]*VBox, 8)
@@ -62,12 +71,18 @@ func TestPinConcurrentWithCommits(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		snap := s.Clock()
-		release := s.Pin(snap)
+		tx := s.Begin()
+		snap := tx.Snapshot()
+		release := tx.Pin()
 		for _, b := range boxes {
 			_ = b.ReadAt(snap) // must never panic while pinned
 		}
 		release()
+		for _, b := range boxes {
+			_ = b.ReadAt(snap) // nor while the transaction is live
+		}
+		tx.Discard()
+		tx.Release()
 	}
 	close(stop)
 	wg.Wait()
@@ -126,26 +141,5 @@ func TestCommitTSExposedAfterCommit(t *testing.T) {
 	ro.Read(b1)
 	if err := ro.Commit(); err != nil || ro.CommitTS() != 0 {
 		t.Fatalf("read-only commit: %v, CommitTS = %d, want 0", err, ro.CommitTS())
-	}
-}
-
-func TestHasWrites(t *testing.T) {
-	s := New()
-	b := s.NewBox(0)
-	tx := s.Begin()
-	if tx.HasWrites() {
-		t.Fatal("fresh txn has writes")
-	}
-	tx.Write(b, 5)
-	if !tx.HasWrites() {
-		t.Fatal("Write did not register")
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	check := s.Begin()
-	defer check.Discard()
-	if got := check.Read(b); got != 5 {
-		t.Fatalf("b = %v", got)
 	}
 }

@@ -104,6 +104,12 @@ echo "== tier-1.5: claim-to-run contract and lifetimes under race at GOMAXPROCS 
 # reading into it (a vertex has no lock: DESIGN §9).
 go test -race -cpu 1,4 -count=1 -run 'TestEvaluatorClaimedBodyOfAbortedAttempt|TestLosingWorkerReadsNoArena|TestTryEvaluateNeverClaims|TestDoneWithoutEvaluateCompletes|TestRendezvousBodiesComplete|TestSOEvaluateOutOfOrder|TestBlockedBodiesDoNotStarveWorkers|TestStragglerMergesWhileCommitValidates|TestGACConcurrentForeignEvaluators|TestEscapedAttemptIsNeverRecycled|TestGACChainOfEscapes|TestEscapeValidatesHiddenRead|TestForeignEvaluationRevalidatesError|TestSiblingErrorReadsJoinEvaluator|TestSiblingReexecutionErrorReadsJoinEvaluator|TestEscapeesEvaluateEachOthersSpawners|TestForeignRepeatedEvaluation|TestForeignDecisionDiscardedWithItsChain|TestForeignRepeatAwaitsItsDecision|TestForeignDecisionOfACancelledFlow|TestForwardScanOfActiveReader' ./internal/core/
 
+echo "== tier-1.5: GC horizon and pins under race at GOMAXPROCS 1 and 4 =="
+# Every shard of active snapshots is a list in registration order whose head
+# is the horizon (active.go): pins taken and released while other goroutines
+# commit and trim must never lose a version a tracked snapshot still reads.
+go test -race -cpu 1,4 -count=1 -run 'TestTxnPin|TestPin|TestActiveShards|TestGCRespectsActiveSnapshot|TestTrimWatermark|TestReadAtPanicsBelowHorizon' ./internal/mvstm/
+
 echo "== tier-1.5: crash recovery under race (deterministic fault injection) =="
 # The durability acceptance property: for every injected crash point, the
 # recovered store equals a prefix of the acknowledged-op sequence — no acked
