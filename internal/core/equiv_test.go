@@ -725,8 +725,8 @@ func escapeValidatesHiddenRead(t testing.TB) {
 	close(committed)
 	<-f.settled.wait()
 	v := f.vertex
-	_, slot, _ := v.reads.Find(b)
-	v.addRead(slot, b, readObs{val: 1, flow: int32(f.flow), wid: sys.nextWID(), hidden: true})
+	slot, _ := v.reads.Slot(b)
+	*v.addRead(slot, b) = readObs{val: 1, flow: int32(f.flow), wid: sys.nextWID(), hidden: true}
 
 	commitBox(t, stm, b, 2)
 	if err := sys.Atomic(func(tx *Tx) error {

@@ -85,9 +85,9 @@ func (tx *Tx) foldEscapee(f *Future) bool {
 						return false
 					}
 				default:
-					if _, slot, ok := cur.reads.Find(b); !ok {
+					if slot, ok := cur.reads.Slot(b); !ok {
 						ver := b.ReadAt(snap)
-						cur.addRead(slot, b, readObs{val: ver.Value, ver: ver})
+						*cur.addRead(slot, b) = readObs{val: ver.Value, ver: ver}
 					}
 				}
 			}

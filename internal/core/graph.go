@@ -135,11 +135,12 @@ func (v *vertex) publish(b *mvstm.VBox) {
 	}
 }
 
-// addRead records a first read of b, which v.reads.find just missed at
-// slot: published first, then inserted.
-func (v *vertex) addRead(slot int, b *mvstm.VBox, obs readObs) {
+// addRead records a first read of b, which v.reads.Slot just missed at
+// slot: published first, then added. The caller fills in the returned
+// entry.
+func (v *vertex) addRead(slot int, b *mvstm.VBox) *readObs {
 	v.publish(b)
-	v.reads.Insert(slot, b, obs)
+	return v.reads.Add(slot, b)
 }
 
 // readBoxes yields the boxes v read, possibly with repeats: those in the log
@@ -475,8 +476,8 @@ func (t *topTx) keepErrorReads(head *vertex, flow int, into *vertex) {
 			if !folded && obs.atSnapshot() {
 				t.errReads = append(t.errReads, b)
 			} else if folded && (obs.atSnapshot() || int(obs.flow) != flow) {
-				if _, slot, ok := into.reads.Find(b); !ok {
-					into.addRead(slot, b, obs)
+				if slot, ok := into.reads.Slot(b); !ok {
+					*into.addRead(slot, b) = obs
 				}
 			}
 		}

@@ -312,8 +312,10 @@ func TestStragglerMergesWhileCommitValidates(t *testing.T) {
 // its submission: F2, ordered after it, read the x it overwrites.
 //
 // Then the opposite case: F1's merge lands while F2 reads F1's boxes
-// through the lock-free path (mergeUnderReader).
+// through the lock-free path (mergeUnderReader), and a first read whose
+// lock-free path loses the race with that merge (readLosesMergeRace).
 func TestForwardScanOfActiveReader(t *testing.T) {
+	defer readLosesMergeRace(t)
 	defer mergeUnderReader(t)
 
 	sys, stm := newSys(WO, LAC)
@@ -415,4 +417,85 @@ func mergeUnderReader(t *testing.T) {
 		}
 	}
 	t.Logf("F1 merged at its submission in %d of 50 attempts", merges)
+}
+
+// readLosesMergeRace: F1 writes 64 boxes and finishes as soon as F2 has
+// built its visible-write index; F2 goes on making first reads until F1
+// has settled, so it is reading while F1 validates and merges at its
+// submission, and reads F1's boxes last. A read whose lock-free path
+// loaded gver before the merge's epoch opened and finds it moved on its
+// recheck resolves again on the slow path, into the entry the fast path
+// filled, and publishes its box a second time. Every read must leave
+// exactly one read-set entry for its box, holding the value Read returned,
+// and be published once, or twice after a lost race. The race needs two
+// flows running at once: at GOMAXPROCS 1 a few attempts check the entries
+// and no lost race is required.
+func readLosesMergeRace(t *testing.T) {
+	sys, stm := newSys(WO, LAC)
+	boxes := newBoxes(stm, 64+1<<16)
+	written, other := boxes[:64], boxes[64:]
+	maxAttempts := 3
+	if runtime.GOMAXPROCS(0) > 1 {
+		maxAttempts = 1000
+	}
+	lost, attempts := 0, 0
+	for ; attempts < maxAttempts && lost == 0; attempts++ {
+		err := sys.Atomic(func(tx *Tx) error {
+			ready := make(chan struct{})
+			f1 := tx.Submit(func(ftx *Tx) (any, error) {
+				for _, b := range written {
+					ftx.Write(b, attempts+1)
+				}
+				<-ready
+				return nil, nil
+			})
+			f2 := tx.Submit(func(ftx *Tx) (any, error) {
+				seen := []any{ftx.Read(other[0])} // the first read builds the index
+				close(ready)
+				for _, b := range other[1:] {
+					if f1.settled.isSet() {
+						break
+					}
+					seen = append(seen, ftx.Read(b))
+				}
+				read := append(other[:len(seen):len(seen)], written...)
+				for _, b := range written {
+					seen = append(seen, ftx.Read(b))
+				}
+				races := 0
+				for i, b := range read {
+					n, obs := ftx.readEntries(b)
+					if n != 1 || obs.val != seen[i] {
+						return nil, fmt.Errorf("%s: %d read entries, the last holding %v; Read returned %v", b.Name, n, obs.val, seen[i])
+					}
+					switch p := ftx.published(b); p {
+					case 1:
+					case 2:
+						races++
+					default:
+						return nil, fmt.Errorf("%s published %d times by one first read", b.Name, p)
+					}
+				}
+				return races, nil
+			})
+			<-f1.settled.wait()
+			merged := f1.getState() == fMerged
+			races, err := tx.Evaluate(f2)
+			if err != nil {
+				return err
+			}
+			if merged {
+				lost += races.(int)
+			}
+			_, err = tx.Evaluate(f1)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("%d attempts: %d first reads lost their race in attempts where F1 merged at its submission", attempts, lost)
+	if runtime.GOMAXPROCS(0) > 1 && lost == 0 {
+		t.Errorf("no first read lost its race with F1's merge in %d attempts", attempts)
+	}
 }

@@ -57,8 +57,8 @@ func (tx *Tx) refreshVis() {
 	// Nearest ancestor wins: walk upward, keep the first write per box.
 	for v := tx.cur.pred; v != nil; v = v.pred {
 		for b, we := range v.writes.All() {
-			if _, slot, ok := tx.vis.Find(b); !ok {
-				tx.vis.Insert(slot, b, we)
+			if slot, ok := tx.vis.Slot(b); !ok {
+				*tx.vis.Add(slot, b) = we
 			}
 		}
 	}
@@ -138,32 +138,36 @@ func (tx *Tx) Read(b *mvstm.VBox) any {
 	cur := tx.cur
 
 	// cur's sets are touched only by this flow while cur is active, so the
-	// own-vertex probes take no lock, and the slot a miss leaves stays valid
-	// until this flow inserts at it (DESIGN §9).
-	if we, ok := cur.writes.Get(b); ok {
-		return we.val
+	// own-vertex probes take no lock, and the entry a miss adds stays put
+	// until this flow next adds to cur.reads (DESIGN §9).
+	if slot, ok := cur.writes.Slot(b); ok {
+		return cur.writes.At(slot).val
 	}
-	obs, slot, ok := cur.reads.Find(b)
+	slot, ok := cur.reads.Slot(b)
 	if ok {
-		return obs.val
+		return cur.reads.At(slot).val
 	}
+	// A first read resolves straight into its read-set entry: returned by
+	// value and then stored, its 40-byte observation was reloaded whole from
+	// piecewise stores, a stall that took a third of the read (DESIGN §9).
+	obs := cur.reads.Add(slot, b)
 
-	// Ancestor resolution, lock-free fast path: all proper ancestors are
-	// iCommitted and therefore frozen, so when the flow's visible-write
-	// index is current (built at the present path generation) one index
-	// probe (or a lock-free snapshot read) resolves the read. The read is
-	// published (vertex.publish) before the gver recheck: if no mutation
-	// epoch overlapped [s, recheck], no bump of pathGen did either (every
-	// bump is inside one), so the index was current, and every later
-	// validator, which bumps gver before it scans, sees the published box. On a race the box stays published: a
-	// validator that saw it counted a read that did happen before it, so at
-	// most it refuses a merge that read would contradict. The slow path
-	// then resolves afresh and publishes the box again.
+	// Ancestor resolution, lock-free fast path. Every proper ancestor is
+	// iCommitted and so frozen: when the flow's visible-write index is
+	// current (built at the present path generation), one index probe or a
+	// lock-free snapshot read resolves the read. The box is published
+	// (vertex.publish) before gver is checked again. If no mutation epoch
+	// overlapped [s, recheck], no pathGen bump did either (every bump is
+	// inside one), so the index was current, and every later validator,
+	// which bumps gver before it scans, sees the published box. If an epoch
+	// did overlap, the box stays published: a validator that saw it counted
+	// a read that did happen before it, so at most it refuses a merge that
+	// read would contradict. The slow path then resolves afresh into the
+	// same entry and publishes the box again.
 	if s := top.gver.Load(); s&1 == 0 && tx.visGen == top.pathGen.Load() {
-		obs = tx.resolve(b)
+		tx.resolveInto(obs, b)
 		cur.publish(b)
 		if top.gver.Load() == s {
-			cur.reads.Insert(slot, b, obs)
 			tx.recordRead(cur, b, obs)
 			return obs.val
 		}
@@ -171,30 +175,31 @@ func (tx *Tx) Read(b *mvstm.VBox) any {
 
 	top.mu.RLock()
 	tx.refreshVis()
-	obs = tx.resolve(b)
+	tx.resolveInto(obs, b)
 	cur.publish(b)
 	top.mu.RUnlock()
-	cur.reads.Insert(slot, b, obs)
 	tx.recordRead(cur, b, obs)
 	return obs.val
 }
 
-// resolve is what a first read of b in the flow's current vertex observes:
-// the nearest iCommitted ancestor's write (the visible-write index, which
-// must be current), or else the version at the top-level snapshot.
-func (tx *Tx) resolve(b *mvstm.VBox) readObs {
-	if we, ok := tx.vis.Get(b); ok {
-		return readObs{val: we.val, flow: int32(we.flow), wid: we.wid}
+// resolveInto fills obs with what a first read of b in the flow's current
+// vertex observes: the nearest iCommitted ancestor's write (the index,
+// which must be current), or else the version at the top-level snapshot.
+func (tx *Tx) resolveInto(obs *readObs, b *mvstm.VBox) {
+	if slot, ok := tx.vis.Slot(b); ok {
+		we := tx.vis.At(slot)
+		*obs = readObs{val: we.val, flow: int32(we.flow), wid: we.wid}
+		return
 	}
 	ver := b.ReadAt(tx.top.snap)
-	return readObs{val: ver.Value, ver: ver}
+	*obs = readObs{val: ver.Value, ver: ver}
 }
 
 // recordRead emits a history op for a first read, when recording is on. The
 // observation tag is formatted with strconv on a stack buffer: fmt.Sprintf's
 // interface boxing and verb parsing showed up in read-path profiles even
 // though recording is off on the benchmark configurations that exercise it.
-func (tx *Tx) recordRead(cur *vertex, b *mvstm.VBox, obs readObs) {
+func (tx *Tx) recordRead(cur *vertex, b *mvstm.VBox, obs *readObs) {
 	top := tx.top
 	if top.sys.opts.Recorder == nil {
 		return

@@ -60,37 +60,48 @@ func (s *BoxSet[V]) Size() int {
 	return s.n
 }
 
-// Find looks b up. On a miss, slot is where Insert places b; it stays valid
-// until the set next changes.
-func (s *BoxSet[V]) Find(b *VBox) (v V, slot int, ok bool) {
+// Slot looks b up. On a hit, slot names b's entry for At; on a miss, it is
+// where Add places b. Either stays valid until the set next changes.
+func (s *BoxSet[V]) Slot(b *VBox) (slot int, ok bool) {
 	if s.n >= 0 {
 		for i := 0; i < s.n; i++ {
 			if s.keys[i] == b {
-				return s.vals[i], i, true
+				return i, true
 			}
 		}
-		return v, s.n, false
+		return s.n, false
 	}
 	d := s.d
 	mask := len(d.idx) - 1
 	for i := int(b.Hash() >> d.shift); ; i = (i + 1) & mask {
 		p := d.idx[i]
 		if p == 0 {
-			return v, i, false
+			return i, false
 		}
-		if e := &d.ents[p-1]; e.b == b {
-			return e.v, i, true
+		if d.ents[p-1].b == b {
+			return int(p - 1), true
 		}
 	}
 }
 
-// Insert adds an entry for b, which Find just missed at slot.
-func (s *BoxSet[V]) Insert(slot int, b *VBox, v V) {
+// At returns the entry Slot found at slot. The pointer stays valid until
+// the set next changes.
+func (s *BoxSet[V]) At(slot int) *V {
+	if s.n >= 0 {
+		return &s.vals[slot]
+	}
+	return &s.d.ents[slot].v
+}
+
+// Add adds a zero entry for b, which Slot just missed at slot, and returns
+// it for the caller to fill in place (a first read's observation, DESIGN
+// §9). The pointer stays valid until the set next changes.
+func (s *BoxSet[V]) Add(slot int, b *VBox) *V {
 	if s.n >= 0 {
 		if s.n < BoxSetInline {
-			s.keys[s.n], s.vals[s.n] = b, v
+			s.keys[s.n] = b
 			s.n++
-			return
+			return &s.vals[s.n-1]
 		}
 		if s.d == nil {
 			s.d = new(boxSetDense[V])
@@ -102,14 +113,15 @@ func (s *BoxSet[V]) Insert(slot int, b *VBox, v V) {
 		}
 		s.n = -1
 		s.d.rehash(BoxSetInline + 1)
-		_, slot, _ = s.Find(b)
+		slot, _ = s.Slot(b)
 	} else if 2*(len(s.d.ents)+1) > len(s.d.idx) {
 		s.d.rehash(len(s.d.ents) + 1)
-		_, slot, _ = s.Find(b)
+		slot, _ = s.Slot(b)
 	}
 	d := s.d
-	d.ents = append(d.ents, boxSetEntry[V]{b, v})
+	d.ents = append(d.ents, boxSetEntry[V]{b: b})
 	d.idx[slot] = int32(len(d.ents))
+	return &d.ents[len(d.ents)-1].v
 }
 
 // rehash rebuilds the index with room for want entries at load at most
@@ -139,14 +151,16 @@ func (d *boxSetDense[V]) rehash(want int) {
 }
 
 // Get returns the value stored for b.
-func (s *BoxSet[V]) Get(b *VBox) (V, bool) {
-	v, _, ok := s.Find(b)
-	return v, ok
+func (s *BoxSet[V]) Get(b *VBox) (v V, ok bool) {
+	if slot, ok := s.Slot(b); ok {
+		return *s.At(slot), true
+	}
+	return v, false
 }
 
 // Put inserts or overwrites the entry for b. An overwritten entry keeps its
-// place in the iteration order. An inline set is handled here without Find
-// and Insert: a served transaction's writes all take this path, and the two
+// place in the iteration order. An inline set is handled here without Slot
+// and Add: a served transaction's writes all take this path, and the two
 // calls cost it about a third more.
 func (s *BoxSet[V]) Put(b *VBox, v V) {
 	if s.n >= 0 {
@@ -162,10 +176,10 @@ func (s *BoxSet[V]) Put(b *VBox, v V) {
 			return
 		}
 	}
-	if _, slot, ok := s.Find(b); ok {
-		s.d.ents[s.d.idx[slot]-1].v = v
+	if slot, ok := s.Slot(b); ok {
+		*s.At(slot) = v
 	} else {
-		s.Insert(slot, b, v)
+		*s.Add(slot, b) = v
 	}
 }
 
@@ -208,10 +222,10 @@ func (s *BoxSet[V]) Absorb(src *BoxSet[V], keep func(kept, dropped V) V) {
 		return
 	}
 	for b, v := range src.All() {
-		if old, slot, ok := s.Find(b); !ok {
-			s.Insert(slot, b, v)
+		if slot, ok := s.Slot(b); ok {
+			*s.At(slot) = keep(*s.At(slot), v)
 		} else {
-			s.Put(b, keep(old, v))
+			*s.Add(slot, b) = v
 		}
 	}
 }

@@ -97,11 +97,13 @@ func checkBoxSet(t *testing.T, step int, s *BoxSet[int], m *boxSetModel, absent 
 // 4000 entries a tape can put in a set, so its storage is always kept.
 const fuzzBudget = 1 << 15
 
-// FuzzBoxSet drives two BoxSets through Put, Find+Insert, Absorb (either
+// FuzzBoxSet drives two BoxSets through Put, Slot+At+Add, Absorb (either
 // way, swapping storage or not) and Reset against a Go-map model, across
 // several index doublings: All() never yields a duplicate and follows
-// insertion order, and Absorb keeps keep(target's entry, source's entry)
-// for a box both sets held. Each pair of tape bytes is one operation: the
+// insertion order, Absorb keeps keep(target's entry, source's entry) for a
+// box both sets held, an entry Add returns is the one Slot and At find
+// next (also when that Add spilled the set or grew its index), and At after
+// a Slot hit is the model's value. Each pair of tape bytes is one operation: the
 // first picks it (low 3 bits) and the set (top bit), the second a box or a
 // budget. Explore with `go test -run '^$' -fuzz FuzzBoxSet ./internal/mvstm/`.
 func FuzzBoxSet(f *testing.F) {
@@ -135,10 +137,24 @@ func FuzzBoxSet(f *testing.F) {
 			case 0, 1, 3:
 				s.Put(b, step)
 				m.put(b, step)
-			case 2: // insert at the slot a miss returns, as the engine's first reads do
-				if _, slot, ok := s.Find(b); !ok {
-					s.Insert(slot, b, step)
-					m.put(b, step)
+			case 2: // fill in place: the entry Add returns on a miss, as the engine's first reads do, or At's on a hit
+				slot, ok := s.Slot(b)
+				var e *int
+				if ok {
+					e = s.At(slot)
+					if want := m.val[b]; *e != want {
+						t.Fatalf("step %d: At(Slot(%s)) holds %d, model %d", step, b.Name, *e, want)
+					}
+				} else {
+					e = s.Add(slot, b)
+					if *e != 0 {
+						t.Fatalf("step %d: Add(%s) returned an entry holding %d", step, b.Name, *e)
+					}
+				}
+				*e = step
+				m.put(b, step)
+				if slot, ok := s.Slot(b); !ok || s.At(slot) != e {
+					t.Fatalf("step %d: the entry filled for %s is not the one Slot and At find (found %v)", step, b.Name, ok)
 				}
 			case 4: // 40 boxes in a row
 				for j := 0; j < 40; j++ {
@@ -167,9 +183,60 @@ func FuzzBoxSet(f *testing.F) {
 				if want, in := m.val[b]; ok != in || v != want {
 					t.Fatalf("step %d: Get(%s) = %d, %v; model %d, %v", step, b.Name, v, ok, want, in)
 				}
+				if slot, ok := s.Slot(b); ok && *s.At(slot) != v {
+					t.Fatalf("step %d: At(Slot(%s)) holds %d, Get %d", step, b.Name, *s.At(slot), v)
+				}
 			}
 			checkBoxSet(t, step, &sets[0], &models[0], absent)
 			checkBoxSet(t, step, &sets[1], &models[1], absent)
 		}
 	})
+}
+
+// TestBoxSetAddInPlace fills entries through the pointers Add returns while
+// the set stays inline, spills (the fifth Add) and grows its index (the
+// ninth and seventeenth): each pointer is the entry Slot and At find until
+// the next Add, and what was written through it is what the set holds
+// afterwards, in insertion order.
+func TestBoxSetAddInPlace(t *testing.T) {
+	stm := New()
+	var s BoxSet[[2]int]
+	var boxes []*VBox
+	for i := 0; i < 40; i++ {
+		b := stm.NewBoxNamed(fmt.Sprintf("b%d", i), 0)
+		boxes = append(boxes, b)
+		slot, ok := s.Slot(b)
+		if ok {
+			t.Fatalf("Slot(%s) hit before Add", b.Name)
+		}
+		e := s.Add(slot, b)
+		if *e != [2]int{} {
+			t.Fatalf("Add(%s) returned an entry holding %v", b.Name, *e)
+		}
+		e[0] = i
+		if slot, ok := s.Slot(b); !ok || s.At(slot) != e {
+			t.Fatalf("after Add(%s) at size %d: Slot/At found %v, not the added entry", b.Name, s.Size(), ok)
+		}
+		e[1] = -i // written after the lookup: still the set's entry
+		if s.Size() == BoxSetInline+1 && s.n >= 0 {
+			t.Fatalf("the set holds %d entries inline", s.Size())
+		}
+	}
+	i := 0
+	for b, v := range s.All() {
+		if b != boxes[i] || v != [2]int{i, -i} {
+			t.Fatalf("entry %d is %s = %v, want %s = %v", i, b.Name, v, boxes[i].Name, [2]int{i, -i})
+		}
+		i++
+	}
+	for i, b := range boxes {
+		slot, ok := s.Slot(b)
+		if !ok {
+			t.Fatalf("Slot(%s) missed", b.Name)
+		}
+		s.At(slot)[1] = i
+		if v, _ := s.Get(b); v != [2]int{i, i} {
+			t.Fatalf("Get(%s) = %v after a write through At, want %v", b.Name, v, [2]int{i, i})
+		}
+	}
 }

@@ -213,7 +213,7 @@ check_allocs() {
 	echo "   $bench: ${allocs} allocs/op (floor ${floor})"
 }
 
-echo "== tier-1.5: engine allocation guards (per future <= 4, single write <= 3, wide-read future <= 2, wide-commit future <= 2) =="
+echo "== tier-1.5: engine allocation guards (per future <= 4, single write <= 3, wide-read future <= 2, wide-commit future <= 2, deep read 0) =="
 # What a future costs beyond its body: the handle, the caller's closure and
 # what the body itself boxes and commits. The graph (vertices, Tx handles,
 # registries, validation and merge scratch) comes from the recycled arena,
@@ -241,6 +241,10 @@ check_allocs ./internal/bench/ BenchmarkReadWide/reads=1024 2
 # them, so it adds no allocation to ReadWide's (the substrate used to copy
 # them into a map of its own).
 check_allocs ./internal/bench/ BenchmarkCommitWide/reads=1024 2
+# A boundary and eight first reads in a fresh vertex over a 64-vertex
+# ancestor chain: the vertex, its read set and the flow's visible-write
+# index all reuse kept storage, so the read path allocates nothing.
+check_allocs ./internal/bench/ BenchmarkReadDepth/depth=64 0
 
 echo "== tier-1.5: server request-path allocation guard (<= 2 allocs/op) =="
 # The serving hot loop (pooled decode -> pipeline unit of one -> append-encode
